@@ -32,9 +32,16 @@ def _require(doc, key, kinds, what):
     if key not in doc:
         raise SchemaError("%s document is missing %r" % (what, key))
     value = doc[key]
-    if not isinstance(value, kinds):
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise SchemaError("%s field %r has the wrong type" % (what, key))
     return value
+
+
+def _integers(values, name, what):
+    """A JSON array of integers; booleans and non-integral numbers are refused."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise SchemaError("%s field %r must be an array of integers" % (what, name))
+    return tuple(values)
 
 
 def _check_version(doc, what):
@@ -158,18 +165,20 @@ def toric_to_doc(spec: ToricSpec) -> dict:
 def toric_from_doc(doc) -> ToricSpec:
     _check_version(doc, "toric")
     dimension = _require(doc, "dimension", int, "toric")
-    rays = _require(doc, "rays", list, "toric")
-    basis = _require(doc, "basis", list, "toric")
+    rays = [_integers(ray, "rays", "toric")
+            for ray in _require(doc, "rays", list, "toric")]
+    basis = _integers(_require(doc, "basis", list, "toric"), "basis", "toric")
     raw_relations = _require(doc, "relations", list, "toric")
     relations = []
     for entry in raw_relations:
         if not isinstance(entry, dict):
             raise SchemaError("toric relations must be objects")
-        coeffs = _require(entry, "coeffs", list, "toric relation")
+        coeffs = _integers(_require(entry, "coeffs", list, "toric relation"),
+                           "coeffs", "toric relation")
         name = entry.get("parameter")
         if name is not None and not isinstance(name, str):
             raise SchemaError("toric relation parameter must be a string or null")
-        relations.append((tuple(coeffs), name))
+        relations.append((coeffs, name))
     try:
         return ToricSpec(dimension, rays, relations, basis)
     except (TypeError, ValueError) as exc:

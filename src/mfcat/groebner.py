@@ -17,7 +17,7 @@ construction applied to the finished basis.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import combinations, product
 
 from .poly import Polynomial, PolyError, RingMismatch
 
@@ -519,6 +519,29 @@ def _monomials_of_degree(nvars, d):
     return out
 
 
+def _lead_difference(kernel_leads, image_leads, nvars, key):
+    """Monomials of LT(K) outside LT(I), sorted by position then `key`, or INFINITE.
+
+    The multiples of a lead k outside LT(I) lie in the box from k up to,
+    in each variable i, the least l_i over leads l of I at k's position
+    with l_j <= k_j for all j != i; with no such l they are infinitely many.
+    """
+    found = set()
+    for pos, k in kernel_leads:
+        leads = [l for p, l in image_leads if p == pos]
+        ranges = []
+        for i in range(nvars):
+            caps = [l[i] for l in leads
+                    if all(l[j] <= k[j] for j in range(nvars) if j != i)]
+            if not caps:
+                return INFINITE
+            ranges.append(range(k[i], min(caps)))
+        for m in product(*ranges):
+            if not any(_divides(l, m) for l in leads):
+                found.add((pos, m))
+    return sorted(found, key=lambda t: (t[0], key(t[1])))
+
+
 def standard_monomials(G: GroebnerBasis):
     """Monomials of A^r outside the lead-term module, or INFINITE.
 
@@ -526,39 +549,8 @@ def standard_monomials(G: GroebnerBasis):
     by the ring's monomial order, ascending.
     """
     rank = G.ambient_rank if G.is_module else 1
-    nvars = G.ring.nvars
-    by_pos = {p: [] for p in range(rank)}
-    for pos, exps in (e.lt for e in G._elems):
-        by_pos[pos].append(exps)
-    result = []
-    for pos in range(rank):
-        leads = by_pos[pos]
-        if any(all(x == 0 for x in e) for e in leads):
-            continue  # unit at this position: nothing survives
-        if not leads:
-            if nvars == 0:
-                result.append((pos, ()))
-                continue
-            return INFINITE
-        bounds = []
-        for i in range(nvars):
-            pure = [e[i] for e in leads if all(x == 0 for k, x in enumerate(e) if k != i)]
-            if not pure:
-                return INFINITE
-            bounds.append(min(pure))
-        # staircase sits inside the box prod [0, bounds_i)
-        def walk(prefix, i):
-            if i == nvars:
-                exps = tuple(prefix)
-                if not any(_divides(l, exps) for l in leads):
-                    result.append((pos, exps))
-                return
-            for k in range(bounds[i]):
-                walk(prefix + [k], i + 1)
-        walk([], 0)
-    key = G.ring.key
-    result.sort(key=lambda t: (t[0], key(t[1])))
-    return result
+    units = [(pos, (0,) * G.ring.nvars) for pos in range(rank)]
+    return _lead_difference(units, G.leading_terms(), G.ring.nvars, G.ring.key)
 
 
 def quotient_dim(G: GroebnerBasis):
@@ -571,6 +563,8 @@ def quotient_dim(G: GroebnerBasis):
 
 def hilbert_slices(G: GroebnerBasis, upto: int = 10):
     """Counts of standard monomials of each exact total degree 0..upto."""
+    if upto < 0:
+        raise ValueError("Hilbert range must be nonnegative, got %d" % upto)
     rank = G.ambient_rank if G.is_module else 1
     nvars = G.ring.nvars
     by_pos = {p: [] for p in range(rank)}
@@ -597,8 +591,7 @@ def _image_generators(image, ring, ambient_rank):
             raise ValueError("expected a module basis for the image")
         return list(image.generators), image
     vectors = [tuple(v) for v in image]
-    gb = module_groebner(vectors, ambient_rank, ring) if vectors else None
-    return vectors, gb
+    return vectors, module_groebner(vectors, ambient_rank, ring)
 
 
 def quotient_module_dim(kernel_gens, image_basis, ring=None, ambient_rank=None):
@@ -612,8 +605,16 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
 
     kernel_gens: vectors spanning K inside A^N.  image_basis: a module
     GroebnerBasis (or vector list) for I.  Raises ImageNotInKernel when
-    I is not contained in K.  Representatives are normal forms against
-    the image basis, listed in a deterministic order.
+    I is not contained in K.
+
+    Macaulay's basis theorem (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, 5.3; Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, 2.1): for I <= K with Groebner bases under one
+    order, the monomials m of LT(K) outside LT(I) index a k-basis of K/I.
+    m is represented by NF_I(x^a g) for the first basis element g of K
+    with x^a LT(g) = m, listed by position, then by m ascending.  K/I is
+    INFINITE iff for some lead k of K and variable x_i no lead l of I at
+    k's position has l_j <= k_j for all j != i.
     """
     kernel_gens = [tuple(v) for v in kernel_gens]
     if ring is None:
@@ -635,42 +636,27 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     image_gens, image_gb = _image_generators(image_basis, ring, ambient_rank)
 
     # containment: every image generator must die against the kernel basis
-    if kernel_gens:
-        kernel_gb = module_groebner(kernel_gens, ambient_rank, ring)
-        for g in image_gens:
-            if any(not p.is_zero for p in module_normal_form(g, kernel_gb)):
-                raise ImageNotInKernel("image generator %r lies outside the kernel module" % (g,))
-    else:
+    if not kernel_gens:
         for g in image_gens:
             if any(not p.is_zero for p in g):
                 raise ImageNotInKernel("image is nonzero but the kernel is zero")
         return 0, []
+    kernel_gb = module_groebner(kernel_gens, ambient_rank, ring)
+    for g in image_gens:
+        if any(not p.is_zero for p in module_normal_form(g, kernel_gb)):
+            raise ImageNotInKernel("image generator %r lies outside the kernel module" % (g,))
 
-    s = len(kernel_gens)
-    # preimage: U = {u in A^s : K u in I}, via syzygies of [K | I]
-    combined = kernel_gens + image_gens
-    syz = syzygy_basis_of_vectors(combined, ambient_rank, ring)
-    U = []
-    for z in syz:
-        head = tuple(z[:s])
-        if any(not p.is_zero for p in head):
-            U.append(head)
-    U_gb = module_groebner(U, s, ring) if U else None
-    if U_gb is None:
-        # I = 0 inside K: finite only when s = 0 or the ring has no room,
-        # which standard_monomials of the empty basis reports as INFINITE
-        empty = module_groebner([tuple(ring.zero() for _ in range(s))], s, ring)
-        std = standard_monomials(empty)
-    else:
-        std = standard_monomials(U_gb)
+    std = _lead_difference(kernel_gb.leading_terms(), image_gb.leading_terms(),
+                           ring.nvars, ring.key)
     if std is INFINITE:
         return INFINITE, []
     if not want_reps:
         return len(std), []
     reps = []
     for pos, exps in std:
-        vec = tuple(p.mul_term(exps, ring.field.one) for p in kernel_gens[pos])
-        if image_gb is not None:
-            vec = module_normal_form(vec, image_gb)
-        reps.append(vec)
+        g = next(e for e in kernel_gb._elems if e.lt[0] == pos and _divides(e.lt[1], exps))
+        mono = _exps_sub(exps, g.lt[1])
+        shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
+        rem, _ = _divide(ring, shifted, image_gb._elems)
+        reps.append(_terms_to_vector(rem, ring, ambient_rank))
     return len(std), reps

@@ -7,8 +7,8 @@ identically because e and f square to the same scalar matrix.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
 this complex.  Everything is computed exactly: kernels are syzygy
-modules, images are column modules, and dimensions come from the
-standard-monomial count of a preimage module.
+modules, images are column modules, and dimensions and representatives
+come from the leading terms of kernel and image (subquotient_basis).
 """
 
 from __future__ import annotations

@@ -262,20 +262,21 @@ def _substituted_w(w_spec, params):
     raise TypeError("expected a SuperpotentialSpec or LaurentPolynomial")
 
 
+def _torus_generators(W, extra=()):
+    """Cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z, *extra] (grevlex)."""
+    n = W.ring.nvars
+    ring = RingContext(W.ring.variables + ("z",) + extra, QQ, "grevlex")
+    index_map = [ring.var_index(v) for v in W.ring.variables]
+    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring, index_map)
+            for i in range(n)]
+    torus = (1,) * (n + 1) + (0,) * len(extra)
+    gens.append(Polynomial(ring, {torus: ring.field.one}) - ring.one())
+    return ring, index_map, gens
+
+
 def critical_ideal(w_spec, params=None) -> groebner.GroebnerBasis:
     """Basis of the critical ideal on the torus, in Q[Y1..Yn, z] (grevlex)."""
-    W = _substituted_w(w_spec, params)
-    yring = W.ring
-    n = yring.nvars
-    ring = RingContext(yring.variables + ("z",), QQ, "grevlex")
-    index_map = [ring.var_index(v) for v in yring.variables]
-    gens = []
-    for i in range(n):
-        g = W.log_derivative(i)
-        cleared, _ = g.clear_denominators()
-        gens.append(cleared.extend(ring, index_map))
-    torus = Polynomial(ring, {tuple([1] * n + [1]): ring.field.one}) - ring.one()
-    gens.append(torus)
+    ring, _, gens = _torus_generators(_substituted_w(w_spec, params))
     return groebner.buchberger(gens, ring)
 
 def critical_count(w_spec, params=None) -> int:
@@ -303,35 +304,26 @@ class CriticalReport:
 
 
 def critical_values(w_spec, params=None) -> CriticalReport:
-    """Minimal polynomial of the value function on the critical locus.
+    """Critical count and minimal polynomial of the value function.
 
-    W is adjoined as a new coordinate w through w * denom(W) = num(W)
-    (denominators are invertible on the torus), and the monic minimal
-    polynomial of multiplication by w on the finite quotient algebra is
-    extracted by linear algebra over the standard monomial basis.
+    W is adjoined as a new coordinate w through w * denom(W) = num(W).
+    denom(W) is a monomial, a unit on the torus, so this quotient algebra
+    is isomorphic to that of critical_ideal: the count is its number of
+    standard monomials (InfiniteCriticalLocus when they are infinite).
+    The monic minimal polynomial of multiplication by w on it is found
+    by linear algebra over the standard monomial basis.
     """
     W = _substituted_w(w_spec, params)
-    count = critical_count(w_spec, params)
-    yring = W.ring
-    n = yring.nvars
-    ring = RingContext(yring.variables + ("z", "w"), QQ, "grevlex")
-    index_map = [ring.var_index(v) for v in yring.variables]
-    gens = []
-    for i in range(n):
-        cleared, _ = W.log_derivative(i).clear_denominators()
-        gens.append(cleared.extend(ring, index_map))
-    torus = Polynomial(ring, {tuple([1] * n + [1, 0]): ring.field.one}) - ring.one()
-    gens.append(torus)
+    ring, index_map, gens = _torus_generators(W, ("w",))
     numerator, shifts = W.clear_denominators()
-    denom_exps = tuple(list(shifts) + [0, 0])
+    denom = Polynomial(ring, {tuple(shifts) + (0, 0): ring.field.one})
     wvar = ring.variable("w")
-    value_gen = wvar * Polynomial(ring, {denom_exps: ring.field.one}) \
-        - numerator.extend(ring, index_map)
-    gens.append(value_gen)
+    gens.append(wvar * denom - numerator.extend(ring, index_map))
     gb = groebner.buchberger(gens, ring)
     sm = groebner.standard_monomials(gb)
     if sm is groebner.INFINITE:
-        raise NonIsolatedCritical("the critical locus with values adjoined is not finite")
+        raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
+    count = len(sm)
     coord = {exps: i for i, (_, exps) in enumerate(sm)}
     wring = RingContext(("w",), QQ, "lex")
     fld = ring.field
@@ -378,7 +370,7 @@ def critical_values(w_spec, params=None) -> CriticalReport:
         deriv = value_poly.derivative(0)
         g = univariate_gcd(value_poly, deriv)
         distinct = g.total_degree() == 0
-    if value_poly.total_degree() > max(count, 0):
+    if value_poly.total_degree() > count:
         raise AssertionError("eliminant degree exceeds the critical count")
     return CriticalReport(count, value_poly, distinct)
 

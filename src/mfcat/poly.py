@@ -30,18 +30,25 @@ class ParseError(PolyError):
 # coefficient fields
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin to the prime bases up to 41 is exact below this bound, and to
+# those up to 37 only below 318665857834031151167461 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, exact for everything we will ever see
+    # deterministic Miller-Rabin; callers keep n below _PRIME_TEST_BOUND
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -133,6 +140,9 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= _PRIME_TEST_BOUND:
+            raise ValueError("field modulus %d is too large to certify as prime (limit %d)"
+                             % (p, _PRIME_TEST_BOUND))
         if not _is_prime(p):
             raise ValueError("field modulus %d is not prime" % p)
         self.p = p

@@ -280,3 +280,39 @@ def test_reports_are_deterministic():
     d = run("--format", "machine", "mirror-values", "--preset", "dP6",
             "--param", "r=1", "--param", "s=1", "--param", "t=1").output
     assert c == d
+
+
+def _one_line_error(res):
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _p1_fan(**changes):
+    doc = {"schema_version": 1, "kind": "toric", "dimension": 1,
+           "rays": [[1], [-1]], "basis": [0],
+           "relations": [{"coeffs": [1, 1], "parameter": "q"}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("changes", [
+    {"rays": [[1], [-1.7]]},                                    # non-integral ray
+    {"dimension": True},                                        # boolean dimension
+    {"rays": [[True], [-1]]},                                   # boolean ray entry
+    {"basis": [0.0]},                                           # float basis index
+    {"relations": [{"coeffs": [1, 1.5], "parameter": "q"}]},    # non-integral coeff
+])
+def test_fan_documents_take_strict_integers(tmp_path, changes):
+    fan = tmp_path / "p1.json"
+    fan.write_text(json.dumps(_p1_fan()))
+    assert json.loads(run("--format", "machine", "mirror-count", str(fan),
+                          "--param", "q=1").output)["count"] == 2
+    fan.write_text(json.dumps(_p1_fan(**changes)))
+    _one_line_error(run("mirror-count", str(fan), "--param", "q=1"))
+
+
+def test_negative_hilbert_range_is_refused():
+    _one_line_error(run("cok", "An:3:2", "--upto", "-1"))
+    assert run("cok", "An:3:2", "--upto", "0").exit_code == 0

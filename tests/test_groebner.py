@@ -169,6 +169,73 @@ def test_quotient_module_infinite_and_containment():
     assert quotient_module_dim([], [(zero,)], R, 1) == 0
 
 
+def _vector_lead(vec, R):
+    pos = next(i for i, p in enumerate(vec) if not p.is_zero)
+    return pos, max(vec[pos].terms, key=R.key)
+
+
+def test_subquotient_count_matches_difference_of_quotients():
+    # I <= K <= A^N with A^N / I finite, so dim K/I = dim A^N/I - dim A^N/K
+    for seed, field in ((41, QQ), (43, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        x, y = R.gens()
+
+        def rand_poly():
+            out = R.zero()
+            for _ in range(rng.randint(1, 3)):
+                c = field.coerce(rng.randint(-4, 4))
+                out = out + R.constant(c) * x**rng.randint(0, 3) * y**rng.randint(0, 3)
+            return out
+
+        for trial in range(12):
+            N = 1 + trial % 2
+            zero = [R.zero()] * N
+            image = []
+            for j in range(N):
+                for xi in (x, y):
+                    unit = list(zero)
+                    unit[j] = xi**rng.randint(2, 4)
+                    image.append(tuple(unit))
+            image += [tuple(rand_poly() * xi for _ in range(N)) for xi in (x, y)]
+            kernel = image + [tuple(rand_poly() for _ in range(N))
+                              for _ in range(rng.randint(1, 2))]
+            I_gb = module_groebner(image, N, R)
+            K_gb = module_groebner(kernel, N, R)
+            dim, reps = subquotient_basis(kernel, image, R, N)
+            assert dim == quotient_dim(I_gb) - quotient_dim(K_gb), (field, trial)
+            assert quotient_module_dim(kernel, I_gb, R, N) == dim
+            assert len(reps) == dim
+            leads = [_vector_lead(v, R) for v in reps]
+            assert len(set(leads)) == dim
+            I_leads = I_gb.leading_terms()
+            for v, (pos, m) in zip(reps, leads):
+                assert submodule_membership(v, K_gb)
+                assert not any(p == pos and all(a <= b for a, b in zip(l, m))
+                               for p, l in I_leads)
+            assert leads == sorted(leads, key=lambda t: (t[0], R.key(t[1])))
+
+
+def test_subquotient_finiteness_follows_the_leads_of_both_modules():
+    R = ring("x", "y")
+    x, y = R.gens()
+    zero = R.zero()
+    # I = 0 with K != 0
+    assert quotient_module_dim([(x, zero)], [], R, 2) is INFINITE
+    assert quotient_module_dim([(x, zero)], [(zero, zero)], R, 2) is INFINITE
+    # A / I is infinite (y^t survives) but (x) / (x^2, x y^3) is not
+    dim, reps = subquotient_basis([(x,)], [(x**2,), (x*y**3,)], R, 1)
+    assert dim == 3
+    assert [str(v[0]) for v in reps] == ["x", "x*y", "x*y^2"]
+    # the lead y of K = (x, y) rises along y forever outside (x^2, x y)
+    assert quotient_module_dim([(x,), (y,)], [(x**2,), (x*y,)], R, 1) is INFINITE
+    # a finite count at one position does not hide an infinite one at another
+    K = [(x, zero), (zero, y)]
+    assert quotient_module_dim(K, [(x**2, zero), (zero, y**2)], R, 2) is INFINITE
+    assert quotient_module_dim(K, [(x**2, zero), (x*y, zero), (zero, y**2), (zero, x*y)],
+                               R, 2) == 2
+
+
 def test_rotation_cokernel_is_a_curve():
     # columns of [[x, y], [-y, x]] cut out the plane conic x^2 + y^2
     R = ring("x", "y")

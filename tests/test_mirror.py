@@ -126,6 +126,23 @@ def test_bare_laurent_input_and_infinite_locus():
         critical_count(w1, {"q": 1})  # bare potentials take no parameters
 
 
+def test_value_count_matches_critical_count_on_every_preset():
+    rng = random.Random(29)
+    for name in sorted(PRESETS):
+        built = build_superpotential(preset(name))
+        for params in ({p: 1 for p in built.param_names},
+                       {p: Fraction(rng.randint(1, 12), rng.randint(1, 12))
+                        for p in built.param_names}):
+            assert critical_values(built, params).count == critical_count(built, params), \
+                (name, params)
+
+
+def test_values_of_a_curve_of_critical_points_are_refused():
+    R = RingContext(("Y1", "Y2"), QQ)
+    with pytest.raises(InfiniteCriticalLocus, match="not zero-dimensional"):
+        critical_values(parse_laurent(R, "Y1 + Y1^-1"))
+
+
 def test_multiplicity_is_counted():
     # Y + 1/Y - 2 has a double critical point at Y = 1 shifted into the potential:
     # (Y - 1)^3 / Y^2-style degeneration obtained by adding a linear term

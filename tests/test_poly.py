@@ -25,6 +25,19 @@ def test_field_specs():
         field_from_spec("Fp:32748")  # not prime
 
 
+def test_prime_modulus_is_certified_or_refused():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # a strong pseudoprime to every prime base up to 37; 41 exposes it
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(318665857834031151167461)
+    # from the least strong pseudoprime to the bases up to 41 on, every
+    # modulus is refused, the Mersenne prime 2^89 - 1 included
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        field_from_spec("Fp:%d" % (2**89 - 1))
+
+
 def test_prime_field_arithmetic():
     f7 = PrimeField(7)
     assert f7.inv(2) == 4
