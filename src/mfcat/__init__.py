@@ -17,7 +17,7 @@ from .matrix import PolyMatrix
 from .groebner import (
     INFINITE, GroebnerBasis, buchberger, module_groebner,
     normal_form, module_normal_form, ideal_membership, submodule_membership,
-    membership_witness, syzygy_basis, syzygy_basis_of_vectors,
+    membership_witness, syzygy_module, syzygy_basis, syzygy_basis_of_vectors,
     standard_monomials, quotient_dim, hilbert_slices,
     quotient_module_dim, subquotient_basis, ImageNotInKernel,
 )

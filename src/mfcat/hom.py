@@ -7,8 +7,10 @@ identically because e and f square to the same scalar matrix.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
 this complex.  Everything is computed exactly: kernels are syzygy
-modules, images are column modules, and dimensions and representatives
-come from the leading terms of kernel and image (subquotient_basis).
+modules, whose reduced bases come straight from one Buchberger run
+(syzygy_module), images are column modules, and dimensions and
+representatives come from the leading terms of kernel and image
+(subquotient_basis).
 """
 
 from __future__ import annotations
@@ -121,12 +123,10 @@ def hom_complex(source, target, check=True) -> HomComplex:
 
 def _homology_side(ring, kernel_of: PolyMatrix, image_of: PolyMatrix):
     """dim and representatives of ker(kernel_of) / im(image_of columns)."""
-    kernel_gens = groebner.syzygy_basis(kernel_of)
     ambient = image_of.rows
-    image_cols = [tuple(c) for c in image_of.columns()]
-    image_gb = groebner.module_groebner(image_cols, ambient, ring)
-    dim, reps = groebner.subquotient_basis(kernel_gens, image_gb, ring, ambient)
-    return dim, reps
+    kernel_gb = groebner.syzygy_module(kernel_of.columns(), kernel_of.rows, ring)
+    image_gb = groebner.module_groebner(image_of.columns(), ambient, ring)
+    return groebner.subquotient_basis(kernel_gb, image_gb, ring, ambient)
 
 
 def hom_dims(source, target) -> HomReport:

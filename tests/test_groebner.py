@@ -8,7 +8,7 @@ from mfcat.matrix import PolyMatrix
 from mfcat.groebner import (
     INFINITE, buchberger, module_groebner, normal_form, module_normal_form,
     ideal_membership, submodule_membership, membership_witness,
-    syzygy_basis, syzygy_basis_of_vectors, standard_monomials,
+    syzygy_basis, syzygy_basis_of_vectors, syzygy_module, standard_monomials,
     quotient_dim, hilbert_slices, quotient_module_dim, subquotient_basis,
     ImageNotInKernel,
 )
@@ -278,3 +278,130 @@ def test_normal_form_idempotence_randomized_both_fields():
             nf = normal_form(f, gb)
             assert normal_form(nf, gb) == nf
             assert ideal_membership(f - nf, gb)
+
+
+def test_division_entry_points_reject_mis_shaped_vectors():
+    R = ring("x", "y")
+    x, y = R.gens()
+    span = module_groebner([(x, y)], 2, R, track=True)
+    ideal = buchberger([x, y], R, track=True)
+    with pytest.raises(ValueError, match="vector of length 1 in rank-2 module"):
+        module_normal_form((x,), span)  # once zero-padded to (x, 0) -> (0, -y)
+    with pytest.raises(ValueError, match="vector of length 3 in rank-2 module"):
+        module_normal_form((x, y, x), span)
+    with pytest.raises(ValueError, match="vector of length 1 in rank-2 module"):
+        submodule_membership((x,), span)
+    with pytest.raises(ValueError, match="vector of length 3 in rank-2 module"):
+        submodule_membership((x, y, x), span)
+    # an over-long vector must not spill into the witness coordinates
+    with pytest.raises(ValueError, match="vector of length 3 in rank-2 module"):
+        membership_witness((x, y, x), span)
+    with pytest.raises(ValueError, match="vector of length 1 in rank-2 module"):
+        membership_witness(x, span)
+    with pytest.raises(ValueError, match="vector of length 2 in rank-1 module"):
+        membership_witness((x, y), ideal)
+    with pytest.raises(ValueError, match="expected an ideal Groebner basis"):
+        normal_form(x, span)
+    with pytest.raises(ValueError, match="expected an ideal Groebner basis"):
+        ideal_membership(x, span)
+    # a polynomial stays accepted where G is an ideal
+    assert membership_witness(x, ideal) == [R.one(), R.zero()]
+    assert membership_witness((x * y,), ideal) is not None
+
+
+def _rand_poly(R, rng, maxdeg=2):
+    x, y = R.gens()
+    out = R.zero()
+    for _ in range(rng.randint(1, 3)):
+        c = R.field.coerce(rng.randint(-3, 3))
+        out = out + R.constant(c) * x**rng.randint(0, maxdeg) * y**rng.randint(0, maxdeg)
+    return out
+
+
+def _combination(coeffs, vectors, R, rank):
+    total = [R.zero()] * rank
+    for c, v in zip(coeffs, vectors):
+        for i in range(rank):
+            total[i] = total[i] + c * v[i]
+    return tuple(total)
+
+
+def test_module_witnesses_recompose_and_match_membership():
+    for seed, field in ((61, QQ), (67, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        hits = 0
+        for _ in range(20):
+            rank = rng.randint(1, 2)
+            vectors = [tuple(_rand_poly(R, rng) for _ in range(rank))
+                       for _ in range(rng.randint(2, 3))]
+            gb = module_groebner(vectors, rank, R, track=True)
+            coeffs = [_rand_poly(R, rng) for _ in vectors]
+            vec = _combination(coeffs, vectors, R, rank)
+            w = membership_witness(vec, gb)
+            assert w is not None and len(w) == len(vectors)
+            assert _combination(w, vectors, R, rank) == vec
+            probe = tuple(_rand_poly(R, rng) for _ in range(rank))
+            w = membership_witness(probe, gb)
+            assert (w is not None) == submodule_membership(probe, gb)
+            if w is not None:
+                hits += 1
+                assert _combination(w, vectors, R, rank) == probe
+        assert 0 < hits < 20, hits
+
+
+def test_syzygy_basis_is_already_reduced():
+    for seed, field in ((71, QQ), (73, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        for _ in range(15):
+            rank = rng.randint(1, 2)
+            vectors = [tuple(_rand_poly(R, rng) for _ in range(rank))
+                       for _ in range(rng.randint(2, 3))]
+            syz = syzygy_basis_of_vectors(vectors, rank, R)
+            s = len(vectors)
+            assert syz == list(module_groebner(syz, s, R).generators)
+            assert syz == list(syzygy_module(vectors, rank, R).generators)
+            for v in syz:
+                assert all(p.is_zero for p in _combination(v, vectors, R, rank))
+
+
+def test_syzygies_contain_every_koszul_relation():
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    for fs in ([x, y, z], [x * y, y * z, x * z], [x**2, x * y, y**2, z]):
+        vectors = [(f,) for f in fs]
+        s = len(fs)
+        module = module_groebner(syzygy_basis_of_vectors(vectors, 1, R), s, R)
+        for i in range(s):
+            for j in range(i + 1, s):
+                koszul = [R.zero()] * s
+                koszul[i] = fs[j]
+                koszul[j] = -fs[i]
+                assert submodule_membership(tuple(koszul), module)
+
+
+def test_syzygy_edge_inputs():
+    R = ring("x", "y")
+    x, y = R.gens()
+    zero, one = R.zero(), R.one()
+    # a zero vector gives its unit syzygy
+    assert syzygy_basis_of_vectors([(x, y), (zero, zero)], 2, R) == [(zero, one)]
+    # a repeated vector gives e_1 - e_2
+    assert syzygy_basis_of_vectors([(x, y), (x, y)], 2, R) == [(one, -one)]
+    assert syzygy_basis_of_vectors([], 2, R) == []
+
+
+def test_subquotient_accepts_the_kernel_as_a_basis():
+    R = ring("x", "y")
+    x, y = R.gens()
+    mat = PolyMatrix.from_rows(R, [[x, y, x * y], [y, x, R.zero()]])
+    K = syzygy_module(mat.columns(), 2, R)
+    image = [tuple(p * x**2 for p in g) for g in K.generators]
+    image += [tuple(p * y**2 for p in g) for g in K.generators]
+    as_basis = subquotient_basis(K, image, R, 3)
+    as_vectors = subquotient_basis(list(K.generators), image, R, 3)
+    assert as_basis[0] == as_vectors[0] == 4
+    assert as_basis[1] == as_vectors[1]
+    with pytest.raises(ValueError, match="rank-2 module"):
+        subquotient_basis(K, [], R, 2)

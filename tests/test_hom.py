@@ -3,7 +3,7 @@ import pytest
 from mfcat.poly import QQ, RingContext
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import INFINITE
-from mfcat import mf
+from mfcat import corpus, mf
 from mfcat.hom import (
     hom_complex, hom_dims, is_null_homotopic, is_contractible,
     is_homotopy_equivalence,
@@ -163,3 +163,16 @@ def test_double_shift_morphism_is_equivalence():
     double = mf.MFMorphism(E, mf.shift(mf.shift(E)),
                            PolyMatrix.identity(R, 1), PolyMatrix.identity(R, 1))
     assert is_homotopy_equivalence(double)
+
+
+def test_jacobian_multiples_and_cones_of_identities_are_null_homotopic():
+    # Hom in the homotopy category is a module over the Jacobian ring
+    # A / (d_1 W, ..., d_n W), so d_i W * id_X ~ 0 for every factorization X.
+    for name, X in sorted(corpus.corpus_objects().items()):
+        for i in range(X.ring.nvars):
+            dw = PolyMatrix.scalar(X.w.derivative(i), X.rank)
+            flag, s = is_null_homotopic(mf.MFMorphism(X, X, dw, dw))
+            assert flag, (name, i)
+            assert X.e0 @ s.s1 + s.s0 @ X.e1 == dw and s.s1 @ X.e0 + X.e1 @ s.s0 == dw
+        # the cone of an identity is contractible
+        assert is_contractible(mf.cone(mf.identity_morphism(X))), name
