@@ -17,8 +17,8 @@ from .matrix import PolyMatrix
 from .groebner import (
     INFINITE, GroebnerBasis, buchberger, module_groebner,
     normal_form, module_normal_form, ideal_membership, submodule_membership,
-    membership_witness, syzygy_module, syzygy_basis, syzygy_basis_of_vectors,
-    standard_monomials, quotient_dim, hilbert_slices,
+    membership_witness, image_and_syzygies, syzygy_module, syzygy_basis,
+    syzygy_basis_of_vectors, standard_monomials, quotient_dim, hilbert_slices,
     quotient_module_dim, subquotient_basis, ImageNotInKernel,
 )
 from .mf import (

@@ -8,25 +8,26 @@ The Buchberger loop uses the normal selection strategy (minimal lcm
 total degree, ties broken by generator-index pairs) and post-processes
 to the reduced, monic, sorted basis so repeated runs are bit-identical.
 
-Syzygies and membership witnesses come from one elimination trick
-(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.5;
-Kreuzer-Robbiano, Computational Commutative Algebra 1, 3.1): input v_j
-of A^r enters as the column [v_j ; e_j] of A^(r+s).  Positions r and up
-form the e-block, which the order puts below every position of A^r, so
-each basis element carries in its e-block its own representation over
-the inputs.  An element whose lead lies in the e-block is a syzygy.
-Syzygy bases keep these elements and read the reduced syzygy basis off
-them; tracked bases drop them as they appear, and dividing [v ; 0] by a
-tracked basis leaves minus a witness for v in the remainder's e-block.
-The coprime-lead-monomial criterion is applied to ideals only (it is
-not valid for modules) and never when syzygies are kept, where it would
-lose the Koszul syzygies.
+Syzygies, images and membership witnesses come from one elimination
+trick (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+2.5; Kreuzer-Robbiano, Computational Commutative Algebra 1, 3.1): input
+v_j of A^r enters as the column [v_j ; e_j] of A^(r+s).  Positions r and
+up form the e-block, which the order puts below every position of A^r,
+so each basis element carries in its e-block its own representation over
+the inputs.  An element whose lead lies in the e-block is a syzygy; the
+top parts of the others form a Groebner basis of the span of the v_j.
+image_and_syzygies reduces both lists of one such run, so a kernel and
+an image cost one Buchberger run.  Tracked bases drop the syzygies as
+they appear, and dividing [v ; 0] by a tracked basis leaves minus a
+witness for v in the remainder's e-block.  The coprime-lead-monomial
+criterion is applied to ideals only (it is not valid for modules) and
+never when syzygies are kept, where it would lose the Koszul syzygies.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .poly import Polynomial, PolyError, RingMismatch
 
@@ -145,11 +146,11 @@ def _make_monic(e, fld):
 
 
 def _buchberger_core(ring, inputs, rank, syzygies=False):
-    """Reduced GB of the input term dicts, as a list of _Elem.
+    """A Groebner basis of the input term dicts, as a list of monic _Elem.
 
-    Positions `rank` and up form the e-block.  With `syzygies` set only
-    the elements whose lead lies in the e-block are reduced and returned;
-    otherwise such elements are dropped as they appear.
+    Positions `rank` and up form the e-block.  With `syzygies` set the
+    elements whose lead lies in the e-block are kept; otherwise they are
+    dropped as they appear.  The basis is not reduced: see _reduce.
     """
     fld = ring.field
     key = _term_key(ring)
@@ -183,8 +184,14 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
         if rem:
             insert(rem)
 
-    if syzygies:
-        basis = [e for e in basis if e.lt[0] >= rank]
+    return basis
+
+
+def _reduce(ring, basis):
+    """The reduced basis spanned by a Groebner basis of _Elems, sorted by
+    descending lead.  Reuses (and rewrites) the given _Elems."""
+    fld = ring.field
+    key = _term_key(ring)
     # minimalize: drop any element whose lead is divisible by another's
     order = sorted(range(len(basis)), key=lambda i: (key(basis[i].lt), i))
     kept = []
@@ -224,15 +231,23 @@ def _track(inputs, rank, ring):
 class GroebnerBasis:
     """Reduced, monic, order-sorted basis of an ideal or submodule."""
 
-    __slots__ = ("ring", "ambient_rank", "generators", "_elems", "_inputs")
+    __slots__ = ("ring", "ambient_rank", "_elems", "_inputs", "_generators")
 
     def __init__(self, ring, ambient_rank, elems, inputs=None):
         self.ring = ring
         self.ambient_rank = ambient_rank  # None marks an ideal
         self._elems = elems
         self._inputs = inputs  # tracked: the number of inputs, spanning the e-block
-        vectors = (_terms_to_vector(e.terms, ring, self._rank) for e in elems)
-        self.generators = tuple(vectors) if self.is_module else tuple(v[0] for v in vectors)
+        self._generators = None
+
+    @property
+    def generators(self):
+        """The elements as polynomials (ideal) or tuples of them, built on first use."""
+        if self._generators is None:
+            vectors = (_terms_to_vector(e.terms, self.ring, self._rank) for e in self._elems)
+            self._generators = (tuple(vectors) if self.is_module
+                                else tuple(v[0] for v in vectors))
+        return self._generators
 
     @property
     def is_module(self):
@@ -247,14 +262,14 @@ class GroebnerBasis:
         return [e.lt for e in self._elems]
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._elems)
 
     def __iter__(self):
         return iter(self.generators)
 
     def __repr__(self):
         kind = "module rank %d" % self.ambient_rank if self.is_module else "ideal"
-        return "GroebnerBasis(%s, %d generators)" % (kind, len(self.generators))
+        return "GroebnerBasis(%s, %d generators)" % (kind, len(self))
 
 
 def buchberger(gens, ring=None, track=False) -> GroebnerBasis:
@@ -274,7 +289,7 @@ def buchberger(gens, ring=None, track=False) -> GroebnerBasis:
         inputs.append({(0, e): c for e, c in g.terms.items()})
     if track:
         _track(inputs, 1, ring)
-    return GroebnerBasis(ring, None, _buchberger_core(ring, inputs, 1),
+    return GroebnerBasis(ring, None, _reduce(ring, _buchberger_core(ring, inputs, 1)),
                          len(gens) if track else None)
 
 
@@ -298,8 +313,8 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
     inputs = [_vector_to_terms(v, ring, ambient_rank) for v in vectors]
     if track:
         _track(inputs, ambient_rank, ring)
-    return GroebnerBasis(ring, ambient_rank, _buchberger_core(ring, inputs, ambient_rank),
-                         len(vectors) if track else None)
+    basis = _reduce(ring, _buchberger_core(ring, inputs, ambient_rank))
+    return GroebnerBasis(ring, ambient_rank, basis, len(vectors) if track else None)
 
 
 def _as_elems(G, ring):
@@ -367,18 +382,30 @@ def membership_witness(vec, G: GroebnerBasis):
 # syzygies
 # ---------------------------------------------------------------------------
 
-def syzygy_module(vectors, ambient_rank, ring) -> GroebnerBasis:
-    """Reduced Groebner basis of {w in A^s : sum_j w_j v_j = 0}.
+def image_and_syzygies(vectors, ambient_rank, ring):
+    """Reduced Groebner bases of the span of v_1 .. v_s in A^r and of their
+    syzygy module in A^s, from one run over the [v_j ; e_j].
 
-    v_1 .. v_s are vectors in A^r.  The basis is the e-block of the
-    syzygy elements of the [v_j ; e_j] basis, already reduced.
+    If f = sum_j a_j v_j, then [f ; a] is in that module with lead LT(f),
+    so the top parts of the elements with leads above the e-block form a
+    Groebner basis of the span; reduced, it is module_groebner's basis.
     """
-    inputs = _track([_vector_to_terms(tuple(v), ring, ambient_rank) for v in vectors],
-                    ambient_rank, ring)
+    r = ambient_rank
+    inputs = _track([_vector_to_terms(tuple(v), ring, r) for v in vectors], r, ring)
     key = _term_key(ring)
-    elems = [_Elem({(p - ambient_rank, x): c for (p, x), c in e.terms.items()}, key)
-             for e in _buchberger_core(ring, inputs, ambient_rank, syzygies=True)]
-    return GroebnerBasis(ring, len(inputs), elems)
+    image, syz = [], []
+    for e in _buchberger_core(ring, inputs, r, syzygies=True):
+        if e.lt[0] < r:  # strip the e-block: its tails need no reducing
+            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, key))
+        else:
+            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()}, key))
+    return (GroebnerBasis(ring, r, _reduce(ring, image)),
+            GroebnerBasis(ring, len(inputs), _reduce(ring, syz)))
+
+
+def syzygy_module(vectors, ambient_rank, ring) -> GroebnerBasis:
+    """Reduced Groebner basis of {w in A^s : sum_j w_j v_j = 0}, for v_j in A^r."""
+    return image_and_syzygies(vectors, ambient_rank, ring)[1]
 
 
 def syzygy_basis(matrix) -> list:
@@ -396,16 +423,9 @@ def syzygy_basis_of_vectors(vectors, ambient_rank, ring) -> list:
 # ---------------------------------------------------------------------------
 
 def _monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree exactly d, deterministic order."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    if nvars == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, d - first):
-            out.append((first,) + rest)
-    return out
+    """All exponent tuples of total degree exactly d, in descending lex order."""
+    return [tuple(c.count(i) for i in range(nvars))
+            for c in combinations_with_replacement(range(nvars), d)]
 
 
 def _lead_difference(kernel_leads, image_leads, nvars, key):
@@ -482,12 +502,12 @@ def _module_shape(module):
 
 
 def _module_basis(module, ring, ambient_rank):
-    """(generators, GroebnerBasis) of a submodule of A^N given either way."""
+    """GroebnerBasis of a submodule of A^N given either way."""
     if isinstance(module, GroebnerBasis):
         if module.ambient_rank != ambient_rank:
             raise ValueError("expected a basis of a rank-%d module" % ambient_rank)
-        return list(module.generators), module
-    return module, module_groebner(module, ambient_rank, ring)
+        return module
+    return module_groebner(module, ambient_rank, ring)
 
 
 def quotient_module_dim(kernel_gens, image_basis, ring=None, ambient_rank=None):
@@ -523,13 +543,14 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
         ambient_rank = next((n for _, n in shapes if n is not None), None)
         if ambient_rank is None:
             raise ValueError("ambient rank required")
-    _, kernel_gb = _module_basis(kernel, ring, ambient_rank)
-    image_gens, image_gb = _module_basis(image, ring, ambient_rank)
+    kernel_gb = _module_basis(kernel, ring, ambient_rank)
+    image_gb = _module_basis(image, ring, ambient_rank)
 
-    # containment: every image generator must die against the kernel basis
-    for g in image_gens:
-        if not submodule_membership(g, kernel_gb):
-            raise ImageNotInKernel("image generator %r lies outside the kernel module" % (g,))
+    # containment: every image basis element must die against the kernel basis
+    for e in image_gb._elems:
+        if _divide(ring, e.terms, kernel_gb._elems):
+            raise ImageNotInKernel("image element %r lies outside the kernel module"
+                                   % (_terms_to_vector(e.terms, ring, ambient_rank),))
 
     std = _lead_difference(kernel_gb.leading_terms(), image_gb.leading_terms(),
                            ring.nvars, ring.key)

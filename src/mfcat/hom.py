@@ -6,10 +6,11 @@ even elements and D(s) = f s + s e on odd ones; both squares vanish
 identically because e and f square to the same scalar matrix.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
-this complex.  Everything is computed exactly: kernels are syzygy
-modules, whose reduced bases come straight from one Buchberger run
-(syzygy_module), images are column modules, and dimensions and
-representatives come from the leading terms of kernel and image
+this complex.  Everything is computed exactly: one Buchberger run per
+differential gives the reduced bases of both its kernel (the syzygy
+module of its columns) and its image (their span), through
+image_and_syzygies; dimensions and representatives then come from the
+leading terms of each kernel and the other differential's image
 (subquotient_basis).
 """
 
@@ -121,21 +122,16 @@ def hom_complex(source, target, check=True) -> HomComplex:
     return HomComplex(source, target, check)
 
 
-def _homology_side(ring, kernel_of: PolyMatrix, image_of: PolyMatrix):
-    """dim and representatives of ker(kernel_of) / im(image_of columns)."""
-    ambient = image_of.rows
-    kernel_gb = groebner.syzygy_module(kernel_of.columns(), kernel_of.rows, ring)
-    image_gb = groebner.module_groebner(image_of.columns(), ambient, ring)
-    return groebner.subquotient_basis(kernel_gb, image_gb, ring, ambient)
-
-
 def hom_dims(source, target) -> HomReport:
     """Even and odd homology of the Hom complex, with representatives."""
     H = hom_complex(source, target, check=False)
     ring = source.ring
     rt, rs = target.rank, source.rank
-    h0, even_reps = _homology_side(ring, H.d_even, H.d_odd)
-    h1, odd_reps = _homology_side(ring, H.d_odd, H.d_even)
+    n = 2 * H.block_size  # both differentials are n x n
+    even_image, even_kernel = groebner.image_and_syzygies(H.d_even.columns(), n, ring)
+    odd_image, odd_kernel = groebner.image_and_syzygies(H.d_odd.columns(), n, ring)
+    h0, even_reps = groebner.subquotient_basis(even_kernel, odd_image, ring, n)
+    h1, odd_reps = groebner.subquotient_basis(odd_kernel, even_image, ring, n)
     basis_even = []
     for rep in even_reps:
         p1, p0 = _unflatten_pair(rep, ring, rt, rs)

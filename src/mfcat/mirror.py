@@ -8,8 +8,9 @@ rewritten through the relations, producing one Laurent term per ray.
 
 Critical points on the algebraic torus are counted through the ideal
 generated by the cleared logarithmic derivatives Y_i dW/dY_i together
-with the torus localizer z Y_1 ... Y_n - 1; critical values come from a
-lex elimination down to one variable.
+with the torus localizer z Y_1 ... Y_n - 1.  Critical values come from
+the minimal polynomial of multiplication by w = W on the quotient
+algebra, found by linear algebra over its grevlex standard monomials.
 """
 
 from __future__ import annotations

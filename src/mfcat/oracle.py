@@ -9,7 +9,8 @@ which is the point: agreement is evidence, disagreement is a bug.
 
 from __future__ import annotations
 
-from .groebner import _monomials_of_degree
+from itertools import combinations_with_replacement
+
 from .poly import PolyError
 from . import hom as hommod
 
@@ -19,10 +20,10 @@ class OracleDiverged(PolyError):
 
 
 def _monomials_upto(nvars, d):
-    out = []
-    for k in range(d + 1):
-        out.extend(_monomials_of_degree(nvars, k))
-    return out
+    """Exponent tuples of total degree 0..d, by degree, then descending lex
+    (the order in which the sorted variable-index multisets come)."""
+    return [tuple(c.count(i) for i in range(nvars))
+            for k in range(d + 1) for c in combinations_with_replacement(range(nvars), k)]
 
 
 # ---------------------------------------------------------------------------

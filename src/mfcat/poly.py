@@ -85,17 +85,6 @@ class Field:
     def coerce(self, value):
         raise NotImplementedError
 
-    def parse(self, text: str):
-        """Parse an integer or a/b literal into a coefficient."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            num, den = int(num), int(den)
-            if den == 0:
-                raise ParseError("zero denominator in %r" % text)
-            return self.div(self.coerce(num), self.coerce(den))
-        return self.coerce(int(text))
-
     def format(self, a) -> str:
         return str(a)
 
@@ -217,8 +206,6 @@ def _key_grevlex(exps):
 
 
 ORDER_KEYS = {"lex": _key_lex, "grlex": _key_grlex, "grevlex": _key_grevlex}
-
-_NAME_RE = None  # compiled lazily in the parser section
 
 
 class RingContext:
@@ -708,8 +695,11 @@ class _Parser:
                 k2, v2, _, _ = self.peek()
                 if k2 != "INT":
                     self.error("expected denominator")
+                den = fld.coerce(int(v2))
+                if den == fld.zero:
+                    self.error("zero denominator in %s" % fld)
                 self.take()
-                coeff = fld.div(fld.coerce(num), fld.coerce(int(v2)))
+                coeff = fld.div(fld.coerce(num), den)
             else:
                 coeff = fld.coerce(num)
             if self.peek()[:2] == ("OP", "*"):
@@ -762,32 +752,13 @@ def parse_laurent(ring: RingContext, text: str) -> LaurentPolynomial:
 
 
 def parse_coefficient(field: Field, text: str):
-    """Parse a bare coefficient ("3", "-3/2")."""
-    text = text.strip()
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        text = text[1:]
-    elif text.startswith("+"):
-        text = text[1:]
-    value = field.parse(text)
-    return field.neg(value) if sign < 0 else value
+    """Parse a bare coefficient ("3", "-3/2") with the polynomial grammar."""
+    return parse_polynomial(RingContext((), field), text).terms.get((), field.zero)
 
 
 # ---------------------------------------------------------------------------
 # univariate helpers (used by the mirror side)
 # ---------------------------------------------------------------------------
-
-def univariate_coeffs(f: Polynomial):
-    """Dense coefficient list [c0, c1, ...] for a univariate polynomial."""
-    if f.ring.nvars != 1:
-        raise ValueError("polynomial is not univariate")
-    if f.is_zero:
-        return []
-    deg = max(e[0] for e in f.terms)
-    fld = f.ring.field
-    return [f.terms.get((i,), fld.zero) for i in range(deg + 1)]
-
 
 def univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over the ring's field."""

@@ -134,6 +134,30 @@ def test_validate_rejects_broken_file(tmp_path):
     assert "expected x^2" in res.stderr
 
 
+@pytest.mark.parametrize("field, override, w, lam", [
+    ("Q", None, "x^2 + 1/0*x", "0"),
+    ("Fp:7", None, "x^2 + 1/7*x", "0"),
+    ("Fp:7", None, "x^2", "1/7"),
+    ("Q", "Fp:7", "x^2 + 1/7*x", "0"),
+    ("Q", "Fp:7", "x^2", "1/7"),
+    # each lambda once read as W - x^2, which made these documents valid
+    ("Q", None, "x^2 + 3", "--3"),
+    ("Q", None, "x^2 - 3", "+-3"),
+    ("Q", None, "x^2 - 3/2", "3/-2"),
+])
+def test_bad_coefficients_are_one_line_errors(tmp_path, field, override, w, lam):
+    doc = {
+        "schema_version": 1, "kind": "factorization", "field": field,
+        "vars": ["x"], "W": w, "lambda": lam, "e1": [["x"]], "e0": [["x"]],
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    res = run(*(("--field", override) if override else ()), "validate", str(p))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
 def test_shift_twice_is_byte_identical(tmp_path):
     base = tmp_path / "e.json"
     once = tmp_path / "once.json"

@@ -7,7 +7,7 @@ from mfcat.poly import QQ, PrimeField, RingContext, parse_polynomial
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import (
     INFINITE, buchberger, module_groebner, normal_form, module_normal_form,
-    ideal_membership, submodule_membership, membership_witness,
+    ideal_membership, submodule_membership, membership_witness, image_and_syzygies,
     syzygy_basis, syzygy_basis_of_vectors, syzygy_module, standard_monomials,
     quotient_dim, hilbert_slices, quotient_module_dim, subquotient_basis,
     ImageNotInKernel,
@@ -405,3 +405,57 @@ def test_subquotient_accepts_the_kernel_as_a_basis():
     assert as_basis[1] == as_vectors[1]
     with pytest.raises(ValueError, match="rank-2 module"):
         subquotient_basis(K, [], R, 2)
+
+
+def _augmented_syzygies(vectors, rank, R):
+    """The reduced syzygy basis read off module_groebner of the [v_j ; e_j]."""
+    s = len(vectors)
+    unit = [[R.one() if i == j else R.zero() for i in range(s)] for j in range(s)]
+    full = module_groebner([tuple(v) + tuple(e) for v, e in zip(vectors, unit)],
+                           rank + s, R)
+    return tuple(g[rank:] for g in full.generators if all(p.is_zero for p in g[:rank]))
+
+
+def test_image_and_syzygies_equal_the_two_run_bases():
+    for seed, field in ((79, QQ), (83, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        for _ in range(20):
+            rank = rng.randint(1, 2)
+            vectors = [tuple(_rand_poly(R, rng) for _ in range(rank))
+                       for _ in range(rng.randint(1, 3))]
+            image, syz = image_and_syzygies(vectors, rank, R)
+            expected = module_groebner(vectors, rank, R)
+            assert image.generators == expected.generators
+            assert image.leading_terms() == expected.leading_terms()
+            assert (image.ambient_rank, syz.ambient_rank) == (rank, len(vectors))
+            assert syz.generators == syzygy_module(vectors, rank, R).generators
+            assert syz.generators == _augmented_syzygies(vectors, rank, R)
+
+
+def test_image_and_syzygies_edge_inputs():
+    R = ring("x", "y")
+    x, y = R.gens()
+    zero, one = R.zero(), R.one()
+    for vectors, syzygies in (([], ()),
+                              ([(x, y), (zero, zero)], ((zero, one),)),
+                              ([(x, y), (x, y)], ((one, -one),)),
+                              ([(zero, zero)], ((one,),))):
+        image, syz = image_and_syzygies(vectors, 2, R)
+        assert image.generators == module_groebner(vectors, 2, R).generators
+        assert syz.generators == syzygies == syzygy_module(vectors, 2, R).generators
+        assert len(image) == len(image.generators) and len(syz) == len(syzygies)
+
+
+def test_subquotient_refuses_an_image_outside_the_kernel():
+    R = ring("x", "y")
+    x, y = R.gens()
+    zero = R.zero()
+    with pytest.raises(ImageNotInKernel):
+        subquotient_basis([(x,)], [(x**2,), (y,)], R, 1)
+    with pytest.raises(ImageNotInKernel):
+        subquotient_basis([(x, zero), (zero, y)], [(x * y, x)], R, 2)
+    kernel = module_groebner([(x, zero), (zero, y)], 2, R)
+    with pytest.raises(ImageNotInKernel):
+        subquotient_basis(kernel, [(x * y, x)], R, 2)
+    assert subquotient_basis(kernel, [(x * y, y)], R, 2, want_reps=False)[0] is INFINITE

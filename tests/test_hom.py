@@ -176,3 +176,18 @@ def test_jacobian_multiples_and_cones_of_identities_are_null_homotopic():
             assert X.e0 @ s.s1 + s.s0 @ X.e1 == dw and s.s1 @ X.e0 + X.e1 @ s.s0 == dw
         # the cone of an identity is contractible
         assert is_contractible(mf.cone(mf.identity_morphism(X))), name
+
+
+def test_hom_dims_runs_buchberger_once_per_differential(monkeypatch):
+    from mfcat import groebner
+    calls = {"_buchberger_core": 0, "module_groebner": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+        monkeypatch.setattr(groebner, name, counted)
+    E = mf.direct_sum(an(3, 1), an(3, 2))
+    assert hom_dims(E, an(3, 2)).dims() == (3, 3)
+    assert calls == {"_buchberger_core": 2, "module_groebner": 0}

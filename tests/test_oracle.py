@@ -110,3 +110,18 @@ def test_truncation_diverges_on_infinite_dims():
     E = mf.rank_one(R, x**2, 0, x, x)
     with pytest.raises(OracleDiverged):
         hom_dims_truncated(E, E, max_degree=7)
+
+
+def test_oracle_shares_no_code_with_the_basis_engine():
+    from itertools import product
+    from mfcat import oracle
+    borrowed = [name for name, obj in vars(oracle).items()
+                if getattr(obj, "__module__", None) == "mfcat.groebner"]
+    assert borrowed == []
+    # its own enumerator keeps the order the oracle always used: by degree,
+    # then descending lex
+    for nvars in range(4):
+        expected = [m for k in range(6)
+                    for m in sorted((m for m in product(range(k + 1), repeat=nvars)
+                                     if sum(m) == k), reverse=True)]
+        assert oracle._monomials_upto(nvars, 5) == expected

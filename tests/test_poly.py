@@ -43,7 +43,7 @@ def test_prime_field_arithmetic():
     assert f7.inv(2) == 4
     assert f7.add(5, 5) == 3
     assert f7.coerce(Fraction(1, 2)) == 4
-    assert f7.parse("3/2") == f7.mul(3, f7.inv(2))
+    assert parse_coefficient(f7, "3/2") == f7.mul(3, f7.inv(2))
 
 
 def test_parse_and_format_round_trip():
@@ -135,6 +135,28 @@ def test_coefficient_parsing():
     assert parse_coefficient(QQ, "-7/3") == Fraction(-7, 3)
     with pytest.raises(ParseError):
         parse_coefficient(QQ, "1/0")
+
+
+def test_coefficients_share_the_polynomial_grammar():
+    f7 = PrimeField(7)
+    assert parse_coefficient(QQ, " +7 ") == 7
+    assert parse_coefficient(f7, "-3/2") == f7.neg(f7.div(3, 2))
+    for text in ("--3", "+-3", "3/-2", "", "x", "3/", "1/2/3"):
+        with pytest.raises(ParseError):
+            parse_coefficient(QQ, text)
+
+
+def test_zero_denominators_are_parse_errors():
+    f7 = PrimeField(7)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial(ring("x"), "x + 1/0*x")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial(ring("x", field=f7), "1/7*x")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_laurent(ring("x", field=f7), "x^-1 + 2/14")
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_coefficient(f7, "1/7")
+    assert parse_coefficient(QQ, "1/7") == Fraction(1, 7)
 
 
 def test_matrix_products_and_kron():
