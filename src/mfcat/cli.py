@@ -10,11 +10,10 @@ or 2 (usage).
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 import click
 
-from .poly import QQ, PolyError, field_from_spec
+from .poly import QQ, PolyError, field_from_spec, parse_coefficient
 from . import mf as mfmod
 from . import hom as hommod
 from . import files
@@ -104,16 +103,22 @@ def _emit_object(settings, verb, obj, out, source_ref=None, target_ref=None):
         click.echo(files.dumps(doc), nl=False)
 
 
+def _rational(option, text):
+    """A rational in the coefficient grammar of W and matrix entries."""
+    try:
+        return parse_coefficient(QQ, text)
+    except PolyError as exc:
+        raise PolyError("%s %r: %s" % (option, text, exc)) from None
+
+
 def _parse_params(pairs):
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise click.UsageError("--param expects name=value, got %r" % pair)
         name, _, raw = pair.partition("=")
-        try:
-            params[name.strip()] = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError):
-            raise click.UsageError("--param %s: %r is not a rational" % (name, raw))
+        name = name.strip()
+        params[name] = _rational("--param %s" % name, raw)
     return params
 
 
@@ -437,10 +442,7 @@ def mirror_fiber(settings, fan, preset, params, at_value):
     def go():
         spec = _load_fan(fan, preset)
         built = mirrormod.build_superpotential(spec)
-        try:
-            value = Fraction(at_value)
-        except (ValueError, ZeroDivisionError):
-            raise click.UsageError("--at expects a rational, got %r" % at_value)
+        value = _rational("--at", at_value)
         n = mirrormod.fiber_cardinality(built, _parse_params(params), value)
         _emit_report(settings, "mirror-fiber", {"cardinality": n},
                      ["fiber cardinality: %d" % n])

@@ -4,10 +4,6 @@ Everything runs over one engine: an element of A^r is stored as a dict
 mapping (position, exponent-tuple) to a coefficient, ordered
 position-over-term with position 0 highest.  An ideal is the r = 1 case.
 
-The Buchberger loop uses the normal selection strategy (minimal lcm
-total degree, ties broken by generator-index pairs) and post-processes
-to the reduced, monic, sorted basis so repeated runs are bit-identical.
-
 Syzygies, images and membership witnesses come from one elimination
 trick (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
 2.5; Kreuzer-Robbiano, Computational Commutative Algebra 1, 3.1): input
@@ -19,9 +15,31 @@ top parts of the others form a Groebner basis of the span of the v_j.
 image_and_syzygies reduces both lists of one such run, so a kernel and
 an image cost one Buchberger run.  Tracked bases drop the syzygies as
 they appear, and dividing [v ; 0] by a tracked basis leaves minus a
-witness for v in the remainder's e-block.  The coprime-lead-monomial
-criterion is applied to ideals only (it is not valid for modules) and
-never when syzygies are kept, where it would lose the Koszul syzygies.
+witness for v in the remainder's e-block.
+
+The Buchberger loop selects pairs by the normal strategy (least lcm
+total degree, ties broken by index pairs) and post-processes to the
+reduced, monic, sorted basis so repeated runs are bit-identical.  Pairs
+are kept by the Gebauer-Moeller update (Gebauer-Moeller, "On an
+installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988;
+Becker-Weispfenning, Groebner Bases, 5.5, UPDATE), run as each element
+h is inserted.  Only leads at one position pair up, and every criterion
+compares leads at h's position, so each holds for submodules under the
+position-over-term order as for ideals:
+  B    a queued pair (g, g') is dropped when LT(h) divides its lcm and
+       neither lcm(g, h) nor lcm(g', h) equals it (Buchberger's chain
+       criterion);
+  M/F  of the new pairs (g, h), only those with a minimal lcm are kept,
+       one per lcm;
+  an element whose lead a later lead divides forms no new pairs, though
+  it stays a divisor.
+B is not applied above the e-block of a syzygy run: there the remainder
+of such a pair is a syzygy the run keeps, and without it that syzygy is
+rebuilt from pairs of longer e-block elements.  Buchberger's first
+criterion, that coprime leads reduce to zero, holds for ideals only, and
+is never used when syzygies are kept, where it would lose the Koszul
+syzygies; it drops a new pair after M/F, so that the pair still removes
+others.
 """
 
 from __future__ import annotations
@@ -145,42 +163,72 @@ def _make_monic(e, fld):
         e.lc = fld.one
 
 
+def _lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _s_remainder(ring, ei, ej, lcm, basis):
+    """Remainder of the S-vector of ei and ej (leads dividing lcm) under basis."""
+    fld = ring.field
+    spoly = {}
+    _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), fld.neg(fld.one), fld)
+    _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), fld.one, fld)
+    return _divide(ring, spoly, basis)
+
+
 def _buchberger_core(ring, inputs, rank, syzygies=False):
     """A Groebner basis of the input term dicts, as a list of monic _Elem.
 
     Positions `rank` and up form the e-block.  With `syzygies` set the
     elements whose lead lies in the e-block are kept; otherwise they are
     dropped as they appear.  The basis is not reduced: see _reduce.
+    Pairs are kept by the Gebauer-Moeller update: see the module docstring.
     """
     fld = ring.field
     key = _term_key(ring)
+    coprime = rank == 1 and not syzygies
     basis = []
-    pairs = []
+    active = []  # indices of the elements that still form new pairs
+    pairs = []   # heap of (lcm degree, i, j, position, lcm)
 
     def insert(terms):
         e = _Elem(terms, key)
         if e.lt[0] >= rank and not syzygies:
             return
         _make_monic(e, fld)
+        pos, h = e.lt
+        n = len(basis)
         basis.append(e)
-        for i, other in enumerate(basis[:-1]):
-            if other.lt[0] == e.lt[0]:
-                lcm = tuple(max(a, b) for a, b in zip(other.lt[1], e.lt[1]))
-                heapq.heappush(pairs, (sum(lcm), i, len(basis) - 1, lcm))
+        # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
+        if pos >= rank or not syzygies:
+            pairs[:] = [p for p in pairs
+                        if not (p[3] == pos and _divides(h, p[4])
+                                and _lcm(basis[p[1]].lt[1], h) != p[4]
+                                and _lcm(basis[p[2]].lt[1], h) != p[4])]
+            heapq.heapify(pairs)
+        # M and F: of the new pairs keep one per minimal lcm
+        new = {}
+        for i in active:
+            g = basis[i].lt
+            if g[0] == pos:
+                new.setdefault(_lcm(g[1], h), []).append(i)
+        for lcm, group in new.items():
+            if any(m != lcm and _divides(m, lcm) for m in new):
+                continue
+            if coprime and any(_exps_add(basis[i].lt[1], h) == lcm for i in group):
+                continue  # coprime leads reduce to zero (ideal case only)
+            heapq.heappush(pairs, (sum(lcm), group[0], n, pos, lcm))
+        active[:] = [i for i in active
+                     if not (basis[i].lt[0] == pos and _divides(h, basis[i].lt[1]))]
+        active.append(n)
 
     for terms in inputs:
         if terms:
             insert(dict(terms))
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        ei, ej = basis[i], basis[j]
-        if rank == 1 and not syzygies and _exps_add(ei.lt[1], ej.lt[1]) == lcm:
-            continue  # coprime leads reduce to zero (ideal case only)
-        spoly = {}
-        _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), fld.neg(fld.one), fld)
-        _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), fld.one, fld)
-        rem = _divide(ring, spoly, basis)
+        _, i, j, _, lcm = heapq.heappop(pairs)
+        rem = _s_remainder(ring, basis[i], basis[j], lcm, basis)
         if rem:
             insert(rem)
 

@@ -38,10 +38,6 @@ class InfiniteCriticalLocus(PolyError):
     pass
 
 
-class NonIsolatedCritical(PolyError):
-    pass
-
-
 class CriticalValueError(PolyError):
     pass
 
@@ -329,7 +325,8 @@ def critical_values(w_spec, params=None) -> CriticalReport:
     wring = RingContext(("w",), QQ, "lex")
     fld = ring.field
 
-    # rows [NF(w^k) coordinates | e_k]; first vanishing combination is minimal
+    # rows [NF(w^k) coordinates | e_k]; first vanishing combination is minimal.
+    # len(sm) + 1 rows in len(sm) coordinates always reach one, so the loop breaks.
     pivots = {}
     power = ring.one()
     for k in range(len(sm) + 1):
@@ -361,8 +358,6 @@ def critical_values(w_spec, params=None) -> CriticalReport:
         tail = {c: fld.mul(v, inv) for c, v in tail.items()}
         pivots[pivot_col] = (row, tail)
         power = power * wvar
-    else:
-        raise NonIsolatedCritical("no algebraic relation for the critical values")
 
     if value_poly.total_degree() == 0:
         value_poly = wring.one()

@@ -720,11 +720,11 @@ class _Parser:
         kind, value, _, _ = self.peek()
         if kind != "NAME":
             self.error("expected a variable name")
-        self.take()
         try:
             idx = self.ring.var_index(value)
         except KeyError:
             self.error("unknown variable %r" % value)
+        self.take()
         power = 1
         if self.peek()[:2] == ("OP", "^"):
             self.take()

@@ -266,6 +266,8 @@ def test_mirror_cli(tmp_path):
     res = run("--format", "machine", "mirror-fiber", "--preset", "P1",
               "--param", "q=1", "--at", "0")
     assert json.loads(res.output)["cardinality"] == 2
+    res = run("mirror-fiber", "--preset", "P1", "--param", "q=1/2", "--at", "-3/2")
+    assert res.exit_code == 0 and res.output == "fiber cardinality: 2\n"
 
     fan = tmp_path / "f1.json"
     assert run("mirror-build", "--preset", "F1", "-o", str(fan)).exit_code == 0
@@ -277,6 +279,16 @@ def test_mirror_cli(tmp_path):
     assert res.exit_code == 1
     res = run("mirror-count", "--preset", "P1")
     assert res.exit_code == 1  # q missing
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--at", "1_0"), ("--at", "1e2"), ("--at", "abc"), ("--at", "3/-2"), ("--param", "q=0.5"),
+])
+def test_mirror_values_use_the_coefficient_grammar(option, value):
+    params = ["--param", "q=1"] if option == "--at" else []
+    res = run("mirror-fiber", "--preset", "P1", *params, option, value)
+    _one_line_error(res)
+    assert res.stderr.startswith("error: %s " % option)
 
 
 def test_usage_errors_exit_two():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfcat.poly import QQ, PrimeField, RingContext, parse_polynomial
+from mfcat.poly import QQ, PrimeField, Polynomial, RingContext, parse_polynomial
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import (
     INFINITE, buchberger, module_groebner, normal_form, module_normal_form,
@@ -459,3 +459,150 @@ def test_subquotient_refuses_an_image_outside_the_kernel():
     with pytest.raises(ImageNotInKernel):
         subquotient_basis(kernel, [(x * y, x)], R, 2)
     assert subquotient_basis(kernel, [(x * y, y)], R, 2, want_reps=False)[0] is INFINITE
+
+
+# ---------------------------------------------------------------------------
+# an independent reference: plain Buchberger over every pair, no criteria
+# ---------------------------------------------------------------------------
+
+def _reference_basis(vectors, rank, R):
+    """Reduced Groebner basis of the span of `vectors` in A^rank, as tuples
+    sorted by descending lead, position over term with position 0 highest.
+
+    Every pair of leads at one position is reduced, with no pair criterion,
+    by a division loop of its own.
+    """
+    fld = R.field
+
+    def lead(f):
+        return max(f, key=lambda t: (-t[0], R.key(t[1])))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def minus_multiple(f, g, shift, c):
+        """f - c * x^shift * g."""
+        out = dict(f)
+        for (p, e), v in g.items():
+            t = (p, tuple(a + b for a, b in zip(e, shift)))
+            s = fld.sub(out.get(t, fld.zero), fld.mul(c, v))
+            if s == fld.zero:
+                out.pop(t, None)
+            else:
+                out[t] = s
+        return out
+
+    def remainder(f, G):
+        rem = {}
+        while f:
+            t = lead(f)
+            g = next((g for g in G if lead(g)[0] == t[0] and divides(lead(g)[1], t[1])), None)
+            if g is None:
+                rem[t] = f.pop(t)
+            else:
+                lg = lead(g)
+                shift = tuple(a - b for a, b in zip(t[1], lg[1]))
+                f = minus_multiple(f, g, shift, fld.div(f[t], g[lg]))
+        return rem
+
+    G = [{(p, e): c for p, poly in enumerate(v) for e, c in poly.terms.items()}
+         for v in vectors]
+    G = [g for g in G if g]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        li, lj = lead(G[i]), lead(G[j])
+        if li[0] != lj[0]:
+            continue
+        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+        s = minus_multiple({}, G[i], tuple(a - b for a, b in zip(lcm, li[1])),
+                           fld.neg(fld.inv(G[i][li])))
+        s = minus_multiple(s, G[j], tuple(a - b for a, b in zip(lcm, lj[1])),
+                           fld.inv(G[j][lj]))
+        r = remainder(s, G)
+        if r:
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append(r)
+
+    G.sort(key=lambda g: (-lead(g)[0], R.key(lead(g)[1])))
+    minimal = []
+    for g in G:
+        if not any(lead(h)[0] == lead(g)[0] and divides(lead(h)[1], lead(g)[1])
+                   for h in minimal):
+            minimal.append(g)
+    out = []
+    for g in minimal:
+        g = remainder(dict(g), [h for h in minimal if h is not g])
+        inv = fld.inv(g[lead(g)])
+        out.append({t: fld.mul(c, inv) for t, c in g.items()})
+    out.sort(key=lambda g: (-lead(g)[0], R.key(lead(g)[1])), reverse=True)
+    return [tuple(Polynomial(R, {e: c for (p, e), c in g.items() if p == pos})
+                  for pos in range(rank)) for g in out]
+
+
+def _rand_entry(R, rng, degrees, terms):
+    """A sum of random terms; their number and total degrees drawn from the
+    inclusive ranges `terms` and `degrees`.  May be 0."""
+    out = {}
+    for _ in range(rng.randint(*terms)):
+        exps = [0] * R.nvars
+        for _ in range(rng.randint(*degrees)):
+            exps[rng.randrange(R.nvars)] += 1
+        out[tuple(exps)] = R.field.coerce(rng.randint(-4, 4))
+    return Polynomial(R, out)
+
+
+def _assert_matches_reference(vectors, rank, R):
+    expected = _reference_basis(vectors, rank, R)
+    module = module_groebner(vectors, rank, R)
+    assert list(module.generators) == expected
+    assert list(module_groebner(vectors, rank, R, track=True).generators) == expected
+    image, syz = image_and_syzygies(vectors, rank, R)
+    assert list(image.generators) == expected
+    s = len(vectors)
+    unit = [tuple(R.one() if i == j else R.zero() for i in range(s)) for j in range(s)]
+    augmented = _reference_basis([tuple(v) + e for v, e in zip(vectors, unit)], rank + s, R)
+    assert list(syz.generators) == [g[rank:] for g in augmented
+                                    if all(p.is_zero for p in g[:rank])]
+    if rank == 1:
+        polys = [v[0] for v in vectors]
+        assert [(g,) for g in buchberger(polys, R).generators] == expected
+        assert [(g,) for g in buchberger(polys, R, track=True).generators] == expected
+
+
+def test_bases_match_an_all_pairs_reference_on_random_ideals():
+    for seed, field in ((101, QQ), (103, PrimeField(32749))):
+        rng = random.Random(seed)
+        for n in range(24):
+            names = ("x", "y", "z")[:2 + n % 2]
+            R = RingContext(names, field, ("grevlex", "lex")[n % 3 == 0])
+            gens = [(_rand_entry(R, rng, (1, 3), (1, 3)),) for _ in range(rng.randint(2, 3))]
+            _assert_matches_reference(gens, 1, R)
+
+
+def test_bases_match_an_all_pairs_reference_on_random_modules():
+    for seed, field in ((107, QQ), (109, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        for n in range(24):
+            rank = rng.randint(2, 3)
+            vectors = [tuple(_rand_entry(R, rng, (0, 2), (0, 2)) for _ in range(rank))
+                       for _ in range(rng.randint(rank, rank + 1))]
+            _assert_matches_reference(vectors, rank, R)
+
+
+def test_bases_match_an_all_pairs_reference_on_special_leads():
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    zero = R.zero()
+    for gens in ([x**2 + y, y**3 + z, z**2 + x],          # pairwise coprime leads
+                 [x * y + z, y * z + x, x * z + y],
+                 [x * y + 1, x * y + x, x * y + 1],        # repeated leads and generators
+                 [zero, x + y, zero, y**2 - z],            # zero generators
+                 [zero]):
+        _assert_matches_reference([(g,) for g in gens], 1, R)
+    for vectors in ([(x**2, y), (y**2, z), (z**2, x)],     # coprime leads, one position
+                    [(x * y, zero), (x * y, z), (x * y, zero)],
+                    [(zero, zero), (x, y), (zero, zero)],
+                    [(zero, x * y, z), (zero, x * y, y), (x, zero, zero)]):
+        _assert_matches_reference(vectors, len(vectors[0]), R)

@@ -137,6 +137,25 @@ def test_value_count_matches_critical_count_on_every_preset():
                 (name, params)
 
 
+def test_critical_values_reduce_few_s_pairs(monkeypatch):
+    # Without the Gebauer-Moeller pair criteria these counts were
+    # P1 19, P2 55, P3 126, F1 92 and dP6 171; with them 8, 13, 19, 20, 41.
+    from mfcat import groebner
+    bounds = {"P1": 10, "P2": 16, "P3": 24, "F1": 24, "dP6": 48}
+    reductions = [0]
+    original = groebner._s_remainder
+
+    def counted(*args):
+        reductions[0] += 1
+        return original(*args)
+    monkeypatch.setattr(groebner, "_s_remainder", counted)
+    for name, bound in bounds.items():
+        built = build_superpotential(preset(name))
+        reductions[0] = 0
+        critical_values(built, {p: 1 for p in built.param_names})
+        assert reductions[0] <= bound, (name, reductions[0])
+
+
 def test_values_of_a_curve_of_critical_points_are_refused():
     R = RingContext(("Y1", "Y2"), QQ)
     with pytest.raises(InfiniteCriticalLocus, match="not zero-dimensional"):

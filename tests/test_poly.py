@@ -71,6 +71,14 @@ def test_parse_errors_carry_position():
     assert err is not None and err.column is not None
 
 
+@pytest.mark.parametrize("text, name, column", [("x*q + 1", "q", 2), ("x^2 + qq", "qq", 6)])
+def test_unknown_variable_is_reported_at_its_own_token(text, name, column):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(ring("x", "y"), text)
+    assert info.value.column == column
+    assert str(info.value) == "unknown variable %r near %r (line 1, column %d)" % (name, name, column)
+
+
 def test_basic_arithmetic():
     R = ring("x", "y")
     x, y = R.gens()
