@@ -189,7 +189,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     coprime = rank == 1 and not syzygies
     basis = []
     active = []  # indices of the elements that still form new pairs
-    pairs = []   # heap of (lcm degree, i, j, position, lcm)
+    pairs = []   # heap of (lcm degree, i, j, lcm)
 
     def insert(terms):
         e = _Elem(terms, key)
@@ -202,9 +202,9 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
         # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
         if pos >= rank or not syzygies:
             pairs[:] = [p for p in pairs
-                        if not (p[3] == pos and _divides(h, p[4])
-                                and _lcm(basis[p[1]].lt[1], h) != p[4]
-                                and _lcm(basis[p[2]].lt[1], h) != p[4])]
+                        if not (basis[p[1]].lt[0] == pos and _divides(h, p[3])
+                                and _lcm(basis[p[1]].lt[1], h) != p[3]
+                                and _lcm(basis[p[2]].lt[1], h) != p[3])]
             heapq.heapify(pairs)
         # M and F: of the new pairs keep one per minimal lcm
         new = {}
@@ -217,7 +217,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
                 continue
             if coprime and any(_exps_add(basis[i].lt[1], h) == lcm for i in group):
                 continue  # coprime leads reduce to zero (ideal case only)
-            heapq.heappush(pairs, (sum(lcm), group[0], n, pos, lcm))
+            heapq.heappush(pairs, (sum(lcm), group[0], n, lcm))
         active[:] = [i for i in active
                      if not (basis[i].lt[0] == pos and _divides(h, basis[i].lt[1]))]
         active.append(n)
@@ -227,7 +227,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
             insert(dict(terms))
 
     while pairs:
-        _, i, j, _, lcm = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         rem = _s_remainder(ring, basis[i], basis[j], lcm, basis)
         if rem:
             insert(rem)

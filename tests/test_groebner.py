@@ -606,3 +606,30 @@ def test_bases_match_an_all_pairs_reference_on_special_leads():
                     [(zero, zero), (x, y), (zero, zero)],
                     [(zero, x * y, z), (zero, x * y, y), (x, zero, zero)]):
         _assert_matches_reference(vectors, len(vectors[0]), R)
+
+
+def test_syzygy_run_keeps_the_pairs_above_its_e_block(monkeypatch):
+    # The chain criterion is not applied above the e-block of a syzygy run.
+    # Applied there, these four cubics need far more S-pair reductions
+    # (over 200 s), whose remainders pass 200 terms by the 36th; without it
+    # they need 71, and no remainder has more than 126 terms.  The counter
+    # stops the run as soon as either bound is passed, so a regression
+    # fails in well under a second.
+    from mfcat import groebner
+    R = ring("x", "y", "z", field=PrimeField(32749))
+    cubics = [(P(R, s),) for s in ("3*x^2*y + 2*x*y*z + 3*x^2", "-3*x*y*z + y + z",
+                                   "x^2*y - 2*y*z^2", "-4*x^2*z - 4*y*z - 2*y")]
+    reductions = [0]
+    original = groebner._s_remainder
+
+    def counted(*args):
+        reductions[0] += 1
+        assert reductions[0] <= 100, "more than 100 S-pair reductions"
+        rem = original(*args)
+        assert len(rem) <= 200, "an S-pair remainder of %d terms" % len(rem)
+        return rem
+    monkeypatch.setattr(groebner, "_s_remainder", counted)
+    image, syz = image_and_syzygies(cubics, 1, R)
+    assert len(syz) > 0
+    for s in syz.generators:
+        assert sum((c[0] * a for c, a in zip(cubics, s)), R.zero()).is_zero
