@@ -67,15 +67,28 @@ def _det(rows):
     return det
 
 
+def _exact_int(x, what):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
+def _exact_rational(x, what):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError("%s must be an int or Fraction, got %r" % (what, x))
+    return Fraction(x)
+
+
 class ToricSpec:
     """Rays, relations and a basis choice describing a smooth toric fan."""
 
     __slots__ = ("dimension", "rays", "relations", "basis")
 
     def __init__(self, dimension, rays, relations, basis):
-        rays = tuple(tuple(int(x) for x in ray) for ray in rays)
-        relations = tuple((tuple(int(c) for c in coeffs), name) for coeffs, name in relations)
-        basis = tuple(int(b) for b in basis)
+        rays = tuple(tuple(_exact_int(x, "ray coordinate") for x in ray) for ray in rays)
+        relations = tuple((tuple(_exact_int(c, "relation coefficient") for c in coeffs), name)
+                          for coeffs, name in relations)
+        basis = tuple(_exact_int(b, "basis index") for b in basis)
         if any(len(ray) != dimension for ray in rays):
             raise ValueError("every ray needs %d coordinates" % dimension)
         if len(set(rays)) != len(rays):
@@ -142,7 +155,7 @@ class SuperpotentialSpec:
         for name in self.param_names:
             if name not in params:
                 raise MissingParameter("parameter %r has no value" % name)
-            val = Fraction(params[name])
+            val = _exact_rational(params[name], "parameter %r" % name)
             if val <= 0:
                 raise ValueError("parameter %r must be positive, got %s" % (name, val))
             values[_param_variable(name)] = val
@@ -377,10 +390,10 @@ def fiber_cardinality(w_spec, params=None, value=0) -> int:
     The value must be non-critical; roots off the torus (at Y = 0) do not
     count.
     """
+    value = _exact_rational(value, "fiber value")
     W = _substituted_w(w_spec, params)
     if W.ring.nvars != 1:
         raise ValueError("fiber counting is implemented for one variable only")
-    value = Fraction(value)
     report = critical_values(w_spec, params)
     if report.value_polynomial.evaluate([value]) == 0:
         raise CriticalValueError("%s is a critical value" % value)

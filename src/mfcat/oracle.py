@@ -2,15 +2,27 @@
 
 These re-derive Groebner-path answers (hom dimensions, quotient
 dimensions, ideal membership) by truncating everything at a total degree
-d and solving finite exact linear systems, raising d until two
-consecutive answers agree.  They share no code with the basis engine,
-which is the point: agreement is evidence, disagreement is a bug.
+d and solving finite exact linear systems, raising d until consecutive
+answers agree.  They share no code with the basis engine, which is the
+point: agreement is evidence, disagreement is a bug.
+
+Hom dimensions at degree d: both differentials d_even and d_odd of the
+Hom complex are n x n, acting on the same unknowns (t, m), slot t times
+a monomial m of degree <= d.  Each differential D is eliminated once,
+rows of output degree > d first: the rank read after those rows is
+rank_high(D), the rank after all rows is rank_all(D).  The truncated
+cycles of D number unknowns - rank_all(D), and the boundaries D x that
+lie in degree <= d number rank_all(D) - rank_high(D), so
+
+    h0 = (unknowns - rank_all(d_even)) - (rank_all(d_odd) - rank_high(d_odd))
+    h1 = (unknowns - rank_all(d_odd)) - (rank_all(d_even) - rank_high(d_even)).
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+from .matrix import PolyMatrix
 from .poly import PolyError
 from . import hom as hommod
 
@@ -70,61 +82,41 @@ class _RankTracker:
         return len(self.pivots)
 
 
-def _matrix_rows(matrix, monos, col_index, degree_cap=None):
+def _matrix_rows(matrix, monos, col_index):
     """Linear action of a PolyMatrix on entry-wise truncated unknowns.
 
     Unknown (t, m): slot t of the vector times monomial m.  Returns a
-    dict mapping output coordinates (u, m') to sparse row dicts.  When
-    degree_cap is given, output coordinates of higher degree are grouped
-    under the parallel "high" dict instead.
+    dict mapping output coordinates (u, m') to sparse row dicts.
     """
     fld = matrix.ring.field
-    low, high = {}, {}
+    rows = {}
     for u, t, poly in matrix.nonzero_items():
         for alpha, c in poly.terms.items():
             for m in monos:
                 out_m = tuple(a + b for a, b in zip(m, alpha))
-                bucket = low if degree_cap is None or sum(out_m) <= degree_cap else high
-                row = bucket.setdefault((u, out_m), {})
+                row = rows.setdefault((u, out_m), {})
                 col = col_index[(t, m)]
-                prev = row.get(col, fld.zero)
-                s = fld.add(prev, c)
+                s = fld.add(row.get(col, fld.zero), c)
                 if s == fld.zero:
                     row.pop(col, None)
                 else:
                     row[col] = s
-    return low, high
+    return rows
 
 
-def _rank_of_rows(rows, field):
-    tracker = _RankTracker(field)
-    for key in sorted(rows):
-        tracker.insert(rows[key])
-    return tracker.rank
-
-
-def _hom_side_dim(d_ker, d_im, d):
-    """Truncated dim of ker(d_ker)/im(d_im) at total degree d."""
-    ring = d_ker.ring
-    fld = ring.field
-    monos = _monomials_upto(ring.nvars, d)
-    col_index = {}
-    for t in range(d_ker.cols):
-        for m in monos:
-            col_index[(t, m)] = len(col_index)
-    # kernel: unknowns minus the rank of the full (untruncated-output) map
-    low, high = _matrix_rows(d_ker, monos, col_index, degree_cap=None)
-    ker_dim = len(col_index) - _rank_of_rows(low, fld)
-    # image inside degree <= d: rank(all rows) - rank(rows of degree > d)
-    low, high = _matrix_rows(d_im, monos, col_index, degree_cap=d)
-    rank_high = _rank_of_rows(high, fld)
-    tracker = _RankTracker(fld)
-    for key in sorted(high):
-        tracker.insert(high[key])
-    for key in sorted(low):
-        tracker.insert(low[key])
-    im_dim = tracker.rank - rank_high
-    return ker_dim - im_dim
+def _high_and_full_rank(matrix, monos, col_index, d):
+    """Ranks of the rows of output degree > d and of all rows, in one pass."""
+    rows = _matrix_rows(matrix, monos, col_index)
+    keys = sorted(rows)
+    tracker = _RankTracker(matrix.ring.field)
+    for key in keys:
+        if sum(key[1]) > d:
+            tracker.insert(rows[key])
+    rank_high = tracker.rank
+    for key in keys:
+        if sum(key[1]) <= d:
+            tracker.insert(rows[key])
+    return rank_high, tracker.rank
 
 
 def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau=3):
@@ -142,9 +134,13 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     streak = 1
     d = start_degree
     while d <= max_degree:
-        h0 = _hom_side_dim(H.d_even, H.d_odd, d)
-        h1 = _hom_side_dim(H.d_odd, H.d_even, d)
-        cur = (h0, h1)
+        monos = _monomials_upto(source.ring.nvars, d)
+        col_index = {key: i for i, key in enumerate(product(range(H.d_even.cols), monos))}
+        even_high, even_all = _high_and_full_rank(H.d_even, monos, col_index, d)
+        odd_high, odd_all = _high_and_full_rank(H.d_odd, monos, col_index, d)
+        unknowns = len(col_index)
+        cur = (unknowns - even_all - (odd_all - odd_high),
+               unknowns - odd_all - (even_all - even_high))
         if cur == prev:
             streak += 1
             if streak >= plateau:
@@ -201,26 +197,12 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
     if not gens:
         return False
     monos = _monomials_upto(ring.nvars, quotient_degree)
-    # equations indexed by output monomials; unknowns indexed by (i, m)
-    equations = {}
-    col_index = {}
-    for i in range(len(gens)):
-        for m in monos:
-            col_index[(i, m)] = len(col_index)
+    # equations indexed by output coordinates (0, m'); unknowns by (i, m)
+    col_index = {key: k for k, key in enumerate(product(range(len(gens)), monos))}
+    equations = _matrix_rows(PolyMatrix(ring, 1, len(gens), gens), monos, col_index)
     rhs_col = len(col_index)  # augmented column, sorted last
-    for i, g in enumerate(gens):
-        for alpha, c in g.terms.items():
-            for m in monos:
-                out = tuple(a + b for a, b in zip(m, alpha))
-                row = equations.setdefault(out, {})
-                col = col_index[(i, m)]
-                s = fld.add(row.get(col, fld.zero), c)
-                if s == fld.zero:
-                    row.pop(col, None)
-                else:
-                    row[col] = s
     for alpha, c in f.terms.items():
-        row = equations.setdefault(alpha, {})
+        row = equations.setdefault((0, alpha), {})
         row[rhs_col] = fld.neg(c)
     tracker = _RankTracker(fld)
     for key in sorted(equations):

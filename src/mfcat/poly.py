@@ -181,11 +181,10 @@ def field_from_spec(spec: str) -> Field:
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise ParseError("bad field spec %r" % spec) from None
-        return PrimeField(p)
+        digits = spec[3:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError("bad field spec %r (the modulus must be ASCII digits)" % spec)
+        return PrimeField(int(digits))
     raise ParseError("bad field spec %r (expected Q or Fp:<p>)" % spec)
 
 
@@ -602,9 +601,9 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield ("INT", text[i:j], line, col)
             col += j - i

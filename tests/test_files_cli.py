@@ -144,6 +144,8 @@ def test_validate_rejects_broken_file(tmp_path):
     ("Q", None, "x^2 + 3", "--3"),
     ("Q", None, "x^2 - 3", "+-3"),
     ("Q", None, "x^2 - 3/2", "3/-2"),
+    # int() read this modulus as 32749
+    ("Fp:32_749", None, "x^2", "0"),
 ])
 def test_bad_coefficients_are_one_line_errors(tmp_path, field, override, w, lam):
     doc = {

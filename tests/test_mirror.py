@@ -187,3 +187,30 @@ def test_preset_table():
     assert set(PRESETS) == {"P1", "P2", "P3", "F1", "dP6"}
     with pytest.raises(KeyError):
         preset("P4")
+
+
+@pytest.mark.parametrize("bad", [0.1, "1e2", "1", True, None, 1.0])
+def test_parameters_and_fiber_values_must_be_exact(bad):
+    # Fraction(...) read 0.1 as 3602879701896397/36028797018963968 and "1e2" as 100
+    built = build_superpotential(preset("P1"))
+    with pytest.raises(TypeError):
+        built.substituted({"q": bad})
+    with pytest.raises(TypeError):
+        critical_count(built, {"q": bad})
+    with pytest.raises(TypeError):
+        fiber_cardinality(built, {"q": 1}, bad)
+
+
+@pytest.mark.parametrize("rays, relations, basis", [
+    ([(1.7,), (-1,)], [((1, 1), "q")], (0,)),  # int() truncated this to 1
+    ([(1,), (-1.0,)], [((1, 1), "q")], (0,)),
+    ([(True,), (-1,)], [((1, 1), "q")], (0,)),
+    ([(1,), (-1,)], [((1.0, 1), "q")], (0,)),
+    ([(1,), (-1,)], [((1, Fraction(1)), "q")], (0,)),
+    ([(1,), (-1,)], [(("1", 1), "q")], (0,)),
+    ([(1,), (-1,)], [((1, 1), "q")], (0.0,)),
+    ([(1,), (-1,)], [((1, 1), "q")], (False,)),
+])
+def test_toric_spec_refuses_non_integers(rays, relations, basis):
+    with pytest.raises(TypeError):
+        ToricSpec(1, rays, relations, basis)

@@ -125,3 +125,36 @@ def test_oracle_shares_no_code_with_the_basis_engine():
                     for m in sorted((m for m in product(range(k + 1), repeat=nvars)
                                      if sum(m) == k), reverse=True)]
         assert oracle._monomials_upto(nvars, 5) == expected
+
+
+def test_hom_oracle_eliminates_each_differential_once_per_degree(monkeypatch):
+    from mfcat import corpus, oracle
+    made, degrees = [], set()
+    real_tracker, real_monos = oracle._RankTracker, oracle._monomials_upto
+
+    class CountingTracker(real_tracker):
+        def __init__(self, field):
+            made.append(field)
+            super().__init__(field)
+
+    def recording_monos(nvars, d):
+        degrees.add(d)
+        return real_monos(nvars, d)
+
+    monkeypatch.setattr(oracle, "_RankTracker", CountingTracker)
+    monkeypatch.setattr(oracle, "_monomials_upto", recording_monos)
+    src, tgt = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
+    assert hom_dims_truncated(src, tgt) == (1, 1)
+    assert degrees == set(range(4, 4 + len(degrees))) and len(degrees) >= 3
+    # one tracker per differential per degree: rank_high, then rank_all
+    assert len(made) == 2 * len(degrees)
+
+
+def test_hom_oracle_agrees_over_a_prime_field():
+    from mfcat import corpus
+    from mfcat.poly import PrimeField
+    pairs = corpus.hom_pairs(PrimeField(32749))[::4]
+    for ns, nt, src, tgt in pairs:
+        rep = hom_dims(src, tgt)
+        assert hom_dims_truncated(src, tgt) == (rep.h0, rep.h1), (ns, nt)
+    assert len(pairs) == 407

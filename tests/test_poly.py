@@ -79,6 +79,27 @@ def test_unknown_variable_is_reported_at_its_own_token(text, name, column):
     assert str(info.value) == "unknown variable %r near %r (line 1, column %d)" % (name, name, column)
 
 
+@pytest.mark.parametrize("text", [
+    "x^\u00b2",        # superscript two: int() raised a bare ValueError
+    "\u0663*x",        # Arabic-Indic three: read as 3*x
+    "x + \uff17",      # fullwidth seven
+    "x^2 + 1/\u0663",
+])
+def test_only_ascii_digits_are_numbers(text):
+    with pytest.raises(ParseError):
+        parse_polynomial(ring("x"), text)
+    with pytest.raises(ParseError):
+        parse_laurent(ring("x"), text)
+
+
+@pytest.mark.parametrize("spec", ["Fp:3_1", "Fp:+7", "Fp: 7", "Fp:\u0663", "Fp:",
+                                  "Fp:-7", "Fp:\u00b3"])
+def test_field_spec_modulus_is_ascii_digits(spec):
+    # int() read "3_1" as 31, "+7" and " 7" as 7 and Arabic-Indic three as 3
+    with pytest.raises(ParseError):
+        field_from_spec(spec)
+
+
 def test_basic_arithmetic():
     R = ring("x", "y")
     x, y = R.gens()
