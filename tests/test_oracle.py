@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfcat.poly import QQ, RingContext
+from mfcat.poly import QQ, RingContext, RingMismatch
 from mfcat.groebner import buchberger, quotient_dim, ideal_membership, INFINITE
 from mfcat import mf
 from mfcat.hom import hom_dims
@@ -78,6 +78,12 @@ def test_linear_membership_randomized():
         probe = rand_poly()
         if not ideal_membership(probe, gb):
             assert not ideal_member_linear(probe, gens, 5)
+
+
+def test_linear_membership_refuses_a_generator_from_another_ring():
+    x = RingContext(("x", "y"), QQ).variable("x")
+    with pytest.raises(RingMismatch):
+        ideal_member_linear(x**2, [xring().variable("x")], 2)
 
 
 def test_hom_truncation_agrees_on_small_objects():
