@@ -40,14 +40,27 @@ criterion, that coprime leads reduce to zero, holds for ideals only, and
 is never used when syzygies are kept, where it would lose the Koszul
 syzygies; it drops a new pair after M/F, so that the pair still removes
 others.
+
+Division is heap-ordered (Monagan-Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): beside
+the dict of pending terms sits a heap of (position, descending order key,
+term), so each term's order key is computed once, when it enters the
+dict, and not on every step.  A term that cancels leaves a stale heap
+entry, skipped when popped; a processed term never comes back, because a
+reduction step adds only terms smaller than the one it removes.  The
+divisors are indexed by lead position, in list order within a position,
+so the divisor used is the first listed one whose lead divides: that
+choice fixes remainders and membership witnesses, which, unlike reduced
+bases, depend on it.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations_with_replacement, product
+from operator import add, le, sub
 
-from .poly import Polynomial, PolyError, RingMismatch
+from .poly import DESCENDING_KEYS, Polynomial, PolyError, RingMismatch
 
 
 class ImageNotInKernel(PolyError):
@@ -104,15 +117,15 @@ def _terms_to_vector(terms, ring, rank, start=0):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exps_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exps_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class _Elem:
@@ -136,23 +149,56 @@ def _combine(target, source, mono, coeff, fld):
             target[k] = s
 
 
-def _divide(ring, f_terms, elems):
-    """Full normal form of a term dict against a list of _Elems."""
+def _index(elems):
+    """The divisors by lead position, each position's list in `elems` order."""
+    index = {}
+    for e in elems:
+        index.setdefault(e.lt[0], []).append(e)
+    return index
+
+
+def _divide(ring, f_terms, index):
+    """Full normal form of a term dict against an _index of _Elems.
+
+    The first divisor in list order whose lead divides the current lead
+    term is used.
+    """
     fld = ring.field
-    key = _term_key(ring)
+    zero, mul, plus = fld.zero, fld.mul, fld.add
+    dkey = DESCENDING_KEYS[ring.order]
     work = dict(f_terms)
+    heap = [(t[0], dkey(t[1]), t) for t in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     rem = {}
-    while work:
-        t = max(work, key=key)
-        c = work[t]
-        for e in elems:
+    while heap:
+        t = pop(heap)[2]
+        c = work.pop(t, None)
+        if c is None:
+            continue  # cancelled since it was pushed
+        pos, exps = t
+        for e in index.get(pos, ()):
             lt = e.lt
-            if lt[0] == t[0] and _divides(lt[1], t[1]):
-                _combine(work, e.terms, _exps_sub(t[1], lt[1]), fld.div(c, e.lc), fld)
+            if _divides(lt[1], exps):
+                mono = _exps_sub(exps, lt[1])
+                coeff = fld.neg(fld.div(c, e.lc))
+                for s, v in e.terms.items():
+                    if s == lt:
+                        continue  # cancels c exactly
+                    k = (s[0], _exps_add(s[1], mono))
+                    old = work.get(k)
+                    if old is None:
+                        work[k] = mul(coeff, v)
+                        push(heap, (k[0], dkey(k[1]), k))
+                    else:
+                        new = plus(old, mul(coeff, v))
+                        if new == zero:
+                            del work[k]
+                        else:
+                            work[k] = new
                 break
         else:
             rem[t] = c
-            del work[t]
     return rem
 
 
@@ -164,16 +210,16 @@ def _make_monic(e, fld):
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _s_remainder(ring, ei, ej, lcm, basis):
-    """Remainder of the S-vector of ei and ej (leads dividing lcm) under basis."""
+def _s_remainder(ring, ei, ej, lcm, index):
+    """Remainder of the S-vector of ei and ej (leads dividing lcm) under an _index."""
     fld = ring.field
     spoly = {}
     _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), fld.neg(fld.one), fld)
     _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), fld.one, fld)
-    return _divide(ring, spoly, basis)
+    return _divide(ring, spoly, index)
 
 
 def _buchberger_core(ring, inputs, rank, syzygies=False):
@@ -188,6 +234,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     key = _term_key(ring)
     coprime = rank == 1 and not syzygies
     basis = []
+    index = {}   # the basis by lead position, as _divide takes it
     active = []  # indices of the elements that still form new pairs
     pairs = []   # heap of (lcm degree, i, j, lcm)
 
@@ -199,6 +246,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
         pos, h = e.lt
         n = len(basis)
         basis.append(e)
+        index.setdefault(pos, []).append(e)
         # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
         if pos >= rank or not syzygies:
             pairs[:] = [p for p in pairs
@@ -228,7 +276,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        rem = _s_remainder(ring, basis[i], basis[j], lcm, basis)
+        rem = _s_remainder(ring, basis[i], basis[j], lcm, index)
         if rem:
             insert(rem)
 
@@ -236,9 +284,8 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
 
 
 def _reduce(ring, basis):
-    """The reduced basis spanned by a Groebner basis of _Elems, sorted by
-    descending lead.  Reuses (and rewrites) the given _Elems."""
-    fld = ring.field
+    """The reduced basis spanned by a Groebner basis of monic _Elems, sorted
+    by descending lead.  Reuses (and rewrites) the given _Elems."""
     key = _term_key(ring)
     # minimalize: drop any element whose lead is divisible by another's
     order = sorted(range(len(basis)), key=lambda i: (key(basis[i].lt), i))
@@ -253,12 +300,14 @@ def _reduce(ring, basis):
             kept.append(i)
     reduced = [basis[i] for i in kept]  # ascending lead order
 
-    # tail-reduce, ascending: reducers always have smaller leads and are done
-    for n, e in enumerate(reduced):
-        e.terms = _divide(ring, e.terms, reduced[:n] + reduced[n + 1:])
-        e.lt = max(e.terms, key=key)
-        e.lc = e.terms[e.lt]
-        _make_monic(e, fld)
+    # tail-reduce, ascending: reducers always have smaller leads and are done.
+    # No other lead divides e's lead, and e's lead divides no smaller term,
+    # so e may stay in the index while its tail is divided.
+    index = _index(reduced)
+    for e in reduced:
+        tail = dict(e.terms)
+        del tail[e.lt]
+        e.terms = {e.lt: e.lc, **_divide(ring, tail, index)}
 
     reduced.sort(key=lambda e: key(e.lt), reverse=True)
     return reduced
@@ -365,12 +414,12 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
     return GroebnerBasis(ring, ambient_rank, basis, len(vectors) if track else None)
 
 
-def _as_elems(G, ring):
-    """Accept an ideal GroebnerBasis or a raw list of polynomials as divisors."""
+def _divisor_index(G, ring):
+    """An ideal GroebnerBasis or a raw list of polynomials, as an _index of divisors."""
     if isinstance(G, GroebnerBasis):
         if G.is_module:
             raise ValueError("expected an ideal Groebner basis")
-        return G._elems, G.ring
+        return _index(G._elems), G.ring
     key = _term_key(ring)
     elems = []
     for g in G:
@@ -379,22 +428,23 @@ def _as_elems(G, ring):
         if g.is_zero:
             continue
         elems.append(_Elem({(0, e): c for e, c in g.terms.items()}, key))
-    return elems, ring
+    return _index(elems), ring
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f under division by G (an ideal GroebnerBasis or a list)."""
-    elems, ring = _as_elems(G, f.ring)
+    index, ring = _divisor_index(G, f.ring)
     if ring != f.ring:
         raise RingMismatch("polynomial and divisors in different rings")
-    rem = _divide(f.ring, {(0, e): c for e, c in f.terms.items()}, elems)
+    rem = _divide(f.ring, {(0, e): c for e, c in f.terms.items()}, index)
     return _terms_to_vector(rem, f.ring, 1)[0]
 
 
 def module_normal_form(vec, G: GroebnerBasis):
     if not G.is_module:
         raise ValueError("expected a module Groebner basis")
-    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, G.ambient_rank), G._elems)
+    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, G.ambient_rank),
+                  _index(G._elems))
     return _terms_to_vector(rem, G.ring, G.ambient_rank)
 
 
@@ -420,7 +470,7 @@ def membership_witness(vec, G: GroebnerBasis):
     if isinstance(vec, Polynomial):
         vec = (vec,)
     rank = G._rank
-    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, rank), G._elems)
+    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, rank), _index(G._elems))
     if any(pos < rank for pos, _ in rem):
         return None
     return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank)]
@@ -595,8 +645,9 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     image_gb = _module_basis(image, ring, ambient_rank)
 
     # containment: every image basis element must die against the kernel basis
+    kernel_index = _index(kernel_gb._elems)
     for e in image_gb._elems:
-        if _divide(ring, e.terms, kernel_gb._elems):
+        if _divide(ring, e.terms, kernel_index):
             raise ImageNotInKernel("image element %r lies outside the kernel module"
                                    % (_terms_to_vector(e.terms, ring, ambient_rank),))
 
@@ -607,9 +658,10 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     if not want_reps:
         return len(std), []
     reps = []
+    image_index = _index(image_gb._elems)
     for pos, exps in std:
         g = next(e for e in kernel_gb._elems if e.lt[0] == pos and _divides(e.lt[1], exps))
         mono = _exps_sub(exps, g.lt[1])
         shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
-        reps.append(_terms_to_vector(_divide(ring, shifted, image_gb._elems), ring, ambient_rank))
+        reps.append(_terms_to_vector(_divide(ring, shifted, image_index), ring, ambient_rank))
     return len(std), reps

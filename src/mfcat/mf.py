@@ -10,7 +10,7 @@ Z/2-graded sign conventions and are revalidated on construction.
 from __future__ import annotations
 
 from .matrix import PolyMatrix
-from .poly import Polynomial, PolyError, RingMismatch, _is_coeff
+from .poly import Polynomial, PolyError, RingMismatch
 from . import groebner
 
 
@@ -74,7 +74,7 @@ class MatrixFactorization:
     def __init__(self, ring, w: Polynomial, lam, e1: PolyMatrix, e0: PolyMatrix):
         if w.ring != ring:
             raise RingMismatch("superpotential lives in a different ring")
-        lam = ring.field.coerce(lam) if not _is_coeff(lam) else lam
+        lam = ring.field.coerce(lam)
         if e1.ring != ring or e0.ring != ring:
             raise RingMismatch("structure matrices live in a different ring")
         if not (e1.rows == e1.cols == e0.rows == e0.cols):

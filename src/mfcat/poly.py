@@ -83,6 +83,8 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def coerce(self, value):
+        """The field element of an int or Fraction; anything else, bool
+        included, raises TypeError."""
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -111,11 +113,9 @@ class RationalField(Field):
         return 1 / a
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError("cannot coerce %r into Q" % (value,))
+        if not _is_coeff(value):
+            raise TypeError("cannot coerce %r into Q" % (value,))
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def __repr__(self):
         return "Q"
@@ -156,11 +156,11 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def coerce(self, value):
-        if isinstance(value, int):
-            return value % self.p
+        if not _is_coeff(value):
+            raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
         if isinstance(value, Fraction):
-            return self.div(self.coerce(value.numerator), self.coerce(value.denominator))
-        raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
+            return self.div(value.numerator % self.p, value.denominator % self.p)
+        return value % self.p
 
     def __repr__(self):
         return "Fp:%d" % self.p
@@ -207,6 +207,24 @@ def _key_grevlex(exps):
 ORDER_KEYS = {"lex": _key_lex, "grlex": _key_grlex, "grevlex": _key_grevlex}
 
 
+# Descending keys: the order reversed, so that the least key is the largest
+# monomial, as a min-heap such as heapq's needs.
+
+def _desc_lex(exps):
+    return tuple(-e for e in exps)
+
+
+def _desc_grlex(exps):
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def _desc_grevlex(exps):
+    return (-sum(exps), exps[::-1])
+
+
+DESCENDING_KEYS = {"lex": _desc_lex, "grlex": _desc_grlex, "grevlex": _desc_grevlex}
+
+
 class RingContext:
     """A polynomial ring: ordered variables, coefficient field, monomial order.
 
@@ -246,7 +264,7 @@ class RingContext:
         return self.constant(self.field.one)
 
     def constant(self, c) -> "Polynomial":
-        c = self.field.coerce(c) if not _is_coeff(c) else c
+        c = self.field.coerce(c)
         if c == self.field.zero:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -278,10 +296,15 @@ def _is_coeff(c):
     return isinstance(c, (Fraction, int)) and not isinstance(c, bool)
 
 
+def _is_name_char(ch: str) -> bool:
+    """Letters, "_" and the ASCII digits: the characters of a variable name."""
+    return ch.isalpha() or ch == "_" or "0" <= ch <= "9"
+
+
 def _is_name(s: str) -> bool:
     if not (s[0].isalpha() or s[0] == "_"):
         return False
-    return all(ch.isalnum() or ch == "_" for ch in s[1:])
+    return all(_is_name_char(ch) for ch in s[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +439,7 @@ class _TermPoly:
     def scale(self, c):
         """Multiply by a field coefficient."""
         fld = self.ring.field
-        c = fld.coerce(c) if not _is_coeff(c) else c
+        c = fld.coerce(c)
         if c == fld.zero:
             return type(self)(self.ring, {})
         return type(self)(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
@@ -424,6 +447,7 @@ class _TermPoly:
     def mul_term(self, exps, c):
         """Multiply by the single term c * x^exps."""
         fld = self.ring.field
+        c = fld.coerce(c)
         if c == fld.zero:
             return type(self)(self.ring, {})
         return type(self)(
@@ -495,7 +519,7 @@ class Polynomial(_TermPoly):
     def evaluate(self, values):
         """Evaluate at a full point given as a list of coefficients."""
         fld = self.ring.field
-        values = [fld.coerce(v) if not _is_coeff(v) else v for v in values]
+        values = [fld.coerce(v) for v in values]
         total = fld.zero
         for exps, c in self.terms.items():
             term = c
@@ -557,7 +581,7 @@ class LaurentPolynomial(_TermPoly):
             if v not in assignments:
                 keep.append((i, new_ring.var_index(v)))
         values = {
-            self.ring.var_index(name): fld.coerce(val) if not _is_coeff(val) else val
+            self.ring.var_index(name): fld.coerce(val)
             for name, val in assignments.items()
         }
         out = {}
@@ -611,7 +635,7 @@ def _tokenize(text: str):
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and _is_name_char(text[j]):
                 j += 1
             yield ("NAME", text[i:j], line, col)
             col += j - i

@@ -35,6 +35,16 @@ def test_factorization_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_equal_lambdas_give_identical_documents():
+    # over F_7, lambda = 8 is lambda = 1; it was stored and emitted as "8"
+    R = RingContext(("x",), PrimeField(7))
+    x = R.variable("x")
+    docs = [files.dumps(files.object_to_document(mf.rank_one(R, x**2 + 1, lam, x, x)))
+            for lam in (8, 1)]
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["lambda"] == "1"
+
+
 def test_field_override_on_load(tmp_path):
     E = a1()
     path = tmp_path / "a1.json"

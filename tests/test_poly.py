@@ -6,7 +6,7 @@ import pytest
 from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
-    ParseError, RingMismatch, univariate_gcd,
+    ParseError, RingMismatch, univariate_gcd, ORDER_KEYS, DESCENDING_KEYS,
 )
 from mfcat.matrix import PolyMatrix
 
@@ -98,6 +98,42 @@ def test_field_spec_modulus_is_ascii_digits(spec):
     # int() read "3_1" as 31, "+7" and " 7" as 7 and Arabic-Indic three as 3
     with pytest.raises(ParseError):
         field_from_spec(spec)
+
+
+@pytest.mark.parametrize("name", ["x\u00b2", "y\u0663", "z\uff17"])
+def test_variable_names_take_only_ascii_digits(name):
+    # superscript two, Arabic-Indic three and fullwidth seven are not digits
+    # of a name: "x\u00b2" squared printed as "x\u00b2^2"
+    with pytest.raises(ValueError, match="bad variable name"):
+        RingContext((name,), QQ)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_polynomial(ring("x", "y", "z"), name)
+    assert RingContext((name[0] + "2",), QQ).variables == (name[0] + "2",)
+
+
+def test_coefficients_are_always_reduced_into_the_field():
+    F7 = PrimeField(7)
+    R = ring("x", field=F7)
+    x = R.variable("x")
+    assert R.constant(7).is_zero
+    assert R.constant(-3) == R.constant(4)
+    assert x.scale(Fraction(1, 2)).terms == {(1,): 4}
+    assert x.mul_term((1,), Fraction(1, 2)).terms == {(2,): 4}
+    assert x.evaluate([Fraction(1, 2)]) == 4
+    assert type(ring("x").constant(3).terms[(0,)]) is Fraction
+    for field in (QQ, F7):
+        with pytest.raises(TypeError):
+            field.coerce(True)
+    with pytest.raises(TypeError):
+        R.constant(True)
+
+
+def test_descending_keys_reverse_the_order_keys():
+    rng = random.Random(5)
+    monos = list({tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(300)})
+    for order in ORDER_KEYS:
+        key = RingContext(("x", "y", "z"), QQ, order).key
+        assert sorted(monos, key=DESCENDING_KEYS[order]) == sorted(monos, key=key, reverse=True)
 
 
 def test_basic_arithmetic():
