@@ -52,15 +52,35 @@ divisors are indexed by lead position, in list order within a position,
 so the divisor used is the first listed one whose lead divides: that
 choice fixes remainders and membership witnesses, which, unlike reduced
 bases, depend on it.
+
+Over Q the kernel computes over Z, as Singular does with primitive
+normal forms and content removal (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra).  On entry each term dict is
+multiplied by the lcm D of its denominators; a tracked input is cleared
+after e_j is appended, and [D v_j ; D e_j] still represents D v_j.
+Basis elements and divisors are kept primitive: divided by the gcd of
+their coefficients, with a positive lead.  Over F_p they are monic
+instead.  Division is pseudo-division: to reduce a term c*m by a divisor
+whose lead coefficient is a, the pending terms, the remainder and a
+running scale s are first multiplied by a/gcd(a, c), so the quotient
+stays integral.  Every step keeps the work s times the field's, so the
+divisor chosen, remainders and witnesses are those over the field.
+Coefficients become Fractions only on the way out: a basis element is
+divided by its lead coefficient, a remainder by D*s, and a subquotient
+representative by s times the lead coefficient of its kernel element.
+Over F_p, D and s are 1.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from operator import add, le, sub
+from math import gcd
+from operator import add, le, mul, neg, sub
 
-from .poly import DESCENDING_KEYS, Polynomial, PolyError, RingMismatch
+from .poly import DESCENDING_KEYS, Polynomial, PolyError, RationalField, RingMismatch
 
 
 class ImageNotInKernel(PolyError):
@@ -107,13 +127,31 @@ def _vector_to_terms(vec, ring, rank):
     return terms
 
 
-def _terms_to_vector(terms, ring, rank, start=0):
-    """The entries at positions start .. start + rank - 1 of a term dict."""
+def _clear(terms, fld):
+    """(D * terms, D) over Z for the lcm D of the denominators over Q;
+    (terms, 1) over F_p."""
+    if not isinstance(fld, RationalField):
+        return terms, 1
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {t: c.numerator * (d // c.denominator) for t, c in terms.items()}, d
+
+
+def _terms_to_vector(terms, ring, rank, start=0, scale=1):
+    """The entries at positions start .. start + rank - 1 of a kernel term
+    dict divided by `scale`, which is 1 over F_p; over Q as Fractions."""
+    over_q = isinstance(ring.field, RationalField)
     polys = [{} for _ in range(rank)]
     for (pos, exps), c in terms.items():
         if start <= pos < start + rank:
-            polys[pos - start][exps] = c
+            polys[pos - start][exps] = Fraction(c, scale) if over_q else c
     return tuple(Polynomial(ring, d) for d in polys)
+
+
+def _arith(fld):
+    """(add, mul, neg) on kernel coefficients: ints over Q, residues over F_p."""
+    if isinstance(fld, RationalField):
+        return add, mul, neg
+    return fld.add, fld.mul, fld.neg
 
 
 def _divides(a, b):
@@ -129,24 +167,27 @@ def _exps_add(a, b):
 
 
 class _Elem:
+    """A divisor: over Q primitive over Z with a positive lead, over F_p monic."""
+
     __slots__ = ("terms", "lt", "lc")
 
-    def __init__(self, terms, key):
+    def __init__(self, terms, key, fld):
         self.terms = terms
         self.lt = max(terms, key=key)
-        self.lc = terms[self.lt]
+        self.normalise(fld)
 
-
-def _combine(target, source, mono, coeff, fld):
-    """target -= coeff * x^mono * source, in place on a term dict."""
-    zero = fld.zero
-    for t, c in source.items():
-        k = (t[0], _exps_add(t[1], mono))
-        s = fld.sub(target.get(k, zero), fld.mul(coeff, c))
-        if s == zero:
-            target.pop(k, None)
-        else:
-            target[k] = s
+    def normalise(self, fld):
+        """Divide the terms by their content, signed as the lead, over Q and
+        by the lead over F_p."""
+        terms, c = self.terms, self.terms[self.lt]
+        if isinstance(fld, RationalField):
+            g = gcd(*terms.values()) if c > 0 else -gcd(*terms.values())
+            if g != 1:
+                self.terms = {t: v // g for t, v in terms.items()}
+        elif c != 1:
+            inv = fld.inv(c)
+            self.terms = {t: fld.mul(v, inv) for t, v in terms.items()}
+        self.lc = self.terms[self.lt]
 
 
 def _index(elems):
@@ -158,19 +199,20 @@ def _index(elems):
 
 
 def _divide(ring, f_terms, index):
-    """Full normal form of a term dict against an _index of _Elems.
+    """Full normal form of a kernel term dict against an _index of _Elems.
 
-    The first divisor in list order whose lead divides the current lead
-    term is used.
+    Returns (rem, s) where s * f reduces to rem, so rem / s is the
+    remainder over the field; s = 1 over F_p.  The first divisor in list
+    order whose lead divides the current lead term is used.
     """
-    fld = ring.field
-    zero, mul, plus = fld.zero, fld.mul, fld.add
+    plus, times, negate = _arith(ring.field)
     dkey = DESCENDING_KEYS[ring.order]
     work = dict(f_terms)
     heap = [(t[0], dkey(t[1]), t) for t in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
+    s = 1
     while heap:
         t = pop(heap)[2]
         c = work.pop(t, None)
@@ -180,50 +222,65 @@ def _divide(ring, f_terms, index):
         for e in index.get(pos, ()):
             lt = e.lt
             if _divides(lt[1], exps):
+                a = e.lc
+                if a != 1:  # over Q: scale by a/g so that a divides the term
+                    g = gcd(a, c)
+                    m = a // g
+                    if m != 1:
+                        s *= m
+                        work = {k: v * m for k, v in work.items()}
+                        rem = {k: v * m for k, v in rem.items()}
+                    c //= g
                 mono = _exps_sub(exps, lt[1])
-                coeff = fld.neg(fld.div(c, e.lc))
-                for s, v in e.terms.items():
-                    if s == lt:
-                        continue  # cancels c exactly
-                    k = (s[0], _exps_add(s[1], mono))
+                coeff = negate(c)
+                for u, v in e.terms.items():
+                    if u == lt:
+                        continue  # cancels the term exactly
+                    k = (u[0], _exps_add(u[1], mono))
                     old = work.get(k)
                     if old is None:
-                        work[k] = mul(coeff, v)
+                        work[k] = times(coeff, v)
                         push(heap, (k[0], dkey(k[1]), k))
                     else:
-                        new = plus(old, mul(coeff, v))
-                        if new == zero:
-                            del work[k]
-                        else:
+                        new = plus(old, times(coeff, v))
+                        if new:
                             work[k] = new
+                        else:
+                            del work[k]
                 break
         else:
             rem[t] = c
-    return rem
-
-
-def _make_monic(e, fld):
-    if e.lc != fld.one:
-        inv = fld.inv(e.lc)
-        e.terms = {t: fld.mul(v, inv) for t, v in e.terms.items()}
-        e.lc = fld.one
+    return rem, s
 
 
 def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _combine(target, source, mono, coeff, plus, times):
+    """target += coeff * x^mono * source, in place on a kernel term dict."""
+    for t, c in source.items():
+        k = (t[0], _exps_add(t[1], mono))
+        s = plus(target.get(k, 0), times(coeff, c))
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
 def _s_remainder(ring, ei, ej, lcm, index):
-    """Remainder of the S-vector of ei and ej (leads dividing lcm) under an _index."""
-    fld = ring.field
+    """Remainder, up to a scalar, of the S-vector of ei and ej (leads
+    dividing lcm) under an _index."""
+    plus, times, negate = _arith(ring.field)
+    g = gcd(ei.lc, ej.lc)
     spoly = {}
-    _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), fld.neg(fld.one), fld)
-    _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), fld.one, fld)
-    return _divide(ring, spoly, index)
+    _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), ej.lc // g, plus, times)
+    _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), negate(ei.lc // g), plus, times)
+    return _divide(ring, spoly, index)[0]
 
 
 def _buchberger_core(ring, inputs, rank, syzygies=False):
-    """A Groebner basis of the input term dicts, as a list of monic _Elem.
+    """A Groebner basis of the input term dicts, as a list of _Elem.
 
     Positions `rank` and up form the e-block.  With `syzygies` set the
     elements whose lead lies in the e-block are kept; otherwise they are
@@ -239,10 +296,9 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     pairs = []   # heap of (lcm degree, i, j, lcm)
 
     def insert(terms):
-        e = _Elem(terms, key)
+        e = _Elem(terms, key, fld)
         if e.lt[0] >= rank and not syzygies:
             return
-        _make_monic(e, fld)
         pos, h = e.lt
         n = len(basis)
         basis.append(e)
@@ -272,7 +328,7 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
 
     for terms in inputs:
         if terms:
-            insert(dict(terms))
+            insert(_clear(terms, fld)[0])
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
@@ -284,8 +340,8 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
 
 
 def _reduce(ring, basis):
-    """The reduced basis spanned by a Groebner basis of monic _Elems, sorted
-    by descending lead.  Reuses (and rewrites) the given _Elems."""
+    """The reduced basis spanned by a Groebner basis of _Elems, sorted by
+    descending lead.  Reuses (and rewrites) the given _Elems."""
     key = _term_key(ring)
     # minimalize: drop any element whose lead is divisible by another's
     order = sorted(range(len(basis)), key=lambda i: (key(basis[i].lt), i))
@@ -307,7 +363,9 @@ def _reduce(ring, basis):
     for e in reduced:
         tail = dict(e.terms)
         del tail[e.lt]
-        e.terms = {e.lt: e.lc, **_divide(ring, tail, index)}
+        rem, s = _divide(ring, tail, index)
+        e.terms = {e.lt: s * e.lc, **rem}
+        e.normalise(ring.field)
 
     reduced.sort(key=lambda e: key(e.lt), reverse=True)
     return reduced
@@ -326,7 +384,8 @@ def _track(inputs, rank, ring):
 # ---------------------------------------------------------------------------
 
 class GroebnerBasis:
-    """Reduced, monic, order-sorted basis of an ideal or submodule."""
+    """Reduced, order-sorted basis of an ideal or submodule; its generators
+    are monic."""
 
     __slots__ = ("ring", "ambient_rank", "_elems", "_inputs", "_generators")
 
@@ -341,7 +400,8 @@ class GroebnerBasis:
     def generators(self):
         """The elements as polynomials (ideal) or tuples of them, built on first use."""
         if self._generators is None:
-            vectors = (_terms_to_vector(e.terms, self.ring, self._rank) for e in self._elems)
+            vectors = (_terms_to_vector(e.terms, self.ring, self._rank, scale=e.lc)
+                       for e in self._elems)
             self._generators = (tuple(vectors) if self.is_module
                                 else tuple(v[0] for v in vectors))
         return self._generators
@@ -427,7 +487,8 @@ def _divisor_index(G, ring):
             raise RingMismatch("divisor in a different ring")
         if g.is_zero:
             continue
-        elems.append(_Elem({(0, e): c for e, c in g.terms.items()}, key))
+        terms, _ = _clear({(0, e): c for e, c in g.terms.items()}, ring.field)
+        elems.append(_Elem(terms, key, ring.field))
     return _index(elems), ring
 
 
@@ -436,16 +497,17 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     index, ring = _divisor_index(G, f.ring)
     if ring != f.ring:
         raise RingMismatch("polynomial and divisors in different rings")
-    rem = _divide(f.ring, {(0, e): c for e, c in f.terms.items()}, index)
-    return _terms_to_vector(rem, f.ring, 1)[0]
+    terms, d = _clear({(0, e): c for e, c in f.terms.items()}, ring.field)
+    rem, s = _divide(ring, terms, index)
+    return _terms_to_vector(rem, ring, 1, scale=d * s)[0]
 
 
 def module_normal_form(vec, G: GroebnerBasis):
     if not G.is_module:
         raise ValueError("expected a module Groebner basis")
-    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, G.ambient_rank),
-                  _index(G._elems))
-    return _terms_to_vector(rem, G.ring, G.ambient_rank)
+    terms, d = _clear(_vector_to_terms(tuple(vec), G.ring, G.ambient_rank), G.ring.field)
+    rem, s = _divide(G.ring, terms, _index(G._elems))
+    return _terms_to_vector(rem, G.ring, G.ambient_rank, scale=d * s)
 
 
 def submodule_membership(vec, G: GroebnerBasis) -> bool:
@@ -470,10 +532,11 @@ def membership_witness(vec, G: GroebnerBasis):
     if isinstance(vec, Polynomial):
         vec = (vec,)
     rank = G._rank
-    rem = _divide(G.ring, _vector_to_terms(tuple(vec), G.ring, rank), _index(G._elems))
+    terms, d = _clear(_vector_to_terms(tuple(vec), G.ring, rank), G.ring.field)
+    rem, s = _divide(G.ring, terms, _index(G._elems))
     if any(pos < rank for pos, _ in rem):
         return None
-    return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank)]
+    return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank, scale=d * s)]
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +557,9 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     image, syz = [], []
     for e in _buchberger_core(ring, inputs, r, syzygies=True):
         if e.lt[0] < r:  # strip the e-block: its tails need no reducing
-            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, key))
+            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, key, ring.field))
         else:
-            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()}, key))
+            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()}, key, ring.field))
     return (GroebnerBasis(ring, r, _reduce(ring, image)),
             GroebnerBasis(ring, len(inputs), _reduce(ring, syz)))
 
@@ -647,9 +710,9 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     # containment: every image basis element must die against the kernel basis
     kernel_index = _index(kernel_gb._elems)
     for e in image_gb._elems:
-        if _divide(ring, e.terms, kernel_index):
+        if _divide(ring, e.terms, kernel_index)[0]:
             raise ImageNotInKernel("image element %r lies outside the kernel module"
-                                   % (_terms_to_vector(e.terms, ring, ambient_rank),))
+                                   % (_terms_to_vector(e.terms, ring, ambient_rank, scale=e.lc),))
 
     std = _lead_difference(kernel_gb.leading_terms(), image_gb.leading_terms(),
                            ring.nvars, ring.key)
@@ -663,5 +726,6 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
         g = next(e for e in kernel_gb._elems if e.lt[0] == pos and _divides(e.lt[1], exps))
         mono = _exps_sub(exps, g.lt[1])
         shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
-        reps.append(_terms_to_vector(_divide(ring, shifted, image_index), ring, ambient_rank))
+        rem, s = _divide(ring, shifted, image_index)
+        reps.append(_terms_to_vector(rem, ring, ambient_rank, scale=g.lc * s))
     return len(std), reps

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -472,6 +473,49 @@ def test_subquotient_refuses_an_image_outside_the_kernel():
 # an independent reference: plain Buchberger over every pair, no criteria
 # ---------------------------------------------------------------------------
 
+def _term_dict(vec):
+    return {(p, e): c for p, poly in enumerate(vec) for e, c in poly.terms.items()}
+
+
+def _ref_lead(f, R):
+    return max(f, key=lambda t: (-t[0], R.key(t[1])))
+
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_minus_multiple(f, g, shift, c, fld):
+    """f - c * x^shift * g, on term dicts."""
+    out = dict(f)
+    for (p, e), v in g.items():
+        t = (p, tuple(a + b for a, b in zip(e, shift)))
+        s = fld.sub(out.get(t, fld.zero), fld.mul(c, v))
+        if s == fld.zero:
+            out.pop(t, None)
+        else:
+            out[t] = s
+    return out
+
+
+def _ref_remainder(f, G, R):
+    """Remainder of a term dict f under the term dicts G over the field,
+    dividing each lead by the first listed g whose lead divides it."""
+    fld = R.field
+    rem = {}
+    while f:
+        t = _ref_lead(f, R)
+        g = next((g for g in G if _ref_lead(g, R)[0] == t[0]
+                  and _ref_divides(_ref_lead(g, R)[1], t[1])), None)
+        if g is None:
+            rem[t] = f.pop(t)
+        else:
+            lg = _ref_lead(g, R)
+            shift = tuple(a - b for a, b in zip(t[1], lg[1]))
+            f = _ref_minus_multiple(f, g, shift, fld.div(f[t], g[lg]), fld)
+    return rem
+
+
 def _reference_basis(vectors, rank, R):
     """Reduced Groebner basis of the span of `vectors` in A^rank, as tuples
     sorted by descending lead, position over term with position 0 highest.
@@ -482,39 +526,9 @@ def _reference_basis(vectors, rank, R):
     fld = R.field
 
     def lead(f):
-        return max(f, key=lambda t: (-t[0], R.key(t[1])))
+        return _ref_lead(f, R)
 
-    def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    def minus_multiple(f, g, shift, c):
-        """f - c * x^shift * g."""
-        out = dict(f)
-        for (p, e), v in g.items():
-            t = (p, tuple(a + b for a, b in zip(e, shift)))
-            s = fld.sub(out.get(t, fld.zero), fld.mul(c, v))
-            if s == fld.zero:
-                out.pop(t, None)
-            else:
-                out[t] = s
-        return out
-
-    def remainder(f, G):
-        rem = {}
-        while f:
-            t = lead(f)
-            g = next((g for g in G if lead(g)[0] == t[0] and divides(lead(g)[1], t[1])), None)
-            if g is None:
-                rem[t] = f.pop(t)
-            else:
-                lg = lead(g)
-                shift = tuple(a - b for a, b in zip(t[1], lg[1]))
-                f = minus_multiple(f, g, shift, fld.div(f[t], g[lg]))
-        return rem
-
-    G = [{(p, e): c for p, poly in enumerate(v) for e, c in poly.terms.items()}
-         for v in vectors]
-    G = [g for g in G if g]
+    G = [g for g in map(_term_dict, vectors) if g]
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
@@ -522,11 +536,11 @@ def _reference_basis(vectors, rank, R):
         if li[0] != lj[0]:
             continue
         lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
-        s = minus_multiple({}, G[i], tuple(a - b for a, b in zip(lcm, li[1])),
-                           fld.neg(fld.inv(G[i][li])))
-        s = minus_multiple(s, G[j], tuple(a - b for a, b in zip(lcm, lj[1])),
-                           fld.inv(G[j][lj]))
-        r = remainder(s, G)
+        s = _ref_minus_multiple({}, G[i], tuple(a - b for a, b in zip(lcm, li[1])),
+                                fld.neg(fld.inv(G[i][li])), fld)
+        s = _ref_minus_multiple(s, G[j], tuple(a - b for a, b in zip(lcm, lj[1])),
+                                fld.inv(G[j][lj]), fld)
+        r = _ref_remainder(s, G, R)
         if r:
             pairs.extend((k, len(G)) for k in range(len(G)))
             G.append(r)
@@ -534,12 +548,12 @@ def _reference_basis(vectors, rank, R):
     G.sort(key=lambda g: (-lead(g)[0], R.key(lead(g)[1])))
     minimal = []
     for g in G:
-        if not any(lead(h)[0] == lead(g)[0] and divides(lead(h)[1], lead(g)[1])
+        if not any(lead(h)[0] == lead(g)[0] and _ref_divides(lead(h)[1], lead(g)[1])
                    for h in minimal):
             minimal.append(g)
     out = []
     for g in minimal:
-        g = remainder(dict(g), [h for h in minimal if h is not g])
+        g = _ref_remainder(dict(g), [h for h in minimal if h is not g], R)
         inv = fld.inv(g[lead(g)])
         out.append({t: fld.mul(c, inv) for t, c in g.items()})
     out.sort(key=lambda g: (-lead(g)[0], R.key(lead(g)[1])), reverse=True)
@@ -547,15 +561,19 @@ def _reference_basis(vectors, rank, R):
                   for pos in range(rank)) for g in out]
 
 
-def _rand_entry(R, rng, degrees, terms):
+def _rand_entry(R, rng, degrees, terms, denominators=1):
     """A sum of random terms; their number and total degrees drawn from the
-    inclusive ranges `terms` and `degrees`.  May be 0."""
+    inclusive ranges `terms` and `degrees`, their coefficients n/d with n
+    in -4..4 and d in 1..denominators.  May be 0."""
     out = {}
     for _ in range(rng.randint(*terms)):
         exps = [0] * R.nvars
         for _ in range(rng.randint(*degrees)):
             exps[rng.randrange(R.nvars)] += 1
-        out[tuple(exps)] = R.field.coerce(rng.randint(-4, 4))
+        c = rng.randint(-4, 4)
+        if denominators > 1:
+            c = Fraction(c, rng.randint(1, denominators))
+        out[tuple(exps)] = R.field.coerce(c)
     return Polynomial(R, out)
 
 
@@ -613,6 +631,136 @@ def test_bases_match_an_all_pairs_reference_on_special_leads():
                     [(zero, zero), (x, y), (zero, zero)],
                     [(zero, x * y, z), (zero, x * y, y), (x, zero, zero)]):
         _assert_matches_reference(vectors, len(vectors[0]), R)
+
+
+def test_bases_match_an_all_pairs_reference_over_q_with_denominators():
+    # Coefficients n/d with d in 1..5: the kernel clears the denominators
+    # of every input and divides by primitive integer elements whose leads
+    # need not be units, where the inputs' leads may be negative.
+    rng = random.Random(113)
+    negative_leads = fractional = 0
+    for n in range(40):
+        if n < 24:
+            names, rank = ("x", "y", "z")[:2 + n % 2], 1
+            R = RingContext(names, QQ, ("lex", "grevlex", "grlex")[n % 3])
+            vectors = [(_rand_entry(R, rng, (1, 3), (1, 3), 5),) for _ in range(rng.randint(2, 3))]
+        else:
+            rank = rng.randint(2, 3)
+            R = RingContext(("x", "y"), QQ, "grevlex")
+            vectors = [tuple(_rand_entry(R, rng, (0, 2), (0, 2), 5) for _ in range(rank))
+                       for _ in range(rng.randint(rank, rank + 1))]
+        _assert_matches_reference(vectors, rank, R)
+        for v in vectors:
+            terms = _term_dict(v)
+            if terms:
+                negative_leads += terms[_ref_lead(terms, R)] < 0
+                fractional += any(c.denominator > 1 for c in terms.values())
+        gb = module_groebner(vectors, rank, R, track=True)
+        coeffs = [_rand_entry(R, rng, (0, 2), (1, 2), 5) for _ in vectors]
+        vec = _combination(coeffs, vectors, R, rank)
+        w = membership_witness(vec, gb)
+        assert w is not None and _combination(w, vectors, R, rank) == vec
+        if rank == 1:
+            polys = [v[0] for v in vectors]
+            w = membership_witness(vec[0], buchberger(polys, R, track=True))
+            assert sum((a * p for a, p in zip(w, polys)), R.zero()) == vec[0]
+    assert negative_leads > 10 and fractional > 20, (negative_leads, fractional)
+
+
+def _assert_field_elements(polys, field):
+    """Over Q every coefficient is a Fraction, over F_p an int in [0, p)."""
+    polys = list(polys)
+    assert polys
+    for p in polys:
+        for c in p.terms.values():
+            if field == QQ:
+                assert type(c) is Fraction, (p, c)
+            else:
+                assert type(c) is int and 0 <= c < field.p, (p, c)
+        assert "+ -" not in str(p), p
+
+
+def test_coefficients_handed_out_are_field_elements():
+    for field in (QQ, PrimeField(32749)):
+        R = RingContext(("x", "y"), field, "grevlex")
+        x, y = R.gens()
+        half, third = R.constant(Fraction(1, 2)), R.constant(Fraction(-2, 3))
+        gens = [third * x**2 * y + half * y, half * x * y**2 - third * x, third * y**3 + x]
+        f = half * x**3 * y + third * x * y - x + half
+
+        def flat(vectors):
+            return [p for v in vectors for p in v]
+
+        for track in (False, True):
+            gb = buchberger(gens, R, track=track)
+            _assert_field_elements(gb.generators, field)
+        _assert_field_elements([normal_form(f, gb), normal_form(f, gens)], field)
+        w = membership_witness(x * gens[0] - half * gens[2], gb)
+        _assert_field_elements(w, field)
+
+        vectors = [(third * x, half * y**2), (half * y - x, third * x * y), (x * y, third)]
+        for track in (False, True):
+            mb = module_groebner(vectors, 2, R, track=track)
+            _assert_field_elements(flat(mb.generators), field)
+        _assert_field_elements(module_normal_form((f, half * f), mb), field)
+        w = membership_witness(_combination([half, third * x, y], vectors, R, 2), mb)
+        _assert_field_elements(w, field)
+        image, syz = image_and_syzygies(vectors, 2, R)
+        _assert_field_elements(flat(image.generators) + flat(syz.generators), field)
+        dim, reps = subquotient_basis(syz, [tuple(m * p for p in s) for s in syz for m in (x, y)],
+                                      R, 3)
+        assert dim == len(reps) > 0
+        _assert_field_elements(flat(reps), field)
+
+
+def test_division_by_raw_non_monic_divisors():
+    R = ring("x", "y")
+    x, y = R.gens()
+    two, three = R.constant(2), R.constant(3)
+    # the first listed divisor whose lead divides is used, however scaled
+    assert normal_form(x*y, [two*x*y - two, three*x - three*y]) == R.one()
+    assert normal_form(x*y, [three*x - three*y, two*x*y - two]) == y**2
+    assert normal_form(x*y, [R.constant(Fraction(-2, 3))*x*y + y]) == R.constant(Fraction(3, 2))*y
+    for seed, field in ((127, QQ), (131, PrimeField(32749))):
+        rng = random.Random(seed)
+        for n in range(30):
+            R = RingContext(("x", "y", "z")[:2 + n % 2], field, ("lex", "grevlex", "grlex")[n % 3])
+            divisors = [_rand_entry(R, rng, (1, 2), (1, 3), 5) for _ in range(rng.randint(1, 3))]
+            f = _rand_entry(R, rng, (0, 4), (1, 5), 5)
+            expected = _ref_remainder(_term_dict((f,)), [_term_dict((g,)) for g in divisors
+                                                        if not g.is_zero], R)
+            assert normal_form(f, divisors) == Polynomial(R, {e: c for (_, e), c in expected.items()})
+
+
+def _assert_primitive(elems, field):
+    """Over Q: int coefficients of gcd 1 and a positive lead; over F_p: monic."""
+    assert elems
+    for e in elems:
+        coeffs = list(e.terms.values())
+        assert e.lc == e.terms[e.lt]
+        if field == QQ:
+            assert all(type(c) is int for c in coeffs)
+            assert math.gcd(*coeffs) == 1 and e.lc > 0
+        else:
+            assert e.lc == 1
+
+
+def test_kernel_elements_stay_primitive():
+    # Dropping content removal keeps every answer right while coefficients
+    # grow without bound, so the internal elements are checked directly.
+    from mfcat import groebner
+    for seed, field in ((137, QQ), (139, PrimeField(32749))):
+        rng = random.Random(seed)
+        R = RingContext(("x", "y"), field, "grevlex")
+        for n in range(16):
+            rank = 1 + n % 2
+            vectors = [tuple(_rand_entry(R, rng, (0, 3), (1, 3), 5) for _ in range(rank))
+                       for _ in range(3)]
+            inputs = [_term_dict(v) for v in vectors]
+            basis = groebner._buchberger_core(R, groebner._track(inputs, rank, R), rank,
+                                              syzygies=True)
+            _assert_primitive(basis, field)
+            _assert_primitive(groebner._reduce(R, basis), field)
 
 
 def test_syzygy_run_keeps_the_pairs_above_its_e_block(monkeypatch):
