@@ -9,6 +9,7 @@ or 2 (usage).
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -118,15 +119,10 @@ def _parse_params(pairs):
             raise click.UsageError("--param expects name=value, got %r" % pair)
         name, _, raw = pair.partition("=")
         name = name.strip()
+        if name in params:
+            raise ValueError("--param %s is given more than once" % name)
         params[name] = _rational("--param %s" % name, raw)
     return params
-
-
-def _run(fn):
-    try:
-        fn()
-    except (PolyError, ValueError) as exc:
-        _fail(str(exc))
 
 
 @click.group()
@@ -145,216 +141,197 @@ def main(settings, fmt, field_spec):
             raise click.UsageError(str(exc))
 
 
-@main.command()
+def _command(name=None):
+    """A subcommand of main that takes the settings first and reports a
+    domain error (PolyError, ValueError) as one ``error:`` line, exit 1."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                fn(*args, **kwargs)
+            except (PolyError, ValueError) as exc:
+                _fail(str(exc))
+        return main.command(name=name)(pass_settings(run))
+    return decorate
+
+
+@_command()
 @click.argument("factorization")
-@pass_settings
 def validate(settings, factorization):
     """Check the defining identities of a factorization."""
-    def go():
-        obj = _load_factorization(factorization, settings)
-        report = mfmod.validate(obj)
-        payload = {
-            "valid": report.ok,
-            "rank": obj.rank,
-            "field": repr(obj.ring.field),
-            "vars": list(obj.ring.variables),
-            "W": str(obj.w),
-            "lambda": obj.ring.field.format(obj.lam),
-        }
-        _emit_report(settings, "validate", payload, [
-            "valid:  yes",
-            "rank:   %d" % obj.rank,
-            "W:      %s" % obj.w,
-            "lambda: %s" % obj.ring.field.format(obj.lam),
-            "field:  %s" % repr(obj.ring.field),
-        ])
-    _run(go)
+    obj = _load_factorization(factorization, settings)
+    report = mfmod.validate(obj)
+    payload = {
+        "valid": report.ok,
+        "rank": obj.rank,
+        "field": repr(obj.ring.field),
+        "vars": list(obj.ring.variables),
+        "W": str(obj.w),
+        "lambda": obj.ring.field.format(obj.lam),
+    }
+    _emit_report(settings, "validate", payload, [
+        "valid:  yes",
+        "rank:   %d" % obj.rank,
+        "W:      %s" % obj.w,
+        "lambda: %s" % obj.ring.field.format(obj.lam),
+        "field:  %s" % repr(obj.ring.field),
+    ])
 
 
-@main.command()
+@_command()
 @click.argument("factorization")
 @click.option("--twice", is_flag=True, help="apply the shift twice")
 @click.option("-o", "--output", default=None, type=click.Path(), help="write result here")
-@pass_settings
 def shift(settings, factorization, twice, output):
     """Shift a factorization (E -> E[1], or E[2] with --twice)."""
-    def go():
-        obj = _load_factorization(factorization, settings)
-        shifted = mfmod.shift(obj)
-        if twice:
-            shifted = mfmod.shift(shifted)
-        _emit_object(settings, "shift", shifted, output)
-    _run(go)
+    obj = _load_factorization(factorization, settings)
+    shifted = mfmod.shift(obj)
+    if twice:
+        shifted = mfmod.shift(shifted)
+    _emit_object(settings, "shift", shifted, output)
 
 
-@main.command(name="sum")
+@_command(name="sum")
 @click.argument("left")
 @click.argument("right")
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def sum_cmd(settings, left, right, output):
     """Direct sum of two factorizations with the same context."""
-    def go():
-        a = _load_factorization(left, settings)
-        b = _load_factorization(right, settings)
-        _emit_object(settings, "sum", mfmod.direct_sum(a, b), output)
-    _run(go)
+    a = _load_factorization(left, settings)
+    b = _load_factorization(right, settings)
+    _emit_object(settings, "sum", mfmod.direct_sum(a, b), output)
 
 
-@main.command()
+@_command()
 @click.argument("morphism")
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def cone(settings, morphism, output):
     """Mapping cone of a closed morphism."""
-    def go():
-        p = _load_morphism(morphism, settings)
-        _emit_object(settings, "cone", mfmod.cone(p), output)
-    _run(go)
+    p = _load_morphism(morphism, settings)
+    _emit_object(settings, "cone", mfmod.cone(p), output)
 
 
-@main.command()
+@_command()
 @click.argument("left")
 @click.argument("right")
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def tensor(settings, left, right, output):
     """Tensor product over disjoint variable sets; potentials add."""
-    def go():
-        a = _load_factorization(left, settings)
-        b = _load_factorization(right, settings)
-        _emit_object(settings, "tensor", mfmod.tensor(a, b), output)
-    _run(go)
+    a = _load_factorization(left, settings)
+    b = _load_factorization(right, settings)
+    _emit_object(settings, "tensor", mfmod.tensor(a, b), output)
 
 
-@main.command()
+@_command()
 @click.argument("factorization")
 @click.option("--vars", "varnames", default="u,v", show_default=True,
               metavar="U,V", help="names of the two fresh variables")
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def knorrer(settings, factorization, varnames, output):
     """Stabilize: tensor with (u, v) over W + uv."""
-    def go():
-        names = tuple(s.strip() for s in varnames.split(","))
-        if len(names) != 2 or not all(names):
-            raise click.UsageError("--vars expects two comma-separated names")
-        obj = _load_factorization(factorization, settings)
-        _emit_object(settings, "knorrer", mfmod.knorrer(obj, names), output)
-    _run(go)
+    names = tuple(s.strip() for s in varnames.split(","))
+    if len(names) != 2 or not all(names):
+        raise click.UsageError("--vars expects two comma-separated names")
+    obj = _load_factorization(factorization, settings)
+    _emit_object(settings, "knorrer", mfmod.knorrer(obj, names), output)
 
 
-@main.command()
+@_command()
 @click.argument("factorization")
 @click.option("--upto", default=10, show_default=True,
               help="largest degree of the Hilbert slice table")
-@pass_settings
 def cok(settings, factorization, upto):
     """Present coker(e1) over the singular fiber and measure it."""
-    def go():
-        obj = _load_factorization(factorization, settings)
-        pres = mfmod.cokernel_presentation(obj, hilbert_upto=upto)
-        payload = {
-            "fiber_relation": str(pres.fiber_relation),
-            "dimension": _dim_value(pres.dimension),
-            "hilbert": list(pres.hilbert),
-            "presentation": [[str(pres.presentation.get(i, j))
-                              for j in range(pres.presentation.cols)]
-                             for i in range(pres.presentation.rows)],
-        }
-        lines = [
-            "fiber relation: %s" % pres.fiber_relation,
-            "dimension:      %s" % _dim_value(pres.dimension),
-            "hilbert:        %s" % " ".join(str(h) for h in pres.hilbert),
-        ]
-        _emit_report(settings, "cok", payload, lines)
-    _run(go)
+    obj = _load_factorization(factorization, settings)
+    pres = mfmod.cokernel_presentation(obj, hilbert_upto=upto)
+    payload = {
+        "fiber_relation": str(pres.fiber_relation),
+        "dimension": _dim_value(pres.dimension),
+        "hilbert": list(pres.hilbert),
+        "presentation": [[str(pres.presentation.get(i, j))
+                          for j in range(pres.presentation.cols)]
+                         for i in range(pres.presentation.rows)],
+    }
+    lines = [
+        "fiber relation: %s" % pres.fiber_relation,
+        "dimension:      %s" % _dim_value(pres.dimension),
+        "hilbert:        %s" % " ".join(str(h) for h in pres.hilbert),
+    ]
+    _emit_report(settings, "cok", payload, lines)
 
 
-@main.command()
+@_command()
 @click.argument("source")
 @click.argument("target")
 @click.option("--oracle", "use_oracle", is_flag=True,
               help="cross-check with the degree-truncation solver")
-@pass_settings
 def hom(settings, source, target, use_oracle):
     """Dimensions of the even/odd morphism spaces up to homotopy."""
-    def go():
-        e = _load_factorization(source, settings)
-        f = _load_factorization(target, settings)
-        report = hommod.hom_dims(e, f)
-        payload = {"h0": _dim_value(report.h0), "h1": _dim_value(report.h1)}
-        lines = ["h0: %s" % _dim_value(report.h0), "h1: %s" % _dim_value(report.h1)]
-        if use_oracle:
-            if report.h0 is INFINITE or report.h1 is INFINITE:
-                payload["oracle"] = "skipped (infinite dimensions)"
-                lines.append("oracle: skipped (infinite dimensions)")
-            else:
-                checked = oracle.hom_dims_truncated(e, f)
-                if checked != (report.h0, report.h1):
-                    _fail("oracle mismatch: module path (%s, %s) vs truncation (%s, %s)"
-                          % (report.h0, report.h1, checked[0], checked[1]))
-                payload["oracle"] = "agrees"
-                lines.append("oracle: agrees")
-        _emit_report(settings, "hom", payload, lines)
-    _run(go)
+    e = _load_factorization(source, settings)
+    f = _load_factorization(target, settings)
+    report = hommod.hom_dims(e, f)
+    payload = {"h0": _dim_value(report.h0), "h1": _dim_value(report.h1)}
+    lines = ["h0: %s" % _dim_value(report.h0), "h1: %s" % _dim_value(report.h1)]
+    if use_oracle:
+        if report.h0 is INFINITE or report.h1 is INFINITE:
+            payload["oracle"] = "skipped (infinite dimensions)"
+            lines.append("oracle: skipped (infinite dimensions)")
+        else:
+            checked = oracle.hom_dims_truncated(e, f)
+            if checked != (report.h0, report.h1):
+                _fail("oracle mismatch: module path (%s, %s) vs truncation (%s, %s)"
+                      % (report.h0, report.h1, checked[0], checked[1]))
+            payload["oracle"] = "agrees"
+            lines.append("oracle: agrees")
+    _emit_report(settings, "hom", payload, lines)
 
 
-@main.command()
+@_command()
 @click.argument("morphism")
-@pass_settings
 def nullhomotopic(settings, morphism):
     """Decide null-homotopy; print a witness (s0, s1) when one exists."""
-    def go():
-        p = _load_morphism(morphism, settings)
-        flag, witness = hommod.is_null_homotopic(p)
-        payload = {"null_homotopic": flag}
-        lines = ["null-homotopic: %s" % ("yes" if flag else "no")]
-        if witness is not None:
-            payload["s0"] = [[str(witness.s0.get(i, j)) for j in range(witness.s0.cols)]
-                             for i in range(witness.s0.rows)]
-            payload["s1"] = [[str(witness.s1.get(i, j)) for j in range(witness.s1.cols)]
-                             for i in range(witness.s1.rows)]
-            lines.append("s0: %s" % payload["s0"])
-            lines.append("s1: %s" % payload["s1"])
-        _emit_report(settings, "nullhomotopic", payload, lines)
-    _run(go)
+    p = _load_morphism(morphism, settings)
+    flag, witness = hommod.is_null_homotopic(p)
+    payload = {"null_homotopic": flag}
+    lines = ["null-homotopic: %s" % ("yes" if flag else "no")]
+    if witness is not None:
+        payload["s0"] = [[str(witness.s0.get(i, j)) for j in range(witness.s0.cols)]
+                         for i in range(witness.s0.rows)]
+        payload["s1"] = [[str(witness.s1.get(i, j)) for j in range(witness.s1.cols)]
+                         for i in range(witness.s1.rows)]
+        lines.append("s0: %s" % payload["s0"])
+        lines.append("s1: %s" % payload["s1"])
+    _emit_report(settings, "nullhomotopic", payload, lines)
 
 
-@main.command()
+@_command()
 @click.argument("morphism")
-@pass_settings
 def equiv(settings, morphism):
     """Decide whether a closed morphism is a homotopy equivalence."""
-    def go():
-        p = _load_morphism(morphism, settings)
-        flag = hommod.is_homotopy_equivalence(p)
-        _emit_report(settings, "equiv", {"homotopy_equivalence": flag},
-                     ["homotopy equivalence: %s" % ("yes" if flag else "no")])
-    _run(go)
+    p = _load_morphism(morphism, settings)
+    flag = hommod.is_homotopy_equivalence(p)
+    _emit_report(settings, "equiv", {"homotopy_equivalence": flag},
+                 ["homotopy equivalence: %s" % ("yes" if flag else "no")])
 
 
-@main.command()
+@_command()
 @click.argument("inputs", nargs=-1, required=True)
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def totalize(settings, inputs, output):
     """Fold a chain of closed morphisms (or one object) into one factorization."""
-    def go():
-        if len(inputs) == 1:
-            try:
-                single = _load_factorization(inputs[0], settings)
-            except (files.SchemaError, PolyError):
-                single = None
-            if single is not None:
-                cx = mfmod.PairComplex([single], [])
-                _emit_object(settings, "totalize", mfmod.totalize(cx), output)
-                return
-        maps = [_load_morphism(ref, settings) for ref in inputs]
-        objects = [maps[0].source] + [p.target for p in maps]
-        cx = mfmod.PairComplex(objects, maps)
-        _emit_object(settings, "totalize", mfmod.totalize(cx), output)
-    _run(go)
+    if len(inputs) == 1:
+        try:
+            single = _load_factorization(inputs[0], settings)
+        except (files.SchemaError, PolyError):
+            single = None
+        if single is not None:
+            cx = mfmod.PairComplex([single], [])
+            _emit_object(settings, "totalize", mfmod.totalize(cx), output)
+            return
+    maps = [_load_morphism(ref, settings) for ref in inputs]
+    objects = [maps[0].source] + [p.target for p in maps]
+    cx = mfmod.PairComplex(objects, maps)
+    _emit_object(settings, "totalize", mfmod.totalize(cx), output)
 
 
 def _fan_options(fn):
@@ -364,89 +341,77 @@ def _fan_options(fn):
     return fn
 
 
-@main.command(name="mirror-build")
+@_command(name="mirror-build")
 @_fan_options
 @click.option("-o", "--output", default=None, type=click.Path())
-@pass_settings
 def mirror_build(settings, fan, preset, output):
     """Laurent superpotential with one term per ray."""
-    def go():
-        spec = _load_fan(fan, preset)
-        built = mirrormod.build_superpotential(spec)
-        payload = {
-            "W": str(built.w),
-            "variables": list(built.y_names),
-            "parameters": list(built.param_names),
-            "terms": [str(t) for t in built.ray_terms],
-        }
-        lines = [
-            "W:          %s" % built.w,
-            "variables:  %s" % " ".join(built.y_names),
-            "parameters: %s" % (" ".join(built.param_names) or "(none)"),
-        ]
-        if output is not None:
-            files.save(output, files.toric_to_doc(spec))
-            payload["written"] = output
-            lines.append("wrote %s" % output)
-        _emit_report(settings, "mirror-build", payload, lines)
-    _run(go)
+    spec = _load_fan(fan, preset)
+    built = mirrormod.build_superpotential(spec)
+    payload = {
+        "W": str(built.w),
+        "variables": list(built.y_names),
+        "parameters": list(built.param_names),
+        "terms": [str(t) for t in built.ray_terms],
+    }
+    lines = [
+        "W:          %s" % built.w,
+        "variables:  %s" % " ".join(built.y_names),
+        "parameters: %s" % (" ".join(built.param_names) or "(none)"),
+    ]
+    if output is not None:
+        files.save(output, files.toric_to_doc(spec))
+        payload["written"] = output
+        lines.append("wrote %s" % output)
+    _emit_report(settings, "mirror-build", payload, lines)
 
 
-@main.command(name="mirror-count")
+@_command(name="mirror-count")
 @_fan_options
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE",
               help="positive rational value for a Kaehler parameter")
-@pass_settings
 def mirror_count(settings, fan, preset, params):
     """Number of torus critical points, counted with multiplicity."""
-    def go():
-        spec = _load_fan(fan, preset)
-        built = mirrormod.build_superpotential(spec)
-        count = mirrormod.critical_count(built, _parse_params(params))
-        _emit_report(settings, "mirror-count", {"count": count},
-                     ["critical points: %d" % count])
-    _run(go)
+    spec = _load_fan(fan, preset)
+    built = mirrormod.build_superpotential(spec)
+    count = mirrormod.critical_count(built, _parse_params(params))
+    _emit_report(settings, "mirror-count", {"count": count},
+                 ["critical points: %d" % count])
 
 
-@main.command(name="mirror-values")
+@_command(name="mirror-values")
 @_fan_options
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE")
-@pass_settings
 def mirror_values(settings, fan, preset, params):
     """Monic univariate polynomial vanishing on the critical values."""
-    def go():
-        spec = _load_fan(fan, preset)
-        built = mirrormod.build_superpotential(spec)
-        report = mirrormod.critical_values(built, _parse_params(params))
-        payload = {
-            "count": report.count,
-            "value_polynomial": str(report.value_polynomial),
-            "distinct_values": report.distinct_values,
-        }
-        _emit_report(settings, "mirror-values", payload, [
-            "critical points:  %d" % report.count,
-            "value polynomial: %s" % report.value_polynomial,
-            "distinct values:  %s" % ("yes" if report.distinct_values else "no"),
-        ])
-    _run(go)
+    spec = _load_fan(fan, preset)
+    built = mirrormod.build_superpotential(spec)
+    report = mirrormod.critical_values(built, _parse_params(params))
+    payload = {
+        "count": report.count,
+        "value_polynomial": str(report.value_polynomial),
+        "distinct_values": report.distinct_values,
+    }
+    _emit_report(settings, "mirror-values", payload, [
+        "critical points:  %d" % report.count,
+        "value polynomial: %s" % report.value_polynomial,
+        "distinct values:  %s" % ("yes" if report.distinct_values else "no"),
+    ])
 
 
-@main.command(name="mirror-fiber")
+@_command(name="mirror-fiber")
 @_fan_options
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE")
 @click.option("--at", "at_value", default="0", show_default=True,
               metavar="RATIONAL", help="regular value whose fiber is counted")
-@pass_settings
 def mirror_fiber(settings, fan, preset, params, at_value):
     """Number of distinct torus points in the fiber over a regular value."""
-    def go():
-        spec = _load_fan(fan, preset)
-        built = mirrormod.build_superpotential(spec)
-        value = _rational("--at", at_value)
-        n = mirrormod.fiber_cardinality(built, _parse_params(params), value)
-        _emit_report(settings, "mirror-fiber", {"cardinality": n},
-                     ["fiber cardinality: %d" % n])
-    _run(go)
+    spec = _load_fan(fan, preset)
+    built = mirrormod.build_superpotential(spec)
+    value = _rational("--at", at_value)
+    n = mirrormod.fiber_cardinality(built, _parse_params(params), value)
+    _emit_report(settings, "mirror-fiber", {"cardinality": n},
+                 ["fiber cardinality: %d" % n])
 
 
 if __name__ == "__main__":

@@ -87,23 +87,9 @@ def _corpus_objects_cached(field):
 def _tensor_renamed(obj, newvar):
     """Tensor a one-variable object with a copy of itself in a fresh variable."""
     ring = RingContext((newvar,), obj.ring.field)
-    other = mf.MatrixFactorization(
-        ring, _rename_poly(obj.w, ring), obj.lam,
-        _rename_matrix(obj.e1, ring),
-        _rename_matrix(obj.e0, ring))
+    other = mf.MatrixFactorization(ring, obj.w.extend(ring, [0]), obj.lam,
+                                   obj.e1.extend(ring, [0]), obj.e0.extend(ring, [0]))
     return mf.tensor(obj, other)
-
-
-def _rename_poly(p, ring):
-    # same exponent layout, new one-variable ring
-    from .poly import Polynomial
-    return Polynomial(ring, dict(p.terms))
-
-
-def _rename_matrix(m, ring):
-    from .matrix import PolyMatrix
-    return PolyMatrix(ring, m.rows, m.cols,
-                      tuple(_rename_poly(p, ring) for p in m.entries))
 
 
 def _tensor_pair_st(field=QQ):

@@ -1,4 +1,8 @@
-"""Dense matrices with Polynomial entries, all over one ring context."""
+"""Dense matrices with Polynomial entries, all over one ring context, and
+the one sparse row echelon over a field, ``RowEchelon``.  The truncation
+oracle reads ranks and pivots from it; ``mirror.critical_values`` finds
+the first linear relation among the powers of w with it.
+"""
 
 from __future__ import annotations
 
@@ -201,3 +205,47 @@ class PolyMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(p) for p in self.row(i)) for i in range(self.rows))
         return "PolyMatrix(%dx%d: [%s])" % (self.rows, self.cols, body)
+
+
+class RowEchelon:
+    """Row-echelon accumulator over sparse rows (dict column -> coeff).
+
+    Each row is reduced against the stored pivot rows, smallest column
+    first, and stored normalized at its smallest remaining column.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}  # leading column -> normalized row
+
+    def _reduce(self, row):
+        fld = self.field
+        zero = fld.zero
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = self.pivots.get(c)
+            if prow is None:
+                return row
+            coef = row[c]
+            for cc, v in prow.items():
+                s = fld.sub(row.get(cc, zero), fld.mul(coef, v))
+                if s == zero:
+                    row.pop(cc, None)
+                else:
+                    row[cc] = s
+        return row
+
+    def insert(self, row):
+        """Add a row; its new pivot column, or None when it was dependent."""
+        row = self._reduce(row)
+        if not row:
+            return None
+        c = min(row)
+        inv = self.field.inv(row[c])
+        self.pivots[c] = {cc: self.field.mul(v, inv) for cc, v in row.items()}
+        return c
+
+    @property
+    def rank(self):
+        return len(self.pivots)

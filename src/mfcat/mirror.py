@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .matrix import RowEchelon
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
                    PolyError, univariate_gcd)
 from . import groebner
@@ -335,50 +336,23 @@ def critical_values(w_spec, params=None) -> CriticalReport:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     count = len(sm)
     coord = {exps: i for i, (_, exps) in enumerate(sm)}
-    wring = RingContext(("w",), QQ, "lex")
-    fld = ring.field
-
-    # rows [NF(w^k) coordinates | e_k]; first vanishing combination is minimal.
-    # len(sm) + 1 rows in len(sm) coordinates always reach one, so the loop breaks.
-    pivots = {}
+    # rows [NF(w^k) coordinates | e_k]: the first pivot in the e-columns is
+    # the first linear relation among 1, w, ..., w^k, the minimal polynomial.
+    # count + 1 rows in count coordinates always reach one.
+    echelon = RowEchelon(QQ)
     power = ring.one()
-    for k in range(len(sm) + 1):
-        nf = groebner.normal_form(power, gb)
-        row = {coord[e]: c for e, c in nf.terms.items()}
-        tail = {len(coord) + k: fld.one}
-        for col in sorted(pivots):
-            if col in row and col < len(coord):
-                prow, ptail = pivots[col]
-                factor = row[col]
-                for c2, v in prow.items():
-                    row[c2] = fld.sub(row.get(c2, fld.zero), fld.mul(factor, v))
-                    if row[c2] == fld.zero:
-                        del row[c2]
-                for c2, v in ptail.items():
-                    tail[c2] = fld.sub(tail.get(c2, fld.zero), fld.mul(factor, v))
-                    if tail[c2] == fld.zero:
-                        del tail[c2]
-        main = {c: v for c, v in row.items() if c < len(coord)}
-        if not main:
-            coeffs = {(c - len(coord),): v for c, v in tail.items()}
-            value_poly = Polynomial(wring, coeffs)
-            lead = value_poly.terms[max(value_poly.terms, key=lambda e: e[0])]
-            value_poly = value_poly * wring.constant(fld.inv(lead))
+    for k in range(count + 1):
+        row = {coord[e]: c for e, c in groebner.normal_form(power, gb).terms.items()}
+        row[count + k] = QQ.one
+        pivot = echelon.insert(row)
+        if pivot >= count:
             break
-        pivot_col = min(main)
-        inv = fld.inv(row[pivot_col])
-        row = {c: fld.mul(v, inv) for c, v in row.items()}
-        tail = {c: fld.mul(v, inv) for c, v in tail.items()}
-        pivots[pivot_col] = (row, tail)
         power = power * wvar
-
-    if value_poly.total_degree() == 0:
-        value_poly = wring.one()
-        distinct = True
-    else:
-        deriv = value_poly.derivative(0)
-        g = univariate_gcd(value_poly, deriv)
-        distinct = g.total_degree() == 0
+    relation = echelon.pivots[pivot]
+    wring = RingContext(("w",), QQ, "lex")
+    value_poly = Polynomial(wring, {(c - count,): v for c, v in relation.items()})
+    value_poly = value_poly.scale(QQ.inv(relation[count + k]))
+    distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
     if value_poly.total_degree() > count:
         raise AssertionError("eliminant degree exceeds the critical count")
     return CriticalReport(count, value_poly, distinct)
@@ -388,25 +362,24 @@ def fiber_cardinality(w_spec, params=None, value=0) -> int:
     """Distinct closed points of the fiber of a one-variable superpotential.
 
     The value must be non-critical; roots off the torus (at Y = 0) do not
-    count.
+    count.  Let g be Y^s (W - value) with its roots at 0 stripped.  At a
+    root Y0 != 0 of g, W'(Y0) = g'(Y0) Y0^e for an integer e, so the value
+    is critical exactly when gcd(g, g') is not constant; otherwise the
+    fiber has deg g points.
     """
     value = _exact_rational(value, "fiber value")
     W = _substituted_w(w_spec, params)
     if W.ring.nvars != 1:
         raise ValueError("fiber counting is implemented for one variable only")
-    report = critical_values(w_spec, params)
-    if report.value_polynomial.evaluate([value]) == 0:
-        raise CriticalValueError("%s is a critical value" % value)
+    if W.log_derivative(0).is_zero:
+        raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     shifted = W - LaurentPolynomial(W.ring, {(0,): QQ.coerce(value)})
     f, _ = shifted.clear_denominators()
-    # strip roots at Y = 0: they are not points of the torus fiber
     drop = min(e[0] for e in f.terms)
-    if drop:
-        f = Polynomial(f.ring, {(e[0] - drop,): c for e, c in f.terms.items()})
-    deriv = f.derivative(0)
-    g = univariate_gcd(f, deriv)
-    squarefree_degree = f.total_degree() - (g.total_degree() if not g.is_zero else 0)
-    return squarefree_degree
+    g = Polynomial(f.ring, {(e[0] - drop,): c for e, c in f.terms.items()})
+    if univariate_gcd(g, g.derivative(0)).total_degree() > 0:
+        raise CriticalValueError("%s is a critical value" % value)
+    return g.total_degree()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
 
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, RowEchelon
 from .poly import PolyError
 from . import hom as hommod
 
@@ -36,50 +36,6 @@ def _monomials_upto(nvars, d):
     (the order in which the sorted variable-index multisets come)."""
     return [tuple(c.count(i) for i in range(nvars))
             for k in range(d + 1) for c in combinations_with_replacement(range(nvars), k)]
-
-
-# ---------------------------------------------------------------------------
-# sparse incremental rank over an exact field
-# ---------------------------------------------------------------------------
-
-class _RankTracker:
-    """Row-echelon accumulator over sparse rows (dict column -> coeff)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # leading column -> normalized row
-
-    def _reduce(self, row):
-        fld = self.field
-        zero = fld.zero
-        row = dict(row)
-        while row:
-            c = min(row)
-            prow = self.pivots.get(c)
-            if prow is None:
-                return row
-            coef = row[c]
-            for cc, v in prow.items():
-                s = fld.sub(row.get(cc, zero), fld.mul(coef, v))
-                if s == zero:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = s
-        return row
-
-    def insert(self, row) -> bool:
-        """Add a row; True when it was independent of the rows so far."""
-        row = self._reduce(row)
-        if not row:
-            return False
-        c = min(row)
-        inv = self.field.inv(row[c])
-        self.pivots[c] = {cc: self.field.mul(v, inv) for cc, v in row.items()}
-        return True
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 def _matrix_rows(matrix, monos, col_index):
@@ -108,7 +64,7 @@ def _high_and_full_rank(matrix, monos, col_index, d):
     """Ranks of the rows of output degree > d and of all rows, in one pass."""
     rows = _matrix_rows(matrix, monos, col_index)
     keys = sorted(rows)
-    tracker = _RankTracker(matrix.ring.field)
+    tracker = RowEchelon(matrix.ring.field)
     for key in keys:
         if sum(key[1]) > d:
             tracker.insert(rows[key])
@@ -165,7 +121,7 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
     while d <= max_degree:
         monos = _monomials_upto(ring.nvars, d)
         mono_index = {m: i for i, m in enumerate(monos)}
-        tracker = _RankTracker(fld)
+        tracker = RowEchelon(fld)
         for g in gens:
             gdeg = g.total_degree()
             for m in monos:
@@ -204,7 +160,7 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
     for alpha, c in f.terms.items():
         row = equations.setdefault((0, alpha), {})
         row[rhs_col] = fld.neg(c)
-    tracker = _RankTracker(fld)
+    tracker = RowEchelon(fld)
     for key in sorted(equations):
         tracker.insert(equations[key])
     # inconsistent iff some pivot landed on the augmented column

@@ -303,6 +303,27 @@ def test_mirror_values_use_the_coefficient_grammar(option, value):
     assert res.stderr.startswith("error: %s " % option)
 
 
+@pytest.mark.parametrize("verb", ["mirror-count", "mirror-values", "mirror-fiber"])
+def test_repeated_parameters_are_refused(verb):
+    res = run(verb, "--preset", "P1", "--param", "q=1", "--param", "q=2")
+    _one_line_error(res)
+    assert res.stderr == "error: --param q is given more than once\n"
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("validate", []), ("shift", []), ("sum", ["An:1:1"]), ("cone", []),
+    ("tensor", ["An:1:1"]), ("knorrer", []), ("cok", []), ("hom", ["An:1:1"]),
+    ("nullhomotopic", []), ("equiv", []), ("totalize", []), ("mirror-build", []),
+    ("mirror-count", []), ("mirror-values", []), ("mirror-fiber", []),
+])
+def test_every_verb_reports_a_missing_file_on_one_line(tmp_path, verb, extra):
+    missing = str(tmp_path / "missing.json")
+    for fmt in ("human", "machine"):
+        res = run("--format", fmt, verb, missing, *extra)
+        _one_line_error(res)
+        assert res.stderr == "error: cannot read %s: No such file or directory\n" % missing
+
+
 def test_usage_errors_exit_two():
     assert run("frobnicate").exit_code == 2
     assert run("shift").exit_code == 2

@@ -156,6 +156,37 @@ def test_critical_values_reduce_few_s_pairs(monkeypatch):
         assert reductions[0] <= bound, (name, reductions[0])
 
 
+def test_fiber_criticality_matches_the_eliminant():
+    # fiber_cardinality decides criticality by gcd(g, g'); the reference is
+    # the eliminant of critical_values vanishing at the value
+    rng = random.Random(41)
+    p1 = build_superpotential(preset("P1"))
+    cases = []
+    for _ in range(12):
+        r = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        other = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+        cases += [(p1, {"q": r * r}, v) for v in (2 * r, -2 * r, r, 0, other)]
+    R1 = RingContext(("Y1",), QQ)
+    for text in ("Y1^3 - 3*Y1", "Y1^2 + 2*Y1 + Y1^-1", "Y1^-2 + Y1^-1", "Y1^2 - 2*Y1 + 1"):
+        w = parse_laurent(R1, text)
+        cases += [(w, None, Fraction(v, 4)) for v in range(-9, 10)]
+    critical = 0
+    for w, params, v in cases:
+        if critical_values(w, params).value_polynomial.evaluate([v]) == 0:
+            critical += 1
+            with pytest.raises(CriticalValueError, match="^%s is a critical value$" % v):
+                fiber_cardinality(w, params, v)
+        else:
+            assert fiber_cardinality(w, params, v) >= 0
+    # +-2r for each P1 draw, +-2 for Y^3 - 3Y, -1/4 for Y^-2 + Y^-1, 0 for (Y - 1)^2
+    assert critical == 2 * 12 + 2 + 1 + 1
+    constant = parse_laurent(R1, "5")
+    for call in (lambda: critical_values(constant), lambda: fiber_cardinality(constant, None, 5),
+                 lambda: fiber_cardinality(constant, None, 1)):
+        with pytest.raises(InfiniteCriticalLocus, match="not zero-dimensional"):
+            call()
+
+
 def test_values_of_a_curve_of_critical_points_are_refused():
     R = RingContext(("Y1", "Y2"), QQ)
     with pytest.raises(InfiniteCriticalLocus, match="not zero-dimensional"):

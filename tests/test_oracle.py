@@ -136,7 +136,7 @@ def test_oracle_shares_no_code_with_the_basis_engine():
 def test_hom_oracle_eliminates_each_differential_once_per_degree(monkeypatch):
     from mfcat import corpus, oracle
     made, degrees = [], set()
-    real_tracker, real_monos = oracle._RankTracker, oracle._monomials_upto
+    real_tracker, real_monos = oracle.RowEchelon, oracle._monomials_upto
 
     class CountingTracker(real_tracker):
         def __init__(self, field):
@@ -147,7 +147,7 @@ def test_hom_oracle_eliminates_each_differential_once_per_degree(monkeypatch):
         degrees.add(d)
         return real_monos(nvars, d)
 
-    monkeypatch.setattr(oracle, "_RankTracker", CountingTracker)
+    monkeypatch.setattr(oracle, "RowEchelon", CountingTracker)
     monkeypatch.setattr(oracle, "_monomials_upto", recording_monos)
     src, tgt = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
     assert hom_dims_truncated(src, tgt) == (1, 1)

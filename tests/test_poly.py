@@ -8,7 +8,7 @@ from mfcat.poly import (
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
     ParseError, RingMismatch, univariate_gcd, ORDER_KEYS, DESCENDING_KEYS,
 )
-from mfcat.matrix import PolyMatrix
+from mfcat.matrix import PolyMatrix, RowEchelon
 
 
 def ring(*names, **kw):
@@ -258,6 +258,16 @@ def test_matrix_block_and_transpose():
     assert blk.transpose().get(2, 0) == x**2
     with pytest.raises(ValueError):
         PolyMatrix.block([[a, PolyMatrix.zeros(R, 3, 1)]])
+
+
+def test_row_echelon_reports_pivot_columns():
+    echelon = RowEchelon(QQ)
+    assert echelon.insert({2: Fraction(3), 5: Fraction(1)}) == 2
+    assert echelon.insert({2: Fraction(6), 5: Fraction(2)}) is None
+    assert echelon.insert({2: Fraction(1), 4: Fraction(1)}) == 4
+    assert echelon.insert({}) is None
+    assert echelon.rank == 2
+    assert echelon.pivots == {2: {2: 1, 5: Fraction(1, 3)}, 4: {4: 1, 5: Fraction(-1, 3)}}
 
 
 def test_random_ring_axioms():
