@@ -76,7 +76,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd
 from operator import add, le, mul, neg, sub
 
@@ -584,9 +584,14 @@ def syzygy_basis_of_vectors(vectors, ambient_rank, ring) -> list:
 # ---------------------------------------------------------------------------
 
 def _monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree exactly d, in descending lex order."""
-    return [tuple(c.count(i) for i in range(nvars))
-            for c in combinations_with_replacement(range(nvars), d)]
+    """All exponent tuples of total degree exactly d, in descending lex
+    order, at a cost proportional to their number times nvars."""
+    if nvars == 0:
+        return [()] if d == 0 else []
+    if nvars == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(d, -1, -1)
+            for rest in _monomials_of_degree(nvars - 1, d - a)]
 
 
 def _lead_difference(kernel_leads, image_leads, nvars, key):
@@ -630,11 +635,26 @@ def quotient_dim(G: GroebnerBasis):
     return len(std)
 
 
-def hilbert_slices(G: GroebnerBasis, upto: int = 10):
-    """Counts of standard monomials of each exact total degree 0..upto."""
+# hilbert_slices enumerates every monomial of degree <= upto, so a range
+# with more of them than this is refused rather than walked.
+HILBERT_MONOMIAL_LIMIT = 10 ** 6
+
+
+def check_hilbert_range(nvars, upto):
+    """Refuse a negative Hilbert range, or one with more than
+    HILBERT_MONOMIAL_LIMIT monomials of degree <= upto (a ring without
+    variables still has one table slot per degree)."""
     if upto < 0:
         raise ValueError("Hilbert range must be nonnegative, got %d" % upto)
+    if math.comb(upto + max(nvars, 1), max(nvars, 1)) > HILBERT_MONOMIAL_LIMIT:
+        raise ValueError("Hilbert range %d would enumerate more than %d monomials"
+                         % (upto, HILBERT_MONOMIAL_LIMIT))
+
+
+def hilbert_slices(G: GroebnerBasis, upto: int = 10):
+    """Counts of standard monomials of each exact total degree 0..upto."""
     nvars = G.ring.nvars
+    check_hilbert_range(nvars, upto)
     by_pos = {p: [] for p in range(G._rank)}
     for pos, exps in (e.lt for e in G._elems):
         by_pos[pos].append(exps)

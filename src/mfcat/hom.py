@@ -3,7 +3,9 @@
 An even element is a pair (p1, p0), an odd element a pair (s0, s1) with
 s0: E0 -> F1 and s1: E1 -> F0.  The differential is D(p) = f p - p e on
 even elements and D(s) = f s + s e on odd ones; both squares vanish
-identically because e and f square to the same scalar matrix.
+identically because e and f square to the same scalar matrix.  Each
+entry of either differential is placed from an entry of e0, e1, f0 or
+f1, not multiplied out from Kronecker products with identities.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
 this complex.  Everything is computed exactly: one Buchberger run per
@@ -16,42 +18,49 @@ leading terms of each kernel and the other differential's image
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .matrix import PolyMatrix
 from . import groebner
 from . import mf as mfmod
 
 
 class HomComplex:
-    """Flattened even/odd differentials acting on row-major vectorizations.
+    """Even/odd differentials acting on row-major vectorizations.
 
     An even pair (p1, p0) flattens to vec(p1) ++ vec(p0), an odd pair
-    (s0, s1) to vec(s0) ++ vec(s1); each block is (target rank) x
-    (source rank).
+    (s0, s1) to vec(s0) ++ vec(s1); each block is (target rank t) x
+    (source rank s), with slot (i, k) at i*s + k.  The columns of both
+    differentials are placed from e0, e1, f0, f1: I_t (x) A^T has A[l, k]
+    at row (i, k), column (i, l), and B (x) I_s has B[i, j] at row (i, k),
+    column (j, k).  d_even and d_odd are built from the columns on first use.
     """
-
-    __slots__ = ("source", "target", "d_even", "d_odd")
 
     def __init__(self, source, target, check=True):
         if source.potential_context() != target.potential_context():
             raise groebner.RingMismatch("hom complex endpoints have different (ring, W, lambda)")
-        ring = source.ring
-        rs, rt = source.rank, target.rank
-        eye_s = PolyMatrix.identity(ring, rs)
-        eye_t = PolyMatrix.identity(ring, rt)
-        e1t = source.e1.transpose()
-        e0t = source.e0.transpose()
-        f1 = target.e1
-        f0 = target.e0
-        # D_even (p1, p0) = (f0 p0 - p1 e0, f1 p1 - p0 e1), landing on (s0, s1)
-        self.d_even = PolyMatrix.block([
-            [-(eye_t.kron(e0t)), f0.kron(eye_s)],
-            [f1.kron(eye_s), -(eye_t.kron(e1t))],
-        ])
+        s, t = source.rank, target.rank
+        m = s * t
+        zero = source.ring.zero()
+        e0, e1, f0, f1 = source.e0.entries, source.e1.entries, target.e0.entries, target.e1.entries
+
+        def place(top_left, bottom_right):
+            # [[I (x) top_left^T, f0 (x) I], [f1 (x) I, I (x) bottom_right^T]]
+            cols = []
+            for top, a, b in ((0, top_left, f1), (m, bottom_right, f0)):
+                other = m - top
+                for j in range(t):
+                    for l in range(s):
+                        col = [zero] * (2 * m)
+                        col[top + j * s:top + j * s + s] = a[l * s:l * s + s]
+                        col[other + l:other + m:s] = b[j::t]
+                        cols.append(tuple(col))
+            return cols
+
+        # D_even (p1, p0) = (f0 p0 - p1 e0, f1 p1 - p0 e1), landing on (s0, s1);
         # D_odd (s0, s1) = (f0 s1 + s0 e1, f1 s0 + s1 e0), landing on (p1, p0)
-        self.d_odd = PolyMatrix.block([
-            [eye_t.kron(e1t), f0.kron(eye_s)],
-            [f1.kron(eye_s), eye_t.kron(e0t)],
-        ])
+        self.even_columns = place([-p for p in e0], [-p for p in e1])
+        self.odd_columns = place(e1, e0)
         self.source = source
         self.target = target
         if check:
@@ -60,20 +69,17 @@ class HomComplex:
             if not (self.d_odd @ self.d_even).is_zero:
                 raise AssertionError("D_odd D_even != 0")
 
-    @property
-    def block_size(self):
-        return self.source.rank * self.target.rank
+    def _matrix(self, columns):
+        n = len(columns)
+        return PolyMatrix(self.source.ring, n, n, [p for row in zip(*columns) for p in row])
 
-
-def _flatten_pair(a: PolyMatrix, b: PolyMatrix):
-    return tuple(a.entries) + tuple(b.entries)
+    d_even = cached_property(lambda self: self._matrix(self.even_columns))
+    d_odd = cached_property(lambda self: self._matrix(self.odd_columns))
 
 
 def _unflatten_pair(vec, ring, rows, cols):
     n = rows * cols
-    first = PolyMatrix(ring, rows, cols, vec[:n])
-    second = PolyMatrix(ring, rows, cols, vec[n:])
-    return first, second
+    return PolyMatrix(ring, rows, cols, vec[:n]), PolyMatrix(ring, rows, cols, vec[n:])
 
 
 class OddMorphism:
@@ -127,19 +133,15 @@ def hom_dims(source, target) -> HomReport:
     H = hom_complex(source, target, check=False)
     ring = source.ring
     rt, rs = target.rank, source.rank
-    n = 2 * H.block_size  # both differentials are n x n
-    even_image, even_kernel = groebner.image_and_syzygies(H.d_even.columns(), n, ring)
-    odd_image, odd_kernel = groebner.image_and_syzygies(H.d_odd.columns(), n, ring)
+    n = len(H.even_columns)  # both differentials are n x n
+    even_image, even_kernel = groebner.image_and_syzygies(H.even_columns, n, ring)
+    odd_image, odd_kernel = groebner.image_and_syzygies(H.odd_columns, n, ring)
     h0, even_reps = groebner.subquotient_basis(even_kernel, odd_image, ring, n)
     h1, odd_reps = groebner.subquotient_basis(odd_kernel, even_image, ring, n)
-    basis_even = []
-    for rep in even_reps:
-        p1, p0 = _unflatten_pair(rep, ring, rt, rs)
-        basis_even.append(mfmod.MFMorphism(source, target, p1, p0))
-    basis_odd = []
-    for rep in odd_reps:
-        s0, s1 = _unflatten_pair(rep, ring, rt, rs)
-        basis_odd.append(OddMorphism(source, target, s0, s1))
+    basis_even = [mfmod.MFMorphism(source, target, *_unflatten_pair(rep, ring, rt, rs))
+                  for rep in even_reps]
+    basis_odd = [OddMorphism(source, target, *_unflatten_pair(rep, ring, rt, rs))
+                 for rep in odd_reps]
     return HomReport(source, target, h0, h1, basis_even, basis_odd)
 
 
@@ -152,10 +154,8 @@ def is_null_homotopic(p: mfmod.MFMorphism):
     E, F = p.source, p.target
     H = hom_complex(E, F, check=False)
     ring = E.ring
-    target_vec = _flatten_pair(p.p1, p.p0)
-    cols = [tuple(c) for c in H.d_odd.columns()]
-    gb = groebner.module_groebner(cols, H.d_odd.rows, ring, track=True)
-    witness = groebner.membership_witness(target_vec, gb)
+    gb = groebner.module_groebner(H.odd_columns, len(H.odd_columns), ring, track=True)
+    witness = groebner.membership_witness(p.p1.entries + p.p0.entries, gb)
     if witness is None:
         return False, None
     s0, s1 = _unflatten_pair(tuple(witness), ring, F.rank, E.rank)

@@ -322,9 +322,8 @@ def cokernel_presentation(mf: MatrixFactorization, hilbert_upto: int = 10) -> Mo
     dimension is INFINITE and the Hilbert slices (counts of standard
     monomials of each exact degree 0..hilbert_upto) describe its growth.
     """
-    if hilbert_upto < 0:
-        raise ValueError("Hilbert range must be nonnegative, got %d" % hilbert_upto)
     ring = mf.ring
+    groebner.check_hilbert_range(ring.nvars, hilbert_upto)
     rel = mf.w - ring.constant(mf.lam)
     scalar = PolyMatrix.scalar(rel, mf.rank)
     presentation = PolyMatrix.block([[mf.e1, scalar]]) if mf.rank else PolyMatrix.zeros(ring, 0, 0)

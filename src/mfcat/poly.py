@@ -278,7 +278,7 @@ class RingContext:
         return [self.variable(v) for v in self.variables]
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingContext)
             and self.variables == other.variables
             and self.field == other.field

@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
 from mfcat.poly import QQ, PrimeField, RingContext
-from mfcat import mf, files, corpus
+from mfcat import mf, files, corpus, groebner
 from mfcat.cli import main
 from mfcat.mirror import preset
 
@@ -385,3 +386,20 @@ def test_fan_documents_take_strict_integers(tmp_path, changes):
 def test_negative_hilbert_range_is_refused():
     _one_line_error(run("cok", "An:3:2", "--upto", "-1"))
     assert run("cok", "An:3:2", "--upto", "0").exit_code == 0
+
+
+def test_huge_hilbert_range_is_refused_before_enumerating():
+    start = time.perf_counter()
+    for upto in ("1000000", "10" * 20):
+        _one_line_error(run("cok", "pair:uv", "--upto", upto))
+    assert time.perf_counter() - start < 10
+    # the limit counts the monomials of degree <= upto: one a degree in x
+    limit = groebner.HILBERT_MONOMIAL_LIMIT
+    groebner.check_hilbert_range(1, limit - 1)
+    with pytest.raises(ValueError):
+        groebner.check_hilbert_range(1, limit)
+    E = corpus.power_factorization(3, 2)
+    with pytest.raises(ValueError):
+        mf.cokernel_presentation(E, hilbert_upto=limit)
+    with pytest.raises(ValueError):
+        groebner.hilbert_slices(groebner.buchberger([E.w]), limit)

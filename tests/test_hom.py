@@ -1,9 +1,13 @@
+import functools
+import random
+import time
+
 import pytest
 
-from mfcat.poly import QQ, RingContext
+from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import INFINITE
-from mfcat import corpus, mf
+from mfcat import corpus, mf, oracle
 from mfcat.hom import (
     hom_complex, hom_dims, is_null_homotopic, is_contractible,
     is_homotopy_equivalence,
@@ -191,3 +195,173 @@ def test_hom_dims_runs_buchberger_once_per_differential(monkeypatch):
     E = mf.direct_sum(an(3, 1), an(3, 2))
     assert hom_dims(E, an(3, 2)).dims() == (3, 3)
     assert calls == {"_buchberger_core": 2, "module_groebner": 0}
+
+
+# ---------------------------------------------------------------------------
+# placed differentials against Kronecker products, and the Kuenneth formula
+# ---------------------------------------------------------------------------
+
+FIELDS = (QQ, PrimeField(32749))
+
+
+def _kron_differentials(source, target):
+    """D_even and D_odd as Kronecker products of identities with the
+    structure matrices, in blocks: the formulas the placement replaces."""
+    ring = source.ring
+    eye_s = PolyMatrix.identity(ring, source.rank)
+    eye_t = PolyMatrix.identity(ring, target.rank)
+    e0t, e1t = source.e0.transpose(), source.e1.transpose()
+    f0, f1 = target.e0, target.e1
+    d_even = PolyMatrix.block([[-(eye_t.kron(e0t)), f0.kron(eye_s)],
+                               [f1.kron(eye_s), -(eye_t.kron(e1t))]])
+    d_odd = PolyMatrix.block([[eye_t.kron(e1t), f0.kron(eye_s)],
+                              [f1.kron(eye_s), eye_t.kron(e0t)]])
+    return d_even, d_odd
+
+
+def _families(field, max_power):
+    """Lists of rank-one factorizations, each list of one potential."""
+    families = [[corpus.power_factorization(n, a, field) for a in range(1, n + 1)]
+                for n in range(1, max_power + 1)]
+    families.append([corpus.product_factorization(swap, field) for swap in (False, True)])
+    return families
+
+
+def _draw(rng, family, max_rank):
+    """A direct sum of 1..max_rank members of a family, each shifted or not."""
+    parts = [rng.choice(family) for _ in range(rng.randint(1, max_rank))]
+    return functools.reduce(mf.direct_sum, [mf.shift(p) if rng.random() < 0.5 else p
+                                            for p in parts])
+
+
+def _elementary(ring, n, rng):
+    """I + g E_ij and its inverse I - g E_ij, for random i != j and a
+    random constant multiple g of 1 or of a variable."""
+    i, j = rng.sample(range(n), 2)
+    g = rng.choice(ring.gens() + [ring.one()]) * ring.constant(rng.randint(1, 5))
+
+    def matrix(entry):
+        return PolyMatrix(ring, n, n, [entry if (r, c) == (i, j) else
+                                       ring.one() if r == c else ring.zero()
+                                       for r in range(n) for c in range(n)])
+    return matrix(g), matrix(-g)
+
+
+def _scrambled(rng, obj):
+    """obj under random changes of basis of E1 and E0, so the structure
+    matrices are neither diagonal nor symmetric."""
+    if obj.rank < 2:
+        return obj
+    P, P_inv = _elementary(obj.ring, obj.rank, rng)
+    Q, Q_inv = _elementary(obj.ring, obj.rank, rng)
+    return mf.MatrixFactorization(obj.ring, obj.w, obj.lam,
+                                  P @ obj.e1 @ Q_inv, Q @ obj.e0 @ P_inv)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_placed_differentials_equal_the_kronecker_formulas(field):
+    rng = random.Random("placement/%r" % field)
+    for _ in range(12):
+        family = rng.choice(_families(field, 4))
+        E = _scrambled(rng, _draw(rng, family, 4))
+        F = _scrambled(rng, _draw(rng, family, 4))
+        H = hom_complex(E, F)  # also verifies both compositions vanish
+        assert (H.d_even, H.d_odd) == _kron_differentials(E, F), (E.rank, F.rank)
+        assert H.even_columns == [tuple(c) for c in H.d_even.columns()]
+        assert H.odd_columns == [tuple(c) for c in H.d_odd.columns()]
+
+
+def test_hom_paths_form_no_kronecker_products(monkeypatch):
+    E = _scrambled(random.Random(5), mf.direct_sum(an(3, 1), mf.shift(an(3, 2))))
+    F = an(3, 2)
+    x = E.ring.variable("x")
+    xid = mf.MFMorphism(E, E, PolyMatrix.scalar(x ** 2, 2), PolyMatrix.scalar(x ** 2, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Kronecker product formed")
+    monkeypatch.setattr(PolyMatrix, "kron", refuse)
+    assert hom_dims(E, F).dims() == (3, 3)
+    assert is_null_homotopic(xid)[0]
+    assert oracle.hom_dims_truncated(E, F) == (3, 3)
+
+
+def test_hom_between_different_potentials_is_refused():
+    for source, target in ((an(2, 1), an(3, 1)), (an(1, 1), uv_pair())):
+        for call in (hom_complex, hom_dims, oracle.hom_dims_truncated):
+            with pytest.raises(RingMismatch):
+                call(source, target)
+
+
+def _renamed(obj, suffix):
+    """obj over a ring whose variables carry the suffix."""
+    ring = RingContext(tuple(v + suffix for v in obj.ring.variables), obj.ring.field)
+    index = list(range(ring.nvars))
+    return mf.MatrixFactorization(ring, obj.w.extend(ring, index), obj.lam,
+                                  obj.e1.extend(ring, index), obj.e0.extend(ring, index))
+
+
+def _times(a, b):
+    if a == 0 or b == 0:
+        return 0
+    if a is INFINITE or b is INFINITE:
+        return INFINITE
+    return a * b
+
+
+def _plus(a, b):
+    return INFINITE if INFINITE in (a, b) else a + b
+
+
+def _kuenneth(dims, other):
+    (h0, h1), (k0, k1) = dims, other
+    return (_plus(_times(h0, k0), _times(h1, k1)), _plus(_times(h0, k1), _times(h1, k0)))
+
+
+def _assert_closed(rep):
+    """Every representative is a cycle, checked by matrix products alone."""
+    for p in rep.basis_even:
+        E, F = p.source, p.target
+        assert (F.e0 @ p.p0 - p.p1 @ E.e0).is_zero and (F.e1 @ p.p1 - p.p0 @ E.e1).is_zero
+    for s in rep.basis_odd:
+        E, F = s.source, s.target
+        assert (F.e0 @ s.s1 + s.s0 @ E.e1).is_zero and (F.e1 @ s.s0 + s.s1 @ E.e0).is_zero
+    for h, basis in zip(rep.dims(), (rep.basis_even, rep.basis_odd)):
+        assert len(basis) == (0 if h is INFINITE else h)
+
+
+# The draws below take about 1.5 s per field on a 2-vCPU VM (Python 3.11);
+# the budget leaves room for slower machines but catches a blow-up at the
+# ranks 4-16 they reach.
+KUENNETH_BUDGET_S = 60
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_hom_of_tensor_products_follows_kuenneth(field):
+    """Hom(E (x) E', F (x) F') = Hom(E, F) (x) Hom(E', F') in disjoint
+    variables (Yoshino 1998; Dyckerhoff 2011), with 0 * INFINITE = 0."""
+    ring = RingContext(("x", "z"), field)
+    x = ring.variable("x")
+    line = mf.rank_one(ring, x ** 2, 0, x, x)  # a non-isolated fiber: infinite Hom
+    families = _families(field, 3) + [[line, mf.cone(mf.identity_morphism(line))]]
+    rng = random.Random("kuenneth/%r" % field)
+    start = time.perf_counter()
+    seen = set()
+    for draw in range(20):
+        factors = 2 if draw < 14 else 3
+        source = target = None
+        expected = (1, 0)
+        for k in range(factors):
+            family = rng.choice(families)
+            max_rank = 2 if factors == 2 else 1
+            E = _renamed(_draw(rng, family, max_rank), str(k))
+            F = _renamed(_draw(rng, family, max_rank), str(k))
+            expected = _kuenneth(expected, hom_dims(E, F).dims())
+            source = E if source is None else mf.tensor(source, E)
+            target = F if target is None else mf.tensor(target, F)
+        rep = hom_dims(source, target)
+        assert rep.dims() == expected, (draw, source, target)
+        _assert_closed(rep)
+        seen.add(expected)
+    # the draws reach an infinite Hom and a Hom with h0 != h1
+    assert any(INFINITE in dims for dims in seen) and any(h0 != h1 for h0, h1 in seen)
+    assert time.perf_counter() - start < KUENNETH_BUDGET_S
