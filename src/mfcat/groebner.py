@@ -80,7 +80,8 @@ from itertools import product
 from math import gcd
 from operator import add, le, mul, neg, sub
 
-from .poly import DESCENDING_KEYS, Polynomial, PolyError, RationalField, RingMismatch
+from .poly import (DESCENDING_KEYS, Polynomial, PolyError, RationalField, RingMismatch,
+                   integer_multiple)
 
 
 class ImageNotInKernel(PolyError):
@@ -132,8 +133,7 @@ def _clear(terms, fld):
     (terms, 1) over F_p."""
     if not isinstance(fld, RationalField):
         return terms, 1
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return {t: c.numerator * (d // c.denominator) for t, c in terms.items()}, d
+    return integer_multiple(terms)
 
 
 def _terms_to_vector(terms, ring, rank, start=0, scale=1):

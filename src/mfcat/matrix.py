@@ -1,12 +1,15 @@
 """Dense matrices with Polynomial entries, all over one ring context, and
-the one sparse row echelon over a field, ``RowEchelon``.  The truncation
-oracle reads ranks and pivots from it; ``mirror.critical_values`` finds
-the first linear relation among the powers of w with it.
+the one sparse row echelon over a field, ``RowEchelon``, which computes on
+ints: fraction-free over Q, mod p over F_p.  The truncation oracle reads
+ranks and pivots from it; ``mirror.critical_values`` finds the first
+linear relation among the powers of w with it.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial, RingMismatch
+from math import gcd
+
+from .poly import Polynomial, PrimeField, RingMismatch
 
 
 class PolyMatrix:
@@ -107,14 +110,6 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.entries)
 
-    def nonzero_items(self):
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                p = self.entries[base + j]
-                if not p.is_zero:
-                    yield i, j, p
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other):
@@ -208,43 +203,69 @@ class PolyMatrix:
 
 
 class RowEchelon:
-    """Row-echelon accumulator over sparse rows (dict column -> coeff).
+    """Row-echelon accumulator over sparse rows (dict column -> nonzero int).
 
     Each row is reduced against the stored pivot rows, smallest column
-    first, and stored normalized at its smallest remaining column.
+    first, and stored at its smallest remaining column.  The elimination
+    is fraction-free (Bareiss, Math. Comp. 22, 1968): a row whose entry at
+    a stored pivot column is a meets that pivot row p, with leading entry
+    b, as r <- (b/g) r - (a/g) p for g = gcd(a, b).  Over Q a row is
+    stored primitive: divided by the gcd of its entries, signed to lead
+    positive; a row with denominators is entered as its multiple by their
+    lcm (``poly.integer_multiple``).  Over F_p the rows hold ints in
+    1..p-1, each step is taken mod p, and a row is stored monic, so b is 1.
+    Either way a stored row is a nonzero multiple of the one a field
+    elimination in the same order would store.
     """
 
     def __init__(self, field):
         self.field = field
-        self.pivots = {}  # leading column -> normalized row
-
-    def _reduce(self, row):
-        fld = self.field
-        zero = fld.zero
-        row = dict(row)
-        while row:
-            c = min(row)
-            prow = self.pivots.get(c)
-            if prow is None:
-                return row
-            coef = row[c]
-            for cc, v in prow.items():
-                s = fld.sub(row.get(cc, zero), fld.mul(coef, v))
-                if s == zero:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = s
-        return row
+        self._modulus = field.p if isinstance(field, PrimeField) else None
+        self.pivots = {}  # leading column -> stored row
 
     def insert(self, row):
         """Add a row; its new pivot column, or None when it was dependent."""
-        row = self._reduce(row)
+        p = self._modulus
+        row = self._reduce(dict(row), p)
         if not row:
             return None
         c = min(row)
-        inv = self.field.inv(row[c])
-        self.pivots[c] = {cc: self.field.mul(v, inv) for cc, v in row.items()}
+        lead = row[c]
+        if p:
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                row = {cc: v * inv % p for cc, v in row.items()}
+        else:
+            g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
+            if g != 1:
+                row = {cc: v // g for cc, v in row.items()}
+        self.pivots[c] = row
         return c
+
+    def _reduce(self, row, p):
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                break
+            a, b = row[c], prow[c]  # b is 1 over F_p
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                for cc in row:
+                    row[cc] *= b
+            for cc, v in prow.items():
+                s = row.get(cc, 0) - a * v
+                if p:
+                    s %= p
+                if s:
+                    row[cc] = s
+                else:
+                    del row[cc]
+        return row
 
     @property
     def rank(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .matrix import RowEchelon
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
-                   PolyError, univariate_gcd)
+                   PolyError, integer_multiple, univariate_gcd)
 from . import groebner
 
 
@@ -336,22 +336,24 @@ def critical_values(w_spec, params=None) -> CriticalReport:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     count = len(sm)
     coord = {exps: i for i, (_, exps) in enumerate(sm)}
-    # rows [NF(w^k) coordinates | e_k]: the first pivot in the e-columns is
-    # the first linear relation among 1, w, ..., w^k, the minimal polynomial.
-    # count + 1 rows in count coordinates always reach one.
+    # rows D [NF(w^k) coordinates | e_k], D clearing the denominators: the
+    # first pivot in the e-columns is the first linear relation among 1, w,
+    # ..., w^k, the minimal polynomial up to a factor; divided by its w^k
+    # entry it is monic.  count + 1 rows in count coordinates always reach one.
     echelon = RowEchelon(QQ)
     power = ring.one()
     for k in range(count + 1):
-        row = {coord[e]: c for e, c in groebner.normal_form(power, gb).terms.items()}
-        row[count + k] = QQ.one
+        terms, scale = integer_multiple(groebner.normal_form(power, gb).terms)
+        row = {coord[e]: c for e, c in terms.items()}
+        row[count + k] = scale
         pivot = echelon.insert(row)
         if pivot >= count:
             break
         power = power * wvar
     relation = echelon.pivots[pivot]
+    lead = relation[count + k]
     wring = RingContext(("w",), QQ, "lex")
-    value_poly = Polynomial(wring, {(c - count,): v for c, v in relation.items()})
-    value_poly = value_poly.scale(QQ.inv(relation[count + k]))
+    value_poly = Polynomial(wring, {(c - count,): Fraction(v, lead) for c, v in relation.items()})
     distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
     if value_poly.total_degree() > count:
         raise AssertionError("eliminant degree exceeds the critical count")

@@ -16,14 +16,20 @@ lie in degree <= d number rank_all(D) - rank_high(D), so
 
     h0 = (unknowns - rank_all(d_even)) - (rank_all(d_odd) - rank_high(d_odd))
     h1 = (unknowns - rank_all(d_odd)) - (rank_all(d_even) - rank_high(d_even)).
+
+Every system is solved on ints: over Q a matrix row or a generator is
+first multiplied by the lcm of its denominators, which changes no rank,
+and ``RowEchelon`` eliminates fraction-free; over F_p the coefficients
+are ints mod p already.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
+from operator import add
 
 from .matrix import PolyMatrix, RowEchelon
-from .poly import PolyError
+from .poly import PolyError, integer_multiple
 from . import hom as hommod
 
 
@@ -38,31 +44,38 @@ def _monomials_upto(nvars, d):
             for k in range(d + 1) for c in combinations_with_replacement(range(nvars), k)]
 
 
-def _matrix_rows(matrix, monos, col_index):
+def _matrix_rows(matrix, monos):
     """Linear action of a PolyMatrix on entry-wise truncated unknowns.
 
-    Unknown (t, m): slot t of the vector times monomial m.  Returns a
-    dict mapping output coordinates (u, m') to sparse row dicts.
+    Unknown (t, m), slot t of the vector times monomial m, is column
+    t * len(monos) + (the index of m in monos).  Returns a dict mapping
+    output coordinates (u, m') to sparse row dicts of ints.  Over Q each
+    matrix row u is first multiplied by the lcm of its denominators, which
+    scales the rows (u, .) by one nonzero factor and leaves every rank
+    alone.  Column (t, m) meets row (u, m') through at most one term of
+    entry (u, t), so an entry is written once and never accumulated.
     """
-    fld = matrix.ring.field
     rows = {}
-    for u, t, poly in matrix.nonzero_items():
-        for alpha, c in poly.terms.items():
-            for m in monos:
-                out_m = tuple(a + b for a, b in zip(m, alpha))
-                row = rows.setdefault((u, out_m), {})
-                col = col_index[(t, m)]
-                s = fld.add(row.get(col, fld.zero), c)
-                if s == fld.zero:
-                    row.pop(col, None)
-                else:
-                    row[col] = s
+    shifted = {}  # exponent alpha -> [m + alpha for m in monos]
+    n = len(monos)
+    for u in range(matrix.rows):
+        terms, _ = integer_multiple({(t, alpha): c for t, p in enumerate(matrix.row(u))
+                                     for alpha, c in p.terms.items()})
+        for (t, alpha), c in terms.items():
+            outs = shifted.get(alpha)
+            if outs is None:
+                outs = shifted[alpha] = [tuple(map(add, m, alpha)) for m in monos]
+            for col, out_m in enumerate(outs, t * n):
+                row = rows.get((u, out_m))
+                if row is None:
+                    row = rows[(u, out_m)] = {}
+                row[col] = c
     return rows
 
 
-def _high_and_full_rank(matrix, monos, col_index, d):
+def _high_and_full_rank(matrix, monos, d):
     """Ranks of the rows of output degree > d and of all rows, in one pass."""
-    rows = _matrix_rows(matrix, monos, col_index)
+    rows = _matrix_rows(matrix, monos)
     keys = sorted(rows)
     tracker = RowEchelon(matrix.ring.field)
     for key in keys:
@@ -91,10 +104,9 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     d = start_degree
     while d <= max_degree:
         monos = _monomials_upto(source.ring.nvars, d)
-        col_index = {key: i for i, key in enumerate(product(range(H.d_even.cols), monos))}
-        even_high, even_all = _high_and_full_rank(H.d_even, monos, col_index, d)
-        odd_high, odd_all = _high_and_full_rank(H.d_odd, monos, col_index, d)
-        unknowns = len(col_index)
+        even_high, even_all = _high_and_full_rank(H.d_even, monos, d)
+        odd_high, odd_all = _high_and_full_rank(H.d_odd, monos, d)
+        unknowns = H.d_even.cols * len(monos)
         cur = (unknowns - even_all - (odd_all - odd_high),
                unknowns - odd_all - (even_all - even_high))
         if cur == prev:
@@ -115,23 +127,20 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         if not gens:
             raise ValueError("cannot infer the ring")
         ring = gens[0].ring
-    fld = ring.field
+    # each generator times the lcm of its denominators: the same ideal
+    cleared = [(g.total_degree(), integer_multiple(g.terms)[0]) for g in gens]
     prev = None
     d = start_degree
     while d <= max_degree:
         monos = _monomials_upto(ring.nvars, d)
         mono_index = {m: i for i, m in enumerate(monos)}
-        tracker = RowEchelon(fld)
-        for g in gens:
-            gdeg = g.total_degree()
+        tracker = RowEchelon(ring.field)
+        for gdeg, terms in cleared:
             for m in monos:
                 if sum(m) + gdeg > d:
                     continue
-                row = {}
-                for alpha, c in g.terms.items():
-                    out = tuple(a + b for a, b in zip(m, alpha))
-                    row[mono_index[out]] = c
-                tracker.insert(row)
+                tracker.insert({mono_index[tuple(map(add, m, alpha))]: c
+                                for alpha, c in terms.items()})
         cur = len(monos) - tracker.rank
         if prev is not None and cur == prev:
             return cur
@@ -146,7 +155,6 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
     Solves the exact linear system directly; never builds a basis.
     """
     ring = f.ring
-    fld = ring.field
     gens = [g for g in gens if not g.is_zero]
     if f.is_zero:
         return True
@@ -154,13 +162,15 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
         return False
     monos = _monomials_upto(ring.nvars, quotient_degree)
     # equations indexed by output coordinates (0, m'); unknowns by (i, m)
-    col_index = {key: k for k, key in enumerate(product(range(len(gens)), monos))}
-    equations = _matrix_rows(PolyMatrix(ring, 1, len(gens), gens), monos, col_index)
-    rhs_col = len(col_index)  # augmented column, sorted last
-    for alpha, c in f.terms.items():
-        row = equations.setdefault((0, alpha), {})
-        row[rhs_col] = fld.neg(c)
-    tracker = RowEchelon(fld)
+    equations = _matrix_rows(PolyMatrix(ring, 1, len(gens), gens), monos)
+    rhs_col = len(gens) * len(monos)  # augmented column, sorted last
+    # The one row u = 0 scales every equation alike, so the system is
+    # [D A | f] up to that factor; f enters times the lcm of its own
+    # denominators and with either sign, because a nonzero multiple of the
+    # augmented column leaves the solvability of the system unchanged.
+    for alpha, c in integer_multiple(f.terms)[0].items():
+        equations.setdefault((0, alpha), {})[rhs_col] = c
+    tracker = RowEchelon(ring.field)
     for key in sorted(equations):
         tracker.insert(equations[key])
     # inconsistent iff some pivot landed on the augmented column

@@ -9,6 +9,7 @@ polynomials reuse the same term dict but allow negative exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class PolyError(Exception):
@@ -779,33 +780,80 @@ def parse_coefficient(field: Field, text: str):
     return parse_polynomial(RingContext((), field), text).terms.get((), field.zero)
 
 
+def integer_multiple(coeffs: dict):
+    """(D * coeffs, D) for the lcm D of the denominators of a dict's
+    coefficients, the values as ints.  Over F_p, whose coefficients are
+    ints, D is 1 and the values are unchanged."""
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}, d
+
+
 # ---------------------------------------------------------------------------
 # univariate helpers (used by the mirror side)
 # ---------------------------------------------------------------------------
 
 def univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd of univariate polynomials over the ring's field."""
+    """Monic gcd of univariate polynomials over the ring's field.
+
+    Euclid on dense coefficient lists of ints (Knuth, TAOCP vol. 2,
+    4.6.1).  Over Q it is the primitive remainder sequence over Z: each
+    operand is cleared of denominators, each remainder is a
+    pseudo-remainder, and each is divided by its content, so it is a
+    nonzero multiple of the remainder over Q.  Over F_p the operands are
+    ints mod p, made monic.
+    """
     if f.ring != g.ring:
         raise RingMismatch("gcd operands in different rings")
     ring = f.ring
-    fld = ring.field
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, _univariate_rem(a, b)
-    if a.is_zero:
-        return a
-    _, lc = a.lead_term()
-    return a.scale(fld.inv(lc))
+    p = ring.field.p if isinstance(ring.field, PrimeField) else None
+    a, b = _coefficient_list(f, p), _coefficient_list(g, p)
+    while b:
+        a, b = b, _normalised(_pseudo_remainder(a, b, p), p)
+    lead = a[-1] if a else 1
+    return Polynomial(ring, {(k,): c if p else Fraction(c, lead) for k, c in enumerate(a)})
 
 
-def _univariate_rem(a: Polynomial, b: Polynomial) -> Polynomial:
-    fld = a.ring.field
-    be, bc = b.lead_term()
-    r = a
-    while not r.is_zero:
-        re, rc = r.lead_term()
-        if re[0] < be[0]:
-            break
-        shift = (re[0] - be[0],)
-        r = r - b.mul_term(shift, fld.div(rc, bc))
-    return r
+def _coefficient_list(f: Polynomial, p):
+    """Coefficients of f by degree as ints, normalised as in _normalised."""
+    terms, _ = integer_multiple(f.terms)
+    coeffs = [0] * (f.total_degree() + 1) if terms else []
+    for (k,), c in terms.items():
+        coeffs[k] = c
+    return _normalised(coeffs, p)
+
+
+def _normalised(coeffs, p):
+    """Trailing zeros dropped; then over Z divided by the content, signed as
+    the lead, and over F_p (p not None) made monic."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        return coeffs
+    if p:
+        inv = pow(coeffs[-1], -1, p)
+        return [c * inv % p for c in coeffs]
+    g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+    return [c // g for c in coeffs]
+
+
+def _pseudo_remainder(a, b, p):
+    """A nonzero multiple of the remainder of a by b over the field, lists
+    by degree: each step cancels the lead of a as (lb/g) a - (la/g) x^s b
+    with g = gcd(la, lb), reduced mod p over F_p."""
+    a = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    while len(a) > n:
+        la = a.pop()
+        if not la:
+            continue
+        g = gcd(la, lb)
+        ka, kb = lb // g, la // g
+        if ka != 1:
+            a = [ka * c for c in a]
+        s = len(a) - n
+        for i in range(n):
+            a[s + i] -= kb * b[i]
+        if p:
+            a = [c % p for c in a]
+    return a

@@ -164,3 +164,74 @@ def test_hom_oracle_agrees_over_a_prime_field():
         rep = hom_dims(src, tgt)
         assert hom_dims_truncated(src, tgt) == (rep.h0, rep.h1), (ns, nt)
     assert len(pairs) == 407
+
+
+def test_quotient_dim_truncated_with_rational_coefficients():
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    third = R.constant(Fraction(1, 3))
+    for gens in ([third * x**2 - y, y**2 * Fraction(2, 7) + x],
+                 [x**3 * Fraction(5, 6) + third * y, y**2 - third * x * y],
+                 [third * x + Fraction(3, 4) * y, y**3 * Fraction(1, 9)],
+                 # x + y/3 and 3x + y span one line: the ratio must stay exact
+                 [x + third * y, 3 * x + y, y**3]):
+        exact = quotient_dim(buchberger(gens, R))
+        assert exact is not INFINITE
+        assert quotient_dim_truncated(gens, R) == exact
+
+
+def test_linear_membership_with_rational_coefficients():
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    half, third = R.constant(Fraction(1, 2)), R.constant(Fraction(1, 3))
+    gens = [third * x**2 + half * y, y * Fraction(2, 5)]
+    gb = buchberger(gens, R)
+    cases = [(x**2 * Fraction(7, 3), True),
+             (half * x * gens[0] + third * y * gens[1] + Fraction(1, 7) * gens[1], True),
+             (x * Fraction(1, 3), False),
+             (x**3 * Fraction(5, 9) + half, False),
+             (R.constant(Fraction(2, 3)), False)]
+    for f, expect in cases:
+        assert ideal_membership(f, gb) is expect
+        assert ideal_member_linear(f, gens, 4) is expect
+    # x/3 + y/2 is (2x + 3y)/6, while x + y is not a multiple of 2x + 3y
+    gens = [2 * x + 3 * y, y**2 * Fraction(4, 9)]
+    gb = buchberger(gens, R)
+    for f, expect in [(x * Fraction(1, 3) + half * y, True), (x + y, False)]:
+        assert ideal_membership(f, gb) is expect
+        assert ideal_member_linear(f, gens, 2) is expect
+
+
+def test_hom_truncation_with_rational_entries():
+    R = xring()
+    x = R.variable("x")
+    half = R.constant(Fraction(1, 2))
+    E = mf.rank_one(R, x**3, 0, half * x, 2 * x**2)
+    F = mf.rank_one(R, x**3, 0, x**2 * Fraction(3, 5), x * Fraction(5, 3))
+    S = RingContext(("y",), QQ)
+    y = S.variable("y")
+    G = mf.rank_one(S, y**2, 0, y * Fraction(1, 3), 3 * y)
+    pairs = [(E, E), (E, F), (F, mf.shift(E)),
+             (mf.tensor(E, G), mf.tensor(F, G)), (mf.tensor(F, G), mf.tensor(F, G))]
+    for src, tgt in pairs:
+        rep = hom_dims(src, tgt)
+        assert hom_dims_truncated(src, tgt) == (rep.h0, rep.h1)
+
+
+def test_oracle_pivot_rows_hold_ints_after_a_corpus_pair(monkeypatch):
+    from mfcat import corpus, oracle
+    from mfcat.poly import PrimeField
+    made = []
+
+    class RecordingEchelon(oracle.RowEchelon):
+        def __init__(self, field):
+            made.append(self)
+            super().__init__(field)
+
+    monkeypatch.setattr(oracle, "RowEchelon", RecordingEchelon)
+    for field in (QQ, PrimeField(32749)):
+        del made[:]
+        src, tgt = corpus.lookup("An:3:1", field), corpus.lookup("An:3:2", field)
+        assert hom_dims_truncated(src, tgt) == (1, 1)
+        values = [v for e in made for row in e.pivots.values() for v in row.values()]
+        assert values and all(type(v) is int for v in values)

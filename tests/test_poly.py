@@ -6,7 +6,8 @@ import pytest
 from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
-    ParseError, RingMismatch, univariate_gcd, ORDER_KEYS, DESCENDING_KEYS,
+    ParseError, RingMismatch, univariate_gcd, integer_multiple, ORDER_KEYS,
+    DESCENDING_KEYS,
 )
 from mfcat.matrix import PolyMatrix, RowEchelon
 
@@ -196,6 +197,95 @@ def test_univariate_gcd_is_monic():
     assert str(univariate_gcd(x**2, R.zero())) == "x^2"
 
 
+def _euclid_gcd(f, g):
+    """The reference: Euclid with field division, made monic."""
+    fld = f.ring.field
+    a, b = f, g
+    while not b.is_zero:
+        r = a
+        be, bc = b.lead_term()
+        while not r.is_zero and r.lead_term()[0][0] >= be[0]:
+            re, rc = r.lead_term()
+            r = r - b.mul_term((re[0] - be[0],), fld.div(rc, bc))
+        a, b = b, r
+    if a.is_zero:
+        return a
+    return a.scale(fld.inv(a.lead_term()[1]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32749)], ids=repr)
+def test_univariate_gcd_matches_euclid_on_seeded_polynomials(field):
+    rng = random.Random("gcd/%r" % (field,))
+    R = ring("x", field=field)
+    x, = R.gens()
+
+    def rand_poly(degree):
+        return sum((R.constant(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) * x**k
+                    for k in range(degree + 1)), R.zero())
+
+    for _ in range(60):
+        h = rand_poly(rng.randint(0, 3))
+        f = h * rand_poly(rng.randint(0, 4))
+        g = h * rand_poly(rng.randint(0, 4))
+        for a, b in ((f, g), (g, f), (f, R.zero()), (R.zero(), g), (f, f.derivative(0))):
+            got = univariate_gcd(a, b)
+            assert got == _euclid_gcd(a, b), (a, b)
+            assert got.is_zero or got.lead_term()[1] == 1
+        if not (f.is_zero or g.is_zero):
+            assert univariate_gcd(f, g).total_degree() >= h.total_degree()
+    assert univariate_gcd(R.zero(), R.zero()).is_zero
+
+
+def _field_echelon(rows, fld):
+    """The reference: rows reduced in insertion order against monic pivot
+    rows with field operations; pivot column -> monic row."""
+    pivots = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v != fld.zero}
+        while row and min(row) in pivots:
+            prow, coef = pivots[min(row)], row[min(row)]
+            for c, v in prow.items():
+                s = fld.sub(row.get(c, fld.zero), fld.mul(coef, v))
+                if s == fld.zero:
+                    row.pop(c, None)
+                else:
+                    row[c] = s
+        if row:
+            inv = fld.inv(row[min(row)])
+            pivots[min(row)] = {c: fld.mul(v, inv) for c, v in row.items()}
+    return pivots
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(32749)], ids=repr)
+def test_row_echelon_matches_a_field_elimination_on_seeded_matrices(fld):
+    rng = random.Random("echelon/%r" % (fld,))
+    for trial in range(40):
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(1, 16)):
+            if rows and rng.random() < 0.3:  # a dependent row
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = fld.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 9)))
+                rows.append({c: fld.add(a.get(c, fld.zero), fld.mul(k, b.get(c, fld.zero)))
+                             for c in set(a) | set(b)})
+                continue
+            cols = rng.sample(range(ncols), rng.randint(0, min(ncols, 4)))
+            rows.append({c: fld.coerce(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                                rng.randint(1, 9)))
+                         for c in cols})
+        expected = _field_echelon(rows, fld)
+        echelon = RowEchelon(fld)
+        for row in rows:
+            row = {c: v for c, v in row.items() if v != fld.zero}
+            echelon.insert(integer_multiple(row)[0])
+        assert echelon.rank == len(expected)
+        assert sorted(echelon.pivots) == sorted(expected)
+        for c, row in echelon.pivots.items():
+            assert all(type(v) is int for v in row.values())
+            monic = {k: fld.div(fld.coerce(v), fld.coerce(row[c])) for k, v in row.items()}
+            assert monic == expected[c], (trial, c)
+
+
 def test_coefficient_parsing():
     assert parse_coefficient(QQ, "-7/3") == Fraction(-7, 3)
     with pytest.raises(ParseError):
@@ -262,12 +352,16 @@ def test_matrix_block_and_transpose():
 
 def test_row_echelon_reports_pivot_columns():
     echelon = RowEchelon(QQ)
-    assert echelon.insert({2: Fraction(3), 5: Fraction(1)}) == 2
-    assert echelon.insert({2: Fraction(6), 5: Fraction(2)}) is None
-    assert echelon.insert({2: Fraction(1), 4: Fraction(1)}) == 4
+    assert echelon.insert({2: 3, 5: 1}) == 2
+    assert echelon.insert({2: 6, 5: 2}) is None
+    assert echelon.insert({2: 1, 4: 1}) == 4
     assert echelon.insert({}) is None
     assert echelon.rank == 2
-    assert echelon.pivots == {2: {2: 1, 5: Fraction(1, 3)}, 4: {4: 1, 5: Fraction(-1, 3)}}
+    # stored primitive over Z; scaled to a leading 1 they are the rows over Q
+    assert echelon.pivots == {2: {2: 3, 5: 1}, 4: {4: 3, 5: -1}}
+    monic = {c: {k: Fraction(v, row[c]) for k, v in row.items()}
+             for c, row in echelon.pivots.items()}
+    assert monic == {2: {2: 1, 5: Fraction(1, 3)}, 4: {4: 1, 5: Fraction(-1, 3)}}
 
 
 def test_random_ring_axioms():

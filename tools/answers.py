@@ -10,20 +10,34 @@ Items, each line "<key>\t<answer>":
     over F_32749, and on the rank-8 tensor of An:2:1 in x, y, z, w;
   * is_null_homotopic witnesses of the identity of every cone of an
     identity, and of d_i W * id_X for every corpus object X and variable i;
-  * oracle.hom_dims_truncated on every fourth corpus pair;
-  * `cok <object>` output, human and machine, for every corpus object.
+  * oracle.hom_dims_truncated on every fourth corpus pair, over Q and
+    over F_32749;
+  * oracle.quotient_dim_truncated and oracle.ideal_member_linear on
+    seeded ideals with rational coefficients in Q[x, y] and F_32749[x, y];
+  * mirror.critical_values (count, eliminant, distinctness) of P1-P4, F1
+    and dP6 at seeded rational parameters, and
+    mirror.fiber_cardinality of P1 at each draw and values -3..3;
+  * CLI output, human and machine: `cok <object>` for every corpus
+    object, `hom --oracle` on every 41st corpus pair, `mirror-values` of
+    each preset at seeded parameters and a few `mirror-fiber` calls.
 """
 
 from __future__ import annotations
 
+import random
 import sys
+from fractions import Fraction
 
 from click.testing import CliRunner
 
-from mfcat import corpus, hom, mf, oracle
+from mfcat import corpus, hom, mf, mirror, oracle
 from mfcat.cli import main
 from mfcat.matrix import PolyMatrix
-from mfcat.poly import PrimeField, QQ, RingContext
+from mfcat.poly import PolyError, PrimeField, QQ, RingContext
+
+MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
+MIRROR_DRAWS = 8
+IDEAL_DRAWS = 40
 
 
 def _hom_text(rep):
@@ -47,6 +61,67 @@ def _rank8():
     return obj
 
 
+def _rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+
+
+def _random_poly(ring, rng, degree, terms):
+    x, y = ring.gens()
+    out = ring.zero()
+    for _ in range(terms):
+        i = rng.randint(0, degree)
+        out = out + ring.constant(_rational(rng)) * x ** i * y ** rng.randint(0, degree - i)
+    return out
+
+
+def _ideal_items(field):
+    """Seeded ideals: x^a and y^b plus terms of lower degree, and in half
+    of them x*y times a random polynomial."""
+    rng = random.Random("ideals/%r" % (field,))
+    ring = RingContext(("x", "y"), field)
+    x, y = ring.gens()
+    for n in range(IDEAL_DRAWS):
+        a, b = rng.randint(2, 4), rng.randint(2, 4)
+        gens = [x ** a + _random_poly(ring, rng, a - 1, 2),
+                y ** b + _random_poly(ring, rng, b - 1, 2)]
+        if rng.random() < 0.5:
+            gens.append(x * y * _random_poly(ring, rng, 1, 2))
+        key = "%r %d %s" % (field, n, " , ".join(str(g) for g in gens))
+        try:
+            dim = oracle.quotient_dim_truncated(gens, ring, max_degree=10)
+        except oracle.OracleDiverged:
+            dim = "diverged"
+        yield "quotient_dim_truncated " + key, repr(dim)
+        member = sum((_random_poly(ring, rng, 1, 2) * g for g in gens), ring.zero())
+        for f in (member, _random_poly(ring, rng, 3, 3)):
+            yield ("ideal_member_linear %s | %s" % (key, f),
+                   repr(oracle.ideal_member_linear(f, gens, 4)))
+
+
+def _mirror_items():
+    rng = random.Random("mirror")
+    specs = {name: mirror.build_superpotential(
+        mirror.projective_space(4) if name == "P4" else mirror.preset(name))
+        for name in MIRROR_FANS}
+    for _ in range(MIRROR_DRAWS):
+        for name in MIRROR_FANS:
+            spec = specs[name]
+            params = {p: Fraction(rng.randint(1, 12), rng.randint(1, 12))
+                      for p in spec.param_names}
+            key = "%s %s" % (name, ",".join("%s=%s" % kv for kv in sorted(params.items())))
+            report = mirror.critical_values(spec, params)
+            yield ("critical_values " + key,
+                   "%d %s %s" % (report.count, report.value_polynomial, report.distinct_values))
+            if name != "P1":
+                continue
+            for value in range(-3, 4):
+                try:
+                    answer = mirror.fiber_cardinality(spec, params, value)
+                except PolyError as exc:
+                    answer = "%s: %s" % (type(exc).__name__, exc)
+                yield "fiber_cardinality %s value=%d" % (key, value), str(answer)
+
+
 def items():
     for field in (QQ, PrimeField(32749)):
         for ns, nt, s, t in corpus.hom_pairs(field):
@@ -62,13 +137,26 @@ def items():
             dw = PolyMatrix.scalar(X.w.derivative(i), X.rank)
             yield ("jacobian %s %d" % (name, i),
                    _witness_text(hom.is_null_homotopic(mf.MFMorphism(X, X, dw, dw))))
-    for ns, nt, s, t in corpus.hom_pairs()[::4]:
-        yield "oracle %s %s" % (ns, nt), repr(oracle.hom_dims_truncated(s, t))
+    for field in (QQ, PrimeField(32749)):
+        for ns, nt, s, t in corpus.hom_pairs(field)[::4]:
+            yield "oracle %r %s %s" % (field, ns, nt), repr(oracle.hom_dims_truncated(s, t))
+        yield from _ideal_items(field)
+    yield from _mirror_items()
     runner = CliRunner()
-    for name, _ in objects:
+    commands = [["cok", name] for name, _ in objects]
+    commands += [["hom", "--oracle", ns, nt] for ns, nt, _, _ in corpus.hom_pairs()[::41]]
+    rng = random.Random("cli")
+    for name in sorted(mirror.PRESETS):
+        params = ["%s=%d/%d" % (p, rng.randint(1, 12), rng.randint(1, 12))
+                  for p in mirror.build_superpotential(mirror.preset(name)).param_names]
+        commands.append(["mirror-values", "--preset", name]
+                        + [arg for p in params for arg in ("--param", p)])
+    for q, at in (("9/4", "0"), ("9/4", "3"), ("1", "7/2")):
+        commands.append(["mirror-fiber", "--preset", "P1", "--param", "q=" + q, "--at", at])
+    for args in commands:
         for fmt in ("human", "machine"):
-            res = runner.invoke(main, ["--format", fmt, "cok", name])
-            yield "cok %s %s" % (fmt, name), repr((res.exit_code, res.output))
+            res = runner.invoke(main, ["--format", fmt] + args)
+            yield "%s %s %s" % (args[0], fmt, " ".join(args[1:])), repr((res.exit_code, res.output))
 
 
 if __name__ == "__main__":
