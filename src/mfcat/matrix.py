@@ -2,7 +2,7 @@
 the one sparse row echelon over a field, ``RowEchelon``, which computes on
 ints: fraction-free over Q, mod p over F_p.  The truncation oracle reads
 ranks and pivots from it; ``mirror.critical_values`` finds the first
-linear relation among the powers of w with it.
+linear relation among the powers of W with it.
 """
 
 from __future__ import annotations

@@ -317,8 +317,10 @@ class ModulePresentation:
 def cokernel_presentation(mf: MatrixFactorization, hilbert_upto: int = 10) -> ModulePresentation:
     """Presentation of Coker(e1) over the fiber ring.
 
-    The presentation matrix is [e1 | (W - lambda) Id].  When the quotient
-    is a finite-dimensional k-space its dimension is reported; otherwise
+    The presentation matrix is [e1 | (W - lambda) Id].  Its Groebner basis
+    is taken from the columns of e1 alone: (W - lambda) e_i = e1 (e0 e_i)
+    already lies in the image of e1.  When the quotient is a
+    finite-dimensional k-space its dimension is reported; otherwise
     dimension is INFINITE and the Hilbert slices (counts of standard
     monomials of each exact degree 0..hilbert_upto) describe its growth.
     """
@@ -329,7 +331,7 @@ def cokernel_presentation(mf: MatrixFactorization, hilbert_upto: int = 10) -> Mo
     presentation = PolyMatrix.block([[mf.e1, scalar]]) if mf.rank else PolyMatrix.zeros(ring, 0, 0)
     if mf.rank == 0:
         return ModulePresentation(ring, rel, presentation, 0, [0] * (hilbert_upto + 1))
-    gb = groebner.module_groebner(presentation.columns(), mf.rank, ring)
+    gb = groebner.module_groebner(mf.e1.columns(), mf.rank, ring)
     dim = groebner.quotient_dim(gb)
     hilbert = groebner.hilbert_slices(gb, hilbert_upto)
     return ModulePresentation(ring, rel, presentation, dim, hilbert)

@@ -3,14 +3,18 @@
 A fan is given by its rays, a distinguished unimodular basis among them,
 and integer relations sum_i a_i T_i = t_j between the ray coordinates
 (one per Kaehler parameter; a relation may also carry no parameter).
-Writing Y_k = e^(-T_basis_k) and q_j = e^(-t_j), every non-basis ray is
-rewritten through the relations, producing one Laurent term per ray.
+Writing Y_k = e^(-T_basis_k) and q_j = e^(-t_j), each ray gives one
+Laurent term: its Y-exponents are its integer coordinates in the
+unimodular basis, and a non-basis ray's q-exponents are a row of the
+inverse of the relations restricted to the non-basis rays.
 
 Critical points on the algebraic torus are counted through the ideal
 generated by the cleared logarithmic derivatives Y_i dW/dY_i together
-with the torus localizer z Y_1 ... Y_n - 1.  Critical values come from
-the minimal polynomial of multiplication by w = W on the quotient
-algebra, found by linear algebra over its grevlex standard monomials.
+with the torus localizer z Y_1 ... Y_n - 1.  In its quotient algebra
+z Y_1 ... Y_n = 1, so W = num / Y^s is the polynomial num z^a Y^(a - s)
+with a = max(s).  Critical values come from the minimal polynomial of
+multiplication by that polynomial, found by linear algebra over the
+grevlex standard monomials.
 """
 
 from __future__ import annotations
@@ -43,29 +47,28 @@ class CriticalValueError(PolyError):
     pass
 
 
-def _det(rows):
-    """Exact determinant of a square integer matrix."""
+def _inverse(rows):
+    """(det, inverse) of a square rational matrix by Gauss-Jordan over Q;
+    the inverse is None when det is 0."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
     det = Fraction(1)
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+        lead = m[col][col]
+        det *= lead
+        m[col] = [x / lead for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det, [row[n:] for row in m]
 
 
 def _exact_int(x, what):
@@ -98,7 +101,7 @@ class ToricSpec:
             raise ValueError("basis must pick %d distinct rays" % dimension)
         if any(b < 0 or b >= len(rays) for b in basis):
             raise ValueError("basis index out of range")
-        det = _det([rays[b] for b in basis])
+        det, _ = _inverse([rays[b] for b in basis])
         if det not in (1, -1):
             raise NonUnimodularBasis("basis rays have determinant %s, need +-1" % det)
         names = [name for _, name in relations if name is not None]
@@ -187,73 +190,35 @@ def build_superpotential(spec: ToricSpec) -> SuperpotentialSpec:
     param_vars = tuple(_param_variable(p) for p in param_names)
     ring = RingContext(y_names + param_vars, QQ, "grevlex")
 
-    # Solve A_nb u = rhs for the non-basis ray coordinates, where
-    # rhs_j = t_j - sum_k A[j][basis_k] T_basis_k.  Columns of the answer
-    # are tracked symbolically over (t_j) and (T_basis_k).
-    nrel = len(spec.relations)
-    A = [list(coeffs) for coeffs, _ in spec.relations]
-    aug = []
-    for j in range(nrel):
-        row = [Fraction(A[j][r]) for r in nonbasis]
-        rhs = [Fraction(0)] * (nrel + n)
-        rhs[j] = Fraction(1)  # stands for t_j (zero contribution if unnamed)
-        for k, b in enumerate(basis):
-            rhs[nrel + k] = Fraction(-A[j][b])  # stands for T_basis_k
-        aug.append(row + rhs)
-    # exact Gauss-Jordan on the left block
-    cols = len(nonbasis)
-    pivot_of = [-1] * cols
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, nrel) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrel):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_of[c] = r
-        r += 1
-    if r < cols:
+    # The relations vanish on the rays, so solving A_nb u + A_b T_b = t for
+    # the non-basis T-values gives u_c = sum_j (A_nb^-1)[c][j] t_j + x . T_b
+    # with x = ray_c B^-1 the coordinates in the basis rays B: integers, as
+    # B is unimodular.  An unnamed relation contributes e^0 = 1.
+    _, relation_inverse = _inverse([[coeffs[r] for r in nonbasis] for coeffs, _ in spec.relations])
+    if relation_inverse is None:
         raise UnresolvableRay("relations do not determine every non-basis ray")
+    _, basis_inverse = _inverse([rays[b] for b in basis])
+    named = [j for j, (_, name) in enumerate(spec.relations) if name is not None]
 
-    fld = ring.field
+    one = ring.field.one
     terms = {}
     ray_terms = []
-    named_index = {}  # relation index -> param var position
-    for j, (_, name) in enumerate(spec.relations):
-        if name is not None:
-            named_index[j] = n + param_vars.index(_param_variable(name))
-
     for idx, ray in enumerate(rays):
-        exps = [0] * ring.nvars
-        if idx in basis:
-            exps[basis.index(idx)] = 1
-        else:
-            c = nonbasis.index(idx)
-            row = aug[pivot_of[c]]
-            # u = sum_j row[cols+j] t_j + sum_k row[cols+nrel+k] T_basis_k
-            for j in range(nrel):
-                coef = row[cols + j]
-                if coef == 0 or j not in named_index:
-                    continue  # unnamed relations contribute e^0 = 1
-                if coef.denominator != 1:
+        coords = [sum(x * b for x, b in zip(ray, column)) for column in zip(*basis_inverse)]
+        if any(x.denominator != 1 for x in coords):
+            raise AssertionError("ray %d has fractional coordinates in a unimodular basis" % idx)
+        exps = [x.numerator for x in coords] + [0] * len(param_vars)
+        if idx in nonbasis:
+            row = relation_inverse[nonbasis.index(idx)]
+            for pos, j in enumerate(named, n):
+                if row[j].denominator != 1:
                     raise UnresolvableRay("ray %d needs fractional parameter powers" % idx)
-                exps[named_index[j]] += int(coef)
-            for k in range(n):
-                coef = row[cols + nrel + k]
-                if coef.denominator != 1:
-                    raise UnresolvableRay("ray %d is not an integer combination" % idx)
-                # u contains coef * T_basis_k, so e^(-u) contains Y_k^(coef)
-                exps[k] += int(coef)
+                exps[pos] = row[j].numerator
         key = tuple(exps)
         if key in terms:
             raise UnresolvableRay("two rays map to the same Laurent term")
-        terms[key] = fld.one
-        ray_terms.append(LaurentPolynomial(ring, {key: fld.one}))
+        terms[key] = one
+        ray_terms.append(LaurentPolynomial(ring, {key: one}))
 
     w = LaurentPolynomial(ring, terms)
     return SuperpotentialSpec(spec, ring, y_names, param_names, param_vars, w, ray_terms)
@@ -273,22 +238,19 @@ def _substituted_w(w_spec, params):
     raise TypeError("expected a SuperpotentialSpec or LaurentPolynomial")
 
 
-def _torus_generators(W, extra=()):
-    """Cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z, *extra] (grevlex)."""
+def _critical_basis(W) -> groebner.GroebnerBasis:
+    """Basis of the cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex)."""
     n = W.ring.nvars
-    ring = RingContext(W.ring.variables + ("z",) + extra, QQ, "grevlex")
-    index_map = [ring.var_index(v) for v in W.ring.variables]
-    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring, index_map)
-            for i in range(n)]
-    torus = (1,) * (n + 1) + (0,) * len(extra)
-    gens.append(Polynomial(ring, {torus: ring.field.one}) - ring.one())
-    return ring, index_map, gens
+    ring = RingContext(W.ring.variables + ("z",), QQ, "grevlex")
+    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring) for i in range(n)]
+    gens.append(Polynomial(ring, {(1,) * (n + 1): ring.field.one}) - ring.one())
+    return groebner.buchberger(gens, ring)
 
 
 def critical_ideal(w_spec, params=None) -> groebner.GroebnerBasis:
     """Basis of the critical ideal on the torus, in Q[Y1..Yn, z] (grevlex)."""
-    ring, _, gens = _torus_generators(_substituted_w(w_spec, params))
-    return groebner.buchberger(gens, ring)
+    return _critical_basis(_substituted_w(w_spec, params))
+
 
 def critical_count(w_spec, params=None) -> int:
     """Number of torus critical points counted with multiplicity."""
@@ -317,39 +279,40 @@ class CriticalReport:
 def critical_values(w_spec, params=None) -> CriticalReport:
     """Critical count and minimal polynomial of the value function.
 
-    W is adjoined as a new coordinate w through w * denom(W) = num(W).
-    denom(W) is a monomial, a unit on the torus, so this quotient algebra
-    is isomorphic to that of critical_ideal: the count is its number of
-    standard monomials (InfiniteCriticalLocus when they are infinite).
-    The monic minimal polynomial of multiplication by w on it is found
-    by linear algebra over the standard monomial basis.
+    Both are read in the algebra of critical_ideal, Q[Y1..Yn, z]/I: the
+    count is its number of standard monomials (InfiniteCriticalLocus when
+    they are infinite).  Write W = num / Y^s and a = max(s); as
+    z Y1 ... Yn = 1 there, W is the polynomial num z^a Y^(a - s).  The
+    monic minimal polynomial of multiplication by it is found by linear
+    algebra over the standard monomial basis.
     """
     W = _substituted_w(w_spec, params)
-    ring, index_map, gens = _torus_generators(W, ("w",))
-    numerator, shifts = W.clear_denominators()
-    denom = Polynomial(ring, {tuple(shifts) + (0, 0): ring.field.one})
-    wvar = ring.variable("w")
-    gens.append(wvar * denom - numerator.extend(ring, index_map))
-    gb = groebner.buchberger(gens, ring)
+    gb = _critical_basis(W)
+    ring = gb.ring
     sm = groebner.standard_monomials(gb)
     if sm is groebner.INFINITE:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     count = len(sm)
     coord = {exps: i for i, (_, exps) in enumerate(sm)}
-    # rows D [NF(w^k) coordinates | e_k], D clearing the denominators: the
-    # first pivot in the e-columns is the first linear relation among 1, w,
-    # ..., w^k, the minimal polynomial up to a factor; divided by its w^k
+    numerator, shifts = W.clear_denominators()
+    a = max(shifts, default=0)
+    unit = Polynomial(ring, {tuple(a - s for s in shifts) + (a,): ring.field.one})
+    value = groebner.normal_form(numerator.extend(ring) * unit, gb)
+    # rows D [NF(W^k) coordinates | e_k], D clearing the denominators: the
+    # first pivot in the e-columns is the first linear relation among 1, W,
+    # ..., W^k, the minimal polynomial up to a factor; divided by its W^k
     # entry it is monic.  count + 1 rows in count coordinates always reach one.
     echelon = RowEchelon(QQ)
     power = ring.one()
     for k in range(count + 1):
-        terms, scale = integer_multiple(groebner.normal_form(power, gb).terms)
+        power = groebner.normal_form(power, gb)
+        terms, scale = integer_multiple(power.terms)
         row = {coord[e]: c for e, c in terms.items()}
         row[count + k] = scale
         pivot = echelon.insert(row)
         if pivot >= count:
             break
-        power = power * wvar
+        power = power * value
     relation = echelon.pivots[pivot]
     lead = relation[count + k]
     wring = RingContext(("w",), QQ, "lex")

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from mfcat.poly import QQ, RingContext
+from mfcat.poly import QQ, PrimeField, RingContext
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import INFINITE
-from mfcat import mf
+from mfcat import corpus, groebner, mf
 from mfcat.mf import (
     MatrixFactorization, MFMorphism, NotAFactorization, InvalidMorphism,
     VariableCollision, CompositionNonzero, PairComplex,
@@ -176,6 +176,18 @@ def test_cokernel_of_product_pair_is_a_line():
     assert pres.dimension is INFINITE
     assert pres.hilbert == (1, 1, 1, 1, 1, 1, 1)
     assert str(pres.fiber_relation) == "u*v"
+
+
+def test_cokernel_basis_from_e1_alone_equals_the_presentation_basis():
+    # (W - lambda) e_i = e1 (e0 e_i), so the scalar block adds nothing to
+    # the image of e1 and the reduced bases agree
+    for field in (QQ, PrimeField(32749)):
+        for name, X in sorted(corpus.corpus_objects(field).items()):
+            pres = mf.cokernel_presentation(X, hilbert_upto=2)
+            assert pres.presentation.cols == 2 * X.rank
+            full = groebner.module_groebner(pres.presentation.columns(), X.rank, X.ring)
+            alone = groebner.module_groebner(X.e1.columns(), X.rank, X.ring)
+            assert alone.generators == full.generators, (field, name)
 
 
 def test_totalize_singleton_is_identity():

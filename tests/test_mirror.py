@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from mfcat.poly import QQ, RingContext, parse_laurent
+from mfcat import groebner, mirror
+from mfcat.matrix import RowEchelon
+from mfcat.poly import (QQ, LaurentPolynomial, Polynomial, PolyError, RingContext,
+                        integer_multiple, parse_laurent, univariate_gcd)
 from mfcat.mirror import (
     ToricSpec, build_superpotential, critical_ideal, critical_count,
-    critical_values, fiber_cardinality, preset, PRESETS,
+    critical_values, fiber_cardinality, preset, projective_space, PRESETS,
     NonUnimodularBasis, UnresolvableRay, MissingParameter,
     InfiniteCriticalLocus, CriticalValueError,
 )
@@ -139,9 +142,10 @@ def test_value_count_matches_critical_count_on_every_preset():
 
 def test_critical_values_reduce_few_s_pairs(monkeypatch):
     # Without the Gebauer-Moeller pair criteria these counts were
-    # P1 19, P2 55, P3 126, F1 92 and dP6 171; with them 8, 13, 19, 20, 41.
-    from mfcat import groebner
-    bounds = {"P1": 10, "P2": 16, "P3": 24, "F1": 24, "dP6": 48}
+    # P1 19, P2 55, P3 126, F1 92 and dP6 171; with them 8, 13, 19, 20, 41
+    # while W was adjoined as a variable w; in the critical ideal's own
+    # algebra they are 3, 7, 12, 12, 18.
+    bounds = {"P1": 4, "P2": 9, "P3": 14, "F1": 14, "dP6": 22}
     reductions = [0]
     original = groebner._s_remainder
 
@@ -245,3 +249,250 @@ def test_parameters_and_fiber_values_must_be_exact(bad):
 def test_toric_spec_refuses_non_integers(rays, relations, basis):
     with pytest.raises(TypeError):
         ToricSpec(1, rays, relations, basis)
+
+
+# ---------------------------------------------------------------------------
+# references for the mirror rewrite: critical values through an adjoined
+# variable w, the superpotential by an augmented elimination, and _det
+# ---------------------------------------------------------------------------
+
+def _adjoined_w_values(W):
+    """(count, eliminant, distinct) in Q[Y, z, w]/(I + (w Y^s - num W))."""
+    n = W.ring.nvars
+    ring = RingContext(W.ring.variables + ("z", "w"), QQ, "grevlex")
+    index_map = [ring.var_index(v) for v in W.ring.variables]
+    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring, index_map)
+            for i in range(n)]
+    gens.append(Polynomial(ring, {(1,) * (n + 1) + (0,): ring.field.one}) - ring.one())
+    numerator, shifts = W.clear_denominators()
+    wvar = ring.variable("w")
+    gens.append(wvar * Polynomial(ring, {tuple(shifts) + (0, 0): ring.field.one})
+                - numerator.extend(ring, index_map))
+    gb = groebner.buchberger(gens, ring)
+    sm = groebner.standard_monomials(gb)
+    if sm is groebner.INFINITE:
+        raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
+    count = len(sm)
+    coord = {exps: i for i, (_, exps) in enumerate(sm)}
+    echelon = RowEchelon(QQ)
+    power = ring.one()
+    for k in range(count + 1):
+        terms, scale = integer_multiple(groebner.normal_form(power, gb).terms)
+        row = {coord[e]: c for e, c in terms.items()}
+        row[count + k] = scale
+        pivot = echelon.insert(row)
+        if pivot >= count:
+            break
+        power = power * wvar
+    relation = echelon.pivots[pivot]
+    lead = relation[count + k]
+    wring = RingContext(("w",), QQ, "lex")
+    value_poly = Polynomial(wring, {(c - count,): Fraction(v, lead) for c, v in relation.items()})
+    distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
+    return count, value_poly, distinct
+
+
+def _fan(name):
+    return projective_space(4) if name == "P4" else preset(name)
+
+
+def test_critical_values_match_the_adjoined_w_reference():
+    rng = random.Random(53)
+    cases = []
+    for name in ("P1", "P2", "P3", "P4", "F1", "dP6"):
+        built = build_superpotential(_fan(name))
+        for _ in range(2):
+            params = {p: Fraction(rng.randint(1, 12), rng.randint(1, 12))
+                      for p in built.param_names}
+            cases.append((built, params))
+    R1, R2 = RingContext(("Y1",), QQ), RingContext(("Y1", "Y2"), QQ)
+    for ring, text in ((R1, "Y1 + Y1^-2"), (R1, "Y1^-2 + Y1^-1"), (R1, "Y1^-3 - 2/3*Y1^2 + Y1"),
+                       (R1, "Y1^3 - 3*Y1"), (R1, "Y1"), (R2, "Y1 + Y2 + 3*Y1^-2*Y2^-1 - Y2^-2"),
+                       (R2, "Y1^2*Y2^-1 + Y2 + Y1^-1"), (R2, "Y1*Y2 + Y1^-1 + 1/2*Y2^-3")):
+        cases.append((parse_laurent(ring, text), None))
+    for w_spec, params in cases:
+        report = critical_values(w_spec, params)
+        W = mirror._substituted_w(w_spec, params)
+        assert (report.count, report.value_polynomial, report.distinct_values) \
+            == _adjoined_w_values(W), (W, params)
+        assert report.value_polynomial.ring.variables == ("w",)
+    for ring, text in ((R1, "5"), (R2, "Y1 + Y1^-1"), (R2, "Y1*Y2 + Y1^-1*Y2^-1")):
+        for values in (critical_values, _adjoined_w_values):
+            with pytest.raises(InfiniteCriticalLocus, match="not zero-dimensional"):
+                values(parse_laurent(ring, text))
+
+
+def _augmented_superpotential(spec):
+    """build_superpotential by Gauss-Jordan on [A_nb | I | -A_b]."""
+    n = spec.dimension
+    m = len(spec.rays)
+    basis = list(spec.basis)
+    nonbasis = [i for i in range(m) if i not in basis]
+    if len(spec.relations) != m - n:
+        raise UnresolvableRay(
+            "need %d relations to resolve %d non-basis rays, got %d"
+            % (m - n, len(nonbasis), len(spec.relations)))
+    y_names = tuple("Y%d" % (k + 1) for k in range(n))
+    param_vars = tuple(mirror._param_variable(p) for p in spec.parameter_names)
+    ring = RingContext(y_names + param_vars, QQ, "grevlex")
+    nrel = len(spec.relations)
+    A = [list(coeffs) for coeffs, _ in spec.relations]
+    aug = []
+    for j in range(nrel):
+        rhs = [Fraction(0)] * (nrel + n)
+        rhs[j] = Fraction(1)
+        for k, b in enumerate(basis):
+            rhs[nrel + k] = Fraction(-A[j][b])
+        aug.append([Fraction(A[j][r]) for r in nonbasis] + rhs)
+    cols = len(nonbasis)
+    pivot_of = [-1] * cols
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, nrel) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrel):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_of[c] = r
+        r += 1
+    if r < cols:
+        raise UnresolvableRay("relations do not determine every non-basis ray")
+    named_index = {j: n + param_vars.index(mirror._param_variable(name))
+                   for j, (_, name) in enumerate(spec.relations) if name is not None}
+    terms, ray_terms = {}, []
+    for idx in range(m):
+        exps = [0] * ring.nvars
+        if idx in basis:
+            exps[basis.index(idx)] = 1
+        else:
+            row = aug[pivot_of[nonbasis.index(idx)]]
+            for j in range(nrel):
+                coef = row[cols + j]
+                if coef == 0 or j not in named_index:
+                    continue
+                if coef.denominator != 1:
+                    raise UnresolvableRay("ray %d needs fractional parameter powers" % idx)
+                exps[named_index[j]] += int(coef)
+            for k in range(n):
+                coef = row[cols + nrel + k]
+                if coef.denominator != 1:
+                    raise UnresolvableRay("ray %d is not an integer combination" % idx)
+                exps[k] += int(coef)
+        key = tuple(exps)
+        if key in terms:
+            raise UnresolvableRay("two rays map to the same Laurent term")
+        terms[key] = ring.field.one
+        ray_terms.append(LaurentPolynomial(ring, {key: ring.field.one}))
+    return LaurentPolynomial(ring, terms), ray_terms
+
+
+def _seeded_fan(rng):
+    """A fan of P1-P4, F1 or dP6 with permuted rays, relations mixed by
+    elementary row operations or by a random integer matrix, a fifth of
+    the names dropped, one relation in ten missing, and half the time a
+    random basis."""
+    base = _fan(rng.choice(("P1", "P2", "P3", "P4", "F1", "dP6")))
+    m, n = len(base.rays), base.dimension
+    perm = rng.sample(range(m), m)
+    rays = [base.rays[i] for i in perm]
+    rows = [[coeffs[i] for i in perm] for coeffs, _ in base.relations]
+    k = len(rows)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(0, 4) if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    else:
+        mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        rows = [[sum(mix[i][l] * rows[l][c] for l in range(k)) for c in range(m)]
+                for i in range(k)]
+    names = [None if rng.random() < 0.2 else p for _, p in base.relations]
+    relations = [(tuple(r), p) for r, p in zip(rows, names)]
+    if rng.random() < 0.1:
+        relations.pop()
+    if rng.random() < 0.5:
+        basis = tuple(perm.index(b) for b in base.basis)
+    else:
+        basis = tuple(rng.sample(range(m), n))
+    return n, rays, relations, basis
+
+
+def _built(spec):
+    built = build_superpotential(spec)
+    return built.w, built.ray_terms
+
+
+def _outcome(build, spec):
+    try:
+        w, ray_terms = build(spec)
+    except PolyError as exc:
+        return type(exc).__name__, str(exc)
+    return "built", str(w), [str(t) for t in ray_terms]
+
+
+def test_superpotential_matches_the_augmented_elimination():
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(240):
+        try:
+            spec = ToricSpec(*_seeded_fan(rng))
+        except NonUnimodularBasis:
+            seen.add("non-unimodular")
+            continue
+        got = _outcome(_built, spec)
+        assert got == _outcome(_augmented_superpotential, spec), spec
+        seen.add(got[0] if got[0] == "built" else got[1].split()[0])
+    # besides a non-unimodular basis, every outcome occurs: built, too few
+    # relations ("need"), a singular A_nb ("relations") and fractional
+    # parameter powers ("ray")
+    assert seen == {"non-unimodular", "built", "need", "relations", "ray"}, seen
+
+
+def _det(rows):
+    """Exact determinant of a square integer matrix."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def test_inverse_matches_det_and_inverts():
+    rng = random.Random(61)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+        det, inverse = mirror._inverse(rows)
+        assert det == _det(rows), rows
+        if det == 0:
+            singular += 1
+            assert inverse is None
+            continue
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]
+                for row in rows] == identity, rows
+    assert 50 <= singular <= 250, singular

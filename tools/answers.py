@@ -17,9 +17,16 @@ Items, each line "<key>\t<answer>":
   * mirror.critical_values (count, eliminant, distinctness) of P1-P4, F1
     and dP6 at seeded rational parameters, and
     mirror.fiber_cardinality of P1 at each draw and values -3..3;
+  * mirror.build_superpotential (W and ray terms, or the error) of seeded
+    fans: P1-P4, F1 and dP6 with permuted rays, mixed relations and
+    random bases;
+  * mirror.critical_values of bare Laurent potentials in one and two
+    variables, errors included;
   * CLI output, human and machine: `cok <object>` for every corpus
-    object, `hom --oracle` on every 41st corpus pair, `mirror-values` of
-    each preset at seeded parameters and a few `mirror-fiber` calls.
+    object, also with `--upto` 4 and 24, `hom --oracle` on every 41st
+    corpus pair, `mirror-build` of each preset and P4, `mirror-count` and
+    `mirror-values` of each preset (and `mirror-count` of P4) at seeded
+    parameters, and a few `mirror-fiber` calls.
 """
 
 from __future__ import annotations
@@ -30,14 +37,21 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from mfcat import corpus, hom, mf, mirror, oracle
+from mfcat import corpus, files, hom, mf, mirror, oracle
 from mfcat.cli import main
 from mfcat.matrix import PolyMatrix
-from mfcat.poly import PolyError, PrimeField, QQ, RingContext
+from mfcat.poly import PolyError, PrimeField, QQ, RingContext, parse_laurent
 
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
+FAN_DRAWS = 240
 IDEAL_DRAWS = 40
+LAURENT = {
+    ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
+              "Y1^2 - 2*Y1 + 1", "2/3*Y1^-3 + Y1^2 - 5/2*Y1", "Y1", "5"),
+    ("Y1", "Y2"): ("Y1 + Y2 + Y1^-1*Y2^-1", "Y1 + Y1^-1", "Y1^2*Y2^-1 + Y2 + Y1^-1",
+                   "Y1 + Y2 + 3*Y1^-2*Y2^-1 - Y2^-2", "Y1*Y2 + Y1^-1 + 1/2*Y2^-1"),
+}
 
 
 def _hom_text(rep):
@@ -120,6 +134,65 @@ def _mirror_items():
                 except PolyError as exc:
                     answer = "%s: %s" % (type(exc).__name__, exc)
                 yield "fiber_cardinality %s value=%d" % (key, value), str(answer)
+    for variables, texts in LAURENT.items():
+        ring = RingContext(variables, QQ)
+        for text in texts:
+            try:
+                report = mirror.critical_values(parse_laurent(ring, text))
+                answer = "%d %s %s" % (report.count, report.value_polynomial,
+                                       report.distinct_values)
+            except PolyError as exc:
+                answer = "%s: %s" % (type(exc).__name__, exc)
+            yield "critical_values bare %s" % text, answer
+
+
+def _fan(name):
+    return mirror.projective_space(4) if name == "P4" else mirror.preset(name)
+
+
+def _seeded_fan(rng):
+    """A fan of MIRROR_FANS with its rays permuted, its relations mixed by
+    elementary row operations or by a random integer matrix (which may be
+    singular or give fractional parameter powers), a fifth of the names
+    dropped, one relation in ten missing, and half the time a random
+    basis (which may not be unimodular).  Returns (name, ToricSpec args)."""
+    name = rng.choice(MIRROR_FANS)
+    base = _fan(name)
+    m, n = len(base.rays), base.dimension
+    perm = rng.sample(range(m), m)
+    rays = [base.rays[i] for i in perm]
+    rows = [[coeffs[i] for i in perm] for coeffs, _ in base.relations]
+    k = len(rows)
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(0, 4) if k > 1 else 0):
+            i, j = rng.sample(range(k), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    else:
+        mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        rows = [[sum(mix[i][l] * rows[l][c] for l in range(k)) for c in range(m)]
+                for i in range(k)]
+    names = [None if rng.random() < 0.2 else p for _, p in base.relations]
+    relations = [(tuple(r), p) for r, p in zip(rows, names)]
+    if rng.random() < 0.1:
+        relations.pop()
+    if rng.random() < 0.5:
+        basis = tuple(perm.index(b) for b in base.basis)
+    else:
+        basis = tuple(rng.sample(range(m), n))
+    return name, (n, rays, relations, basis)
+
+
+def _fan_items():
+    rng = random.Random("fans")
+    for i in range(FAN_DRAWS):
+        name, args = _seeded_fan(rng)
+        try:
+            built = mirror.build_superpotential(mirror.ToricSpec(*args))
+            answer = "%s | %s" % (built.w, " ; ".join(str(t) for t in built.ray_terms))
+        except PolyError as exc:
+            answer = "%s: %s" % (type(exc).__name__, exc)
+        yield "build_superpotential %d %s %r" % (i, name, args), answer
 
 
 def items():
@@ -142,8 +215,13 @@ def items():
             yield "oracle %r %s %s" % (field, ns, nt), repr(oracle.hom_dims_truncated(s, t))
         yield from _ideal_items(field)
     yield from _mirror_items()
-    runner = CliRunner()
-    commands = [["cok", name] for name, _ in objects]
+    yield from _fan_items()
+    yield from _cli_items(objects)
+
+
+def _cli_items(objects):
+    commands = [["cok", name] + upto for upto in ([], ["--upto", "4"], ["--upto", "24"])
+                for name, _ in objects]
     commands += [["hom", "--oracle", ns, nt] for ns, nt, _, _ in corpus.hom_pairs()[::41]]
     rng = random.Random("cli")
     for name in sorted(mirror.PRESETS):
@@ -153,10 +231,21 @@ def items():
                         + [arg for p in params for arg in ("--param", p)])
     for q, at in (("9/4", "0"), ("9/4", "3"), ("1", "7/2")):
         commands.append(["mirror-fiber", "--preset", "P1", "--param", "q=" + q, "--at", at])
-    for args in commands:
-        for fmt in ("human", "machine"):
-            res = runner.invoke(main, ["--format", fmt] + args)
-            yield "%s %s %s" % (args[0], fmt, " ".join(args[1:])), repr((res.exit_code, res.output))
+    rng = random.Random("cli/mirror")
+    for fan in sorted(mirror.PRESETS) + ["P4"]:
+        where = ["P4.json"] if fan == "P4" else ["--preset", fan]
+        params = ["%s=%d/%d" % (p, rng.randint(1, 12), rng.randint(1, 12))
+                  for p in mirror.build_superpotential(_fan(fan)).param_names]
+        commands.append(["mirror-build"] + where)
+        commands.append(["mirror-count"] + where + [arg for p in params for arg in ("--param", p)])
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        files.save("P4.json", files.toric_to_doc(_fan("P4")))
+        for args in commands:
+            for fmt in ("human", "machine"):
+                res = runner.invoke(main, ["--format", fmt] + args)
+                yield ("%s %s %s" % (args[0], fmt, " ".join(args[1:])),
+                       repr((res.exit_code, res.output)))
 
 
 if __name__ == "__main__":
