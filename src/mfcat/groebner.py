@@ -47,11 +47,12 @@ the dict of pending terms sits a heap of (position, descending order key,
 term), so each term's order key is computed once, when it enters the
 dict, and not on every step.  A term that cancels leaves a stale heap
 entry, skipped when popped; a processed term never comes back, because a
-reduction step adds only terms smaller than the one it removes.  The
-divisors are indexed by lead position, in list order within a position,
-so the divisor used is the first listed one whose lead divides: that
-choice fixes remainders and membership witnesses, which, unlike reduced
-bases, depend on it.
+reduction step adds only terms smaller than the one it removes.  So a
+remainder leaves _divide in descending order, and the lead of a new basis
+element is its first term, not recomputed.  The divisors are indexed by
+lead position, in list order within a position, so the divisor used is
+the first listed one whose lead divides: that choice fixes remainders and
+membership witnesses, which, unlike reduced bases, depend on it.
 
 Over Q the kernel computes over Z, as Singular does with primitive
 normal forms and content removal (Greuel-Pfister, A Singular
@@ -167,13 +168,14 @@ def _exps_add(a, b):
 
 
 class _Elem:
-    """A divisor: over Q primitive over Z with a positive lead, over F_p monic."""
+    """A divisor with lead term `lt`: over Q primitive over Z with a
+    positive lead, over F_p monic."""
 
     __slots__ = ("terms", "lt", "lc")
 
-    def __init__(self, terms, key, fld):
+    def __init__(self, terms, lt, fld):
         self.terms = terms
-        self.lt = max(terms, key=key)
+        self.lt = lt
         self.normalise(fld)
 
     def normalise(self, fld):
@@ -295,8 +297,8 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     active = []  # indices of the elements that still form new pairs
     pairs = []   # heap of (lcm degree, i, j, lcm)
 
-    def insert(terms):
-        e = _Elem(terms, key, fld)
+    def insert(terms, lt):
+        e = _Elem(terms, lt, fld)
         if e.lt[0] >= rank and not syzygies:
             return
         pos, h = e.lt
@@ -328,13 +330,13 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
 
     for terms in inputs:
         if terms:
-            insert(_clear(terms, fld)[0])
+            insert(_clear(terms, fld)[0], max(terms, key=key))
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
         rem = _s_remainder(ring, basis[i], basis[j], lcm, index)
         if rem:
-            insert(rem)
+            insert(rem, next(iter(rem)))  # remainders come out descending
 
     return basis
 
@@ -488,7 +490,7 @@ def _divisor_index(G, ring):
         if g.is_zero:
             continue
         terms, _ = _clear({(0, e): c for e, c in g.terms.items()}, ring.field)
-        elems.append(_Elem(terms, key, ring.field))
+        elems.append(_Elem(terms, max(terms, key=key), ring.field))
     return _index(elems), ring
 
 
@@ -553,13 +555,14 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     """
     r = ambient_rank
     inputs = _track([_vector_to_terms(tuple(v), ring, r) for v in vectors], r, ring)
-    key = _term_key(ring)
     image, syz = [], []
     for e in _buchberger_core(ring, inputs, r, syzygies=True):
-        if e.lt[0] < r:  # strip the e-block: its tails need no reducing
-            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, key, ring.field))
-        else:
-            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()}, key, ring.field))
+        pos, exps = e.lt
+        if pos < r:  # strip the e-block: its tails need no reducing
+            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, e.lt, ring.field))
+        else:  # a lead in the e-block puts every term there
+            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()},
+                             (pos - r, exps), ring.field))
     return (GroebnerBasis(ring, r, _reduce(ring, image)),
             GroebnerBasis(ring, len(inputs), _reduce(ring, syz)))
 

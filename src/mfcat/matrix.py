@@ -8,6 +8,7 @@ linear relation among the powers of W with it.
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 from .poly import Polynomial, PrimeField, RingMismatch
 
@@ -132,34 +133,41 @@ class PolyMatrix:
         return PolyMatrix(self.ring, self.rows, self.cols, [-p for p in self.entries])
 
     def __matmul__(self, other):
+        """The matrix product.  Each output entry is summed in one term dict
+        with the field's add and mul and becomes one Polynomial; zero entries
+        of self are skipped."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.ring.zero()
-        out = [zero] * (self.rows * other.cols)
-        # sparse-friendly: walk nonzero entries of self only
+        ring = self.ring
+        plus, times = ring.field.add, ring.field.mul
+        n, m = self.cols, other.cols
+        zero = ring.zero()
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            obase = i * other.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero:
-                    continue
-                kbase = k * other.cols
-                for j in range(other.cols):
-                    b = other.entries[kbase + j]
-                    if b.is_zero:
-                        continue
-                    out[obase + j] = out[obase + j] + a * b
-        return PolyMatrix(self.ring, self.rows, other.cols, out)
+            row = [(k, a.terms) for k, a in enumerate(self.entries[i * n:(i + 1) * n])
+                   if a.terms]
+            for j in range(m):
+                acc = {}
+                for k, a in row:
+                    for eb, cb in other.entries[k * m + j].terms.items():
+                        for ea, ca in a.items():
+                            e = tuple(map(add, ea, eb))
+                            old = acc.get(e)
+                            if old is None:
+                                acc[e] = times(ca, cb)
+                            else:
+                                s = plus(old, times(ca, cb))
+                                if s:
+                                    acc[e] = s
+                                else:
+                                    del acc[e]
+                out.append(Polynomial(ring, acc) if acc else zero)
+        return PolyMatrix(ring, self.rows, m, out)
 
     def scale(self, poly: Polynomial) -> "PolyMatrix":
         return PolyMatrix(self.ring, self.rows, self.cols, [p * poly for p in self.entries])
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.ring, self.cols, self.rows,
-                          [self.get(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product, row-major convention."""

@@ -204,13 +204,17 @@ def test_hom_dims_runs_buchberger_once_per_differential(monkeypatch):
 FIELDS = (QQ, PrimeField(32749))
 
 
+def _transpose(m):
+    return PolyMatrix(m.ring, m.cols, m.rows, [p for j in range(m.cols) for p in m.column(j)])
+
+
 def _kron_differentials(source, target):
     """D_even and D_odd as Kronecker products of identities with the
     structure matrices, in blocks: the formulas the placement replaces."""
     ring = source.ring
     eye_s = PolyMatrix.identity(ring, source.rank)
     eye_t = PolyMatrix.identity(ring, target.rank)
-    e0t, e1t = source.e0.transpose(), source.e1.transpose()
+    e0t, e1t = _transpose(source.e0), _transpose(source.e1)
     f0, f1 = target.e0, target.e1
     d_even = PolyMatrix.block([[-(eye_t.kron(e0t)), f0.kron(eye_s)],
                                [f1.kron(eye_s), -(eye_t.kron(e1t))]])

@@ -333,19 +333,67 @@ def test_matrix_products_and_kron():
     assert k.get(2, 2) == x
     ident = PolyMatrix.identity(R, 3)
     assert (ident @ ident) == ident
+    with pytest.raises(ValueError, match=r"shape mismatch in matrix product: 2x2 @ 3x3"):
+        a @ ident
+    with pytest.raises(RingMismatch, match="matrices over different rings"):
+        a @ PolyMatrix.identity(ring("x", "y", field=PrimeField(7)), 2)
+    for field in (QQ, PrimeField(32749)):
+        _check_seeded_products(field)
 
 
-def test_matrix_block_and_transpose():
+def _naive_product(a, b):
+    """a @ b as sums of Polynomial products, entry by entry."""
+    R = a.ring
+    return PolyMatrix(R, a.rows, b.cols,
+                      [sum((a.get(i, k) * b.get(k, j) for k in range(a.cols)), R.zero())
+                       for i in range(a.rows) for j in range(b.cols)])
+
+
+def _check_seeded_products(field):
+    rng = random.Random("products/%r" % (field,))
+    R = ring("x", "y", field=field)
+    x, y = R.gens()
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 5)] if field == QQ else [1, 2, 32748, 32747]
+
+    def entry():
+        if rng.random() < 0.3:
+            return R.zero()
+        return sum((R.constant(rng.choice(coeffs)) * x ** rng.randint(0, 2) * y ** rng.randint(0, 2)
+                    for _ in range(rng.randint(1, 3))), R.zero())
+
+    def matrix(rows, cols):
+        return PolyMatrix(R, rows, cols, [entry() for _ in range(rows * cols)])
+
+    cancelled = 0  # nonzero entries of a @ b that [a | a] @ [b ; -b] cancels
+    for _ in range(60):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = matrix(n, k), matrix(k, m)
+        ab = a @ b
+        assert (ab.rows, ab.cols) == (n, m)
+        assert ab == _naive_product(a, b)
+        if k:
+            c, d = PolyMatrix.block([[a, a]]), PolyMatrix.block([[b], [-b]])
+            assert (c @ d).is_zero and _naive_product(c, d).is_zero
+            cancelled += sum(1 for p in ab.entries if not p.is_zero)
+    assert cancelled > 0
+    assert PolyMatrix.zeros(R, 0, 3) @ matrix(3, 2) == PolyMatrix.zeros(R, 0, 2)
+    assert matrix(2, 0) @ PolyMatrix.zeros(R, 0, 3) == PolyMatrix.zeros(R, 2, 3)
+    zero_row = PolyMatrix.block([[PolyMatrix.zeros(R, 1, 3)], [matrix(2, 3)]])
+    b = matrix(3, 2)
+    assert zero_row @ b == _naive_product(zero_row, b)
+    assert (zero_row @ b).row(0) == [R.zero(), R.zero()]
+
+
+def test_matrix_block():
     R = ring("x")
     x, = R.gens()
     a = PolyMatrix.scalar(x, 2)
-    z = PolyMatrix.zeros(R, 2, 1)
     c = PolyMatrix.from_rows(R, [[x**2], [R.one()]])
-    blk = PolyMatrix.block([[a, c], [z.transpose(), PolyMatrix.from_rows(R, [[x]])]])
+    blk = PolyMatrix.block([[a, c], [PolyMatrix.zeros(R, 1, 2), PolyMatrix.from_rows(R, [[x]])]])
     assert blk.rows == 3 and blk.cols == 3
     assert blk.get(0, 2) == x**2
     assert blk.get(2, 2) == x
-    assert blk.transpose().get(2, 0) == x**2
+    assert blk.get(2, 0).is_zero and blk.get(2, 1).is_zero
     with pytest.raises(ValueError):
         PolyMatrix.block([[a, PolyMatrix.zeros(R, 3, 1)]])
 

@@ -22,9 +22,14 @@ Items, each line "<key>\t<answer>":
     random bases;
   * mirror.critical_values of bare Laurent potentials in one and two
     variables, errors included;
+  * the documents of mf.compose of seeded corpus morphisms over Q and
+    over F_32749: g o f for hom basis representatives f: X -> Y and
+    g: Y -> Z, each a seeded combination of the basis;
   * CLI output, human and machine: `cok <object>` for every corpus
     object, also with `--upto` 4 and 24, `hom --oracle` on every 41st
-    corpus pair, `mirror-build` of each preset and P4, `mirror-count` and
+    corpus pair, `tensor` of seeded corpus pairs in disjoint variables,
+    `cone` of the identity of every corpus object and of each seeded
+    composite over Q, `mirror-build` of each preset and P4, `mirror-count` and
     `mirror-values` of each preset (and `mirror-count` of P4) at seeded
     parameters, and a few `mirror-fiber` calls.
 """
@@ -45,6 +50,8 @@ from mfcat.poly import PolyError, PrimeField, QQ, RingContext, parse_laurent
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
 FAN_DRAWS = 240
+TENSOR_DRAWS = 40
+COMPOSE_DRAWS = 20
 IDEAL_DRAWS = 40
 LAURENT = {
     ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
@@ -195,6 +202,36 @@ def _fan_items():
         yield "build_superpotential %d %s %r" % (i, name, args), answer
 
 
+def _combination(rng, reps, source, target):
+    """A seeded combination of hom basis representatives, with coefficients
+    in -3..3, as an MFMorphism source -> target."""
+    ring = source.ring
+    p1 = p0 = PolyMatrix.zeros(ring, target.rank, source.rank)
+    for rep in reps:
+        c = ring.constant(rng.randint(-3, 3))
+        p1, p0 = p1 + rep.p1.scale(c), p0 + rep.p0.scale(c)
+    return mf.MFMorphism(source, target, p1, p0)
+
+
+def _composites(field):
+    """COMPOSE_DRAWS seeded (name of X, of Y, of Z, g o f) with f: X -> Y
+    and g: Y -> Z drawn from the even hom bases of corpus pairs."""
+    rng = random.Random("compose/%r" % (field,))
+    pairs = corpus.hom_pairs(field)
+    targets = {}
+    for ns, nt, _, t in pairs:
+        targets.setdefault(ns, []).append((nt, t))
+    out = []
+    while len(out) < COMPOSE_DRAWS:
+        nx, ny, x, y = rng.choice(pairs)
+        nz, z = rng.choice(targets[ny])
+        f_reps, g_reps = hom.hom_dims(x, y).basis_even, hom.hom_dims(y, z).basis_even
+        if f_reps and g_reps:
+            f, g = _combination(rng, f_reps, x, y), _combination(rng, g_reps, y, z)
+            out.append((nx, ny, nz, mf.compose(g, f)))
+    return out
+
+
 def items():
     for field in (QQ, PrimeField(32749)):
         for ns, nt, s, t in corpus.hom_pairs(field):
@@ -214,14 +251,28 @@ def items():
         for ns, nt, s, t in corpus.hom_pairs(field)[::4]:
             yield "oracle %r %s %s" % (field, ns, nt), repr(oracle.hom_dims_truncated(s, t))
         yield from _ideal_items(field)
+    composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
+    for field, drawn in composites.items():
+        for nx, ny, nz, h in drawn:
+            yield ("compose %r %s %s %s" % (field, nx, ny, nz),
+                   repr(files.dumps(files.morphism_to_doc(h, nx, nz))))
     yield from _mirror_items()
     yield from _fan_items()
-    yield from _cli_items(objects)
+    yield from _cli_items(objects, composites[QQ])
 
 
-def _cli_items(objects):
+def _cli_items(objects, composites):
     commands = [["cok", name] + upto for upto in ([], ["--upto", "4"], ["--upto", "24"])
                 for name, _ in objects]
+    rng = random.Random("cli/tensor")
+    disjoint = [[a, b] for a, x in objects for b, y in objects
+                if not set(x.ring.variables) & set(y.ring.variables)]
+    commands += [["tensor"] + pair for pair in rng.sample(disjoint, TENSOR_DRAWS)]
+    morphisms = {"id(%s).json" % name: files.morphism_to_doc(mf.identity_morphism(x), name, name)
+                 for name, x in objects}
+    for i, (nx, ny, nz, h) in enumerate(composites):
+        morphisms["compose%d(%s,%s,%s).json" % (i, nx, ny, nz)] = files.morphism_to_doc(h, nx, nz)
+    commands += [["cone", path] for path in morphisms]
     commands += [["hom", "--oracle", ns, nt] for ns, nt, _, _ in corpus.hom_pairs()[::41]]
     rng = random.Random("cli")
     for name in sorted(mirror.PRESETS):
@@ -241,6 +292,8 @@ def _cli_items(objects):
     runner = CliRunner()
     with runner.isolated_filesystem():
         files.save("P4.json", files.toric_to_doc(_fan("P4")))
+        for path, doc in morphisms.items():
+            files.save(path, doc)
         for args in commands:
             for fmt in ("human", "machine"):
                 res = runner.invoke(main, ["--format", fmt] + args)
