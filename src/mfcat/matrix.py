@@ -213,11 +213,12 @@ class PolyMatrix:
 class RowEchelon:
     """Row-echelon accumulator over sparse rows (dict column -> nonzero int).
 
-    Each row is reduced against the stored pivot rows, smallest column
-    first, and stored at its smallest remaining column.  The elimination
-    is fraction-free (Bareiss, Math. Comp. 22, 1968): a row whose entry at
-    a stored pivot column is a meets that pivot row p, with leading entry
-    b, as r <- (b/g) r - (a/g) p for g = gcd(a, b).  Over Q a row is
+    Columns are any ints, negative ones included.  Each row is reduced
+    against the stored pivot rows, smallest column first, and stored at
+    its smallest remaining column.  The elimination is fraction-free
+    (Bareiss, Math. Comp. 22, 1968): a row whose entry at a stored pivot
+    column is a meets that pivot row p, with leading entry b, as
+    r <- (b/g) r - (a/g) p for g = gcd(a, b).  Over Q a row is
     stored primitive: divided by the gcd of its entries, signed to lead
     positive; a row with denominators is entered as its multiple by their
     lcm (``poly.integer_multiple``).  Over F_p the rows hold ints in

@@ -6,21 +6,28 @@ d and solving finite exact linear systems, raising d until consecutive
 answers agree.  They share no code with the basis engine, which is the
 point: agreement is evidence, disagreement is a bug.
 
+All three eliminate images.  A vector v of polynomials in slots u has
+the images x^m v, and one echelon per call holds every image entered so
+far, each entered once: a scan that raises d enters only the images new
+at d.  Coordinate (u, m') is a column that runs by deg m' descending:
+its order of first appearance minus deg m' * 2**48.  A stored row's
+pivot, its smallest column, is then a coordinate of its top degree, so
+for every d at once the images' span meets degree <= d in the span of
+the stored rows whose pivot has degree <= d.
+
 Hom dimensions at degree d: both differentials d_even and d_odd of the
 Hom complex are n x n, acting on the same unknowns (t, m), slot t times
-a monomial m of degree <= d.  Each differential D is eliminated once,
-rows of output degree > d first: the rank read after those rows is
-rank_high(D), the rank after all rows is rank_all(D).  The truncated
-cycles of D number unknowns - rank_all(D), and the boundaries D x that
-lie in degree <= d number rank_all(D) - rank_high(D), so
+a monomial m of degree <= d, whose image under D is column t of D times
+m.  The truncated cycles of D number unknowns - rank(D), and the
+boundaries D x lying in degree <= d number boundaries(D, d), the pivots
+of degree <= d, so
 
-    h0 = (unknowns - rank_all(d_even)) - (rank_all(d_odd) - rank_high(d_odd))
-    h1 = (unknowns - rank_all(d_odd)) - (rank_all(d_even) - rank_high(d_even)).
+    h0 = (unknowns - rank(d_even)) - boundaries(d_odd, d)
+    h1 = (unknowns - rank(d_odd)) - boundaries(d_even, d).
 
-Every system is solved on ints: over Q a matrix row or a generator is
-first multiplied by the lcm of its denominators, which changes no rank,
-and ``RowEchelon`` eliminates fraction-free; over F_p the coefficients
-are ints mod p already.
+Every system is solved on ints: over Q a vector is first multiplied by
+the lcm of its denominators, which changes no span, and ``RowEchelon``
+eliminates fraction-free; over F_p the coefficients are ints mod p already.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from operator import add
 
-from .matrix import PolyMatrix, RowEchelon
-from .poly import PolyError, integer_multiple
+from .matrix import RowEchelon
+from .poly import PolyError, RingMismatch, integer_multiple
 from . import hom as hommod
+
+_DEGREE = 1 << 48  # column offset of one degree; more than any count of coordinates
 
 
 class OracleDiverged(PolyError):
@@ -44,48 +53,37 @@ def _monomials_upto(nvars, d):
             for k in range(d + 1) for c in combinations_with_replacement(range(nvars), k)]
 
 
-def _matrix_rows(matrix, monos):
-    """Linear action of a PolyMatrix on entry-wise truncated unknowns.
-
-    Unknown (t, m), slot t of the vector times monomial m, is column
-    t * len(monos) + (the index of m in monos).  Returns a dict mapping
-    output coordinates (u, m') to sparse row dicts of ints.  Over Q each
-    matrix row u is first multiplied by the lcm of its denominators, which
-    scales the rows (u, .) by one nonzero factor and leaves every rank
-    alone.  Column (t, m) meets row (u, m') through at most one term of
-    entry (u, t), so an entry is written once and never accumulated.
-    """
-    rows = {}
-    shifted = {}  # exponent alpha -> [m + alpha for m in monos]
-    n = len(monos)
-    for u in range(matrix.rows):
-        terms, _ = integer_multiple({(t, alpha): c for t, p in enumerate(matrix.row(u))
-                                     for alpha, c in p.terms.items()})
-        for (t, alpha), c in terms.items():
-            outs = shifted.get(alpha)
-            if outs is None:
-                outs = shifted[alpha] = [tuple(map(add, m, alpha)) for m in monos]
-            for col, out_m in enumerate(outs, t * n):
-                row = rows.get((u, out_m))
-                if row is None:
-                    row = rows[(u, out_m)] = {}
-                row[col] = c
-    return rows
+def _check_count(name, value, least=0):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
+    if value < least:
+        raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
-def _high_and_full_rank(matrix, monos, d):
-    """Ranks of the rows of output degree > d and of all rows, in one pass."""
-    rows = _matrix_rows(matrix, monos)
-    keys = sorted(rows)
-    tracker = RowEchelon(matrix.ring.field)
-    for key in keys:
-        if sum(key[1]) > d:
-            tracker.insert(rows[key])
-    rank_high = tracker.rank
-    for key in keys:
-        if sum(key[1]) <= d:
-            tracker.insert(rows[key])
-    return rank_high, tracker.rank
+class _Images:
+    """Row echelon of the images x^m v of vectors v, lists of polynomials."""
+
+    def __init__(self, field, vectors):
+        self.echelon = RowEchelon(field)
+        self._vectors = [integer_multiple({(u, alpha): c for u, p in enumerate(v)
+                                           for alpha, c in p.terms.items()})[0].items()
+                         for v in vectors]
+        self._columns = {}  # coordinate (u, m') -> column
+
+    def insert(self, i, m):
+        """Enter x^m times vector i; its new pivot column, or None."""
+        columns, row = self._columns, {}
+        for (u, alpha), c in self._vectors[i]:
+            key = (u, tuple(map(add, m, alpha)))
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = len(columns) - sum(key[1]) * _DEGREE
+            row[col] = c
+        return self.echelon.insert(row)
+
+    def boundaries(self, d):
+        """The dimension of the entered images' span in degree <= d."""
+        return sum(c >= -d * _DEGREE for c in self.echelon.pivots)
 
 
 def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau=3):
@@ -96,19 +94,28 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     high-degree entries may be invisible, producing a spuriously stable
     reading.  The answer is accepted once `plateau` consecutive degrees agree.
     """
-    H = hommod.hom_complex(source, target, check=False)
     if start_degree is None:
         start_degree = max(1, source.w.total_degree())
+    _check_count("start_degree", start_degree)
+    _check_count("max_degree", max_degree)
+    _check_count("plateau", plateau, 1)
+    H = hommod.hom_complex(source, target, check=False)
+    n = H.d_even.cols
+    even, odd = (_Images(source.ring.field, D.columns()) for D in (H.d_even, H.d_odd))
+    entered = 0  # monomials whose unknowns are in both echelons
     prev = None
     streak = 1
     d = start_degree
     while d <= max_degree:
         monos = _monomials_upto(source.ring.nvars, d)
-        even_high, even_all = _high_and_full_rank(H.d_even, monos, d)
-        odd_high, odd_all = _high_and_full_rank(H.d_odd, monos, d)
-        unknowns = H.d_even.cols * len(monos)
-        cur = (unknowns - even_all - (odd_all - odd_high),
-               unknowns - odd_all - (even_all - even_high))
+        for m in monos[entered:]:
+            for t in range(n):
+                even.insert(t, m)
+                odd.insert(t, m)
+        entered = len(monos)
+        unknowns = n * entered
+        cur = (unknowns - even.echelon.rank - odd.boundaries(d),
+               unknowns - odd.echelon.rank - even.boundaries(d))
         if cur == prev:
             streak += 1
             if streak >= plateau:
@@ -122,26 +129,26 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
 
 def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
     """dim of A/<gens> by truncation; raises OracleDiverged at the cap."""
+    _check_count("start_degree", start_degree)
+    _check_count("max_degree", max_degree)
     gens = [g for g in gens if not g.is_zero]
     if ring is None:
         if not gens:
             raise ValueError("cannot infer the ring")
         ring = gens[0].ring
-    # each generator times the lcm of its denominators: the same ideal
-    cleared = [(g.total_degree(), integer_multiple(g.terms)[0]) for g in gens]
+    images = _Images(ring.field, [[g] for g in gens])
+    degrees = [g.total_degree() for g in gens]
+    entered = -1  # the multiples x^m g of degree <= entered are in the echelon
     prev = None
     d = start_degree
     while d <= max_degree:
         monos = _monomials_upto(ring.nvars, d)
-        mono_index = {m: i for i, m in enumerate(monos)}
-        tracker = RowEchelon(ring.field)
-        for gdeg, terms in cleared:
+        for i, gdeg in enumerate(degrees):
             for m in monos:
-                if sum(m) + gdeg > d:
-                    continue
-                tracker.insert({mono_index[tuple(map(add, m, alpha))]: c
-                                for alpha, c in terms.items()})
-        cur = len(monos) - tracker.rank
+                if entered < sum(m) + gdeg <= d:
+                    images.insert(i, m)
+        entered = d
+        cur = len(monos) - images.echelon.rank
         if prev is not None and cur == prev:
             return cur
         prev = cur
@@ -152,26 +159,19 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
 def ideal_member_linear(f, gens, quotient_degree) -> bool:
     """Is f = sum q_i g_i solvable with deg q_i <= quotient_degree?
 
-    Solves the exact linear system directly; never builds a basis.
+    Solves the exact linear system directly; never builds a basis: f is
+    a member iff it adds no pivot to the echelon of the products x^m g_i.
     """
     ring = f.ring
     gens = [g for g in gens if not g.is_zero]
+    if any(g.ring != ring for g in gens):
+        raise RingMismatch("generator in a different ring")
     if f.is_zero:
         return True
     if not gens:
         return False
-    monos = _monomials_upto(ring.nvars, quotient_degree)
-    # equations indexed by output coordinates (0, m'); unknowns by (i, m)
-    equations = _matrix_rows(PolyMatrix(ring, 1, len(gens), gens), monos)
-    rhs_col = len(gens) * len(monos)  # augmented column, sorted last
-    # The one row u = 0 scales every equation alike, so the system is
-    # [D A | f] up to that factor; f enters times the lcm of its own
-    # denominators and with either sign, because a nonzero multiple of the
-    # augmented column leaves the solvability of the system unchanged.
-    for alpha, c in integer_multiple(f.terms)[0].items():
-        equations.setdefault((0, alpha), {})[rhs_col] = c
-    tracker = RowEchelon(ring.field)
-    for key in sorted(equations):
-        tracker.insert(equations[key])
-    # inconsistent iff some pivot landed on the augmented column
-    return rhs_col not in tracker.pivots
+    images = _Images(ring.field, [[g] for g in gens + [f]])
+    for m in _monomials_upto(ring.nvars, quotient_degree):
+        for i in range(len(gens)):
+            images.insert(i, m)
+    return images.insert(len(gens), (0,) * ring.nvars) is None

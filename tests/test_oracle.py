@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from mfcat.poly import QQ, RingContext, RingMismatch
+from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch, integer_multiple
 from mfcat.groebner import buchberger, quotient_dim, ideal_membership, INFINITE
-from mfcat import mf
-from mfcat.hom import hom_dims
+from mfcat import corpus, mf
+from mfcat.hom import hom_complex, hom_dims
+from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.oracle import (
     OracleDiverged, hom_dims_truncated, quotient_dim_truncated,
-    ideal_member_linear,
+    ideal_member_linear, _monomials_upto,
 )
 
 
@@ -133,27 +135,56 @@ def test_oracle_shares_no_code_with_the_basis_engine():
         assert oracle._monomials_upto(nvars, 5) == expected
 
 
-def test_hom_oracle_eliminates_each_differential_once_per_degree(monkeypatch):
-    from mfcat import corpus, oracle
-    made, degrees = [], set()
-    real_tracker, real_monos = oracle.RowEchelon, oracle._monomials_upto
+def test_hom_oracle_inserts_each_image_once(monkeypatch):
+    from mfcat import oracle
+    made, inserts, degrees = [], [], []
+    real_echelon, real_monos = oracle.RowEchelon, oracle._monomials_upto
 
-    class CountingTracker(real_tracker):
+    class CountingEchelon(real_echelon):
         def __init__(self, field):
             made.append(field)
             super().__init__(field)
 
+        def insert(self, row):
+            inserts.append(len(row))
+            return super().insert(row)
+
     def recording_monos(nvars, d):
-        degrees.add(d)
+        degrees.append(d)
         return real_monos(nvars, d)
 
-    monkeypatch.setattr(oracle, "RowEchelon", CountingTracker)
+    monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
     monkeypatch.setattr(oracle, "_monomials_upto", recording_monos)
     src, tgt = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
     assert hom_dims_truncated(src, tgt) == (1, 1)
-    assert degrees == set(range(4, 4 + len(degrees))) and len(degrees) >= 3
-    # one tracker per differential per degree: rank_high, then rank_all
-    assert len(made) == 2 * len(degrees)
+    assert degrees == list(range(4, 4 + len(degrees))) and len(degrees) >= 3
+    # one echelon per differential for the whole scan, and each image
+    # D(e_t m) of an unknown up to the last degree scanned entered once
+    assert len(made) == 2
+    n = hom_complex(src, tgt, check=False).d_even.cols
+    assert len(inserts) == 2 * n * len(real_monos(src.ring.nvars, degrees[-1]))
+
+
+def test_oracle_refuses_bad_scan_parameters_before_eliminating(monkeypatch):
+    from mfcat import oracle
+
+    def no_echelon(field):
+        raise AssertionError("eliminated before refusing")
+
+    monkeypatch.setattr(oracle, "RowEchelon", no_echelon)
+    src, tgt = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    bad = [({"start_degree": -5}, ValueError), ({"max_degree": -1}, ValueError),
+           ({"start_degree": True}, TypeError), ({"max_degree": 6.0}, TypeError),
+           ({"start_degree": "2"}, TypeError)]
+    for kwargs, error in bad + [({"plateau": 0}, ValueError), ({"plateau": -2}, ValueError),
+                                ({"plateau": False}, TypeError), ({"plateau": 2.5}, TypeError)]:
+        with pytest.raises(error):
+            hom_dims_truncated(src, tgt, **kwargs)
+    for kwargs, error in bad + [({"start_degree": -4}, ValueError)]:
+        with pytest.raises(error):
+            quotient_dim_truncated([x**3, y**3], R, **kwargs)
 
 
 def test_hom_oracle_agrees_over_a_prime_field():
@@ -202,7 +233,7 @@ def test_linear_membership_with_rational_coefficients():
         assert ideal_member_linear(f, gens, 2) is expect
 
 
-def test_hom_truncation_with_rational_entries():
+def rational_entry_pairs():
     R = xring()
     x = R.variable("x")
     half = R.constant(Fraction(1, 2))
@@ -211,9 +242,12 @@ def test_hom_truncation_with_rational_entries():
     S = RingContext(("y",), QQ)
     y = S.variable("y")
     G = mf.rank_one(S, y**2, 0, y * Fraction(1, 3), 3 * y)
-    pairs = [(E, E), (E, F), (F, mf.shift(E)),
-             (mf.tensor(E, G), mf.tensor(F, G)), (mf.tensor(F, G), mf.tensor(F, G))]
-    for src, tgt in pairs:
+    return [(E, E), (E, F), (F, mf.shift(E)),
+            (mf.tensor(E, G), mf.tensor(F, G)), (mf.tensor(F, G), mf.tensor(F, G))]
+
+
+def test_hom_truncation_with_rational_entries():
+    for src, tgt in rational_entry_pairs():
         rep = hom_dims(src, tgt)
         assert hom_dims_truncated(src, tgt) == (rep.h0, rep.h1)
 
@@ -235,3 +269,157 @@ def test_oracle_pivot_rows_hold_ints_after_a_corpus_pair(monkeypatch):
         assert hom_dims_truncated(src, tgt) == (1, 1)
         values = [v for e in made for row in e.pivots.values() for v in row.values()]
         assert values and all(type(v) is int for v in values)
+
+
+# The per-degree elimination the oracle used before it entered images
+# incrementally: every degree of a scan rebuilds and re-eliminates its
+# systems from scratch.  It is the reference that every reading of the
+# incremental scans must reproduce.
+
+def _matrix_rows(matrix, monos):
+    """Output coordinate (u, m') -> sparse row of ints over the unknowns
+    (t, m), column t * len(monos) + index of m; each matrix row is first
+    multiplied by the lcm of its denominators."""
+    rows = {}
+    for u in range(matrix.rows):
+        terms, _ = integer_multiple({(t, alpha): c for t, p in enumerate(matrix.row(u))
+                                     for alpha, c in p.terms.items()})
+        for (t, alpha), c in terms.items():
+            for col, m in enumerate(monos, t * len(monos)):
+                rows.setdefault((u, tuple(map(add, m, alpha))), {})[col] = c
+    return rows
+
+
+def _high_and_full_rank(matrix, monos, d):
+    """Ranks of the rows of output degree > d and of all rows, in one pass."""
+    rows = _matrix_rows(matrix, monos)
+    keys = sorted(rows)
+    tracker = RowEchelon(matrix.ring.field)
+    for key in keys:
+        if sum(key[1]) > d:
+            tracker.insert(rows[key])
+    rank_high = tracker.rank
+    for key in keys:
+        if sum(key[1]) <= d:
+            tracker.insert(rows[key])
+    return rank_high, tracker.rank
+
+
+def _reference_hom_dims(source, target, start_degree, plateau, max_degree):
+    H = hom_complex(source, target, check=False)
+    prev, streak = None, 1
+    for d in range(start_degree, max_degree + 1):
+        monos = _monomials_upto(source.ring.nvars, d)
+        even_high, even_all = _high_and_full_rank(H.d_even, monos, d)
+        odd_high, odd_all = _high_and_full_rank(H.d_odd, monos, d)
+        unknowns = H.d_even.cols * len(monos)
+        cur = (unknowns - even_all - (odd_all - odd_high),
+               unknowns - odd_all - (even_all - even_high))
+        if cur == prev:
+            streak += 1
+            if streak >= plateau:
+                return cur
+        else:
+            prev, streak = cur, 1
+    return "diverged"
+
+
+def _reference_quotient_dim(gens, ring, start_degree, max_degree):
+    cleared = [(g.total_degree(), integer_multiple(g.terms)[0]) for g in gens]
+    prev = None
+    for d in range(start_degree, max_degree + 1):
+        monos = _monomials_upto(ring.nvars, d)
+        mono_index = {m: i for i, m in enumerate(monos)}
+        tracker = RowEchelon(ring.field)
+        for gdeg, terms in cleared:
+            for m in monos:
+                if sum(m) + gdeg <= d:
+                    tracker.insert({mono_index[tuple(map(add, m, alpha))]: c
+                                    for alpha, c in terms.items()})
+        cur = len(monos) - tracker.rank
+        if prev is not None and cur == prev:
+            return cur
+        prev = cur
+    return "diverged"
+
+
+def _reference_member(f, gens, quotient_degree):
+    """Solvability of [D A | f], A the row of generators: inconsistent
+    iff a pivot lands on the augmented column, which sorts last."""
+    monos = _monomials_upto(f.ring.nvars, quotient_degree)
+    equations = _matrix_rows(PolyMatrix(f.ring, 1, len(gens), gens), monos)
+    rhs_col = len(gens) * len(monos)
+    for alpha, c in integer_multiple(f.terms)[0].items():
+        equations.setdefault((0, alpha), {})[rhs_col] = c
+    tracker = RowEchelon(f.ring.field)
+    for key in sorted(equations):
+        tracker.insert(equations[key])
+    return rhs_col not in tracker.pivots
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except OracleDiverged:
+        return "diverged"
+
+
+def _seeded_scan(rng):
+    """A start degree in 0..6, a plateau in 1..4 and a cap near the start,
+    sometimes below it."""
+    a = rng.randint(0, 6)
+    return a, rng.randint(1, 4), max(0, a + rng.randint(-1, 7))
+
+
+def test_hom_scan_matches_the_per_degree_reference():
+    rng = random.Random(15)
+    cases = [(s, t) for field in (QQ, PrimeField(32749))
+             for _, _, s, t in rng.sample(corpus.hom_pairs(field), 30)]
+    seen = set()
+    for src, tgt in cases + rational_entry_pairs():
+        for _ in range(3):
+            a, p, b = _seeded_scan(rng)
+            want = _reference_hom_dims(src, tgt, a, p, b)
+            got = _outcome(hom_dims_truncated, src, tgt, start_degree=a, plateau=p, max_degree=b)
+            assert got == want, (src, tgt, a, p, b)
+            seen.add(want == "diverged")
+    assert seen == {True, False}
+
+
+def _seeded_ideal(rng, ring):
+    """x^a and y^b plus lower terms, sometimes with x*y times a random
+    polynomial or without y^b (a quotient of infinite dimension)."""
+    x, y = ring.gens()
+
+    def lower(degree):
+        return sum((ring.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+                    * x**i * y**rng.randint(0, degree - i)
+                    for i in (rng.randint(0, degree) for _ in range(2))), ring.zero())
+
+    a, b = rng.randint(1, 4), rng.randint(1, 4)
+    gens = [x**a + lower(a - 1), y**b + lower(b - 1)]
+    if rng.random() < 0.4:
+        gens.append(x * y * lower(1))
+    if rng.random() < 0.2:
+        del gens[1]
+    return [g for g in gens if not g.is_zero]
+
+
+def test_ideal_scans_match_the_per_degree_reference():
+    rng = random.Random(16)
+    diverged, members = set(), set()
+    for field in (QQ, PrimeField(32749)):
+        R = RingContext(("x", "y"), field)
+        for _ in range(40):
+            gens = _seeded_ideal(rng, R)
+            a, _, b = _seeded_scan(rng)
+            want = _reference_quotient_dim(gens, R, a, b)
+            assert _outcome(quotient_dim_truncated, gens, R, start_degree=a, max_degree=b) == want
+            diverged.add(want == "diverged")
+            member = sum((_seeded_ideal(rng, R)[0] * g for g in gens), R.zero())
+            for f in (member, _seeded_ideal(rng, R)[-1]):
+                q = rng.randint(0, 4)
+                want = _reference_member(f, gens, q)
+                assert ideal_member_linear(f, gens, q) is want
+                members.add(want)
+    assert diverged == members == {True, False}

@@ -11,9 +11,11 @@ Items, each line "<key>\t<answer>":
   * is_null_homotopic witnesses of the identity of every cone of an
     identity, and of d_i W * id_X for every corpus object X and variable i;
   * oracle.hom_dims_truncated on every fourth corpus pair, over Q and
-    over F_32749;
-  * oracle.quotient_dim_truncated and oracle.ideal_member_linear on
-    seeded ideals with rational coefficients in Q[x, y] and F_32749[x, y];
+    over F_32749, and on every 16th at a seeded start degree, plateau
+    and cap (the dimensions, or "diverged");
+  * oracle.quotient_dim_truncated (from start degrees 1 and 0..3) and
+    oracle.ideal_member_linear on seeded ideals with rational
+    coefficients in Q[x, y] and F_32749[x, y];
   * mirror.critical_values (count, eliminant, distinctness) of P1-P4, F1
     and dP6 at seeded rational parameters, and
     mirror.fiber_cardinality of P1 at each draw and values -3..3;
@@ -95,6 +97,27 @@ def _random_poly(ring, rng, degree, terms):
     return out
 
 
+def _diverged_or(oracle_call, *args, **kwargs):
+    """The oracle's answer, or "diverged" when it does not stabilize."""
+    try:
+        return repr(oracle_call(*args, **kwargs))
+    except oracle.OracleDiverged:
+        return repr("diverged")
+
+
+def _oracle_scan_items(field):
+    """hom_dims_truncated on every 16th corpus pair at a seeded start
+    degree in 0..6, plateau in 1..4 and cap in start..start + 8."""
+    rng = random.Random("oracle-scan/%r" % (field,))
+    for ns, nt, s, t in corpus.hom_pairs(field)[::16]:
+        start = rng.randint(0, 6)
+        scan = {"start_degree": start, "plateau": rng.randint(1, 4),
+                "max_degree": start + rng.randint(0, 8)}
+        yield ("oracle-scan %r %s %s %s" % (field, ns, nt,
+                                            " ".join("%s=%d" % kv for kv in sorted(scan.items()))),
+               _diverged_or(oracle.hom_dims_truncated, s, t, **scan))
+
+
 def _ideal_items(field):
     """Seeded ideals: x^a and y^b plus terms of lower degree, and in half
     of them x*y times a random polynomial."""
@@ -108,11 +131,12 @@ def _ideal_items(field):
         if rng.random() < 0.5:
             gens.append(x * y * _random_poly(ring, rng, 1, 2))
         key = "%r %d %s" % (field, n, " , ".join(str(g) for g in gens))
-        try:
-            dim = oracle.quotient_dim_truncated(gens, ring, max_degree=10)
-        except oracle.OracleDiverged:
-            dim = "diverged"
-        yield "quotient_dim_truncated " + key, repr(dim)
+        yield "quotient_dim_truncated " + key, _diverged_or(
+            oracle.quotient_dim_truncated, gens, ring, max_degree=10)
+        for start in range(4):
+            yield ("quotient_dim_truncated start=%d %s" % (start, key),
+                   _diverged_or(oracle.quotient_dim_truncated, gens, ring,
+                                start_degree=start, max_degree=10))
         member = sum((_random_poly(ring, rng, 1, 2) * g for g in gens), ring.zero())
         for f in (member, _random_poly(ring, rng, 3, 3)):
             yield ("ideal_member_linear %s | %s" % (key, f),
@@ -250,6 +274,7 @@ def items():
     for field in (QQ, PrimeField(32749)):
         for ns, nt, s, t in corpus.hom_pairs(field)[::4]:
             yield "oracle %r %s %s" % (field, ns, nt), repr(oracle.hom_dims_truncated(s, t))
+        yield from _oracle_scan_items(field)
         yield from _ideal_items(field)
     composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
     for field, drawn in composites.items():
