@@ -77,7 +77,6 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from operator import add, le, mul, neg, sub
 
@@ -586,38 +585,52 @@ def syzygy_basis_of_vectors(vectors, ambient_rank, ring) -> list:
 # dimension counting
 # ---------------------------------------------------------------------------
 
-def _monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree exactly d, in descending lex
-    order, at a cost proportional to their number times nvars."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    if nvars == 1:
-        return [(d,)]
-    return [(a,) + rest for a in range(d, -1, -1)
-            for rest in _monomials_of_degree(nvars - 1, d - a)]
+def _walk(kernel_leads, image_leads, nvars, upto=None):
+    """The monomials of LT(K) outside LT(I), of degree <= upto when given,
+    as {position: {exponents: index of the first kernel lead dividing it}}.
+    The kernel leads are those of a reduced basis, none of degree > upto.
 
-
-def _lead_difference(kernel_leads, image_leads, nvars, key):
-    """Monomials of LT(K) outside LT(I), sorted by position then `key`, or INFINITE.
-
-    The multiples of a lead k outside LT(I) lie in the box from k up to,
-    in each variable i, the least l_i over leads l of I at k's position
-    with l_j <= k_j for all j != i; with no such l they are infinitely many.
+    From each lead the walk steps by x_j, j never decreasing, and stops at
+    multiples of image leads and at monomials an earlier lead reached; all
+    monomials between the lead and a multiple m outside LT(I) divide m, so
+    m is reached.  Only an image lead l with l_j = m_j + 1 can divide m x_j
+    and not m.  Without upto, INFINITE when at some lead k an x_i is bounded
+    by no image lead l, that is, no l has l_j <= k_j for all j != i.
     """
-    found = set()
-    for pos, k in kernel_leads:
+    found = {}
+    for n, (pos, k) in enumerate(kernel_leads):
         leads = [l for p, l in image_leads if p == pos]
-        ranges = []
-        for i in range(nvars):
-            caps = [l[i] for l in leads
-                    if all(l[j] <= k[j] for j in range(nvars) if j != i)]
-            if not caps:
+        bounded = set()
+        for l in leads:
+            over = [j for j in range(nvars) if l[j] > k[j]]
+            if not over:
+                break  # l divides k
+            if len(over) == 1:
+                bounded.add(over[0])
+        else:
+            if upto is None and len(bounded) < nvars:
                 return INFINITE
-            ranges.append(range(k[i], min(caps)))
-        for m in product(*ranges):
-            if not any(_divides(l, m) for l in leads):
-                found.add((pos, m))
-    return sorted(found, key=lambda t: (t[0], key(t[1])))
+            seen = found.setdefault(pos, {})
+            seen[k] = n
+            stack = [(k, 0, sum(k))]
+            while stack:
+                m, first, degree = stack.pop()
+                if degree == upto:
+                    continue
+                for j in range(first, nvars):
+                    e = m[j] + 1
+                    c = m[:j] + (e,) + m[j + 1:]
+                    if c in seen or any(l[j] == e and _divides(l, c) for l in leads):
+                        continue
+                    seen[c] = n
+                    stack.append((c, j, degree + 1))
+    return found
+
+
+def _standard(G, upto=None):
+    """The _walk of the monomials of A^r outside LT(G)."""
+    units = [(pos, (0,) * G.ring.nvars) for pos in range(G._rank)]
+    return _walk(units, G.leading_terms(), G.ring.nvars, upto)
 
 
 def standard_monomials(G: GroebnerBasis):
@@ -626,20 +639,21 @@ def standard_monomials(G: GroebnerBasis):
     Returns a list of (position, exponent-tuple) sorted by position then
     by the ring's monomial order, ascending.
     """
-    units = [(pos, (0,) * G.ring.nvars) for pos in range(G._rank)]
-    return _lead_difference(units, G.leading_terms(), G.ring.nvars, G.ring.key)
+    found = _standard(G)
+    if found is INFINITE:
+        return INFINITE
+    return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G.ring.key)]
 
 
 def quotient_dim(G: GroebnerBasis):
     """k-dimension of A / ideal (or A^r / module), or INFINITE."""
-    std = standard_monomials(G)
-    if std is INFINITE:
-        return INFINITE
-    return len(std)
+    found = _standard(G)
+    return INFINITE if found is INFINITE else sum(map(len, found.values()))
 
 
-# hilbert_slices enumerates every monomial of degree <= upto, so a range
-# with more of them than this is refused rather than walked.
+# hilbert_slices walks the standard monomials of degree <= upto, at worst
+# every monomial of degree <= upto, so a range with more monomials than
+# this is refused rather than walked.
 HILBERT_MONOMIAL_LIMIT = 10 ** 6
 
 
@@ -656,18 +670,11 @@ def check_hilbert_range(nvars, upto):
 
 def hilbert_slices(G: GroebnerBasis, upto: int = 10):
     """Counts of standard monomials of each exact total degree 0..upto."""
-    nvars = G.ring.nvars
-    check_hilbert_range(nvars, upto)
-    by_pos = {p: [] for p in range(G._rank)}
-    for pos, exps in (e.lt for e in G._elems):
-        by_pos[pos].append(exps)
-    out = []
-    for d in range(upto + 1):
-        monos = _monomials_of_degree(nvars, d)
-        count = 0
-        for leads in by_pos.values():
-            count += sum(1 for m in monos if not any(_divides(l, m) for l in leads))
-        out.append(count)
+    check_hilbert_range(G.ring.nvars, upto)
+    out = [0] * (upto + 1)
+    for monos in _standard(G, upto).values():
+        for m in monos:
+            out[sum(m)] += 1
     return out
 
 
@@ -737,18 +744,18 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
             raise ImageNotInKernel("image element %r lies outside the kernel module"
                                    % (_terms_to_vector(e.terms, ring, ambient_rank, scale=e.lc),))
 
-    std = _lead_difference(kernel_gb.leading_terms(), image_gb.leading_terms(),
-                           ring.nvars, ring.key)
-    if std is INFINITE:
+    found = _walk(kernel_gb.leading_terms(), image_gb.leading_terms(), ring.nvars)
+    if found is INFINITE:
         return INFINITE, []
     if not want_reps:
-        return len(std), []
+        return sum(map(len, found.values())), []
     reps = []
     image_index = _index(image_gb._elems)
-    for pos, exps in std:
-        g = next(e for e in kernel_gb._elems if e.lt[0] == pos and _divides(e.lt[1], exps))
-        mono = _exps_sub(exps, g.lt[1])
-        shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
-        rem, s = _divide(ring, shifted, image_index)
-        reps.append(_terms_to_vector(rem, ring, ambient_rank, scale=g.lc * s))
-    return len(std), reps
+    for pos in sorted(found):
+        for exps in sorted(found[pos], key=ring.key):
+            g = kernel_gb._elems[found[pos][exps]]
+            mono = _exps_sub(exps, g.lt[1])
+            shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
+            rem, s = _divide(ring, shifted, image_index)
+            reps.append(_terms_to_vector(rem, ring, ambient_rank, scale=g.lc * s))
+    return len(reps), reps

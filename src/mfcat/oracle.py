@@ -103,10 +103,8 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     n = H.d_even.cols
     even, odd = (_Images(source.ring.field, D.columns()) for D in (H.d_even, H.d_odd))
     entered = 0  # monomials whose unknowns are in both echelons
-    prev = None
-    streak = 1
-    d = start_degree
-    while d <= max_degree:
+    prev, streak = None, 0
+    for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(source.ring.nvars, d)
         for m in monos[entered:]:
             for t in range(n):
@@ -116,14 +114,10 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
         unknowns = n * entered
         cur = (unknowns - even.echelon.rank - odd.boundaries(d),
                unknowns - odd.echelon.rank - even.boundaries(d))
-        if cur == prev:
-            streak += 1
-            if streak >= plateau:
-                return cur
-        else:
-            prev = cur
-            streak = 1
-        d += 1
+        streak = streak + 1 if cur == prev else 1
+        if streak >= plateau:
+            return cur
+        prev = cur
     raise OracleDiverged("hom dimensions failed to stabilize by degree %d" % max_degree)
 
 
@@ -140,8 +134,7 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
     degrees = [g.total_degree() for g in gens]
     entered = -1  # the multiples x^m g of degree <= entered are in the echelon
     prev = None
-    d = start_degree
-    while d <= max_degree:
+    for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(ring.nvars, d)
         for i, gdeg in enumerate(degrees):
             for m in monos:
@@ -152,7 +145,6 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         if prev is not None and cur == prev:
             return cur
         prev = cur
-        d += 1
     raise OracleDiverged("quotient dimension failed to stabilize by degree %d" % max_degree)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -824,3 +825,161 @@ def test_image_and_syzygies_keeps_the_leads_it_knows(monkeypatch):
     assert keys[0] <= 3000
     image_and_syzygies(H.odd_columns, n, R)
     assert reductions[0] == 987
+
+
+# ---------------------------------------------------------------------------
+# the walk of standard monomials against the box and the per-degree scan
+# ---------------------------------------------------------------------------
+
+def _box_difference(kernel_leads, image_leads, nvars, key):
+    """Monomials of LT(K) outside LT(I), sorted by position then `key`, or
+    INFINITE: each kernel lead's multiples filtered from the box that the
+    image leads bounding it span."""
+    found = set()
+    for pos, k in kernel_leads:
+        leads = [l for p, l in image_leads if p == pos]
+        ranges = []
+        for i in range(nvars):
+            caps = [l[i] for l in leads
+                    if all(l[j] <= k[j] for j in range(nvars) if j != i)]
+            if not caps:
+                return INFINITE
+            ranges.append(range(k[i], min(caps)))
+        for m in product(*ranges):
+            if not any(all(a <= b for a, b in zip(l, m)) for l in leads):
+                found.add((pos, m))
+    return sorted(found, key=lambda t: (t[0], key(t[1])))
+
+
+def _monomials_of_degree(nvars, d):
+    if nvars == 0:
+        return [()] if d == 0 else []
+    return [(a,) + rest for a in range(d, -1, -1)
+            for rest in _monomials_of_degree(nvars - 1, d - a)]
+
+
+def _scan_slices(G, upto):
+    """Standard monomials of each degree, every monomial tested against every lead."""
+    leads = G.leading_terms()
+    return [sum(1 for pos in range(G.ambient_rank or 1)
+                for m in _monomials_of_degree(G.ring.nvars, d)
+                if not any(p == pos and all(a <= b for a, b in zip(l, m)) for p, l in leads))
+            for d in range(upto + 1)]
+
+
+def _monomial(R, exps):
+    return Polynomial(R, {exps: R.field.one})
+
+
+def _seeded_monomial_vectors(rng, R, N):
+    """Monomial vectors of A^N: random ones, often pure powers of every
+    variable at a position (a finite quotient there), sometimes a unit."""
+    n = R.nvars
+    zero = [R.zero()] * N
+    out = []
+
+    def at(pos, exps):
+        v = list(zero)
+        v[pos] = _monomial(R, exps)
+        out.append(tuple(v))
+    for pos in range(N):
+        draw = rng.random()
+        if draw < 0.1:
+            at(pos, (0,) * n)
+        elif draw < 0.7:
+            for i in range(n):
+                at(pos, tuple(rng.randint(1, 3) if j == i else 0 for j in range(n)))
+        for _ in range(rng.randint(0, 3)):
+            at(pos, tuple(rng.randint(0, 2) for _ in range(n)))
+    return out
+
+
+def _seeded_polynomial_vector(rng, R, N):
+    n = R.nvars
+    return tuple(sum((R.constant(R.field.coerce(rng.randint(-3, 3)))
+                      * _monomial(R, tuple(rng.randint(0, 2) for _ in range(n)))
+                      for _ in range(rng.randint(0, 2))), R.zero()) for _ in range(N))
+
+
+def test_standard_monomial_walk_matches_the_box_and_the_degree_scan():
+    seen = set()
+    for field in (QQ, PrimeField(32749)):
+        rng = random.Random("walk/%r" % (field,))
+        for trial in range(60):
+            n, N = trial % 5, rng.randint(1, 3)
+            R = RingContext(("x", "y", "z", "w")[:n], field)
+            G = module_groebner(_seeded_monomial_vectors(rng, R, N), N, R)
+            units = [(pos, (0,) * n) for pos in range(N)]
+            want = _box_difference(units, G.leading_terms(), n, R.key)
+            assert standard_monomials(G) == want, (field, trial)
+            assert quotient_dim(G) == (INFINITE if want is INFINITE else len(want))
+            upto = rng.randint(0, 6)
+            assert hilbert_slices(G, upto) == _scan_slices(G, upto), (field, trial)
+            seen.add(want is INFINITE)
+    assert seen == {True, False}
+
+
+def test_subquotient_walk_matches_the_box_and_the_first_kernel_lead():
+    """Representatives are NF_I(x^a g) for the first basis element g of K
+    whose lead divides the standard monomial, taken here by search."""
+    seen = set()
+    for field in (QQ, PrimeField(32749)):
+        rng = random.Random("subquotient-walk/%r" % (field,))
+        for trial in range(100):
+            n, N = trial % 5, rng.randint(1, 3)
+            R = RingContext(("x", "y", "z", "w")[:n], field)
+            kernel = [_seeded_polynomial_vector(rng, R, N)
+                      for _ in range(rng.randint(1, 4 - n // 2))]
+            if rng.random() < 0.5:
+                kernel += _seeded_monomial_vectors(rng, R, N)
+            K = module_groebner(kernel, N, R)
+            if not len(K):
+                continue
+            draw = rng.random()
+            if draw < 0.15:
+                image = []
+            elif draw < 0.3:
+                image = list(K.generators)
+            else:  # K times powers of some variables, and some of K times a monomial
+                powers = [_monomial(R, tuple(rng.randint(1, 3) if j == i else 0
+                                             for j in range(n)))
+                          for i in range(n) if rng.random() < 0.85]
+                image = [tuple(m * p for p in g) for g in K.generators for m in powers]
+                for g in K.generators[::2]:
+                    m = _monomial(R, tuple(rng.randint(0, 1) for _ in range(n)))
+                    image.append(tuple(m * p for p in g))
+            I = module_groebner(image, N, R)
+            want = _box_difference(K.leading_terms(), I.leading_terms(), n, R.key)
+            dim, reps = subquotient_basis(K, I, R, N)
+            assert quotient_module_dim(K, I, R, N) == dim
+            seen.add(want is INFINITE)
+            if want is INFINITE:
+                assert (dim, reps) == (INFINITE, [])
+                continue
+            assert dim == len(want) == len(reps), (field, trial)
+            for (pos, m), rep in zip(want, reps):
+                g, k = next((g, k) for g, (p, k) in zip(K.generators, K.leading_terms())
+                            if p == pos and all(a <= b for a, b in zip(k, m)))
+                shift = _monomial(R, tuple(a - b for a, b in zip(m, k)))
+                assert rep == module_normal_form(tuple(shift * p for p in g), I)
+    assert seen == {True, False}
+
+
+def test_hilbert_slices_test_few_leads_per_standard_monomial(monkeypatch):
+    # Only an image lead l with l_j = m_j + 1 can divide m x_j and not m,
+    # so the walk makes 82 divisibility tests for the 24,682 standard
+    # monomials of coker(e1) of knorrer(pair:uv) up to degree 40, where
+    # testing every monomial against every lead made 283,843.
+    from mfcat import corpus, groebner
+    E = corpus.lookup("knorrer(pair:uv)")
+    G = module_groebner(E.e1.columns(), E.rank, E.ring)
+    calls = [0]
+    divides = groebner._divides
+
+    def counted(a, b):
+        calls[0] += 1
+        return divides(a, b)
+    monkeypatch.setattr(groebner, "_divides", counted)
+    slices = hilbert_slices(G, 40)
+    assert sum(slices) == 24682
+    assert calls[0] < 2 * sum(slices)

@@ -307,7 +307,7 @@ def _high_and_full_rank(matrix, monos, d):
 
 def _reference_hom_dims(source, target, start_degree, plateau, max_degree):
     H = hom_complex(source, target, check=False)
-    prev, streak = None, 1
+    prev, streak = None, 0
     for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(source.ring.nvars, d)
         even_high, even_all = _high_and_full_rank(H.d_even, monos, d)
@@ -315,12 +315,10 @@ def _reference_hom_dims(source, target, start_degree, plateau, max_degree):
         unknowns = H.d_even.cols * len(monos)
         cur = (unknowns - even_all - (odd_all - odd_high),
                unknowns - odd_all - (even_all - even_high))
-        if cur == prev:
-            streak += 1
-            if streak >= plateau:
-                return cur
-        else:
-            prev, streak = cur, 1
+        streak = streak + 1 if cur == prev else 1
+        if streak >= plateau:
+            return cur
+        prev = cur
     return "diverged"
 
 
@@ -384,6 +382,22 @@ def test_hom_scan_matches_the_per_degree_reference():
             assert got == want, (src, tgt, a, p, b)
             seen.add(want == "diverged")
     assert seen == {True, False}
+
+
+def test_plateau_counts_consecutive_equal_readings(monkeypatch):
+    """An answer is accepted at the plateau-th consecutive equal reading:
+    with plateau=1 the first degree read decides."""
+    source, target = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
+    read = []
+    monkeypatch.setattr("mfcat.oracle._monomials_upto",
+                        lambda nvars, d: read.append(d) or _monomials_upto(nvars, d))
+    for plateau in (1, 2, 3):
+        read.clear()
+        assert hom_dims_truncated(source, target, plateau=plateau) == (1, 1)
+        assert read == list(range(4, 4 + plateau))
+    assert hom_dims_truncated(source, target, plateau=1, max_degree=4) == (1, 1)
+    with pytest.raises(OracleDiverged):
+        hom_dims_truncated(source, target, plateau=2, max_degree=4)
 
 
 def _seeded_ideal(rng, ring):

@@ -13,6 +13,10 @@ Items, each line "<key>\t<answer>":
   * oracle.hom_dims_truncated on every fourth corpus pair, over Q and
     over F_32749, and on every 16th at a seeded start degree, plateau
     and cap (the dimensions, or "diverged");
+  * groebner.standard_monomials, quotient_dim and hilbert_slices (up to
+    degree 12) of seeded ideals of Q[x, y, z] and F_32749[x, y, z] and
+    seeded submodules of A^1..A^3 over Q[x, y] and F_32749[x, y], INFINITE
+    ones included;
   * oracle.quotient_dim_truncated (from start degrees 1 and 0..3) and
     oracle.ideal_member_linear on seeded ideals with rational
     coefficients in Q[x, y] and F_32749[x, y];
@@ -28,12 +32,13 @@ Items, each line "<key>\t<answer>":
     over F_32749: g o f for hom basis representatives f: X -> Y and
     g: Y -> Z, each a seeded combination of the basis;
   * CLI output, human and machine: `cok <object>` for every corpus
-    object, also with `--upto` 4 and 24, `hom --oracle` on every 41st
-    corpus pair, `tensor` of seeded corpus pairs in disjoint variables,
-    `cone` of the identity of every corpus object and of each seeded
-    composite over Q, `mirror-build` of each preset and P4, `mirror-count` and
-    `mirror-values` of each preset (and `mirror-count` of P4) at seeded
-    parameters, and a few `mirror-fiber` calls.
+    object, also with `--upto` 4 and 24, and 40 for the knorrer objects,
+    `hom --oracle` on every 41st corpus pair, `tensor` of seeded corpus
+    pairs in disjoint variables, `cone` of the identity of every corpus
+    object and of each seeded composite over Q, `mirror-build` of each
+    preset and P4, `mirror-count` and `mirror-values` of each preset (and
+    `mirror-count` of P4) at seeded parameters, and a few `mirror-fiber`
+    calls.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from mfcat import corpus, files, hom, mf, mirror, oracle
+from mfcat import corpus, files, groebner, hom, mf, mirror, oracle
 from mfcat.cli import main
 from mfcat.matrix import PolyMatrix
-from mfcat.poly import PolyError, PrimeField, QQ, RingContext, parse_laurent
+from mfcat.poly import PolyError, Polynomial, PrimeField, QQ, RingContext, parse_laurent
 
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
@@ -55,6 +60,8 @@ FAN_DRAWS = 240
 TENSOR_DRAWS = 40
 COMPOSE_DRAWS = 20
 IDEAL_DRAWS = 40
+BASIS_DRAWS = 30
+HILBERT_UPTO = 12
 LAURENT = {
     ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
               "Y1^2 - 2*Y1 + 1", "2/3*Y1^-3 + Y1^2 - 5/2*Y1", "Y1", "5"),
@@ -141,6 +148,54 @@ def _ideal_items(field):
         for f in (member, _random_poly(ring, rng, 3, 3)):
             yield ("ideal_member_linear %s | %s" % (key, f),
                    repr(oracle.ideal_member_linear(f, gens, 4)))
+
+
+def _form(ring, rng, degree, terms):
+    """`terms` random terms of total degree `degree`, one time in five of
+    a lower random degree each."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * ring.nvars
+        for _ in range(degree if rng.random() < 0.8 else rng.randint(0, degree - 1)):
+            exps[rng.randrange(ring.nvars)] += 1
+        out[tuple(exps)] = ring.field.coerce(_rational(rng))
+    return Polynomial(ring, out)
+
+
+def _seeded_bases(field):
+    """(key, GroebnerBasis) of seeded ideals of k[x, y, z], each a pure
+    power of most variables plus a form, and of seeded submodules of
+    k[x, y]^1..3, pure powers at most positions plus a random vector."""
+    rng = random.Random("bases/%r" % (field,))
+    ring = RingContext(("x", "y", "z"), field)
+    for n in range(BASIS_DRAWS):
+        gens = [v ** a + _form(ring, rng, a, 2)
+                for v, a in ((v, rng.randint(1, 4)) for v in ring.gens()) if rng.random() < 0.8]
+        gens.append(_form(ring, rng, 3, 2) * rng.choice(ring.gens()))
+        gens = [g for g in gens if not g.is_zero]
+        yield ("ideal %r %d %s" % (field, n, " , ".join(str(g) for g in gens)),
+               groebner.buchberger(gens, ring))
+    ring = RingContext(("x", "y"), field)
+    for n in range(BASIS_DRAWS):
+        rank = rng.randint(1, 3)
+        vectors = []
+        for pos in range(rank):
+            for v in ring.gens():
+                if rng.random() < 0.8:
+                    a = rng.randint(1, 4)
+                    vectors.append(tuple(v ** a + _form(ring, rng, a, 1) if i == pos
+                                         else ring.zero() for i in range(rank)))
+        vectors.append(tuple(_form(ring, rng, 3, 2) for _ in range(rank)))
+        yield ("module %r %d %s" % (field, n, " , ".join(
+            "(%s)" % ", ".join(str(p) for p in v) for v in vectors)),
+               groebner.module_groebner(vectors, rank, ring))
+
+
+def _basis_items(field):
+    for key, gb in _seeded_bases(field):
+        yield "standard_monomials " + key, repr(groebner.standard_monomials(gb))
+        yield "quotient_dim " + key, repr(groebner.quotient_dim(gb))
+        yield "hilbert_slices " + key, repr(groebner.hilbert_slices(gb, HILBERT_UPTO))
 
 
 def _mirror_items():
@@ -276,6 +331,7 @@ def items():
             yield "oracle %r %s %s" % (field, ns, nt), repr(oracle.hom_dims_truncated(s, t))
         yield from _oracle_scan_items(field)
         yield from _ideal_items(field)
+        yield from _basis_items(field)
     composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
     for field, drawn in composites.items():
         for nx, ny, nz, h in drawn:
@@ -289,6 +345,8 @@ def items():
 def _cli_items(objects, composites):
     commands = [["cok", name] + upto for upto in ([], ["--upto", "4"], ["--upto", "24"])
                 for name, _ in objects]
+    commands += [["cok", name, "--upto", "40"] for name, _ in objects
+                 if name.startswith("knorrer(")]
     rng = random.Random("cli/tensor")
     disjoint = [[a, b] for a, x in objects for b, y in objects
                 if not set(x.ring.variables) & set(y.ring.variables)]
