@@ -54,22 +54,29 @@ lead position, in list order within a position, so the divisor used is
 the first listed one whose lead divides: that choice fixes remainders and
 membership witnesses, which, unlike reduced bases, depend on it.
 
+Every input enters the kernel one way, through _entry: basis inputs,
+tracked inputs, dividends and raw divisor lists alike, an ideal's
+polynomials as one-entry vectors of A^1.  It checks the ring of every
+entry, appends e_j to a tracked input, and only then multiplies the term
+dict by the lcm D of its denominators, so a tracked input enters as
+[D v_j ; D e_j], which still represents D v_j.  Every normal form and
+membership witness comes from one remainder, _remainder: _entry, then
+_divide.
+
 Over Q the kernel computes over Z, as Singular does with primitive
 normal forms and content removal (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra).  On entry each term dict is
-multiplied by the lcm D of its denominators; a tracked input is cleared
-after e_j is appended, and [D v_j ; D e_j] still represents D v_j.
-Basis elements and divisors are kept primitive: divided by the gcd of
-their coefficients, with a positive lead.  Over F_p they are monic
-instead.  Division is pseudo-division: to reduce a term c*m by a divisor
-whose lead coefficient is a, the pending terms, the remainder and a
-running scale s are first multiplied by a/gcd(a, c), so the quotient
-stays integral.  Every step keeps the work s times the field's, so the
-divisor chosen, remainders and witnesses are those over the field.
-Coefficients become Fractions only on the way out: a basis element is
-divided by its lead coefficient, a remainder by D*s, and a subquotient
-representative by s times the lead coefficient of its kernel element.
-Over F_p, D and s are 1.
+Introduction to Commutative Algebra).  Basis elements and divisors are
+kept primitive: divided by the gcd of their coefficients, with a
+positive lead.  Over F_p they are monic instead.  Division is
+pseudo-division: to reduce a term c*m by a divisor whose lead
+coefficient is a, the pending terms, the remainder and a running scale s
+are first multiplied by a/gcd(a, c), so the quotient stays integral.
+Every step keeps the work s times the field's, so the divisor chosen,
+remainders and witnesses are those over the field.  Coefficients become
+Fractions only on the way out: a basis element is divided by its lead
+coefficient, a remainder by D*s, and a subquotient representative by s
+times the lead coefficient of its kernel element.  Over F_p, D and s
+are 1.
 """
 
 from __future__ import annotations
@@ -116,24 +123,27 @@ def _term_key(ring):
     return key
 
 
-def _vector_to_terms(vec, ring, rank):
-    if len(vec) != rank:
-        raise ValueError("vector of length %d in rank-%d module" % (len(vec), rank))
-    terms = {}
-    for pos, poly in enumerate(vec):
-        if poly.ring != ring:
-            raise RingMismatch("vector entry in a different ring")
-        for exps, c in poly.terms.items():
-            terms[(pos, exps)] = c
-    return terms
-
-
-def _clear(terms, fld):
-    """(D * terms, D) over Z for the lcm D of the denominators over Q;
-    (terms, 1) over F_p."""
-    if not isinstance(fld, RationalField):
-        return terms, 1
-    return integer_multiple(terms)
+def _entry(vectors, ring, rank, track=False):
+    """The one way into the kernel: each vector of A^rank (an ideal's
+    polynomials as one-entry vectors, rank 1) as (D * terms, D) over Z for
+    the lcm D of its denominators; D is 1 over F_p.  With `track`, e_j is
+    placed at position rank + j before clearing, so input j enters as
+    [D v_j ; D e_j].  The ring of every entry is checked."""
+    origin = (0,) * ring.nvars
+    out = []
+    for j, vec in enumerate(map(tuple, vectors)):
+        if len(vec) != rank:
+            raise ValueError("vector of length %d in rank-%d module" % (len(vec), rank))
+        terms = {}
+        for pos, poly in enumerate(vec):
+            if poly.ring is not ring and poly.ring != ring:
+                raise RingMismatch("vector entry in a different ring")
+            for exps, c in poly.terms.items():
+                terms[(pos, exps)] = c
+        if track:
+            terms[(rank + j, origin)] = ring.field.one
+        out.append(integer_multiple(terms))
+    return out
 
 
 def _terms_to_vector(terms, ring, rank, start=0, scale=1):
@@ -281,7 +291,7 @@ def _s_remainder(ring, ei, ej, lcm, index):
 
 
 def _buchberger_core(ring, inputs, rank, syzygies=False):
-    """A Groebner basis of the input term dicts, as a list of _Elem.
+    """A Groebner basis of the (terms, D) pairs of _entry, as a list of _Elem.
 
     Positions `rank` and up form the e-block.  With `syzygies` set the
     elements whose lead lies in the e-block are kept; otherwise they are
@@ -327,9 +337,9 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
                      if not (basis[i].lt[0] == pos and _divides(h, basis[i].lt[1]))]
         active.append(n)
 
-    for terms in inputs:
+    for terms, _ in inputs:
         if terms:
-            insert(_clear(terms, fld)[0], max(terms, key=key))
+            insert(terms, max(terms, key=key))
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
@@ -370,14 +380,6 @@ def _reduce(ring, basis):
 
     reduced.sort(key=lambda e: key(e.lt), reverse=True)
     return reduced
-
-
-def _track(inputs, rank, ring):
-    """Append e_j at position rank + j to the j-th input term dict."""
-    origin = (0,) * ring.nvars
-    for j, terms in enumerate(inputs):
-        terms[(rank + j, origin)] = ring.field.one
-    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +437,10 @@ def buchberger(gens, ring=None, track=False) -> GroebnerBasis:
 
     With track=True the basis also answers membership_witness.
     """
-    gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("cannot infer the ring from an empty generator list")
-        ring = gens[0].ring
-    inputs = []
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatch("generator in a different ring")
-        inputs.append({(0, e): c for e, c in g.terms.items()})
-    if track:
-        _track(inputs, 1, ring)
-    return GroebnerBasis(ring, None, _reduce(ring, _buchberger_core(ring, inputs, 1)),
-                         len(gens) if track else None)
+    gens = [(g,) for g in gens]
+    ring, _ = _shape([gens], ring, 1)
+    basis = _reduce(ring, _buchberger_core(ring, _entry(gens, ring, 1, track), 1))
+    return GroebnerBasis(ring, None, basis, len(gens) if track else None)
 
 
 def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> GroebnerBasis:
@@ -457,58 +449,54 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
     With track=True the basis also answers membership_witness.
     """
     vectors = [tuple(v) for v in vectors]
-    if ring is None:
-        for v in vectors:
-            if v:
-                ring = v[0].ring
-                break
-        if ring is None:
-            raise ValueError("cannot infer the ring")
-    if ambient_rank is None:
-        if not vectors:
-            raise ValueError("ambient rank required for an empty generator list")
-        ambient_rank = len(vectors[0])
-    inputs = [_vector_to_terms(v, ring, ambient_rank) for v in vectors]
-    if track:
-        _track(inputs, ambient_rank, ring)
+    ring, ambient_rank = _shape([vectors], ring, ambient_rank)
+    inputs = _entry(vectors, ring, ambient_rank, track)
     basis = _reduce(ring, _buchberger_core(ring, inputs, ambient_rank))
     return GroebnerBasis(ring, ambient_rank, basis, len(vectors) if track else None)
 
 
-def _divisor_index(G, ring):
-    """An ideal GroebnerBasis or a raw list of polynomials, as an _index of divisors."""
-    if isinstance(G, GroebnerBasis):
-        if G.is_module:
-            raise ValueError("expected an ideal Groebner basis")
-        return _index(G._elems), G.ring
-    key = _term_key(ring)
-    elems = []
-    for g in G:
-        if g.ring != ring:
-            raise RingMismatch("divisor in a different ring")
-        if g.is_zero:
-            continue
-        terms, _ = _clear({(0, e): c for e, c in g.terms.items()}, ring.field)
-        elems.append(_Elem(terms, max(terms, key=key), ring.field))
-    return _index(elems), ring
+def _shape(modules, ring, ambient_rank):
+    """The ring and ambient rank; each given as None is read off the first
+    GroebnerBasis or nonempty vector of `modules` (bases or vector lists)."""
+    shown = next((s for m in modules for s in (
+        [(m.ring, m.ambient_rank)] if isinstance(m, GroebnerBasis)
+        else ((v[0].ring, len(v)) for v in m if v))), (None, None))
+    ring = shown[0] if ring is None else ring
+    ambient_rank = shown[1] if ambient_rank is None else ambient_rank
+    if ring is None:
+        raise ValueError("cannot infer the ring")
+    if ambient_rank is None:
+        raise ValueError("ambient rank required")
+    return ring, ambient_rank
+
+
+def _remainder(ring, vec, rank, elems):
+    """(rem, scale) of the vector vec of A^rank divided by a list of
+    _Elems: rem / scale is the remainder over the field."""
+    [(terms, d)] = _entry([vec], ring, rank)
+    rem, s = _divide(ring, terms, _index(elems))
+    return rem, d * s
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
     """Remainder of f under division by G (an ideal GroebnerBasis or a list)."""
-    index, ring = _divisor_index(G, f.ring)
-    if ring != f.ring:
-        raise RingMismatch("polynomial and divisors in different rings")
-    terms, d = _clear({(0, e): c for e, c in f.terms.items()}, ring.field)
-    rem, s = _divide(ring, terms, index)
-    return _terms_to_vector(rem, ring, 1, scale=d * s)[0]
+    if isinstance(G, GroebnerBasis):
+        if G.is_module:
+            raise ValueError("expected an ideal Groebner basis")
+        ring, elems = G.ring, G._elems
+    else:
+        ring, key = f.ring, _term_key(f.ring)
+        elems = [_Elem(t, max(t, key=key), ring.field)
+                 for t, _ in _entry([(g,) for g in G], ring, 1) if t]
+    rem, scale = _remainder(ring, (f,), 1, elems)
+    return _terms_to_vector(rem, ring, 1, scale=scale)[0]
 
 
 def module_normal_form(vec, G: GroebnerBasis):
     if not G.is_module:
         raise ValueError("expected a module Groebner basis")
-    terms, d = _clear(_vector_to_terms(tuple(vec), G.ring, G.ambient_rank), G.ring.field)
-    rem, s = _divide(G.ring, terms, _index(G._elems))
-    return _terms_to_vector(rem, G.ring, G.ambient_rank, scale=d * s)
+    rem, scale = _remainder(G.ring, vec, G.ambient_rank, G._elems)
+    return _terms_to_vector(rem, G.ring, G.ambient_rank, scale=scale)
 
 
 def submodule_membership(vec, G: GroebnerBasis) -> bool:
@@ -533,11 +521,10 @@ def membership_witness(vec, G: GroebnerBasis):
     if isinstance(vec, Polynomial):
         vec = (vec,)
     rank = G._rank
-    terms, d = _clear(_vector_to_terms(tuple(vec), G.ring, rank), G.ring.field)
-    rem, s = _divide(G.ring, terms, _index(G._elems))
+    rem, scale = _remainder(G.ring, vec, rank, G._elems)
     if any(pos < rank for pos, _ in rem):
         return None
-    return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank, scale=d * s)]
+    return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank, scale=scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +540,21 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     Groebner basis of the span; reduced, it is module_groebner's basis.
     """
     r = ambient_rank
-    inputs = _track([_vector_to_terms(tuple(v), ring, r) for v in vectors], r, ring)
+    inputs = _entry(vectors, ring, r, track=True)
     image, syz = [], []
+    # Each element is rewritten in place, not normalised again.  A stripped
+    # image part may have lost its content, which is safe: _reduce divides
+    # a tail only by elements with smaller leads, which it has already
+    # normalised, and normalises each element it keeps.
     for e in _buchberger_core(ring, inputs, r, syzygies=True):
         pos, exps = e.lt
         if pos < r:  # strip the e-block: its tails need no reducing
-            image.append(_Elem({t: c for t, c in e.terms.items() if t[0] < r}, e.lt, ring.field))
+            e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
+            image.append(e)
         else:  # a lead in the e-block puts every term there
-            syz.append(_Elem({(p - r, x): c for (p, x), c in e.terms.items()},
-                             (pos - r, exps), ring.field))
+            e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
+            e.lt = (pos - r, exps)
+            syz.append(e)
     return (GroebnerBasis(ring, r, _reduce(ring, image)),
             GroebnerBasis(ring, len(inputs), _reduce(ring, syz)))
 
@@ -682,25 +675,6 @@ def hilbert_slices(G: GroebnerBasis, upto: int = 10):
 # subquotients
 # ---------------------------------------------------------------------------
 
-def _module_shape(module):
-    """(ring, ambient rank) shown by a module basis or vector list, else (None, None)."""
-    if isinstance(module, GroebnerBasis):
-        return module.ring, module.ambient_rank
-    for v in module:
-        if v:
-            return v[0].ring, len(v)
-    return None, None
-
-
-def _module_basis(module, ring, ambient_rank):
-    """GroebnerBasis of a submodule of A^N given either way."""
-    if isinstance(module, GroebnerBasis):
-        if module.ambient_rank != ambient_rank:
-            raise ValueError("expected a basis of a rank-%d module" % ambient_rank)
-        return module
-    return module_groebner(module, ambient_rank, ring)
-
-
 def quotient_module_dim(kernel_gens, image_basis, ring=None, ambient_rank=None):
     """k-dimension of the kernel submodule over the image submodule."""
     dim, _ = subquotient_basis(kernel_gens, image_basis, ring, ambient_rank, want_reps=False)
@@ -723,19 +697,13 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     INFINITE iff for some lead k of K and variable x_i no lead l of I at
     k's position has l_j <= k_j for all j != i.
     """
-    kernel, image = (m if isinstance(m, GroebnerBasis) else [tuple(v) for v in m]
-                     for m in (kernel_gens, image_basis))
-    shapes = [_module_shape(m) for m in (kernel, image)]
-    if ring is None:
-        ring = next((r for r, _ in shapes if r is not None), None)
-        if ring is None:
-            raise ValueError("cannot infer the ring")
-    if ambient_rank is None:
-        ambient_rank = next((n for _, n in shapes if n is not None), None)
-        if ambient_rank is None:
-            raise ValueError("ambient rank required")
-    kernel_gb = _module_basis(kernel, ring, ambient_rank)
-    image_gb = _module_basis(image, ring, ambient_rank)
+    modules = [m if isinstance(m, GroebnerBasis) else [tuple(v) for v in m]
+               for m in (kernel_gens, image_basis)]
+    ring, ambient_rank = _shape(modules, ring, ambient_rank)
+    kernel_gb, image_gb = (m if isinstance(m, GroebnerBasis)
+                           else module_groebner(m, ambient_rank, ring) for m in modules)
+    if not kernel_gb.ambient_rank == image_gb.ambient_rank == ambient_rank:
+        raise ValueError("expected a basis of a rank-%d module" % ambient_rank)
 
     # containment: every image basis element must die against the kernel basis
     kernel_index = _index(kernel_gb._elems)

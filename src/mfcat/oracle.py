@@ -100,8 +100,8 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
     H = hommod.hom_complex(source, target, check=False)
-    n = H.d_even.cols
-    even, odd = (_Images(source.ring.field, D.columns()) for D in (H.d_even, H.d_odd))
+    n = len(H.even_columns)
+    even, odd = (_Images(source.ring.field, c) for c in (H.even_columns, H.odd_columns))
     entered = 0  # monomials whose unknowns are in both echelons
     prev, streak = None, 0
     for d in range(start_degree, max_degree + 1):

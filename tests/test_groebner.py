@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from mfcat.poly import QQ, PrimeField, Polynomial, RingContext, parse_polynomial
+from mfcat.poly import QQ, PrimeField, Polynomial, RingContext, RingMismatch, parse_polynomial
 from mfcat.matrix import PolyMatrix
 from mfcat.groebner import (
     INFINITE, buchberger, module_groebner, normal_form, module_normal_form,
@@ -470,6 +470,42 @@ def test_subquotient_refuses_an_image_outside_the_kernel():
     assert subquotient_basis(kernel, [(x * y, y)], R, 2, want_reps=False)[0] is INFINITE
 
 
+def test_every_entry_point_checks_the_ring_of_each_entry():
+    # One entry in each call is moved to another ring: an unequal ring is
+    # refused, an equal but distinct RingContext (as every object rebuilt
+    # from a document carries) gives the same answer as the ring itself.
+    R = ring("x", "y")
+    x, y = R.gens()
+    zero = R.zero()
+    ideal = buchberger([x**2, y**2], R, track=True)
+    module = module_groebner([(x, y), (y, zero)], 2, R, track=True)
+    image = [(x**2, zero), (x * y, zero), (zero, y**2), (zero, x * y)]
+    calls = {
+        "buchberger": lambda m: buchberger([x**2, m(y**2)], R).generators,
+        "module_groebner": lambda m: module_groebner([(x, y), (m(y), zero)], 2, R).generators,
+        "image_and_syzygies": lambda m: [
+            gb.generators for gb in image_and_syzygies([(x, y), (m(y), zero)], 2, R)],
+        "normal_form, basis": lambda m: normal_form(m(x**2 + x * y), ideal),
+        "normal_form, list": lambda m: normal_form(x**2 + x * y, [m(x**2), zero, y]),
+        "module_normal_form": lambda m: module_normal_form((x * y, m(y**2)), module),
+        "membership_witness, ideal": lambda m: membership_witness(m(x**2 * y), ideal),
+        "membership_witness, module": lambda m: membership_witness((m(x * y), y**2), module),
+        "subquotient_basis, kernel": lambda m: subquotient_basis(
+            [(m(x), zero), (zero, y)], image, R, 2),
+        "subquotient_basis, image": lambda m: subquotient_basis(
+            [(x, zero), (zero, y)], image[:1] + [(m(x * y), zero)] + image[2:], R, 2),
+    }
+    same = ring("x", "y")
+    assert same == R and same is not R
+    others = [ring("x", "z"), ring("x", "y", field=PrimeField(7)), ring("x", "y", order="lex")]
+    for name, call in calls.items():
+        expected = call(lambda p: p)
+        assert call(lambda p: Polynomial(same, dict(p.terms))) == expected, name
+        for other in others:
+            with pytest.raises(RingMismatch):
+                call(lambda p: Polynomial(other, dict(p.terms)))
+
+
 # ---------------------------------------------------------------------------
 # an independent reference: plain Buchberger over every pair, no criteria
 # ---------------------------------------------------------------------------
@@ -757,9 +793,8 @@ def test_kernel_elements_stay_primitive():
             rank = 1 + n % 2
             vectors = [tuple(_rand_entry(R, rng, (0, 3), (1, 3), 5) for _ in range(rank))
                        for _ in range(3)]
-            inputs = [_term_dict(v) for v in vectors]
-            basis = groebner._buchberger_core(R, groebner._track(inputs, rank, R), rank,
-                                              syzygies=True)
+            basis = groebner._buchberger_core(R, groebner._entry(vectors, R, rank, track=True),
+                                              rank, syzygies=True)
             _assert_primitive(basis, field)
             _assert_primitive(groebner._reduce(R, basis), field)
 

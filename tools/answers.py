@@ -17,6 +17,12 @@ Items, each line "<key>\t<answer>":
     degree 12) of seeded ideals of Q[x, y, z] and F_32749[x, y, z] and
     seeded submodules of A^1..A^3 over Q[x, y] and F_32749[x, y], INFINITE
     ones included;
+  * groebner.normal_form against tracked bases and raw divisor lists
+    with a zero divisor, ideal_membership, module_normal_form,
+    membership_witness on tracked ideals and submodules, the bases of
+    image_and_syzygies, syzygy_basis_of_vectors, and subquotient_basis
+    of vector lists, on seeded inputs with fractional coefficients in
+    Q[x, y] and F_32749[x, y];
   * oracle.quotient_dim_truncated (from start degrees 1 and 0..3) and
     oracle.ideal_member_linear on seeded ideals with rational
     coefficients in Q[x, y] and F_32749[x, y];
@@ -62,6 +68,7 @@ COMPOSE_DRAWS = 20
 IDEAL_DRAWS = 40
 BASIS_DRAWS = 30
 HILBERT_UPTO = 12
+KERNEL_DRAWS = 30
 LAURENT = {
     ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
               "Y1^2 - 2*Y1 + 1", "2/3*Y1^-3 + Y1^2 - 5/2*Y1", "Y1", "5"),
@@ -198,6 +205,76 @@ def _basis_items(field):
         yield "hilbert_slices " + key, repr(groebner.hilbert_slices(gb, HILBERT_UPTO))
 
 
+def _vectors_text(vectors):
+    return " , ".join("(%s)" % ", ".join(str(p) for p in v) for v in vectors)
+
+
+def _witness_list(w):
+    return repr(None) if w is None else " ; ".join(str(p) for p in w)
+
+
+def _kernel_items(field):
+    """Every way into the Groebner kernel on seeded inputs of k[x, y] with
+    fractional coefficients: normal forms against tracked bases and raw
+    divisor lists with zero divisors, memberships and witnesses of
+    members and of random elements, for ideals and for submodules of
+    A^1..A^3; the image and syzygy bases of the module generators; and
+    subquotients of vector lists, K/I for I the pure powers at each
+    position plus x times the first generator, K the generators plus I,
+    and I/K, which raises unless K = I."""
+    rng = random.Random("kernel/%r" % (field,))
+    ring = RingContext(("x", "y"), field)
+    x, y = ring.gens()
+    zero = ring.zero()
+
+    def combination(vectors, rank):
+        coeffs = [_form(ring, rng, rng.randint(1, 2), 2) for _ in vectors]
+        return tuple(sum((c * v[i] for c, v in zip(coeffs, vectors)), zero) for i in range(rank))
+
+    for n in range(KERNEL_DRAWS):
+        gens = [_form(ring, rng, rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        gb = groebner.buchberger(gens, ring, track=True)
+        divisors = gens + [zero]
+        rng.shuffle(divisors)
+        key = "%r %d %s" % (field, n, " , ".join(str(g) for g in divisors))
+        for f in (combination([(g,) for g in gens], 1)[0], _form(ring, rng, 3, 3)):
+            yield "normal_form basis %s | %s" % (key, f), str(groebner.normal_form(f, gb))
+            yield "normal_form list %s | %s" % (key, f), str(groebner.normal_form(f, divisors))
+            yield ("ideal_membership %s | %s" % (key, f),
+                   repr((groebner.ideal_membership(f, gb),
+                         groebner.ideal_membership(f, divisors))))
+            yield ("membership_witness ideal %s | %s" % (key, f),
+                   _witness_list(groebner.membership_witness(f, gb)))
+        rank = rng.randint(1, 3)
+        vectors = [tuple(_form(ring, rng, rng.randint(1, 2), rng.randint(1, 2))
+                         for _ in range(rank)) for _ in range(rng.randint(1, 3))]
+        key = "%r %d %s" % (field, n, _vectors_text(vectors))
+        mgb = groebner.module_groebner(vectors, rank, ring, track=True)
+        for v in (combination(vectors, rank),
+                  tuple(_form(ring, rng, 2, 2) for _ in range(rank))):
+            yield ("module_normal_form %s | %s" % (key, _vectors_text([v])),
+                   _vectors_text([groebner.module_normal_form(v, mgb)]))
+            yield ("membership_witness module %s | %s" % (key, _vectors_text([v])),
+                   _witness_list(groebner.membership_witness(v, mgb)))
+        image, syz = groebner.image_and_syzygies(vectors, rank, ring)
+        yield ("image_and_syzygies %s" % key,
+               "%s | %s" % (_vectors_text(image.generators), _vectors_text(syz.generators)))
+        yield ("syzygy_basis_of_vectors %s" % key,
+               _vectors_text(groebner.syzygy_basis_of_vectors(vectors, rank, ring)))
+        powers = [tuple(p if i == j else zero for i in range(rank))
+                  for j in range(rank) for p in (x ** rng.randint(1, 3), y ** rng.randint(1, 3))]
+        small = powers + [tuple(x * p for p in vectors[0])]
+        for kernel, image in ((vectors + small, small), (small, vectors + small)):
+            try:
+                dim, reps = groebner.subquotient_basis(kernel, image)
+                answer = "%r | %s" % (dim, _vectors_text(reps))
+            except groebner.ImageNotInKernel as exc:
+                answer = "ImageNotInKernel: %s" % exc
+            yield ("subquotient_basis %s | %s" % (_vectors_text(kernel), _vectors_text(image)),
+                   answer)
+
+
 def _mirror_items():
     rng = random.Random("mirror")
     specs = {name: mirror.build_superpotential(
@@ -332,6 +409,7 @@ def items():
         yield from _oracle_scan_items(field)
         yield from _ideal_items(field)
         yield from _basis_items(field)
+        yield from _kernel_items(field)
     composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
     for field, drawn in composites.items():
         for nx, ny, nz, h in drawn:
