@@ -63,17 +63,19 @@ def _load_morphism(ref: str, settings):
 
 
 def _load_fan(path_or_preset, preset):
+    """The superpotential built from a fan file or a preset."""
     if (path_or_preset is None) == (preset is None):
         raise click.UsageError("give exactly one fan: a file argument or --preset")
     if preset is not None:
         try:
-            return mirrormod.preset(preset)
+            spec = mirrormod.preset(preset)
         except KeyError as exc:
             raise files.SchemaError(str(exc.args[0])) from None
-    loaded = files.load(path_or_preset)
-    if not isinstance(loaded, mirrormod.ToricSpec):
-        raise files.SchemaError("%s does not hold a fan" % path_or_preset)
-    return loaded
+    else:
+        spec = files.load(path_or_preset)
+        if not isinstance(spec, mirrormod.ToricSpec):
+            raise files.SchemaError("%s does not hold a fan" % path_or_preset)
+    return mirrormod.build_superpotential(spec)
 
 
 def _dim_value(d):
@@ -248,9 +250,7 @@ def cok(settings, factorization, upto):
         "fiber_relation": str(pres.fiber_relation),
         "dimension": _dim_value(pres.dimension),
         "hilbert": list(pres.hilbert),
-        "presentation": [[str(pres.presentation.get(i, j))
-                          for j in range(pres.presentation.cols)]
-                         for i in range(pres.presentation.rows)],
+        "presentation": files._matrix_to_doc(pres.presentation),
     }
     lines = [
         "fiber relation: %s" % pres.fiber_relation,
@@ -295,10 +295,8 @@ def nullhomotopic(settings, morphism):
     payload = {"null_homotopic": flag}
     lines = ["null-homotopic: %s" % ("yes" if flag else "no")]
     if witness is not None:
-        payload["s0"] = [[str(witness.s0.get(i, j)) for j in range(witness.s0.cols)]
-                         for i in range(witness.s0.rows)]
-        payload["s1"] = [[str(witness.s1.get(i, j)) for j in range(witness.s1.cols)]
-                         for i in range(witness.s1.rows)]
+        payload["s0"] = files._matrix_to_doc(witness.s0)
+        payload["s1"] = files._matrix_to_doc(witness.s1)
         lines.append("s0: %s" % payload["s0"])
         lines.append("s1: %s" % payload["s1"])
     _emit_report(settings, "nullhomotopic", payload, lines)
@@ -346,8 +344,7 @@ def _fan_options(fn):
 @click.option("-o", "--output", default=None, type=click.Path())
 def mirror_build(settings, fan, preset, output):
     """Laurent superpotential with one term per ray."""
-    spec = _load_fan(fan, preset)
-    built = mirrormod.build_superpotential(spec)
+    built = _load_fan(fan, preset)
     payload = {
         "W": str(built.w),
         "variables": list(built.y_names),
@@ -360,7 +357,7 @@ def mirror_build(settings, fan, preset, output):
         "parameters: %s" % (" ".join(built.param_names) or "(none)"),
     ]
     if output is not None:
-        files.save(output, files.toric_to_doc(spec))
+        files.save(output, files.toric_to_doc(built.toric))
         payload["written"] = output
         lines.append("wrote %s" % output)
     _emit_report(settings, "mirror-build", payload, lines)
@@ -372,8 +369,7 @@ def mirror_build(settings, fan, preset, output):
               help="positive rational value for a Kaehler parameter")
 def mirror_count(settings, fan, preset, params):
     """Number of torus critical points, counted with multiplicity."""
-    spec = _load_fan(fan, preset)
-    built = mirrormod.build_superpotential(spec)
+    built = _load_fan(fan, preset)
     count = mirrormod.critical_count(built, _parse_params(params))
     _emit_report(settings, "mirror-count", {"count": count},
                  ["critical points: %d" % count])
@@ -384,8 +380,7 @@ def mirror_count(settings, fan, preset, params):
 @click.option("--param", "params", multiple=True, metavar="NAME=VALUE")
 def mirror_values(settings, fan, preset, params):
     """Monic univariate polynomial vanishing on the critical values."""
-    spec = _load_fan(fan, preset)
-    built = mirrormod.build_superpotential(spec)
+    built = _load_fan(fan, preset)
     report = mirrormod.critical_values(built, _parse_params(params))
     payload = {
         "count": report.count,
@@ -406,8 +401,7 @@ def mirror_values(settings, fan, preset, params):
               metavar="RATIONAL", help="regular value whose fiber is counted")
 def mirror_fiber(settings, fan, preset, params, at_value):
     """Number of distinct torus points in the fiber over a regular value."""
-    spec = _load_fan(fan, preset)
-    built = mirrormod.build_superpotential(spec)
+    built = _load_fan(fan, preset)
     value = _rational("--at", at_value)
     n = mirrormod.fiber_cardinality(built, _parse_params(params), value)
     _emit_report(settings, "mirror-fiber", {"cardinality": n},

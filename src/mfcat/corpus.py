@@ -77,10 +77,12 @@ def _corpus_objects_cached(field):
         named["cone(id:%s)" % name] = mf.cone(mf.identity_morphism(obj))
     x2 = power_factorization(1, 1, field)
     named["tensor(An:1:1,An:1:1~y)"] = _tensor_renamed(x2, "y")
-    named["tensor(pair:uv,pair:st)"] = _tensor_pair_st(field)
+    # the tensor of (u, v) with (s, t) is the Knoerrer periodicity of (u, v)
+    uv_st = mf.knorrer(product_factorization(False, field), names=("s", "t"))
+    named["tensor(pair:uv,pair:st)"] = uv_st
     for n in range(1, 5):
         named["knorrer(An:%d:1)" % n] = mf.knorrer(power_factorization(n, 1, field))
-    named["knorrer(pair:uv)"] = mf.knorrer(product_factorization(False, field), names=("s", "t"))
+    named["knorrer(pair:uv)"] = uv_st
     return named
 
 
@@ -90,14 +92,6 @@ def _tensor_renamed(obj, newvar):
     other = mf.MatrixFactorization(ring, obj.w.extend(ring, [0]), obj.lam,
                                    obj.e1.extend(ring, [0]), obj.e0.extend(ring, [0]))
     return mf.tensor(obj, other)
-
-
-def _tensor_pair_st(field=QQ):
-    a = product_factorization(False, field)
-    ring = RingContext(("s", "t"), field)
-    s, t = ring.variable("s"), ring.variable("t")
-    b = mf.rank_one(ring, s * t, 0, s, t)
-    return mf.tensor(a, b)
 
 
 def hom_pairs(field=QQ, max_rank: int = 2):

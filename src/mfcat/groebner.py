@@ -63,32 +63,32 @@ dict by the lcm D of its denominators, so a tracked input enters as
 membership witness comes from one remainder, _remainder: _entry, then
 _divide.
 
-Over Q the kernel computes over Z, as Singular does with primitive
-normal forms and content removal (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra).  Basis elements and divisors are
-kept primitive: divided by the gcd of their coefficients, with a
-positive lead.  Over F_p they are monic instead.  Division is
-pseudo-division: to reduce a term c*m by a divisor whose lead
-coefficient is a, the pending terms, the remainder and a running scale s
-are first multiplied by a/gcd(a, c), so the quotient stays integral.
+The kernel computes on ints, in the field's integer encoding: over Q
+over Z, as Singular does with primitive normal forms and content removal
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra), over
+F_p on residues mod the field's `p`.  Basis elements and divisors are
+kept in the field's stored form (`Field.stored_form`): over Q primitive,
+divided by the gcd of their coefficients with a positive lead, over F_p
+monic.  Division is pseudo-division: to reduce a term c*m by a divisor
+whose lead coefficient is a, the pending terms, the remainder and a
+running scale s are first multiplied by a/gcd(a, c), so the quotient
+stays integral.
 Every step keeps the work s times the field's, so the divisor chosen,
 remainders and witnesses are those over the field.  Coefficients become
-Fractions only on the way out: a basis element is divided by its lead
-coefficient, a remainder by D*s, and a subquotient representative by s
-times the lead coefficient of its kernel element.  Over F_p, D and s
-are 1.
+field elements only on the way out, through `Field.from_scaled`: a basis
+element is divided by its lead coefficient, a remainder by D*s, and a
+subquotient representative by s times the lead coefficient of its kernel
+element.  Over F_p, D and s are 1.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from math import gcd
 from operator import add, le, mul, neg, sub
 
-from .poly import (DESCENDING_KEYS, Polynomial, PolyError, RationalField, RingMismatch,
-                   integer_multiple)
+from .poly import DESCENDING_KEYS, Polynomial, PolyError, RingMismatch, integer_multiple
 
 
 class ImageNotInKernel(PolyError):
@@ -148,20 +148,19 @@ def _entry(vectors, ring, rank, track=False):
 
 def _terms_to_vector(terms, ring, rank, start=0, scale=1):
     """The entries at positions start .. start + rank - 1 of a kernel term
-    dict divided by `scale`, which is 1 over F_p; over Q as Fractions."""
-    over_q = isinstance(ring.field, RationalField)
+    dict divided by `scale`, which is 1 over F_p, as field elements."""
+    to_field = ring.field.from_scaled
     polys = [{} for _ in range(rank)]
     for (pos, exps), c in terms.items():
         if start <= pos < start + rank:
-            polys[pos - start][exps] = Fraction(c, scale) if over_q else c
+            polys[pos - start][exps] = to_field(c, scale)
     return tuple(Polynomial(ring, d) for d in polys)
 
 
 def _arith(fld):
-    """(add, mul, neg) on kernel coefficients: ints over Q, residues over F_p."""
-    if isinstance(fld, RationalField):
-        return add, mul, neg
-    return fld.add, fld.mul, fld.neg
+    """(add, mul, neg) on kernel coefficients: the plain int operations, or
+    the field's own, mod its `p`, when it has a modulus."""
+    return (add, mul, neg) if fld.p is None else (fld.add, fld.mul, fld.neg)
 
 
 def _divides(a, b):
@@ -177,8 +176,7 @@ def _exps_add(a, b):
 
 
 class _Elem:
-    """A divisor with lead term `lt`: over Q primitive over Z with a
-    positive lead, over F_p monic."""
+    """A divisor with lead term `lt`, in the field's stored form."""
 
     __slots__ = ("terms", "lt", "lc")
 
@@ -188,16 +186,7 @@ class _Elem:
         self.normalise(fld)
 
     def normalise(self, fld):
-        """Divide the terms by their content, signed as the lead, over Q and
-        by the lead over F_p."""
-        terms, c = self.terms, self.terms[self.lt]
-        if isinstance(fld, RationalField):
-            g = gcd(*terms.values()) if c > 0 else -gcd(*terms.values())
-            if g != 1:
-                self.terms = {t: v // g for t, v in terms.items()}
-        elif c != 1:
-            inv = fld.inv(c)
-            self.terms = {t: fld.mul(v, inv) for t, v in terms.items()}
+        self.terms = fld.stored_form(self.terms, self.lt)
         self.lc = self.terms[self.lt]
 
 
@@ -378,7 +367,7 @@ def _reduce(ring, basis):
         e.terms = {e.lt: s * e.lc, **rem}
         e.normalise(ring.field)
 
-    reduced.sort(key=lambda e: key(e.lt), reverse=True)
+    reduced.reverse()  # the leads are distinct, so this is descending order
     return reduced
 
 

@@ -1,8 +1,9 @@
 """Dense matrices with Polynomial entries, all over one ring context, and
 the one sparse row echelon over a field, ``RowEchelon``, which computes on
-ints: fraction-free over Q, mod p over F_p.  The truncation oracle reads
-ranks and pivots from it; ``mirror.critical_values`` finds the first
-linear relation among the powers of W with it.
+ints in the field's integer encoding: fraction-free over Q, mod p over
+F_p.  The truncation oracle reads ranks and pivots from it;
+``mirror.critical_values`` finds the first linear relation among the
+powers of W with it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 from operator import add
 
-from .poly import Polynomial, PrimeField, RingMismatch
+from .poly import Polynomial, RingMismatch
 
 
 class PolyMatrix:
@@ -218,37 +219,27 @@ class RowEchelon:
     its smallest remaining column.  The elimination is fraction-free
     (Bareiss, Math. Comp. 22, 1968): a row whose entry at a stored pivot
     column is a meets that pivot row p, with leading entry b, as
-    r <- (b/g) r - (a/g) p for g = gcd(a, b).  Over Q a row is
-    stored primitive: divided by the gcd of its entries, signed to lead
-    positive; a row with denominators is entered as its multiple by their
-    lcm (``poly.integer_multiple``).  Over F_p the rows hold ints in
-    1..p-1, each step is taken mod p, and a row is stored monic, so b is 1.
-    Either way a stored row is a nonzero multiple of the one a field
-    elimination in the same order would store.
+    r <- (b/g) r - (a/g) p for g = gcd(a, b), taken mod the field's `p`
+    when it has one.  A row is stored in the field's stored form at its
+    leading column (``Field.stored_form``): over Q primitive, divided by
+    the gcd of its entries and signed to lead positive, over F_p monic, so
+    b is 1.  Over Q a row with denominators is entered as its multiple by
+    their lcm (``poly.integer_multiple``); over F_p the rows hold ints in
+    1..p-1.  Either way a stored row is a nonzero multiple of the one a
+    field elimination in the same order would store.
     """
 
     def __init__(self, field):
         self.field = field
-        self._modulus = field.p if isinstance(field, PrimeField) else None
         self.pivots = {}  # leading column -> stored row
 
     def insert(self, row):
         """Add a row; its new pivot column, or None when it was dependent."""
-        p = self._modulus
-        row = self._reduce(dict(row), p)
+        row = self._reduce(dict(row), self.field.p)
         if not row:
             return None
         c = min(row)
-        lead = row[c]
-        if p:
-            if lead != 1:
-                inv = pow(lead, -1, p)
-                row = {cc: v * inv % p for cc, v in row.items()}
-        else:
-            g = gcd(*row.values()) if lead > 0 else -gcd(*row.values())
-            if g != 1:
-                row = {cc: v // g for cc, v in row.items()}
-        self.pivots[c] = row
+        self.pivots[c] = self.field.stored_form(row, c)
         return c
 
     def _reduce(self, row, p):

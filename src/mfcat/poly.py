@@ -63,7 +63,11 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Arithmetic interface shared by Q and F_p."""
+    """Arithmetic interface shared by Q and F_p, and the one integer
+    encoding of the exact kernels: they compute on int dicts, fraction-free
+    over Q and mod `p` over F_p, and come back through `from_scaled`."""
+
+    p = None  # the modulus over F_p
 
     def add(self, a, b):
         raise NotImplementedError
@@ -86,6 +90,16 @@ class Field:
     def coerce(self, value):
         """The field element of an int or Fraction; anything else, bool
         included, raises TypeError."""
+        raise NotImplementedError
+
+    def stored_form(self, terms, lead):
+        """An int dict in its stored form at the key `lead`: over Q divided
+        by its content and signed so the lead is positive, over F_p monic.
+        Returned as given when it is already stored."""
+        raise NotImplementedError
+
+    def from_scaled(self, c, d):
+        """The field element c/d of ints c and d."""
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -111,7 +125,14 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return self.one / a
+
+    def stored_form(self, terms, lead):
+        g = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
+        return terms if g == 1 else {t: v // g for t, v in terms.items()}
+
+    def from_scaled(self, c, d):
+        return Fraction(c, d)
 
     def coerce(self, value):
         if not _is_coeff(value):
@@ -155,6 +176,13 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 mod %d" % self.p)
         return pow(a, self.p - 2, self.p)
+
+    def stored_form(self, terms, lead):
+        inv = pow(terms[lead], -1, self.p)
+        return terms if inv == 1 else {t: v * inv % self.p for t, v in terms.items()}
+
+    def from_scaled(self, c, d):
+        return c * pow(d, -1, self.p) % self.p
 
     def coerce(self, value):
         if not _is_coeff(value):
@@ -369,12 +397,6 @@ class _TermPoly:
         exps = max(self.terms, key=key)
         return exps, self.terms[exps]
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -541,9 +563,6 @@ class Polynomial(_TermPoly):
                 e[index_map[i]] = k
             out[tuple(e)] = new_ring.field.coerce(c)
         return Polynomial(new_ring, out)
-
-    def as_laurent(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.ring, dict(self.terms))
 
 
 class LaurentPolynomial(_TermPoly):
@@ -796,44 +815,36 @@ def univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over the ring's field.
 
     Euclid on dense coefficient lists of ints (Knuth, TAOCP vol. 2,
-    4.6.1).  Over Q it is the primitive remainder sequence over Z: each
-    operand is cleared of denominators, each remainder is a
-    pseudo-remainder, and each is divided by its content, so it is a
-    nonzero multiple of the remainder over Q.  Over F_p the operands are
-    ints mod p, made monic.
+    4.6.1), each in the field's stored form.  Over Q it is the primitive
+    remainder sequence over Z: each operand is cleared of denominators,
+    each remainder is a pseudo-remainder, and each is divided by its
+    content, so it is a nonzero multiple of the remainder over Q.  Over
+    F_p the operands are ints mod p, made monic.
     """
     if f.ring != g.ring:
         raise RingMismatch("gcd operands in different rings")
-    ring = f.ring
-    p = ring.field.p if isinstance(ring.field, PrimeField) else None
-    a, b = _coefficient_list(f, p), _coefficient_list(g, p)
+    field = f.ring.field
+    a, b = _coefficient_list(f), _coefficient_list(g)
     while b:
-        a, b = b, _normalised(_pseudo_remainder(a, b, p), p)
+        a, b = b, _normalised(_pseudo_remainder(a, b, field.p), field)
     lead = a[-1] if a else 1
-    return Polynomial(ring, {(k,): c if p else Fraction(c, lead) for k, c in enumerate(a)})
+    return Polynomial(f.ring, {(k,): field.from_scaled(c, lead) for k, c in enumerate(a)})
 
 
-def _coefficient_list(f: Polynomial, p):
+def _coefficient_list(f: Polynomial):
     """Coefficients of f by degree as ints, normalised as in _normalised."""
     terms, _ = integer_multiple(f.terms)
-    coeffs = [0] * (f.total_degree() + 1) if terms else []
-    for (k,), c in terms.items():
-        coeffs[k] = c
-    return _normalised(coeffs, p)
+    coeffs = [terms.get((k,), 0) for k in range(f.total_degree() + 1)] if terms else []
+    return _normalised(coeffs, f.ring.field)
 
 
-def _normalised(coeffs, p):
-    """Trailing zeros dropped; then over Z divided by the content, signed as
-    the lead, and over F_p (p not None) made monic."""
+def _normalised(coeffs, field):
+    """Trailing zeros dropped, then in the field's stored form at the lead."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         return coeffs
-    if p:
-        inv = pow(coeffs[-1], -1, p)
-        return [c * inv % p for c in coeffs]
-    g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
-    return [c // g for c in coeffs]
+    return list(field.stored_form(dict(enumerate(coeffs)), len(coeffs) - 1).values())
 
 
 def _pseudo_remainder(a, b, p):

@@ -1,3 +1,5 @@
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +47,52 @@ def test_prime_field_arithmetic():
     assert f7.add(5, 5) == 3
     assert f7.coerce(Fraction(1, 2)) == 4
     assert parse_coefficient(f7, "3/2") == f7.mul(3, f7.inv(2))
+
+
+def test_rational_inverse_and_quotient_are_exact():
+    for a in (3, Fraction(3), Fraction(-3, 2)):
+        assert type(QQ.inv(a)) is Fraction and QQ.inv(a) * a == 1
+        for b in (1, Fraction(1), Fraction(5, 7)):
+            assert type(QQ.div(b, a)) is Fraction and QQ.div(b, a) * a == b
+    assert QQ.div(1, 3) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32749)], ids=repr)
+def test_field_stored_form_is_the_one_row_encoding(field):
+    rng = random.Random("stored-form/%r" % (field,))
+    bound = 40 if field.p is None else field.p - 1
+    for _ in range(200):
+        scale = rng.choice([-1, 1]) * rng.randint(1, 12)
+        terms = {k: scale * rng.randint(-bound, bound) for k in rng.sample(range(-5, 15), 6)}
+        if field.p is not None:
+            terms = {k: v % field.p for k, v in terms.items()}
+        terms = {k: v for k, v in terms.items() if v}
+        if not terms:
+            continue
+        lead = rng.choice(list(terms))
+        stored = field.stored_form(dict(terms), lead)
+        assert stored.keys() == terms.keys()
+        # a nonzero multiple of the row: stored / stored[lead] = terms / terms[lead]
+        for k, v in terms.items():
+            assert (field.from_scaled(stored[k], stored[lead])
+                    == field.from_scaled(v, terms[lead]))
+        if field.p is None:
+            assert math.gcd(*stored.values()) == 1 and stored[lead] > 0
+        else:
+            assert stored[lead] == 1
+            assert all(0 < v < field.p for v in stored.values())
+        assert field.stored_form(stored, lead) is stored
+    assert field.from_scaled(6, 3) == field.coerce(2)
+    assert field.from_scaled(1, 3) == field.div(field.one, field.coerce(3))
+
+
+def test_only_poly_tells_the_fields_apart():
+    for name in ("cli", "corpus", "files", "groebner", "hom", "matrix", "mf", "mirror", "oracle"):
+        module = importlib.import_module("mfcat." + name)
+        assert not hasattr(module, "RationalField") and not hasattr(module, "PrimeField"), name
+    assert not hasattr(RowEchelon(PrimeField(7)), "_modulus")
 
 
 def test_parse_and_format_round_trip():

@@ -23,6 +23,12 @@ Items, each line "<key>\t<answer>":
     image_and_syzygies, syzygy_basis_of_vectors, and subquotient_basis
     of vector lists, on seeded inputs with fractional coefficients in
     Q[x, y] and F_32749[x, y];
+  * poly.univariate_gcd of seeded pairs h*a, h*b with rational
+    coefficients in Q[x] and F_32749[x], zero and constant ones included,
+    and of each with its derivative;
+  * matrix.RowEchelon over Q and F_32749 on seeded sparse rows with
+    rational entries and negative columns, some rows combinations of
+    earlier ones: each insert's pivot, the rank and the stored rows;
   * oracle.quotient_dim_truncated (from start degrees 1 and 0..3) and
     oracle.ideal_member_linear on seeded ideals with rational
     coefficients in Q[x, y] and F_32749[x, y];
@@ -41,10 +47,11 @@ Items, each line "<key>\t<answer>":
     object, also with `--upto` 4 and 24, and 40 for the knorrer objects,
     `hom --oracle` on every 41st corpus pair, `tensor` of seeded corpus
     pairs in disjoint variables, `cone` of the identity of every corpus
-    object and of each seeded composite over Q, `mirror-build` of each
-    preset and P4, `mirror-count` and `mirror-values` of each preset (and
-    `mirror-count` of P4) at seeded parameters, and a few `mirror-fiber`
-    calls.
+    object and of each seeded composite over Q, `nullhomotopic` of the
+    same morphisms, `mirror-build` of each preset and P4 (also with
+    `-o`, and the file it writes), `mirror-count` and `mirror-values` of
+    each preset (and `mirror-count` of P4) at seeded parameters, and a
+    few `mirror-fiber` calls.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ from click.testing import CliRunner
 
 from mfcat import corpus, files, groebner, hom, mf, mirror, oracle
 from mfcat.cli import main
-from mfcat.matrix import PolyMatrix
-from mfcat.poly import PolyError, Polynomial, PrimeField, QQ, RingContext, parse_laurent
+from mfcat.matrix import PolyMatrix, RowEchelon
+from mfcat.poly import (PolyError, Polynomial, PrimeField, QQ, RingContext, integer_multiple,
+                        parse_laurent, univariate_gcd)
 
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
@@ -69,6 +77,8 @@ IDEAL_DRAWS = 40
 BASIS_DRAWS = 30
 HILBERT_UPTO = 12
 KERNEL_DRAWS = 30
+GCD_DRAWS = 60
+ECHELON_DRAWS = 60
 LAURENT = {
     ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
               "Y1^2 - 2*Y1 + 1", "2/3*Y1^-3 + Y1^2 - 5/2*Y1", "Y1", "5"),
@@ -275,6 +285,42 @@ def _kernel_items(field):
                    answer)
 
 
+def _univariate_items(field):
+    """univariate_gcd of h*a and h*b for seeded h, a and b of degree up to
+    4 (a zero one now and then), and of each with its derivative."""
+    rng = random.Random("gcd/%r" % (field,))
+    ring = RingContext(("x",), field)
+
+    def poly(degree):
+        return Polynomial(ring, {(k,): field.coerce(_rational(rng)) for k in range(degree + 1)})
+
+    for n in range(GCD_DRAWS):
+        h, a, b = (poly(rng.randint(-1, 4)) for _ in range(3))
+        for f, g in ((h * a, h * b), (h * a, (h * a).derivative(0))):
+            yield "univariate_gcd %r %d %s | %s" % (field, n, f, g), str(univariate_gcd(f, g))
+
+
+def _echelon_items(field):
+    """RowEchelon of seeded sparse rows over columns -4..10 with rational
+    entries, one row in three a combination of two earlier ones."""
+    rng = random.Random("echelon/%r" % (field,))
+    for n in range(ECHELON_DRAWS):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            if len(rows) > 1 and rng.random() < 1 / 3:
+                (p, q), (r, s) = rng.sample(rows, 2), (_rational(rng), _rational(rng))
+                row = {c: r * p.get(c, 0) + s * q.get(c, 0) for c in set(p) | set(q)}
+            else:
+                row = {c: _rational(rng) for c in rng.sample(range(-4, 11), rng.randint(1, 6))}
+            rows.append({c: v for c, v in row.items() if field.coerce(v)})
+        echelon = RowEchelon(field)
+        pivots = [echelon.insert(integer_multiple({c: field.coerce(v) for c, v in row.items()})[0])
+                  for row in rows]
+        yield ("RowEchelon %r %d %s" % (field, n, " ; ".join(
+            " ".join("%d:%s" % cv for cv in sorted(row.items())) for row in rows)),
+               "%r %d %r" % (pivots, echelon.rank, sorted(echelon.pivots.items())))
+
+
 def _mirror_items():
     rng = random.Random("mirror")
     specs = {name: mirror.build_superpotential(
@@ -410,6 +456,8 @@ def items():
         yield from _ideal_items(field)
         yield from _basis_items(field)
         yield from _kernel_items(field)
+        yield from _univariate_items(field)
+        yield from _echelon_items(field)
     composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
     for field, drawn in composites.items():
         for nx, ny, nz, h in drawn:
@@ -433,7 +481,7 @@ def _cli_items(objects, composites):
                  for name, x in objects}
     for i, (nx, ny, nz, h) in enumerate(composites):
         morphisms["compose%d(%s,%s,%s).json" % (i, nx, ny, nz)] = files.morphism_to_doc(h, nx, nz)
-    commands += [["cone", path] for path in morphisms]
+    commands += [[verb, path] for verb in ("cone", "nullhomotopic") for path in morphisms]
     commands += [["hom", "--oracle", ns, nt] for ns, nt, _, _ in corpus.hom_pairs()[::41]]
     rng = random.Random("cli")
     for name in sorted(mirror.PRESETS):
@@ -449,6 +497,7 @@ def _cli_items(objects, composites):
         params = ["%s=%d/%d" % (p, rng.randint(1, 12), rng.randint(1, 12))
                   for p in mirror.build_superpotential(_fan(fan)).param_names]
         commands.append(["mirror-build"] + where)
+        commands.append(["mirror-build"] + where + ["-o", "built-%s.json" % fan])
         commands.append(["mirror-count"] + where + [arg for p in params for arg in ("--param", p)])
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -460,6 +509,9 @@ def _cli_items(objects, composites):
                 res = runner.invoke(main, ["--format", fmt] + args)
                 yield ("%s %s %s" % (args[0], fmt, " ".join(args[1:])),
                        repr((res.exit_code, res.output)))
+        for fan in sorted(mirror.PRESETS) + ["P4"]:
+            with open("built-%s.json" % fan) as handle:
+                yield "mirror-build written %s" % fan, repr(handle.read())
 
 
 if __name__ == "__main__":
