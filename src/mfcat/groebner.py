@@ -577,8 +577,10 @@ def _walk(kernel_leads, image_leads, nvars, upto=None):
     monomials between the lead and a multiple m outside LT(I) divide m, so
     m is reached.  Only an image lead l with l_j = m_j + 1 can divide m x_j
     and not m.  Without upto, INFINITE when at some lead k an x_i is bounded
-    by no image lead l, that is, no l has l_j <= k_j for all j != i.
+    by no image lead l, that is, no l has l_j <= k_j for all j != i.  A walk
+    that passes HILBERT_MONOMIAL_LIMIT monomials at one position raises.
     """
+    limit = HILBERT_MONOMIAL_LIMIT
     found = {}
     for n, (pos, k) in enumerate(kernel_leads):
         leads = [l for p, l in image_leads if p == pos]
@@ -605,6 +607,9 @@ def _walk(kernel_leads, image_leads, nvars, upto=None):
                     if c in seen or any(l[j] == e and _divides(l, c) for l in leads):
                         continue
                     seen[c] = n
+                    if len(seen) > limit:
+                        raise ValueError("quotient has more than %d standard monomials"
+                                         " at one position" % limit)
                     stack.append((c, j, degree + 1))
     return found
 
@@ -633,9 +638,9 @@ def quotient_dim(G: GroebnerBasis):
     return INFINITE if found is INFINITE else sum(map(len, found.values()))
 
 
-# hilbert_slices walks the standard monomials of degree <= upto, at worst
-# every monomial of degree <= upto, so a range with more monomials than
-# this is refused rather than walked.
+# No walk enumerates more standard monomials than this at one position;
+# hilbert_slices walks at worst every monomial of degree <= upto, so a
+# range with more monomials than this is refused before it walks.
 HILBERT_MONOMIAL_LIMIT = 10 ** 6
 
 

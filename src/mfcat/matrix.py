@@ -135,8 +135,8 @@ class PolyMatrix:
 
     def __matmul__(self, other):
         """The matrix product.  Each output entry is summed in one term dict
-        with the field's add and mul and becomes one Polynomial; zero entries
-        of self are skipped."""
+        with the field's add and mul and becomes one Polynomial, which drops
+        the terms that cancelled; zero entries of self are skipped."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product: %dx%d @ %dx%d"
@@ -144,7 +144,6 @@ class PolyMatrix:
         ring = self.ring
         plus, times = ring.field.add, ring.field.mul
         n, m = self.cols, other.cols
-        zero = ring.zero()
         out = []
         for i in range(self.rows):
             row = [(k, a.terms) for k, a in enumerate(self.entries[i * n:(i + 1) * n])
@@ -155,16 +154,9 @@ class PolyMatrix:
                     for eb, cb in other.entries[k * m + j].terms.items():
                         for ea, ca in a.items():
                             e = tuple(map(add, ea, eb))
-                            old = acc.get(e)
-                            if old is None:
-                                acc[e] = times(ca, cb)
-                            else:
-                                s = plus(old, times(ca, cb))
-                                if s:
-                                    acc[e] = s
-                                else:
-                                    del acc[e]
-                out.append(Polynomial(ring, acc) if acc else zero)
+                            c = times(ca, cb)
+                            acc[e] = plus(acc[e], c) if e in acc else c
+                out.append(Polynomial(ring, acc))
         return PolyMatrix(ring, self.rows, m, out)
 
     def scale(self, poly: Polynomial) -> "PolyMatrix":

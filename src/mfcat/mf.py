@@ -91,9 +91,10 @@ class MatrixFactorization:
 
     def check(self) -> ValidationReport:
         """Re-run the defining identities and report failing cells."""
-        if (self.w - self.ring.constant(self.lam)).is_zero:
+        shifted = self.w - self.ring.constant(self.lam)
+        if shifted.is_zero:
             return ValidationReport([("W - lambda", 0, 0, "0", "a nonzero polynomial")])
-        target = PolyMatrix.scalar(self.w - self.ring.constant(self.lam), self.rank)
+        target = PolyMatrix.scalar(shifted, self.rank)
         failures = []
         failures += _product_failures("e0*e1", self.e0 @ self.e1, target)
         failures += _product_failures("e1*e0", self.e1 @ self.e0, target)

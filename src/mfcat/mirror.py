@@ -316,7 +316,8 @@ def critical_values(w_spec, params=None) -> CriticalReport:
     relation = echelon.pivots[pivot]
     lead = relation[count + k]
     wring = RingContext(("w",), QQ, "lex")
-    value_poly = Polynomial(wring, {(c - count,): Fraction(v, lead) for c, v in relation.items()})
+    value_poly = Polynomial(wring, {(c - count,): QQ.from_scaled(v, lead)
+                                    for c, v in relation.items()})
     distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
     if value_poly.total_degree() > count:
         raise AssertionError("eliminant degree exceeds the critical count")

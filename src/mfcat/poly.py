@@ -4,6 +4,10 @@ Coefficients are `fractions.Fraction` (over Q) or plain ints in [0, p)
 (over F_p).  A polynomial is a dict mapping exponent tuples to nonzero
 coefficients; all arithmetic is exact and deterministic.  Laurent
 polynomials reuse the same term dict but allow negative exponents.
+
+The constructor is the one place that drops zero coefficients: every
+operation, and the parser, sums its terms into one dict and builds one
+polynomial from it, cancelled terms included.
 """
 
 from __future__ import annotations
@@ -293,10 +297,7 @@ class RingContext:
         return self.constant(self.field.one)
 
     def constant(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
-        if c == self.field.zero:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: self.field.coerce(c)})
 
     def variable(self, name: str) -> "Polynomial":
         i = self.var_index(name)
@@ -341,7 +342,10 @@ def _is_name(s: str) -> bool:
 # ---------------------------------------------------------------------------
 
 class _TermPoly:
-    """Shared term-dict plumbing for Polynomial and LaurentPolynomial."""
+    """Shared term-dict plumbing for Polynomial and LaurentPolynomial.
+
+    The constructor checks the exponents and drops the zero coefficients;
+    no other code does, so callers pass their sums as they are."""
 
     __slots__ = ("ring", "terms")
 
@@ -403,14 +407,10 @@ class _TermPoly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        fld = self.ring.field
+        plus = self.ring.field.add
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = fld.add(out.get(exps, fld.zero), c)
-            if s == fld.zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+        for e, c in other.terms.items():
+            out[e] = plus(out[e], c) if e in out else c
         return type(self)(self.ring, out)
 
     __radd__ = __add__
@@ -432,17 +432,13 @@ class _TermPoly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        fld = self.ring.field
-        zero = fld.zero
+        plus, times = self.ring.field.add, self.ring.field.mul
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(out.get(e, zero), fld.mul(c1, c2))
-                if s == zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                c = times(c1, c2)
+                out[e] = plus(out[e], c) if e in out else c
         return type(self)(self.ring, out)
 
     __rmul__ = __mul__
@@ -463,16 +459,12 @@ class _TermPoly:
         """Multiply by a field coefficient."""
         fld = self.ring.field
         c = fld.coerce(c)
-        if c == fld.zero:
-            return type(self)(self.ring, {})
         return type(self)(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
 
     def mul_term(self, exps, c):
         """Multiply by the single term c * x^exps."""
         fld = self.ring.field
         c = fld.coerce(c)
-        if c == fld.zero:
-            return type(self)(self.ring, {})
         return type(self)(
             self.ring,
             {tuple(a + b for a, b in zip(e, exps)): fld.mul(v, c) for e, v in self.terms.items()},
@@ -529,14 +521,8 @@ class Polynomial(_TermPoly):
         out = {}
         for exps, c in self.terms.items():
             k = exps[var]
-            if k == 0:
-                continue
-            e = exps[:var] + (k - 1,) + exps[var + 1:]
-            s = fld.add(out.get(e, fld.zero), fld.mul(c, fld.coerce(k)))
-            if s == fld.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            if k:  # distinct terms stay distinct: nothing to merge
+                out[exps[:var] + (k - 1,) + exps[var + 1:]] = fld.mul(c, fld.coerce(k))
         return Polynomial(self.ring, out)
 
     def evaluate(self, values):
@@ -571,13 +557,8 @@ class LaurentPolynomial(_TermPoly):
     def log_derivative(self, var: int) -> "LaurentPolynomial":
         """y_i * d/dy_i: multiplies each term by its y_i exponent."""
         fld = self.ring.field
-        out = {}
-        for exps, c in self.terms.items():
-            k = exps[var]
-            if k == 0:
-                continue
-            out[exps] = fld.mul(c, fld.coerce(k))
-        return LaurentPolynomial(self.ring, out)
+        return LaurentPolynomial(
+            self.ring, {e: fld.mul(c, fld.coerce(e[var])) for e, c in self.terms.items()})
 
     def clear_denominators(self):
         """Return (poly, shifts) with poly = self * prod y_i^shifts[i]."""
@@ -618,11 +599,7 @@ class LaurentPolynomial(_TermPoly):
             for old, new in keep:
                 e[new] = exps[old]
             e = tuple(e)
-            s = fld.add(out.get(e, fld.zero), coeff)
-            if s == fld.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = fld.add(out[e], coeff) if e in out else coeff
         return LaurentPolynomial(new_ring, out)
 
 
@@ -698,9 +675,9 @@ class _Parser:
         raise ParseError(message + (" near %r" % value if value else " at end of input"), line, col)
 
     def parse(self):
-        cls = LaurentPolynomial if self.laurent else Polynomial
+        """The one polynomial of the text, its terms summed in one dict."""
         fld = self.ring.field
-        total = cls(self.ring, {})
+        terms = {}
         first = True
         while True:
             sign = 1
@@ -719,11 +696,11 @@ class _Parser:
             exps, coeff = self.term()
             if sign < 0:
                 coeff = fld.neg(coeff)
-            total = total + cls(self.ring, {exps: coeff})
+            terms[exps] = fld.add(terms[exps], coeff) if exps in terms else coeff
             first = False
             if self.peek()[0] == "END":
                 break
-        return total
+        return (LaurentPolynomial if self.laurent else Polynomial)(self.ring, terms)
 
     def term(self):
         fld = self.ring.field

@@ -403,3 +403,29 @@ def test_huge_hilbert_range_is_refused_before_enumerating():
         mf.cokernel_presentation(E, hilbert_upto=limit)
     with pytest.raises(ValueError):
         groebner.hilbert_slices(groebner.buchberger([E.w]), limit)
+
+
+def test_standard_monomial_walk_is_bounded_at_each_position(tmp_path, monkeypatch):
+    limit = 40
+    monkeypatch.setattr(groebner, "HILBERT_MONOMIAL_LIMIT", limit)
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    assert groebner.quotient_dim(groebner.buchberger([x ** limit, y])) == limit
+    with pytest.raises(ValueError, match="more than 40 standard monomials"):
+        groebner.quotient_dim(groebner.buchberger([x ** (limit + 1), y]))
+    # the bound is per position: two positions of `limit` monomials each pass
+    zero = R.zero()
+    both = groebner.module_groebner([(x ** limit, zero), (y, zero), (zero, y ** limit), (zero, x)],
+                                    2, R)
+    assert groebner.quotient_dim(both) == 2 * limit
+    # cok of the rank-one factorization (x^e, x) of x^(e+1) counts e monomials
+    S = RingContext(("x",), QQ)
+    t = S.variable("x")
+    for e in (limit, limit + 1):
+        path = tmp_path / ("power%d.json" % e)
+        files.save(str(path), files.factorization_to_doc(mf.rank_one(S, t ** (e + 1), 0, t ** e, t)))
+        if e == limit:
+            res = run("--format", "machine", "cok", str(path))
+            assert res.exit_code == 0 and json.loads(res.output)["dimension"] == limit
+        else:
+            _one_line_error(run("cok", str(path)))

@@ -9,7 +9,7 @@ from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
     ParseError, RingMismatch, univariate_gcd, integer_multiple, ORDER_KEYS,
-    DESCENDING_KEYS,
+    DESCENDING_KEYS, _TermPoly,
 )
 from mfcat.matrix import PolyMatrix, RowEchelon
 
@@ -478,3 +478,126 @@ def test_random_ring_axioms():
         assert (a * b) * c == a * (b * c)
         assert a - a == R.zero()
         assert str(parse_polynomial(R, str(a))) == str(a)
+
+
+def _signed_text(pairs, names):
+    """Text of the sum of (exponents, coefficient) pairs, in that order,
+    repeats and zero coefficients included."""
+    out = []
+    for exps, c in pairs:
+        mono = "*".join("%s^%d" % (v, e) for v, e in zip(names, exps))
+        out.append("%s %s*%s" % ("-" if c < 0 else "+", abs(c), mono))
+    return " ".join(out)
+
+
+def test_a_parse_builds_one_polynomial(monkeypatch):
+    R = ring("x", "y")
+    built = []
+    init = _TermPoly.__init__
+
+    def counted(self, ring, terms):
+        built.append(type(self))
+        init(self, ring, terms)
+
+    monkeypatch.setattr(_TermPoly, "__init__", counted)
+    for n in (1, 2, 40, 400):
+        pairs = [((k % 5, k % 3), k % 7 - 3) for k in range(n)]
+        negative = [((-(k % 5), k % 3), k % 7 - 3) for k in range(n)]
+        for parse, text in ((parse_polynomial, _signed_text(pairs, R.variables)),
+                            (parse_laurent, _signed_text(negative, R.variables))):
+            built.clear()
+            p = parse(R, text)
+            assert built == [type(p)]
+            assert len(p.terms) <= 15
+    built.clear()
+    assert parse_coefficient(QQ, "- 3/4") == Fraction(-3, 4)
+    assert built == [Polynomial]
+
+
+def _reference_terms(pairs, field):
+    """The sum of (exponents, coefficient) pairs, one term at a time, with
+    its zero coefficients removed at the end."""
+    out = {}
+    for exps, c in pairs:
+        out[exps] = field.add(out.get(exps, field.zero), field.coerce(c))
+    return {e: c for e, c in out.items() if c != field.zero}
+
+
+def _assert_stored(p, pairs):
+    """p stores no zero coefficient and equals the term-by-term sum of pairs."""
+    field = p.ring.field
+    assert all(c != field.zero for c in p.terms.values())
+    assert p.terms == _reference_terms(pairs, field)
+
+
+def _shifted(a, b):
+    return tuple(i + j for i, j in zip(a, b))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32749)])
+def test_no_result_stores_a_zero_coefficient(field):
+    rng = random.Random("zeros/%r" % (field,))
+    R = ring("x", "y", field=field)
+    x, y = R.gens()
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 0]
+
+    def draw(low=0):
+        return [((rng.randint(low, 2), rng.randint(0, 2)), field.coerce(rng.choice(coeffs)))
+                for _ in range(rng.randint(0, 5))]
+
+    def product_pairs(fp, gp):
+        return [(_shifted(e1, e2), field.mul(c1, c2)) for e1, c1 in fp for e2, c2 in gp]
+
+    cancelled = 0  # results with fewer terms than their inputs' distinct exponents
+    for _ in range(80):
+        fp, gp = draw(), draw()
+        f, g = Polynomial(R, _reference_terms(fp, field)), Polynomial(R, _reference_terms(gp, field))
+        _assert_stored(f + g, fp + gp)
+        _assert_stored(f - g, fp + [(e, field.neg(c)) for e, c in gp])
+        _assert_stored(f * g, product_pairs(fp, gp))
+        cancelled += len((f + g).terms) < len(set(f.terms) | set(g.terms))
+        cancelled += len((f * g).terms) < len({e for e, _ in product_pairs(fp, gp)})
+        c, e = rng.choice(coeffs), (rng.randint(0, 2), rng.randint(0, 2))
+        _assert_stored(f.scale(c), [(e1, field.mul(c1, field.coerce(c))) for e1, c1 in fp])
+        _assert_stored(f.mul_term(e, c),
+                       [(_shifted(e1, e), field.mul(c1, field.coerce(c))) for e1, c1 in fp])
+        _assert_stored(f.derivative(0), [((e1[0] - 1, e1[1]), field.mul(c1, field.coerce(e1[0])))
+                                         for e1, c1 in fp if e1[0]])
+        if fp + gp:
+            _assert_stored(parse_polynomial(R, _signed_text(fp + gp, R.variables)), fp + gp)
+        # 2x2 products whose entries cancel about as often as the sums above
+        a, b = [draw() for _ in range(4)], [draw() for _ in range(4)]
+        ab = (PolyMatrix(R, 2, 2, [Polynomial(R, _reference_terms(p, field)) for p in a])
+              @ PolyMatrix(R, 2, 2, [Polynomial(R, _reference_terms(p, field)) for p in b]))
+        for i in range(2):
+            for j in range(2):
+                _assert_stored(ab.get(i, j), product_pairs(a[2 * i], b[j])
+                               + product_pairs(a[2 * i + 1], b[2 + j]))
+        # Laurent parse, then q = v merges the terms of each power of Y
+        L, Y = ring("Y", "q", field=field), ring("Y", field=field)
+        wp = [((rng.randint(-2, 2), rng.randint(-1, 1)), rng.choice(coeffs)) for _ in range(5)]
+        w = parse_laurent(L, _signed_text(wp, L.variables))
+        _assert_stored(w, wp)
+        v = field.coerce(rng.choice([1, -1, 2, Fraction(-1, 2)]))
+        _assert_stored(w.substitute({"q": v}, Y),
+                       [((e[0],), field.mul(field.coerce(c), v if e[1] > 0 else
+                                            field.inv(v) if e[1] < 0 else field.one))
+                        for e, c in wp])
+    assert cancelled > 20
+    _assert_stored(x + y - x - y, [])
+    _assert_stored((x + y) * (x - y), [((2, 0), 1), ((0, 2), -1)])
+    _assert_stored((x + y).scale(0), [])
+    _assert_stored((x + y).mul_term((1, 1), 0), [])
+    _assert_stored(R.constant(32749), [((0, 0), 32749)])
+    _assert_stored(R.constant(0), [])
+    _assert_stored(R.constant(1) - R.one(), [])
+    _assert_stored(parse_polynomial(R, "x - x + 0*y"), [])
+    _assert_stored(parse_polynomial(R, "32749*x"), [((1, 0), 32749)])
+    _assert_stored(parse_polynomial(R, "1 + x - 1"), [((1, 0), 1)])
+    t, = ring("x", field=field).gens()
+    _assert_stored((t ** 32749).derivative(0), [((32748,), 32749)])
+    _assert_stored(parse_laurent(ring("x", field=field), "x^-1 - x^-1"), [])
+    W = parse_laurent(ring("Y", "q", field=field), "q*Y - Y + Y^-1 + 2*q^-1")
+    _assert_stored(W.substitute({"q": 1}, ring("Y", field=field)), [((-1,), 1), ((0,), 2)])
+    row, col = PolyMatrix.from_rows(R, [[x, y]]), PolyMatrix.from_rows(R, [[y], [-x]])
+    _assert_stored((row @ col).get(0, 0), [])

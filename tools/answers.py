@@ -23,6 +23,12 @@ Items, each line "<key>\t<answer>":
     image_and_syzygies, syzygy_basis_of_vectors, and subquotient_basis
     of vector lists, on seeded inputs with fractional coefficients in
     Q[x, y] and F_32749[x, y];
+  * parses and arithmetic of seeded polynomials with repeated and
+    cancelling terms, in Q[x, y] and F_32749[x, y]: each parse, sum,
+    difference, product, scale (by 0 too), mul_term, derivative and
+    constant, Laurent parses in Y1, Y2, q and their substitutions at q,
+    and 2x2 matrix products, [a | a] @ [b ; -b] included, each printed
+    as its string and its sorted terms;
   * poly.univariate_gcd of seeded pairs h*a, h*b with rational
     coefficients in Q[x] and F_32749[x], zero and constant ones included,
     and of each with its derivative;
@@ -66,7 +72,7 @@ from mfcat import corpus, files, groebner, hom, mf, mirror, oracle
 from mfcat.cli import main
 from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.poly import (PolyError, Polynomial, PrimeField, QQ, RingContext, integer_multiple,
-                        parse_laurent, univariate_gcd)
+                        parse_laurent, parse_polynomial, univariate_gcd)
 
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
@@ -79,6 +85,7 @@ HILBERT_UPTO = 12
 KERNEL_DRAWS = 30
 GCD_DRAWS = 60
 ECHELON_DRAWS = 60
+ARITHMETIC_DRAWS = 60
 LAURENT = {
     ("Y1",): ("Y1 + Y1^-1", "Y1 + Y1^-2", "Y1^3 - 3*Y1", "Y1^-2 + Y1^-1",
               "Y1^2 - 2*Y1 + 1", "2/3*Y1^-3 + Y1^2 - 5/2*Y1", "Y1", "5"),
@@ -285,6 +292,73 @@ def _kernel_items(field):
                    answer)
 
 
+def _signed_text(pairs, names):
+    """Text of the sum of (exponents, coefficient) pairs, in that order."""
+    return " ".join("%s %s*%s" % ("-" if c < 0 else "+", abs(c),
+                                  "*".join("%s^%d" % ve for ve in zip(names, exps)))
+                    for exps, c in pairs)
+
+
+def _term_pairs(rng, nvars, low, count):
+    """`count` seeded (exponents, coefficient) pairs with exponents in
+    low..2 and rational coefficients, zero included; one pair in three
+    repeats an earlier exponent tuple with the same or the opposite
+    coefficient, so terms merge and cancel."""
+    pairs = []
+    for _ in range(count):
+        if pairs and rng.random() < 1 / 3:
+            exps, c = rng.choice(pairs)
+            pairs.append((exps, rng.choice((c, -c))))
+        else:
+            pairs.append((tuple(rng.randint(low, 2) for _ in range(nvars)),
+                          Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return pairs
+
+
+def _poly_text(p):
+    return "%s | %r" % (p, p.sorted_terms())
+
+
+def _arithmetic_items(field):
+    """Parses and arithmetic of seeded polynomials with repeated and
+    cancelling terms: each result's string and sorted terms."""
+    rng = random.Random("arithmetic/%r" % (field,))
+    ring = RingContext(("x", "y"), field)
+    laurent = RingContext(("Y1", "Y2", "q"), field)
+    target = RingContext(("Y1", "Y2"), field)
+    for n in range(ARITHMETIC_DRAWS):
+        texts = [_signed_text(_term_pairs(rng, 2, 0, rng.randint(1, 8)), ring.variables)
+                 for _ in range(2)]
+        f, g = (parse_polynomial(ring, text) for text in texts)
+        key = "%r %d %s | %s" % (field, n, *texts)
+        c = _rational(rng) if rng.random() < 0.75 else 0
+        exps = (rng.randint(0, 2), rng.randint(0, 2))
+        for name, result in (("parse", f), ("sum", f + g), ("difference", f - g),
+                             ("cancelling sum", f + (g - f)), ("product", f * g),
+                             ("cancelling product", (f + g) * (f - g) - f * f + g * g),
+                             ("scale %s" % c, f.scale(c)),
+                             ("mul_term %r %s" % (exps, c), f.mul_term(exps, c)),
+                             ("derivative", f.derivative(rng.randint(0, 1))),
+                             ("constant 32749", ring.constant(32749) + f - f)):
+            yield "arithmetic %s %s" % (name, key), _poly_text(result)
+        text = _signed_text(_term_pairs(rng, 3, -2, rng.randint(1, 8)), laurent.variables)
+        w = parse_laurent(laurent, text)
+        v = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4))
+        yield "laurent %r %d %s" % (field, n, text), _poly_text(w)
+        yield ("substitute %r %d %s | q=%s" % (field, n, text, v),
+               _poly_text(w.substitute({"q": v}, target)))
+        entries = [parse_polynomial(ring, _signed_text(_term_pairs(rng, 2, 0, rng.randint(0, 4)),
+                                                       ring.variables) or "0")
+                   for _ in range(8)]
+        a, b = PolyMatrix(ring, 2, 2, entries[:4]), PolyMatrix(ring, 2, 2, entries[4:])
+        key = "%r %d %s" % (field, n, " ; ".join(str(p) for p in entries))
+        for name, product in (("a @ b", a @ b),
+                              ("[a | a] @ [b ; -b]", PolyMatrix.block([[a, a]])
+                               @ PolyMatrix.block([[b], [-b]]))):
+            yield ("matmul %s %s" % (name, key),
+                   " ; ".join(_poly_text(p) for p in product.entries))
+
+
 def _univariate_items(field):
     """univariate_gcd of h*a and h*b for seeded h, a and b of degree up to
     4 (a zero one now and then), and of each with its derivative."""
@@ -456,6 +530,7 @@ def items():
         yield from _ideal_items(field)
         yield from _basis_items(field)
         yield from _kernel_items(field)
+        yield from _arithmetic_items(field)
         yield from _univariate_items(field)
         yield from _echelon_items(field)
     composites = {field: _composites(field) for field in (QQ, PrimeField(32749))}
