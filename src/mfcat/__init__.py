@@ -26,7 +26,7 @@ from .mf import (
     PairComplex, NotAFactorization, InvalidMorphism, VariableCollision,
     CompositionNonzero, validate, rank_one, identity_morphism, zero_morphism,
     compose, shift, shift_morphism, direct_sum, cone, cone_triangle,
-    tensor, knorrer, cokernel_presentation, totalize,
+    tensor, knorrer, minimal_model, koszul, cokernel_presentation, totalize,
 )
 from .hom import (
     HomComplex, HomReport, OddMorphism, hom_complex, hom_dims,

@@ -14,6 +14,14 @@ module of its columns) and its image (their span), through
 image_and_syzygies; dimensions and representatives then come from the
 leading terms of each kernel and the other differential's image
 (subquotient_basis).
+
+hom_dims reads the dimensions from the complex between the minimal
+models of the two ends (mf.minimal_model), which is homotopy equivalent
+to the full one and smaller, and needs no Groebner work at all when an
+end is contractible through constants.  Representatives are built from
+the full complex on first access, each closure-checked as it is built,
+and their counts are checked against the dimensions, so the two paths
+check each other whenever both run.
 """
 
 from __future__ import annotations
@@ -100,22 +108,47 @@ class OddMorphism:
 class HomReport:
     """Homology dimensions of a Hom complex plus basis representatives.
 
-    h0 and h1 are nonnegative ints or groebner.INFINITE.  basis_even
-    holds closed even representatives as MFMorphisms, basis_odd holds
-    OddMorphisms; both lists are empty when the dimension is infinite.
-    Representatives are normal forms against the image module, listed in
-    a deterministic order.
+    h0 and h1 are nonnegative ints or groebner.INFINITE, read from the
+    minimal models of the two ends.  basis_even holds closed even
+    representatives as MFMorphisms, basis_odd holds OddMorphisms; both
+    are built on first access from the full complex between source and
+    target, as normal forms against its image module listed in a
+    deterministic order, and both are empty when the dimension is
+    infinite.  Building them raises AssertionError when the full complex
+    disagrees with h0 and h1.
     """
 
-    __slots__ = ("source", "target", "h0", "h1", "basis_even", "basis_odd")
+    __slots__ = ("source", "target", "h0", "h1", "_bases")
 
-    def __init__(self, source, target, h0, h1, basis_even, basis_odd):
+    def __init__(self, source, target, h0, h1):
         self.source = source
         self.target = target
         self.h0 = h0
         self.h1 = h1
-        self.basis_even = tuple(basis_even)
-        self.basis_odd = tuple(basis_odd)
+        self._bases = None
+
+    @property
+    def basis_even(self):
+        return self._representatives()[0]
+
+    @property
+    def basis_odd(self):
+        return self._representatives()[1]
+
+    def _representatives(self):
+        if self._bases is None:
+            E, F = self.source, self.target
+            dims, even, odd = _homology(E, F, want_reps=True)
+            if dims != self.dims():
+                raise AssertionError("full Hom complex has dimensions %r, minimal models %r"
+                                     % (dims, self.dims()))
+            ring = E.ring
+            self._bases = (
+                tuple(mfmod.MFMorphism(E, F, *_unflatten_pair(rep, ring, F.rank, E.rank))
+                      for rep in even),
+                tuple(OddMorphism(E, F, *_unflatten_pair(rep, ring, F.rank, E.rank))
+                      for rep in odd))
+        return self._bases
 
     def dims(self):
         return (self.h0, self.h1)
@@ -128,21 +161,28 @@ def hom_complex(source, target, check=True) -> HomComplex:
     return HomComplex(source, target, check)
 
 
-def hom_dims(source, target) -> HomReport:
-    """Even and odd homology of the Hom complex, with representatives."""
+def _homology(source, target, want_reps):
+    """((h0, h1), even representatives, odd representatives) of the Hom
+    complex, from one Buchberger run per differential."""
     H = hom_complex(source, target, check=False)
     ring = source.ring
-    rt, rs = target.rank, source.rank
     n = len(H.even_columns)  # both differentials are n x n
     even_image, even_kernel = groebner.image_and_syzygies(H.even_columns, n, ring)
     odd_image, odd_kernel = groebner.image_and_syzygies(H.odd_columns, n, ring)
-    h0, even_reps = groebner.subquotient_basis(even_kernel, odd_image, ring, n)
-    h1, odd_reps = groebner.subquotient_basis(odd_kernel, even_image, ring, n)
-    basis_even = [mfmod.MFMorphism(source, target, *_unflatten_pair(rep, ring, rt, rs))
-                  for rep in even_reps]
-    basis_odd = [OddMorphism(source, target, *_unflatten_pair(rep, ring, rt, rs))
-                 for rep in odd_reps]
-    return HomReport(source, target, h0, h1, basis_even, basis_odd)
+    h0, even = groebner.subquotient_basis(even_kernel, odd_image, ring, n, want_reps)
+    h1, odd = groebner.subquotient_basis(odd_kernel, even_image, ring, n, want_reps)
+    return (h0, h1), even, odd
+
+
+def hom_dims(source, target) -> HomReport:
+    """Even and odd homology of the Hom complex, read from the minimal
+    models of both ends: (0, 0) with no Groebner work when either has
+    rank 0.  Representatives are built on first access."""
+    if source.potential_context() != target.potential_context():
+        raise groebner.RingMismatch("hom complex endpoints have different (ring, W, lambda)")
+    S, T = mfmod.minimal_model(source), mfmod.minimal_model(target)
+    dims = _homology(S, T, want_reps=False)[0] if S.rank and T.rank else (0, 0)
+    return HomReport(source, target, *dims)
 
 
 def is_null_homotopic(p: mfmod.MFMorphism):
@@ -166,8 +206,17 @@ def is_null_homotopic(p: mfmod.MFMorphism):
 
 
 def is_contractible(mf_obj) -> bool:
-    """Decide whether the identity morphism is null-homotopic."""
-    return is_null_homotopic(mfmod.identity_morphism(mf_obj))[0]
+    """Decide whether the identity morphism is null-homotopic.
+
+    True with no Groebner work when the minimal model has rank 0: the
+    object is then a sum of contractible summands (c, (W - lambda)/c) up
+    to a change of basis.  Otherwise the identity's witness decides.  The
+    reduction never answers False: a minimal object can still be
+    contractible, as (1 + x, x) of x + x^2 over Q[x] is, whose entries
+    are not constants but generate the unit ideal.
+    """
+    return (mfmod.minimal_model(mf_obj).rank == 0
+            or is_null_homotopic(mfmod.identity_morphism(mf_obj))[0])
 
 
 def is_homotopy_equivalence(p: mfmod.MFMorphism) -> bool:

@@ -247,6 +247,72 @@ def cone_triangle(p: MFMorphism):
     return C, inject, project
 
 
+def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
+    """The factorization left after splitting off every contractible
+    summand (c, (W - lambda)/c) with c a nonzero constant; mf itself when
+    no entry of e1 or e0 is a nonzero constant.
+
+    The first such entry c, at e1[i, j] and otherwise at e0[i, j], is
+    cleared from its row and column by row and column operations.  The
+    map holding it keeps its Schur complement, m[a, b] - m[a, j] m[i, b]/c
+    for a != i and b != j; the other map loses row j and column i, which
+    those operations leave untouched.  This repeats until no entry is a
+    nonzero constant.  The result is homotopy equivalent to mf (Eisenbud,
+    "Homological algebra on a complete intersection", Trans. AMS 260,
+    1980), so Hom dimensions may be read from it; rank 0 means mf is
+    contractible.  It is validated on construction.
+    """
+    ring = mf.ring
+    origin = (0,) * ring.nvars
+    maps = [[m.row(i) for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
+    while True:
+        pivot = next(((k, i, j) for k, m in enumerate(maps) for i, row in enumerate(m)
+                      for j, p in enumerate(row) if len(p.terms) == 1 and origin in p.terms),
+                     None)
+        if pivot is None:
+            break
+        k, i, j = pivot
+        m, other = maps[k], maps[1 - k]
+        top = [p.scale(ring.field.inv(m[i][j].terms[origin])) for p in m[i]]
+        maps[k] = [[p - r[j] * q for b, (p, q) in enumerate(zip(r, top)) if b != j]
+                   if r[j].terms else r[:j] + r[j + 1:]
+                   for a, r in enumerate(m) if a != i]
+        maps[1 - k] = [r[:i] + r[i + 1:] for a, r in enumerate(other) if a != j]
+    n = len(maps[0])
+    if n == mf.rank:
+        return mf
+    e1, e0 = (PolyMatrix(ring, n, n, [p for row in m for p in row]) for m in maps)
+    return MatrixFactorization(ring, mf.w, mf.lam, e1, e0)
+
+
+def koszul(ring, w: Polynomial, lam=0) -> MatrixFactorization:
+    """The Koszul factorization K = (x_1, w_1) (x) ... (x) (x_n, w_n) of
+    W - lambda = sum_i x_i w_i, each term of W - lambda going to the first
+    variable it contains; rank 2^(n-1) over the ring's n variables.
+
+    K is the stabilized residue field k^stab (Dyckerhoff, "Compact
+    generators in categories of matrix factorizations", Duke Math. J. 159,
+    2011): both dimensions of Hom(E, K) and of Hom(K, E) equal
+    rank E - rk e0(0) - rk e1(0).  The factors share one ring, so each
+    step tensors in place: A (x) (x_i, w_i) has e1 = [[a1, -x_i], [w_i, a0]]
+    and e0 = [[a0, x_i], [-w_i, a1]], with x_i and w_i times the identity.
+    """
+    shifted = w - ring.constant(lam)
+    if shifted.is_zero or (0,) * ring.nvars in shifted.terms:
+        raise ValueError("the Koszul factorization needs W - lambda nonzero and zero at the origin")
+    parts = [{} for _ in ring.variables]
+    for exps, c in shifted.terms.items():
+        i = next(i for i, e in enumerate(exps) if e)
+        parts[i][exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c
+    gens = ring.gens()
+    e1, e0 = PolyMatrix.scalar(gens[0], 1), PolyMatrix.scalar(Polynomial(ring, parts[0]), 1)
+    for x, part in zip(gens[1:], parts[1:]):
+        xs, ws = PolyMatrix.scalar(x, e1.rows), PolyMatrix.scalar(Polynomial(ring, part), e1.rows)
+        e1, e0 = (PolyMatrix.block([[e1, -xs], [ws, e0]]),
+                  PolyMatrix.block([[e0, xs], [-ws, e1]]))
+    return MatrixFactorization(ring, w, lam, e1, e0)
+
+
 def tensor(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
     """External tensor product over disjoint variable sets.
 

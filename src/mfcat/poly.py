@@ -91,6 +91,12 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def pow(self, a, k):
+        """a to the int power k, by square and multiply; a is nonzero when k < 0."""
+        if k < 0:
+            a, k = self.inv(a), -k
+        return a ** k if self.p is None else pow(a, k, self.p)
+
     def coerce(self, value):
         """The field element of an int or Fraction; anything else, bool
         included, raises TypeError."""
@@ -531,11 +537,9 @@ class Polynomial(_TermPoly):
         values = [fld.coerce(v) for v in values]
         total = fld.zero
         for exps, c in self.terms.items():
-            term = c
             for v, e in zip(values, exps):
-                for _ in range(e):
-                    term = fld.mul(term, v)
-            total = fld.add(total, term)
+                c = fld.mul(c, fld.pow(v, e))
+            total = fld.add(total, c)
         return total
 
     def extend(self, new_ring: RingContext, index_map=None) -> "Polynomial":
@@ -589,12 +593,7 @@ class LaurentPolynomial(_TermPoly):
         for exps, c in self.terms.items():
             coeff = fld.coerce(c)
             for i, val in values.items():
-                k = exps[i]
-                if k < 0:
-                    val = fld.inv(val)
-                    k = -k
-                for _ in range(k):
-                    coeff = fld.mul(coeff, val)
+                coeff = fld.mul(coeff, fld.pow(val, exps[i]))
             e = [0] * new_ring.nvars
             for old, new in keep:
                 e[new] = exps[old]

@@ -13,7 +13,9 @@ import pytest
 
 from mfcat import corpus, files, mirror, oracle
 from mfcat.groebner import INFINITE, buchberger, membership_witness, normal_form
-from mfcat.hom import hom_complex, hom_dims, is_contractible, is_homotopy_equivalence
+from mfcat.hom import (
+    hom_complex, hom_dims, is_contractible, is_homotopy_equivalence, is_null_homotopic,
+)
 from mfcat.matrix import PolyMatrix
 from mfcat.mf import (
     MFMorphism,
@@ -75,7 +77,12 @@ def test_criterion_1_corpus_validates_and_double_shift_is_identity(named_corpus)
 def test_criterion_2_cone_identities_and_square_zero_differentials(named_corpus, corpus_pairs):
     t0 = time.perf_counter()
     for name, obj in sorted(named_corpus.items()):
-        assert is_contractible(cone(identity_morphism(obj))), name
+        C = cone(identity_morphism(obj))
+        assert is_contractible(C), name
+        # the reduction answers above; the witness path must agree exactly
+        flag, s = is_null_homotopic(identity_morphism(C))
+        eye = PolyMatrix.identity(C.ring, C.rank)
+        assert flag and C.e0 @ s.s1 + s.s0 @ C.e1 == eye and s.s1 @ C.e0 + C.e1 @ s.s0 == eye, name
     for ns, nt, src, tgt in corpus_pairs:
         expected = direct_sum(tgt, shift(src))
         assert cone(zero_morphism(src, tgt)) == expected, (ns, nt)

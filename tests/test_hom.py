@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch
-from mfcat.matrix import PolyMatrix
+from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch, integer_multiple
+from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.groebner import INFINITE
 from mfcat import corpus, mf, oracle
 from mfcat.hom import (
@@ -138,11 +138,13 @@ def test_contractibility():
     E = an(1, 1)
     assert not is_contractible(E)
     assert is_contractible(mf.cone(mf.identity_morphism(E)))
+    _assert_contracted(mf.cone(mf.identity_morphism(E)))
     # unit entry: (1, W) is the zero object
     R = xring()
     x = R.variable("x")
     unit = mf.rank_one(R, x**2, 0, R.one(), x**2)
     assert is_contractible(unit)
+    _assert_contracted(unit)
 
 
 def test_homotopy_equivalence_decisions():
@@ -155,6 +157,7 @@ def test_homotopy_equivalence_decisions():
     sign = mf.MFMorphism(E, mf.shift(E), PolyMatrix.scalar(R.one(), 1),
                          PolyMatrix.scalar(-R.one(), 1))
     assert is_homotopy_equivalence(sign)
+    _assert_contracted(mf.cone(sign))
     # over the product potential the same move must fail: E and E[1] differ
     P = uv_pair()
     rep = hom_dims(P, mf.shift(P))
@@ -167,6 +170,7 @@ def test_double_shift_morphism_is_equivalence():
     double = mf.MFMorphism(E, mf.shift(mf.shift(E)),
                            PolyMatrix.identity(R, 1), PolyMatrix.identity(R, 1))
     assert is_homotopy_equivalence(double)
+    _assert_contracted(mf.cone(double))
 
 
 def test_jacobian_multiples_and_cones_of_identities_are_null_homotopic():
@@ -178,8 +182,18 @@ def test_jacobian_multiples_and_cones_of_identities_are_null_homotopic():
             flag, s = is_null_homotopic(mf.MFMorphism(X, X, dw, dw))
             assert flag, (name, i)
             assert X.e0 @ s.s1 + s.s0 @ X.e1 == dw and s.s1 @ X.e0 + X.e1 @ s.s0 == dw
-        # the cone of an identity is contractible
-        assert is_contractible(mf.cone(mf.identity_morphism(X))), name
+        # the cone of an identity is contractible, by the reduction to its
+        # minimal model and by a witness for its identity
+        C = mf.cone(mf.identity_morphism(X))
+        assert is_contractible(C), name
+        _assert_contracted(C)
+
+
+def _assert_contracted(C):
+    """is_null_homotopic finds a witness s for id_C with id = D(s) exactly."""
+    flag, s = is_null_homotopic(mf.identity_morphism(C))
+    eye = PolyMatrix.identity(C.ring, C.rank)
+    assert flag and C.e0 @ s.s1 + s.s0 @ C.e1 == eye and s.s1 @ C.e0 + C.e1 @ s.s0 == eye
 
 
 def test_hom_dims_runs_buchberger_once_per_differential(monkeypatch):
@@ -369,3 +383,220 @@ def test_hom_of_tensor_products_follows_kuenneth(field):
     # the draws reach an infinite Hom and a Hom with h0 != h1
     assert any(INFINITE in dims for dims in seen) and any(h0 != h1 for h0, h1 in seen)
     assert time.perf_counter() - start < KUENNETH_BUDGET_S
+
+
+# ---------------------------------------------------------------------------
+# minimal models, the Koszul brane and lazily built representatives
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return original(*args, **kw)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _seeded_cones(field, draws=40):
+    """Cones of seeded even morphisms between corpus pairs: combinations of
+    each pair's even hom basis with coefficients in -3..3, which include
+    invertible multiples of identities and so constant entries."""
+    rng = random.Random("cones/%r" % (field,))
+    pairs = corpus.hom_pairs(field)
+    cones = []
+    for _ in range(draws):
+        ns, nt, s, t = rng.choice(pairs)
+        p1 = p0 = PolyMatrix.zeros(s.ring, t.rank, s.rank)
+        for rep in hom_dims(s, t).basis_even:
+            c = s.ring.constant(rng.randint(-3, 3))
+            p1, p0 = p1 + rep.p1.scale(c), p0 + rep.p0.scale(c)
+        cones.append(("cone(%s->%s)" % (ns, nt), mf.cone(mf.MFMorphism(s, t, p1, p0))))
+    return cones
+
+
+@functools.lru_cache(maxsize=None)
+def _test_objects(field):
+    """Every corpus object and the seeded cones, as (name, object) pairs."""
+    return tuple(sorted(corpus.corpus_objects(field).items()) + _seeded_cones(field))
+
+
+def _unit_triangular(ring, n, entries):
+    """The identity of size n with the given {(row, col): entry} set."""
+    return PolyMatrix(ring, n, n, [entries.get((r, c), ring.one() if r == c else ring.zero())
+                                   for r in range(n) for c in range(n)])
+
+
+def _selection(ring, n, drop):
+    """The (n-1) x n matrix that forgets coordinate `drop`."""
+    keep = [r for r in range(n) if r != drop]
+    return PolyMatrix(ring, n - 1, n, [ring.one() if c == r else ring.zero()
+                                       for r in keep for c in range(n)])
+
+
+def _reduction_maps(E):
+    """(E', E -> E', E' -> E) by the reduction minimal_model applies, each
+    step written out as an invertible change of basis of E0 and E1.
+
+    A nonzero constant c at m[i, j] of m = e1 or e0, the first one in e1
+    and then in e0, row-major, is cleared by P = I - sum_a (m[a, j]/c) E_ai
+    on the target of m and Q^-1 = I - sum_b (m[i, b]/c) E_jb on its
+    source.  The isomorphism (Q, P) takes E to a factorization with the
+    summand (c, (W - lambda)/c) split off, and the projection forgets it.
+    """
+    ring = E.ring
+    origin = (0,) * ring.nvars
+    current, to, back = E, mf.identity_morphism(E), mf.identity_morphism(E)
+    while True:
+        pivots = [(k, i, j) for k, m in enumerate((current.e1, current.e0))
+                  for i in range(m.rows) for j in range(m.cols)
+                  if set(m.get(i, j).terms) == {origin}]
+        if not pivots:
+            return current, to, back
+        k, i, j = pivots[0]
+        n = current.rank
+        m = (current.e1, current.e0)[k]
+        inv = ring.field.inv(m.get(i, j).terms[origin])
+        rows = {(a, i): m.get(a, j).scale(inv) for a in range(n) if a != i}
+        cols = {(j, b): m.get(i, b).scale(inv) for b in range(n) if b != j}
+        P, P_inv = (_unit_triangular(ring, n, {key: sign * g for key, g in rows.items()})
+                    for sign in (-1, 1))
+        Q, Q_inv = (_unit_triangular(ring, n, {key: sign * g for key, g in cols.items()})
+                    for sign in (1, -1))
+        # e1: E1 -> E0 and e0: E0 -> E1, so (g1, g0) acts on (E1, E0)
+        (g1, g1_inv, drop1), (g0, g0_inv, drop0) = (
+            ((Q, Q_inv, j), (P, P_inv, i)) if k == 0 else ((P, P_inv, i), (Q, Q_inv, j)))
+        split = mf.MatrixFactorization(ring, E.w, E.lam, g0 @ current.e1 @ g1_inv,
+                                       g1 @ current.e0 @ g0_inv)
+        s1, s0 = _selection(ring, n, drop1), _selection(ring, n, drop0)
+        smaller = mf.MatrixFactorization(ring, E.w, E.lam, s0 @ split.e1 @ _transpose(s1),
+                                         s1 @ split.e0 @ _transpose(s0))
+        to = mf.compose(mf.MFMorphism(current, smaller, s1 @ g1, s0 @ g0), to)
+        back = mf.compose(back, mf.MFMorphism(smaller, current, g1_inv @ _transpose(s1),
+                                              g0_inv @ _transpose(s0)))
+        current = smaller
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_minimal_model_is_homotopy_equivalent_through_explicit_maps(field):
+    reduced = 0
+    for name, E in _test_objects(field):
+        small, to, back = _reduction_maps(E)
+        model = mf.minimal_model(E)
+        assert model == small, name
+        assert (model is E) == (small is E), name
+        reduced += model.rank < E.rank
+        # E' -> E -> E' is the identity, and E -> E' -> E is homotopic to it
+        assert mf.compose(to, back) == mf.identity_morphism(model), name
+        there_and_back = mf.compose(back, to)
+        eye = PolyMatrix.identity(E.ring, E.rank)
+        flag, s = is_null_homotopic(mf.MFMorphism(E, E, eye - there_and_back.p1,
+                                                  eye - there_and_back.p0))
+        assert flag, name
+        assert E.e0 @ s.s1 + s.s0 @ E.e1 == eye - there_and_back.p1, name
+        assert s.s1 @ E.e0 + E.e1 @ s.s0 == eye - there_and_back.p0, name
+    assert reduced >= 30
+    rank8 = _rank8()
+    assert mf.minimal_model(rank8) is rank8
+
+
+def _rank8():
+    obj = None
+    for v in ("x", "y", "z", "w"):
+        ring = RingContext((v,), QQ)
+        x = ring.variable(v)
+        factor = mf.rank_one(ring, x ** 3, 0, x, x ** 2)
+        obj = factor if obj is None else mf.tensor(obj, factor)
+    return obj
+
+
+def _constant_rank(m):
+    """Rank of m(0), the matrix of constant terms, over m's own field."""
+    origin = (0,) * m.ring.nvars
+    echelon = RowEchelon(m.ring.field)
+    for i in range(m.rows):
+        row = {j: p.terms[origin] for j, p in enumerate(m.row(i)) if origin in p.terms}
+        if row:
+            echelon.insert(integer_multiple(row)[0])
+    return echelon.rank
+
+
+def test_hom_to_and_from_the_koszul_brane_counts_the_constant_ranks():
+    """dim Hom(E, k^stab) = dim Hom(k^stab, E) = rank E - rk e0(0) - rk e1(0)
+    in both degrees (Dyckerhoff 2011), read from the unreduced E."""
+    objects = [obj for field in FIELDS for _, obj in _test_objects(field)] + [_rank8()]
+    start = time.perf_counter()
+    koszul = {}
+    for E in objects:
+        K = koszul.setdefault(E.potential_context(), mf.koszul(E.ring, E.w, E.lam))
+        m = E.rank - _constant_rank(E.e0) - _constant_rank(E.e1)
+        assert hom_dims(E, K).dims() == hom_dims(K, E).dims() == (m, m), E
+    assert time.perf_counter() - start < 2
+
+
+def test_koszul_factorization_is_the_curved_koszul_complex():
+    R = RingContext(("u", "v"), QQ)
+    u, v = R.gens()
+    K = mf.koszul(R, u * v)
+    # uv goes to u: (u, v) (x) (v, 0), not the rank-one (u, v)
+    assert K.rank == 2 and K.e1 == PolyMatrix.from_rows(R, [[u, -v], [R.zero(), v]])
+    S = RingContext(("x", "y", "z"), PrimeField(32749))
+    x, y, z = S.gens()
+    assert mf.koszul(S, x ** 3 + x * y + y * z ** 2 + z ** 4 + 5, 5).rank == 4
+    assert mf.koszul(S, x ** 3 + 1, 1).rank == 4
+    with pytest.raises(ValueError, match="origin"):
+        mf.koszul(S, x ** 3 + 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        mf.koszul(S, S.constant(2), 2)
+
+
+def test_dims_build_no_representatives(monkeypatch):
+    from mfcat import groebner
+    E, F = an(3, 2), mf.direct_sum(an(3, 1), an(3, 2))
+    C = mf.cone(mf.identity_morphism(an(3, 1)))
+    morphisms = _count_calls(monkeypatch, mf.MFMorphism, "__init__")
+    runs = _count_calls(monkeypatch, groebner, "_buchberger_core")
+    # a cone of an identity reduces to rank 0: no Groebner work at all
+    assert hom_dims(C, F).dims() == hom_dims(F, C).dims() == (0, 0)
+    assert is_contractible(C)
+    assert runs == [0] and morphisms == [0]
+    assert hom_dims(E, F).dims() == (3, 3)
+    assert runs == [2] and morphisms == [0]
+
+
+def test_first_basis_access_closure_checks_every_representative(monkeypatch):
+    E, F = mf.direct_sum(an(3, 1), an(3, 2)), an(3, 2)
+    rep = hom_dims(E, F)
+    checks = _count_calls(monkeypatch, mf.MFMorphism, "__init__")
+    even = rep.basis_even
+    assert checks == [rep.h0] and len(even) == 3
+    assert rep.basis_even is even and len(rep.basis_odd) == rep.h1
+    assert checks == [rep.h0]
+    _assert_closed(rep)
+
+
+def test_basis_access_checks_the_counts_against_the_minimal_models(monkeypatch):
+    E = an(3, 2)
+    # a minimal model that is not homotopy equivalent to its object
+    monkeypatch.setattr(mf, "minimal_model", lambda obj: mf.direct_sum(obj, obj))
+    rep = hom_dims(E, E)
+    assert rep.dims() == (8, 8)
+    with pytest.raises(AssertionError, match="minimal models"):
+        rep.basis_even
+    with pytest.raises(AssertionError, match="minimal models"):
+        rep.basis_odd
+
+
+def test_a_minimal_object_can_still_be_contractible():
+    # (1 + x, x) of x + x^2: no constant entry, but 1 + x and x generate
+    # the unit ideal, so only the witness path can answer
+    R = xring()
+    x = R.variable("x")
+    E = mf.rank_one(R, x + x ** 2, 0, 1 + x, x)
+    assert mf.minimal_model(E) is E and E.rank == 1
+    assert is_contractible(E)
+    _assert_contracted(E)
+    assert hom_dims(E, E).dims() == (0, 0)
