@@ -137,8 +137,9 @@ def test_zero_morphism_is_null_homotopic():
 def test_contractibility():
     E = an(1, 1)
     assert not is_contractible(E)
-    assert is_contractible(mf.cone(mf.identity_morphism(E)))
-    _assert_contracted(mf.cone(mf.identity_morphism(E)))
+    C = mf.cone(mf.identity_morphism(E))
+    assert is_contractible(C)
+    _assert_contracted(C)
     # unit entry: (1, W) is the zero object
     R = xring()
     x = R.variable("x")
