@@ -1,7 +1,7 @@
 """Groebner bases for ideals and submodules of free modules.
 
 Everything runs over one engine: an element of A^r is stored as a dict
-mapping (position, exponent-tuple) to a coefficient, ordered
+mapping (position, packed monomial) to a coefficient, ordered
 position-over-term with position 0 highest.  An ideal is the r = 1 case.
 
 Syzygies, images and membership witnesses come from one elimination
@@ -41,11 +41,24 @@ is never used when syzygies are kept, where it would lose the Koszul
 syzygies; it drops a new pair after M/F, so that the pair still removes
 others.
 
-Division is heap-ordered (Monagan-Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007): beside
-the dict of pending terms sits a heap of (position, descending order key,
-term), so each term's order key is computed once, when it enters the
-dict, and not on every step.  A term that cancels leaves a stale heap
+Monomials are packed (Monagan-Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
+kernel term is (position, m) for an int m holding a degree field above
+one w-bit field per variable, the first variable highest for lex and
+grlex, the last for grevlex.  A product is m + m' and a quotient m - m';
+the descending order key is -m (grlex), -(m & low) (lex) or
+2*(m & low) - m (grevlex), low masking the variable fields; and with G
+the top bit of every field, a divides b iff ((b | G) - a) & G == G.
+Both need every field below 2**(w-1), and no field exceeds the degree
+field, the highest, so one compare per new monomial guards them all.  A
+run whose monomial trips the guard is redone at 2w (_run), from 16 bits
+or the width of the bases it is given, which are repacked when a run is
+wider.  Monomials are unpacked only on the way out; each element caches
+its lead's exponent tuple for the pair criteria and the walk.
+
+Division is heap-ordered: beside the dict of pending terms sits a heap of
+(position, descending order key, term), so each term's key is computed
+once, when it enters the dict.  A term that cancels leaves a stale heap
 entry, skipped when popped; a processed term never comes back, because a
 reduction step adds only terms smaller than the one it removes.  So a
 remainder leaves _divide in descending order, and the lead of a new basis
@@ -85,10 +98,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 from math import gcd
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, neg
 
-from .poly import DESCENDING_KEYS, Polynomial, PolyError, RingMismatch, integer_multiple
+from .poly import Polynomial, PolyError, RingMismatch, integer_multiple
 
 
 class ImageNotInKernel(PolyError):
@@ -116,20 +130,78 @@ INFINITE = _Infinite()
 # internal term representation
 # ---------------------------------------------------------------------------
 
-def _term_key(ring):
-    okey = ring.key
-    def key(t):
-        return (-t[0], okey(t[1]))
-    return key
+# The field width, in bits, at which a run without bases starts.
+_START_WIDTH = 16
 
 
-def _entry(vectors, ring, rank, track=False):
+class _Overflow(Exception):
+    """A monomial's degree does not fit below its packing's guard bits."""
+
+
+class _Packing:
+    """The packed monomials of one number of variables and order at field
+    width w: see the module docstring."""
+
+    __slots__ = ("w", "shifts", "mask", "weights", "key_weights", "top", "guard", "desc")
+
+    def __init__(self, nvars, order, w):
+        nw = nvars * w
+        shifts = [i * w for i in range(nvars)]
+        if order != "grevlex":
+            shifts.reverse()
+        low = (1 << nw) - 1
+        self.w, self.shifts, self.mask = w, shifts, (1 << w) - 1
+        self.weights = [(1 << s) + (1 << nw) for s in shifts]  # x_i and the degree
+        self.top = 1 << (nw + w - 1)
+        self.guard = self.top + sum(1 << (s + w - 1) for s in shifts)
+        self.desc, self.key_weights = {
+            "lex": (lambda m: -(m & low), [1 << s for s in shifts]),
+            "grlex": (neg, self.weights),
+            "grevlex": (lambda m: 2 * (m & low) - m, [(1 << nw) - (1 << s) for s in shifts]),
+        }[order]
+
+    def pack(self, exps):
+        m = sum(map(mul, exps, self.weights))
+        if m >= self.top:
+            raise _Overflow
+        return m
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple([m >> s & mask for s in self.shifts])
+
+    def key(self, exps):  # the ring's order, for exponents below 2**w
+        return sum(map(mul, exps, self.key_weights))
+
+    def lead(self, terms):  # the highest term of a kernel term dict
+        return min(terms, key=lambda t: (t[0], self.desc(t[1])))
+
+
+_packing = lru_cache(maxsize=None)(_Packing)
+
+
+def _run(ring, bases, body):
+    """body(pk) for a packing pk no narrower than any of `bases`, which are
+    repacked at its width first; redone at twice the width while a monomial
+    trips the guard."""
+    w = max([_START_WIDTH] + [G._pk.w for G in bases])
+    while True:
+        pk = _packing(ring.nvars, ring.order, w)
+        for G in bases:
+            G._widen(pk)
+        try:
+            return body(pk)
+        except _Overflow:
+            w *= 2
+
+
+def _entry(vectors, ring, rank, pk, track=False):
     """The one way into the kernel: each vector of A^rank (an ideal's
     polynomials as one-entry vectors, rank 1) as (D * terms, D) over Z for
     the lcm D of its denominators; D is 1 over F_p.  With `track`, e_j is
     placed at position rank + j before clearing, so input j enters as
-    [D v_j ; D e_j].  The ring of every entry is checked."""
-    origin = (0,) * ring.nvars
+    [D v_j ; D e_j].  The ring and exponents of every entry are checked."""
+    pack = pk.pack
     out = []
     for j, vec in enumerate(map(tuple, vectors)):
         if len(vec) != rank:
@@ -138,22 +210,24 @@ def _entry(vectors, ring, rank, track=False):
         for pos, poly in enumerate(vec):
             if poly.ring is not ring and poly.ring != ring:
                 raise RingMismatch("vector entry in a different ring")
+            if not isinstance(poly, Polynomial):  # refuses negative exponents
+                poly = Polynomial(ring, poly.terms)
             for exps, c in poly.terms.items():
-                terms[(pos, exps)] = c
+                terms[(pos, pack(exps))] = c
         if track:
-            terms[(rank + j, origin)] = ring.field.one
+            terms[(rank + j, 0)] = ring.field.one
         out.append(integer_multiple(terms))
     return out
 
 
-def _terms_to_vector(terms, ring, rank, start=0, scale=1):
+def _terms_to_vector(terms, ring, pk, rank, start=0, scale=1):
     """The entries at positions start .. start + rank - 1 of a kernel term
     dict divided by `scale`, which is 1 over F_p, as field elements."""
-    to_field = ring.field.from_scaled
+    to_field, unpack = ring.field.from_scaled, pk.unpack
     polys = [{} for _ in range(rank)]
-    for (pos, exps), c in terms.items():
+    for (pos, m), c in terms.items():
         if start <= pos < start + rank:
-            polys[pos - start][exps] = to_field(c, scale)
+            polys[pos - start][unpack(m)] = to_field(c, scale)
     return tuple(Polynomial(ring, d) for d in polys)
 
 
@@ -167,22 +241,16 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
-def _exps_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _exps_add(a, b):
-    return tuple(map(add, a, b))
-
-
 class _Elem:
-    """A divisor with lead term `lt`, in the field's stored form."""
+    """A divisor with lead term `lt`, in the field's stored form; `exps`
+    is the lead's exponent tuple."""
 
-    __slots__ = ("terms", "lt", "lc")
+    __slots__ = ("terms", "lt", "lc", "exps")
 
-    def __init__(self, terms, lt, fld):
+    def __init__(self, terms, lt, fld, pk):
         self.terms = terms
         self.lt = lt
+        self.exps = pk.unpack(lt[1])
         self.normalise(fld)
 
     def normalise(self, fld):
@@ -198,7 +266,7 @@ def _index(elems):
     return index
 
 
-def _divide(ring, f_terms, index):
+def _divide(ring, pk, f_terms, index):
     """Full normal form of a kernel term dict against an _index of _Elems.
 
     Returns (rem, s) where s * f reduces to rem, so rem / s is the
@@ -206,9 +274,9 @@ def _divide(ring, f_terms, index):
     order whose lead divides the current lead term is used.
     """
     plus, times, negate = _arith(ring.field)
-    dkey = DESCENDING_KEYS[ring.order]
+    desc, guard, top = pk.desc, pk.guard, pk.top
     work = dict(f_terms)
-    heap = [(t[0], dkey(t[1]), t) for t in work]
+    heap = [(t[0], desc(t[1]), t) for t in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
@@ -218,29 +286,33 @@ def _divide(ring, f_terms, index):
         c = work.pop(t, None)
         if c is None:
             continue  # cancelled since it was pushed
-        pos, exps = t
+        pos, m = t
+        guarded = m | guard
         for e in index.get(pos, ()):
             lt = e.lt
-            if _divides(lt[1], exps):
+            if (guarded - lt[1]) & guard == guard:  # LT(e) divides t
                 a = e.lc
                 if a != 1:  # over Q: scale by a/g so that a divides the term
                     g = gcd(a, c)
-                    m = a // g
-                    if m != 1:
-                        s *= m
-                        work = {k: v * m for k, v in work.items()}
-                        rem = {k: v * m for k, v in rem.items()}
+                    q = a // g
+                    if q != 1:
+                        s *= q
+                        work = {k: v * q for k, v in work.items()}
+                        rem = {k: v * q for k, v in rem.items()}
                     c //= g
-                mono = _exps_sub(exps, lt[1])
+                mono = m - lt[1]
                 coeff = negate(c)
-                for u, v in e.terms.items():
-                    if u == lt:
+                for (p, x), v in e.terms.items():
+                    x += mono
+                    if x == m and p == pos:
                         continue  # cancels the term exactly
-                    k = (u[0], _exps_add(u[1], mono))
+                    k = (p, x)
                     old = work.get(k)
                     if old is None:
+                        if x >= top:
+                            raise _Overflow
                         work[k] = times(coeff, v)
-                        push(heap, (k[0], dkey(k[1]), k))
+                        push(heap, (p, desc(x), k))
                     else:
                         new = plus(old, times(coeff, v))
                         if new:
@@ -257,10 +329,13 @@ def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _combine(target, source, mono, coeff, plus, times):
+def _combine(target, source, mono, coeff, plus, times, top):
     """target += coeff * x^mono * source, in place on a kernel term dict."""
-    for t, c in source.items():
-        k = (t[0], _exps_add(t[1], mono))
+    for (pos, m), c in source.items():
+        m += mono
+        if m >= top:
+            raise _Overflow
+        k = (pos, m)
         s = plus(target.get(k, 0), times(coeff, c))
         if s:
             target[k] = s
@@ -268,18 +343,19 @@ def _combine(target, source, mono, coeff, plus, times):
             target.pop(k, None)
 
 
-def _s_remainder(ring, ei, ej, lcm, index):
+def _s_remainder(ring, pk, ei, ej, lcm, index):
     """Remainder, up to a scalar, of the S-vector of ei and ej (leads
-    dividing lcm) under an _index."""
+    dividing lcm, an exponent tuple) under an _index."""
     plus, times, negate = _arith(ring.field)
     g = gcd(ei.lc, ej.lc)
+    m = pk.pack(lcm)
     spoly = {}
-    _combine(spoly, ei.terms, _exps_sub(lcm, ei.lt[1]), ej.lc // g, plus, times)
-    _combine(spoly, ej.terms, _exps_sub(lcm, ej.lt[1]), negate(ei.lc // g), plus, times)
-    return _divide(ring, spoly, index)[0]
+    _combine(spoly, ei.terms, m - ei.lt[1], ej.lc // g, plus, times, pk.top)
+    _combine(spoly, ej.terms, m - ej.lt[1], negate(ei.lc // g), plus, times, pk.top)
+    return _divide(ring, pk, spoly, index)[0]
 
 
-def _buchberger_core(ring, inputs, rank, syzygies=False):
+def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
     """A Groebner basis of the (terms, D) pairs of _entry, as a list of _Elem.
 
     Positions `rank` and up form the e-block.  With `syzygies` set the
@@ -288,7 +364,6 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     Pairs are kept by the Gebauer-Moeller update: see the module docstring.
     """
     fld = ring.field
-    key = _term_key(ring)
     coprime = rank == 1 and not syzygies
     basis = []
     index = {}   # the basis by lead position, as _divide takes it
@@ -296,10 +371,10 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
     pairs = []   # heap of (lcm degree, i, j, lcm)
 
     def insert(terms, lt):
-        e = _Elem(terms, lt, fld)
+        e = _Elem(terms, lt, fld, pk)
         if e.lt[0] >= rank and not syzygies:
             return
-        pos, h = e.lt
+        pos, h = e.lt[0], e.exps
         n = len(basis)
         basis.append(e)
         index.setdefault(pos, []).append(e)
@@ -307,52 +382,50 @@ def _buchberger_core(ring, inputs, rank, syzygies=False):
         if pos >= rank or not syzygies:
             pairs[:] = [p for p in pairs
                         if not (basis[p[1]].lt[0] == pos and _divides(h, p[3])
-                                and _lcm(basis[p[1]].lt[1], h) != p[3]
-                                and _lcm(basis[p[2]].lt[1], h) != p[3])]
+                                and _lcm(basis[p[1]].exps, h) != p[3]
+                                and _lcm(basis[p[2]].exps, h) != p[3])]
             heapq.heapify(pairs)
         # M and F: of the new pairs keep one per minimal lcm
         new = {}
         for i in active:
-            g = basis[i].lt
-            if g[0] == pos:
-                new.setdefault(_lcm(g[1], h), []).append(i)
+            if basis[i].lt[0] == pos:
+                new.setdefault(_lcm(basis[i].exps, h), []).append(i)
         for lcm, group in new.items():
             if any(m != lcm and _divides(m, lcm) for m in new):
                 continue
-            if coprime and any(_exps_add(basis[i].lt[1], h) == lcm for i in group):
+            degree = sum(lcm)
+            if coprime and any(sum(basis[i].exps) + sum(h) == degree for i in group):
                 continue  # coprime leads reduce to zero (ideal case only)
-            heapq.heappush(pairs, (sum(lcm), group[0], n, lcm))
+            heapq.heappush(pairs, (degree, group[0], n, lcm))
         active[:] = [i for i in active
-                     if not (basis[i].lt[0] == pos and _divides(h, basis[i].lt[1]))]
+                     if not (basis[i].lt[0] == pos and _divides(h, basis[i].exps))]
         active.append(n)
 
     for terms, _ in inputs:
         if terms:
-            insert(terms, max(terms, key=key))
+            insert(terms, pk.lead(terms))
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        rem = _s_remainder(ring, basis[i], basis[j], lcm, index)
+        rem = _s_remainder(ring, pk, basis[i], basis[j], lcm, index)
         if rem:
             insert(rem, next(iter(rem)))  # remainders come out descending
 
     return basis
 
 
-def _reduce(ring, basis):
+def _reduce(ring, pk, basis):
     """The reduced basis spanned by a Groebner basis of _Elems, sorted by
     descending lead.  Reuses (and rewrites) the given _Elems."""
-    key = _term_key(ring)
+    desc = pk.desc
     # minimalize: drop any element whose lead is divisible by another's
-    order = sorted(range(len(basis)), key=lambda i: (key(basis[i].lt), i))
+    order = sorted(range(len(basis)),
+                   key=lambda i: (-basis[i].lt[0], -desc(basis[i].lt[1]), i))
     kept = []
     for i in order:
-        lt = basis[i].lt
-        redundant = any(
-            basis[j].lt[0] == lt[0] and _divides(basis[j].lt[1], lt[1])
-            for j in kept
-        )
-        if not redundant:
+        e = basis[i]
+        if not any(basis[j].lt[0] == e.lt[0] and _divides(basis[j].exps, e.exps)
+                   for j in kept):
             kept.append(i)
     reduced = [basis[i] for i in kept]  # ascending lead order
 
@@ -363,7 +436,7 @@ def _reduce(ring, basis):
     for e in reduced:
         tail = dict(e.terms)
         del tail[e.lt]
-        rem, s = _divide(ring, tail, index)
+        rem, s = _divide(ring, pk, tail, index)
         e.terms = {e.lt: s * e.lc, **rem}
         e.normalise(ring.field)
 
@@ -379,20 +452,30 @@ class GroebnerBasis:
     """Reduced, order-sorted basis of an ideal or submodule; its generators
     are monic."""
 
-    __slots__ = ("ring", "ambient_rank", "_elems", "_inputs", "_generators")
+    __slots__ = ("ring", "ambient_rank", "_elems", "_pk", "_inputs", "_generators")
 
-    def __init__(self, ring, ambient_rank, elems, inputs=None):
+    def __init__(self, ring, ambient_rank, elems, pk, inputs=None):
         self.ring = ring
         self.ambient_rank = ambient_rank  # None marks an ideal
         self._elems = elems
+        self._pk = pk  # the packing of the elements' monomials
         self._inputs = inputs  # tracked: the number of inputs, spanning the e-block
         self._generators = None
+
+    def _widen(self, pk):
+        """Repack the elements in place at pk's width, no narrower than theirs."""
+        old = self._pk
+        if pk.w != old.w:
+            for e in self._elems:
+                e.terms = {(p, pk.pack(old.unpack(m))): c for (p, m), c in e.terms.items()}
+                e.lt = (e.lt[0], pk.pack(e.exps))
+            self._pk = pk
 
     @property
     def generators(self):
         """The elements as polynomials (ideal) or tuples of them, built on first use."""
         if self._generators is None:
-            vectors = (_terms_to_vector(e.terms, self.ring, self._rank, scale=e.lc)
+            vectors = (_terms_to_vector(e.terms, self.ring, self._pk, self._rank, scale=e.lc)
                        for e in self._elems)
             self._generators = (tuple(vectors) if self.is_module
                                 else tuple(v[0] for v in vectors))
@@ -408,7 +491,7 @@ class GroebnerBasis:
 
     def leading_terms(self):
         """List of (position, exponent-tuple) for each basis element."""
-        return [e.lt for e in self._elems]
+        return [(e.lt[0], e.exps) for e in self._elems]
 
     def __len__(self):
         return len(self._elems)
@@ -428,8 +511,7 @@ def buchberger(gens, ring=None, track=False) -> GroebnerBasis:
     """
     gens = [(g,) for g in gens]
     ring, _ = _shape([gens], ring, 1)
-    basis = _reduce(ring, _buchberger_core(ring, _entry(gens, ring, 1, track), 1))
-    return GroebnerBasis(ring, None, basis, len(gens) if track else None)
+    return _basis(gens, ring, 1, None, track)
 
 
 def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> GroebnerBasis:
@@ -439,9 +521,16 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
     """
     vectors = [tuple(v) for v in vectors]
     ring, ambient_rank = _shape([vectors], ring, ambient_rank)
-    inputs = _entry(vectors, ring, ambient_rank, track)
-    basis = _reduce(ring, _buchberger_core(ring, inputs, ambient_rank))
-    return GroebnerBasis(ring, ambient_rank, basis, len(vectors) if track else None)
+    return _basis(vectors, ring, ambient_rank, ambient_rank, track)
+
+
+def _basis(vectors, ring, rank, ambient_rank, track):
+    """The reduced basis of the span of vectors of A^rank, from one run."""
+    def run(pk):
+        core = _buchberger_core(ring, pk, _entry(vectors, ring, rank, pk, track), rank)
+        return GroebnerBasis(ring, ambient_rank, _reduce(ring, pk, core), pk,
+                             len(vectors) if track else None)
+    return _run(ring, (), run)
 
 
 def _shape(modules, ring, ambient_rank):
@@ -459,12 +548,16 @@ def _shape(modules, ring, ambient_rank):
     return ring, ambient_rank
 
 
-def _remainder(ring, vec, rank, elems):
-    """(rem, scale) of the vector vec of A^rank divided by a list of
-    _Elems: rem / scale is the remainder over the field."""
-    [(terms, d)] = _entry([vec], ring, rank)
-    rem, s = _divide(ring, terms, _index(elems))
-    return rem, d * s
+def _remainder(G, vec, rank):
+    """(rem, scale, pk) of the vector vec of A^rank divided by G's elements:
+    rem / scale is the remainder over the field, its monomials packed by pk."""
+    vec = tuple(vec)
+
+    def run(pk):
+        [(terms, d)] = _entry([vec], G.ring, rank, pk)
+        rem, s = _divide(G.ring, pk, terms, _index(G._elems))
+        return rem, d * s, pk
+    return _run(G.ring, [G], run)
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
@@ -472,20 +565,20 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     if isinstance(G, GroebnerBasis):
         if G.is_module:
             raise ValueError("expected an ideal Groebner basis")
-        ring, elems = G.ring, G._elems
-    else:
-        ring, key = f.ring, _term_key(f.ring)
-        elems = [_Elem(t, max(t, key=key), ring.field)
-                 for t, _ in _entry([(g,) for g in G], ring, 1) if t]
-    rem, scale = _remainder(ring, (f,), 1, elems)
-    return _terms_to_vector(rem, ring, 1, scale=scale)[0]
+    else:  # the divisors as they are, unreduced, in list order
+        ring, gens = f.ring, [(g,) for g in G]
+        G = _run(ring, (), lambda pk: GroebnerBasis(ring, None, [
+            _Elem(t, pk.lead(t), ring.field, pk)
+            for t, _ in _entry(gens, ring, 1, pk) if t], pk))
+    rem, scale, pk = _remainder(G, (f,), 1)
+    return _terms_to_vector(rem, G.ring, pk, 1, scale=scale)[0]
 
 
 def module_normal_form(vec, G: GroebnerBasis):
     if not G.is_module:
         raise ValueError("expected a module Groebner basis")
-    rem, scale = _remainder(G.ring, vec, G.ambient_rank, G._elems)
-    return _terms_to_vector(rem, G.ring, G.ambient_rank, scale=scale)
+    rem, scale, pk = _remainder(G, vec, G.ambient_rank)
+    return _terms_to_vector(rem, G.ring, pk, G.ambient_rank, scale=scale)
 
 
 def submodule_membership(vec, G: GroebnerBasis) -> bool:
@@ -510,10 +603,10 @@ def membership_witness(vec, G: GroebnerBasis):
     if isinstance(vec, Polynomial):
         vec = (vec,)
     rank = G._rank
-    rem, scale = _remainder(G.ring, vec, rank, G._elems)
+    rem, scale, pk = _remainder(G, vec, rank)
     if any(pos < rank for pos, _ in rem):
         return None
-    return [-w for w in _terms_to_vector(rem, G.ring, G._inputs, rank, scale=scale)]
+    return [-w for w in _terms_to_vector(rem, G.ring, pk, G._inputs, rank, scale=scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +622,27 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     Groebner basis of the span; reduced, it is module_groebner's basis.
     """
     r = ambient_rank
-    inputs = _entry(vectors, ring, r, track=True)
-    image, syz = [], []
-    # Each element is rewritten in place, not normalised again.  A stripped
-    # image part may have lost its content, which is safe: _reduce divides
-    # a tail only by elements with smaller leads, which it has already
-    # normalised, and normalises each element it keeps.
-    for e in _buchberger_core(ring, inputs, r, syzygies=True):
-        pos, exps = e.lt
-        if pos < r:  # strip the e-block: its tails need no reducing
-            e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
-            image.append(e)
-        else:  # a lead in the e-block puts every term there
-            e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
-            e.lt = (pos - r, exps)
-            syz.append(e)
-    return (GroebnerBasis(ring, r, _reduce(ring, image)),
-            GroebnerBasis(ring, len(inputs), _reduce(ring, syz)))
+    vectors = [tuple(v) for v in vectors]
+
+    def run(pk):
+        image, syz = [], []
+        # Each element is rewritten in place, not normalised again.  A stripped
+        # image part may have lost its content, which is safe: _reduce divides
+        # a tail only by elements with smaller leads, which it has already
+        # normalised, and normalises each element it keeps.
+        inputs = _entry(vectors, ring, r, pk, track=True)
+        for e in _buchberger_core(ring, pk, inputs, r, syzygies=True):
+            pos, m = e.lt
+            if pos < r:  # strip the e-block: its tails need no reducing
+                e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
+                image.append(e)
+            else:  # a lead in the e-block puts every term there
+                e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
+                e.lt = (pos - r, m)
+                syz.append(e)
+        return (GroebnerBasis(ring, r, _reduce(ring, pk, image), pk),
+                GroebnerBasis(ring, len(inputs), _reduce(ring, pk, syz), pk))
+    return _run(ring, (), run)
 
 
 def syzygy_module(vectors, ambient_rank, ring) -> GroebnerBasis:
@@ -629,7 +726,8 @@ def standard_monomials(G: GroebnerBasis):
     found = _standard(G)
     if found is INFINITE:
         return INFINITE
-    return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G.ring.key)]
+    # every exponent of a standard monomial is below that of some lead of G
+    return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G._pk.key)]
 
 
 def quotient_dim(G: GroebnerBasis):
@@ -699,25 +797,27 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     if not kernel_gb.ambient_rank == image_gb.ambient_rank == ambient_rank:
         raise ValueError("expected a basis of a rank-%d module" % ambient_rank)
 
-    # containment: every image basis element must die against the kernel basis
-    kernel_index = _index(kernel_gb._elems)
-    for e in image_gb._elems:
-        if _divide(ring, e.terms, kernel_index)[0]:
-            raise ImageNotInKernel("image element %r lies outside the kernel module"
-                                   % (_terms_to_vector(e.terms, ring, ambient_rank, scale=e.lc),))
+    def run(pk):
+        # containment: every image basis element must die against the kernel basis
+        kernel_index = _index(kernel_gb._elems)
+        for e in image_gb._elems:
+            if _divide(ring, pk, e.terms, kernel_index)[0]:
+                raise ImageNotInKernel("image element %r lies outside the kernel module" % (
+                    _terms_to_vector(e.terms, ring, pk, ambient_rank, scale=e.lc),))
 
-    found = _walk(kernel_gb.leading_terms(), image_gb.leading_terms(), ring.nvars)
-    if found is INFINITE:
-        return INFINITE, []
-    if not want_reps:
-        return sum(map(len, found.values())), []
-    reps = []
-    image_index = _index(image_gb._elems)
-    for pos in sorted(found):
-        for exps in sorted(found[pos], key=ring.key):
-            g = kernel_gb._elems[found[pos][exps]]
-            mono = _exps_sub(exps, g.lt[1])
-            shifted = {(p, _exps_add(e, mono)): c for (p, e), c in g.terms.items()}
-            rem, s = _divide(ring, shifted, image_index)
-            reps.append(_terms_to_vector(rem, ring, ambient_rank, scale=g.lc * s))
-    return len(reps), reps
+        found = _walk(kernel_gb.leading_terms(), image_gb.leading_terms(), ring.nvars)
+        if found is INFINITE:
+            return INFINITE, []
+        if not want_reps:
+            return sum(map(len, found.values())), []
+        reps = []
+        image_index = _index(image_gb._elems)
+        for pos in sorted(found):
+            for exps in sorted(found[pos], key=pk.key):
+                g = kernel_gb._elems[found[pos][exps]]
+                shifted = {}
+                _combine(shifted, g.terms, pk.pack(exps) - g.lt[1], 1, add, mul, pk.top)
+                rem, s = _divide(ring, pk, shifted, image_index)
+                reps.append(_terms_to_vector(rem, ring, pk, ambient_rank, scale=g.lc * s))
+        return len(reps), reps
+    return _run(ring, [kernel_gb, image_gb], run)

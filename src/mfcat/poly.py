@@ -246,24 +246,6 @@ def _key_grevlex(exps):
 ORDER_KEYS = {"lex": _key_lex, "grlex": _key_grlex, "grevlex": _key_grevlex}
 
 
-# Descending keys: the order reversed, so that the least key is the largest
-# monomial, as a min-heap such as heapq's needs.
-
-def _desc_lex(exps):
-    return tuple(-e for e in exps)
-
-
-def _desc_grlex(exps):
-    return (-sum(exps), tuple(-e for e in exps))
-
-
-def _desc_grevlex(exps):
-    return (-sum(exps), exps[::-1])
-
-
-DESCENDING_KEYS = {"lex": _desc_lex, "grlex": _desc_grlex, "grevlex": _desc_grevlex}
-
-
 class RingContext:
     """A polynomial ring: ordered variables, coefficient field, monomial order.
 

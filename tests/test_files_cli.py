@@ -429,3 +429,21 @@ def test_standard_monomial_walk_is_bounded_at_each_position(tmp_path, monkeypatc
             assert res.exit_code == 0 and json.loads(res.output)["dimension"] == limit
         else:
             _one_line_error(run("cok", str(path)))
+
+
+def test_cokernel_of_a_huge_power_is_counted_or_refused_fast(tmp_path):
+    # cok of (x^e, x) of x^(e+1) has e standard monomials: counted for
+    # e = 10^5, and for e = 10^9 refused on one line once the walk passes
+    # HILBERT_MONOMIAL_LIMIT, as the README promises.
+    S = RingContext(("x",), QQ)
+    t = S.variable("x")
+    for e in (10 ** 5, 10 ** 9):
+        path = tmp_path / ("power%d.json" % e)
+        files.save(str(path), files.factorization_to_doc(mf.rank_one(S, t ** (e + 1), 0, t ** e, t)))
+        start = time.perf_counter()
+        if e == 10 ** 5:
+            res = run("--format", "machine", "cok", str(path))
+            assert res.exit_code == 0 and json.loads(res.output)["dimension"] == e
+        else:
+            _one_line_error(run("cok", str(path)))
+            assert time.perf_counter() - start < 5

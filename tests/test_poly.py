@@ -9,8 +9,7 @@ import pytest
 from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
-    ParseError, RingMismatch, univariate_gcd, integer_multiple, ORDER_KEYS,
-    DESCENDING_KEYS, _TermPoly,
+    ParseError, RingMismatch, univariate_gcd, integer_multiple, _TermPoly,
 )
 from mfcat.matrix import PolyMatrix, RowEchelon
 
@@ -176,14 +175,6 @@ def test_coefficients_are_always_reduced_into_the_field():
             field.coerce(True)
     with pytest.raises(TypeError):
         R.constant(True)
-
-
-def test_descending_keys_reverse_the_order_keys():
-    rng = random.Random(5)
-    monos = list({tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(300)})
-    for order in ORDER_KEYS:
-        key = RingContext(("x", "y", "z"), QQ, order).key
-        assert sorted(monos, key=DESCENDING_KEYS[order]) == sorted(monos, key=key, reverse=True)
 
 
 def test_basic_arithmetic():
