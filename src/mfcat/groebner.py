@@ -102,7 +102,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, le, mul, neg
 
-from .poly import Polynomial, PolyError, RingMismatch, integer_multiple
+from .poly import LaurentPolynomial, Polynomial, PolyError, RingMismatch, integer_multiple
 
 
 class ImageNotInKernel(PolyError):
@@ -592,15 +592,15 @@ def ideal_membership(f: Polynomial, G) -> bool:
 def membership_witness(vec, G: GroebnerBasis):
     """Coefficients over G's original input generators, or None.
 
-    Requires a basis computed with track=True.  Accepts a polynomial
-    where G is an ideal, or a vector of G's rank.  Divides [vec ; 0] by
-    G's elements; vec is a member iff the remainder has nothing outside
-    the e-block, and then minus that e-block is the returned list w with
-    sum_j w[j] * input_j == vec exactly.
+    Requires a basis computed with track=True.  Accepts a polynomial,
+    Laurent or not, where G is an ideal, or a vector of G's rank.
+    Divides [vec ; 0] by G's elements; vec is a member iff the remainder
+    has nothing outside the e-block, and then minus that e-block is the
+    returned list w with sum_j w[j] * input_j == vec exactly.
     """
     if G._inputs is None:
         raise ValueError("witnesses need a tracked Groebner basis (track=True)")
-    if isinstance(vec, Polynomial):
+    if isinstance(vec, (Polynomial, LaurentPolynomial)):
         vec = (vec,)
     rank = G._rank
     rem, scale, pk = _remainder(G, vec, rank)

@@ -18,10 +18,12 @@ leading terms of each kernel and the other differential's image
 hom_dims reads the dimensions from the complex between the minimal
 models of the two ends (mf.minimal_model), which is homotopy equivalent
 to the full one and smaller, and needs no Groebner work at all when an
-end is contractible through constants.  Representatives are built from
-the full complex on first access, each closure-checked as it is built,
-and their counts are checked against the dimensions, so the two paths
-check each other whenever both run.
+end is contractible through constants.  Each object's minimal model is
+computed once and kept on the object, so later calls on the same ends
+reduce nothing again.  Representatives are built from the full complex
+on first access, each closure-checked as it is built, and their counts
+are checked against the dimensions, so the two paths check each other
+whenever both run.
 """
 
 from __future__ import annotations

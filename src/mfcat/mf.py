@@ -69,7 +69,7 @@ def _product_failures(name, product, expected):
 class MatrixFactorization:
     """An object (e1: E1 -> E0, e0: E0 -> E1) with e0 e1 = e1 e0 = (W - lambda) Id."""
 
-    __slots__ = ("ring", "w", "lam", "rank", "e1", "e0")
+    __slots__ = ("ring", "w", "lam", "rank", "e1", "e0", "_model")
 
     def __init__(self, ring, w: Polynomial, lam, e1: PolyMatrix, e0: PolyMatrix):
         if w.ring != ring:
@@ -85,6 +85,7 @@ class MatrixFactorization:
         self.rank = e1.rows
         self.e1 = e1
         self.e0 = e0
+        self._model = None  # minimal_model(self), once computed
         report = self.check()
         if not report.ok:
             raise NotAFactorization(report)
@@ -260,8 +261,11 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     nonzero constant.  The result is homotopy equivalent to mf (Eisenbud,
     "Homological algebra on a complete intersection", Trans. AMS 260,
     1980), so Hom dimensions may be read from it; rank 0 means mf is
-    contractible.  It is validated on construction.
+    contractible.  It is validated on construction, computed once per
+    object and kept on it, and is its own minimal model.
     """
+    if mf._model is not None:
+        return mf._model
     ring = mf.ring
     origin = (0,) * ring.nvars
     maps = [[m.row(i) for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
@@ -280,9 +284,12 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
         maps[1 - k] = [r[:i] + r[i + 1:] for a, r in enumerate(other) if a != j]
     n = len(maps[0])
     if n == mf.rank:
+        mf._model = mf
         return mf
     e1, e0 = (PolyMatrix(ring, n, n, [p for row in m for p in row]) for m in maps)
-    return MatrixFactorization(ring, mf.w, mf.lam, e1, e0)
+    mf._model = model = MatrixFactorization(ring, mf.w, mf.lam, e1, e0)
+    model._model = model
+    return model
 
 
 def koszul(ring, w: Polynomial, lam=0) -> MatrixFactorization:

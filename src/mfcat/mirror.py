@@ -214,9 +214,7 @@ def build_superpotential(spec: ToricSpec) -> SuperpotentialSpec:
                 if row[j].denominator != 1:
                     raise UnresolvableRay("ray %d needs fractional parameter powers" % idx)
                 exps[pos] = row[j].numerator
-        key = tuple(exps)
-        if key in terms:
-            raise UnresolvableRay("two rays map to the same Laurent term")
+        key = tuple(exps)  # distinct for distinct rays, as B is invertible
         terms[key] = one
         ray_terms.append(LaurentPolynomial(ring, {key: one}))
 

@@ -508,8 +508,6 @@ def test_every_entry_point_checks_the_ring_of_each_entry():
         for other in others:
             with pytest.raises(RingMismatch):
                 call(lambda p: Polynomial(other, dict(p.terms)))
-        if name == "membership_witness, ideal":
-            continue  # a lone entry is taken as an ideal element only as a Polynomial
         # a Laurent entry enters as a polynomial: a negative exponent is refused
         assert call(lambda p: LaurentPolynomial(R, dict(p.terms))) == expected, name
         with pytest.raises(ValueError, match="negative exponent"):

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch, integer_multiple
 from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.groebner import INFINITE
-from mfcat import corpus, mf, oracle
+from mfcat import corpus, files, mf, oracle
 from mfcat.hom import (
     hom_complex, hom_dims, is_null_homotopic, is_contractible,
     is_homotopy_equivalence,
@@ -566,6 +567,39 @@ def test_dims_build_no_representatives(monkeypatch):
     assert runs == [0] and morphisms == [0]
     assert hom_dims(E, F).dims() == (3, 3)
     assert runs == [2] and morphisms == [0]
+
+
+def test_each_object_is_reduced_once_and_keeps_its_model(monkeypatch):
+    # fresh corpus objects, so that no earlier test has reduced them
+    fresh = corpus._corpus_objects_cached.__wrapped__(QQ)
+    monkeypatch.setattr(corpus, "_corpus_objects_cached", lambda field: fresh)
+    objects = list(corpus.corpus_objects().values())
+    built = _count_calls(monkeypatch, mf.MatrixFactorization, "__init__")
+    rows = _count_calls(monkeypatch, PolyMatrix, "row")
+    for _, _, E, F in corpus.hom_pairs():
+        hom_dims(E, F)
+    for E in objects:
+        is_contractible(E)
+    sweep = (built[0], rows[0])
+    models = [mf.minimal_model(E) for E in objects]
+    for E, M in zip(objects, models):
+        assert mf.minimal_model(E) is M and mf.minimal_model(M) is M
+    assert (built[0], rows[0]) == sweep  # asking again reduces nothing
+    # one scan reads each row of e1 and e0 once; a model is built only
+    # for an object with a constant entry, and only once
+    assert rows[0] <= sum(2 * E.rank for E in objects)
+    assert built[0] == sum(M is not E for E, M in zip(objects, models)) >= 20
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_an_equal_rebuilt_object_gets_an_equal_model_of_its_own(field):
+    for name, E in sorted(corpus.corpus_objects(field).items()):
+        model = mf.minimal_model(E)
+        again = files.factorization_from_doc(
+            json.loads(files.dumps(files.factorization_to_doc(E))))
+        assert again == E and again is not E, name
+        assert mf.minimal_model(again) == model, name
+        assert (mf.minimal_model(again) is again) == (model is E), name
 
 
 def test_first_basis_access_closure_checks_every_representative(monkeypatch):

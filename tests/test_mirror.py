@@ -453,6 +453,28 @@ def test_superpotential_matches_the_augmented_elimination():
     assert seen == {"non-unimodular", "built", "need", "relations", "ray"}, seen
 
 
+def test_every_ray_gives_a_term_of_its_own():
+    # a ray's Y-exponents are its coordinates ray B^-1 and B is invertible,
+    # so distinct rays never share a term: W has one term per ray.  The
+    # seeded fans are those of tools/answers.py (seed "fans", 240 draws).
+    specs = [_fan(name) for name in sorted(PRESETS) + ["P4"]]
+    rng = random.Random("fans")
+    for _ in range(240):
+        try:
+            specs.append(ToricSpec(*_seeded_fan(rng)))
+        except NonUnimodularBasis:
+            pass
+    built = 0
+    for spec in specs:
+        try:
+            w = build_superpotential(spec).w
+        except UnresolvableRay:
+            continue
+        assert len(w.terms) == len(spec.rays), spec
+        built += 1
+    assert built >= 100
+
+
 def _det(rows):
     """Exact determinant of a square integer matrix."""
     n = len(rows)
