@@ -18,7 +18,6 @@ from .poly import QQ, PolyError, field_from_spec, parse_coefficient
 from . import mf as mfmod
 from . import hom as hommod
 from . import files
-from . import corpus
 from . import mirror as mirrormod
 from . import oracle
 from .groebner import INFINITE
@@ -35,31 +34,13 @@ class _Settings:
 pass_settings = click.make_pass_decorator(_Settings, ensure=True)
 
 
-def _field_of(settings):
-    return settings.field or QQ
-
-
 def _fail(message: str):
     click.echo("error: %s" % message, err=True)
     sys.exit(1)
 
 
-def _load_factorization(ref: str, settings):
-    try:
-        return corpus.lookup(ref, _field_of(settings))
-    except KeyError:
-        pass
-    loaded = files.load(ref, settings.field)
-    if not isinstance(loaded, mfmod.MatrixFactorization):
-        raise files.SchemaError("%s does not hold a factorization" % ref)
-    return loaded
-
-
-def _load_morphism(ref: str, settings):
-    loaded = files.load(ref, settings.field)
-    if not isinstance(loaded, mfmod.MFMorphism):
-        raise files.SchemaError("%s does not hold a morphism" % ref)
-    return loaded
+def _read(settings, ref, *kinds):
+    return files.read(ref, *kinds, field_override=settings.field)
 
 
 def _load_fan(path_or_preset, preset):
@@ -72,9 +53,7 @@ def _load_fan(path_or_preset, preset):
         except KeyError as exc:
             raise files.SchemaError(str(exc.args[0])) from None
     else:
-        spec = files.load(path_or_preset)
-        if not isinstance(spec, mirrormod.ToricSpec):
-            raise files.SchemaError("%s does not hold a fan" % path_or_preset)
+        spec = files.read(path_or_preset, "toric")
     return mirrormod.build_superpotential(spec)
 
 
@@ -92,8 +71,8 @@ def _emit_report(settings, verb, payload, human_lines):
             click.echo(line)
 
 
-def _emit_object(settings, verb, obj, out, source_ref=None, target_ref=None):
-    doc = files.object_to_document(obj, source_ref, target_ref)
+def _emit_object(settings, verb, obj, out):
+    doc = files.object_to_document(obj)
     if out is not None:
         files.save(out, doc)
         _emit_report(settings, verb, {"written": out}, ["wrote %s" % out])
@@ -161,7 +140,7 @@ def _command(name=None):
 @click.argument("factorization")
 def validate(settings, factorization):
     """Check the defining identities of a factorization."""
-    obj = _load_factorization(factorization, settings)
+    obj = _read(settings, factorization, "factorization")
     report = mfmod.validate(obj)
     payload = {
         "valid": report.ok,
@@ -186,7 +165,7 @@ def validate(settings, factorization):
 @click.option("-o", "--output", default=None, type=click.Path(), help="write result here")
 def shift(settings, factorization, twice, output):
     """Shift a factorization (E -> E[1], or E[2] with --twice)."""
-    obj = _load_factorization(factorization, settings)
+    obj = _read(settings, factorization, "factorization")
     shifted = mfmod.shift(obj)
     if twice:
         shifted = mfmod.shift(shifted)
@@ -199,8 +178,8 @@ def shift(settings, factorization, twice, output):
 @click.option("-o", "--output", default=None, type=click.Path())
 def sum_cmd(settings, left, right, output):
     """Direct sum of two factorizations with the same context."""
-    a = _load_factorization(left, settings)
-    b = _load_factorization(right, settings)
+    a = _read(settings, left, "factorization")
+    b = _read(settings, right, "factorization")
     _emit_object(settings, "sum", mfmod.direct_sum(a, b), output)
 
 
@@ -209,7 +188,7 @@ def sum_cmd(settings, left, right, output):
 @click.option("-o", "--output", default=None, type=click.Path())
 def cone(settings, morphism, output):
     """Mapping cone of a closed morphism."""
-    p = _load_morphism(morphism, settings)
+    p = _read(settings, morphism, "morphism")
     _emit_object(settings, "cone", mfmod.cone(p), output)
 
 
@@ -219,8 +198,8 @@ def cone(settings, morphism, output):
 @click.option("-o", "--output", default=None, type=click.Path())
 def tensor(settings, left, right, output):
     """Tensor product over disjoint variable sets; potentials add."""
-    a = _load_factorization(left, settings)
-    b = _load_factorization(right, settings)
+    a = _read(settings, left, "factorization")
+    b = _read(settings, right, "factorization")
     _emit_object(settings, "tensor", mfmod.tensor(a, b), output)
 
 
@@ -234,7 +213,7 @@ def knorrer(settings, factorization, varnames, output):
     names = tuple(s.strip() for s in varnames.split(","))
     if len(names) != 2 or not all(names):
         raise click.UsageError("--vars expects two comma-separated names")
-    obj = _load_factorization(factorization, settings)
+    obj = _read(settings, factorization, "factorization")
     _emit_object(settings, "knorrer", mfmod.knorrer(obj, names), output)
 
 
@@ -244,7 +223,7 @@ def knorrer(settings, factorization, varnames, output):
               help="largest degree of the Hilbert slice table")
 def cok(settings, factorization, upto):
     """Present coker(e1) over the singular fiber and measure it."""
-    obj = _load_factorization(factorization, settings)
+    obj = _read(settings, factorization, "factorization")
     pres = mfmod.cokernel_presentation(obj, hilbert_upto=upto)
     payload = {
         "fiber_relation": str(pres.fiber_relation),
@@ -267,8 +246,8 @@ def cok(settings, factorization, upto):
               help="cross-check with the degree-truncation solver")
 def hom(settings, source, target, use_oracle):
     """Dimensions of the even/odd morphism spaces up to homotopy."""
-    e = _load_factorization(source, settings)
-    f = _load_factorization(target, settings)
+    e = _read(settings, source, "factorization")
+    f = _read(settings, target, "factorization")
     report = hommod.hom_dims(e, f)
     payload = {"h0": _dim_value(report.h0), "h1": _dim_value(report.h1)}
     lines = ["h0: %s" % _dim_value(report.h0), "h1: %s" % _dim_value(report.h1)]
@@ -290,7 +269,7 @@ def hom(settings, source, target, use_oracle):
 @click.argument("morphism")
 def nullhomotopic(settings, morphism):
     """Decide null-homotopy; print a witness (s0, s1) when one exists."""
-    p = _load_morphism(morphism, settings)
+    p = _read(settings, morphism, "morphism")
     flag, witness = hommod.is_null_homotopic(p)
     payload = {"null_homotopic": flag}
     lines = ["null-homotopic: %s" % ("yes" if flag else "no")]
@@ -306,7 +285,7 @@ def nullhomotopic(settings, morphism):
 @click.argument("morphism")
 def equiv(settings, morphism):
     """Decide whether a closed morphism is a homotopy equivalence."""
-    p = _load_morphism(morphism, settings)
+    p = _read(settings, morphism, "morphism")
     flag = hommod.is_homotopy_equivalence(p)
     _emit_report(settings, "equiv", {"homotopy_equivalence": flag},
                  ["homotopy equivalence: %s" % ("yes" if flag else "no")])
@@ -317,18 +296,12 @@ def equiv(settings, morphism):
 @click.option("-o", "--output", default=None, type=click.Path())
 def totalize(settings, inputs, output):
     """Fold a chain of closed morphisms (or one object) into one factorization."""
-    if len(inputs) == 1:
-        try:
-            single = _load_factorization(inputs[0], settings)
-        except (files.SchemaError, PolyError):
-            single = None
-        if single is not None:
-            cx = mfmod.PairComplex([single], [])
-            _emit_object(settings, "totalize", mfmod.totalize(cx), output)
-            return
-    maps = [_load_morphism(ref, settings) for ref in inputs]
-    objects = [maps[0].source] + [p.target for p in maps]
-    cx = mfmod.PairComplex(objects, maps)
+    kinds = ("factorization", "morphism") if len(inputs) == 1 else ("morphism",)
+    loaded = [_read(settings, ref, *kinds) for ref in inputs]
+    if isinstance(loaded[0], mfmod.MatrixFactorization):
+        cx = mfmod.PairComplex(loaded, [])
+    else:
+        cx = mfmod.PairComplex([loaded[0].source] + [p.target for p in loaded], loaded)
     _emit_object(settings, "totalize", mfmod.totalize(cx), output)
 
 

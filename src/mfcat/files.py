@@ -1,11 +1,12 @@
 """JSON documents for factorizations, morphisms, and fans.
 
-Every document carries ``schema_version`` (currently 1) and a ``kind``
-used by the sniffing loader.  Polynomial entries are strings in the
-shared grammar (``x^2*y - 3/2*z + 1``); matrices are arrays of arrays
-of such strings.  Morphism documents point at their two factorization
-files with paths resolved relative to the morphism file, or at built-in
-preset names such as ``An:3:1``.
+Every document carries ``schema_version`` (the int 1) and a ``kind``:
+``load`` sniffs it, ``read`` refuses any kind its caller did not name
+before anything is built.  Polynomial entries are strings in the shared
+grammar (``x^2*y - 3/2*z + 1``); matrices are arrays of arrays of such
+strings.  A morphism names its two factorizations through ``read``, by
+preset name (``An:3:1``) or by a path relative to the morphism file, so
+a reference never leads to another reference.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def _integers(values, name, what):
 
 def _check_version(doc, what):
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError("%s document has schema_version %r, expected %d"
                           % (what, version, SCHEMA_VERSION))
 
@@ -122,25 +123,12 @@ def morphism_to_doc(morphism, source_ref: str, target_ref: str) -> dict:
     }
 
 
-def resolve_factorization_ref(ref: str, base_dir: str, field_override=None):
-    """A reference is a built-in preset name or a path to a factorization file."""
-    try:
-        return corpus.lookup(ref, field_override or QQ)
-    except KeyError:
-        pass
-    path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    loaded = load(path, field_override)
-    if not isinstance(loaded, mfmod.MatrixFactorization):
-        raise SchemaError("%r does not hold a factorization" % ref)
-    return loaded
-
-
 def morphism_from_doc(doc, base_dir: str, field_override=None):
     _check_version(doc, "morphism")
     src_ref = _require(doc, "source", str, "morphism")
     tgt_ref = _require(doc, "target", str, "morphism")
-    source = resolve_factorization_ref(src_ref, base_dir, field_override)
-    target = resolve_factorization_ref(tgt_ref, base_dir, field_override)
+    source = read(src_ref, "factorization", field_override=field_override, base_dir=base_dir)
+    target = read(tgt_ref, "factorization", field_override=field_override, base_dir=base_dir)
     p1 = _matrix_from_doc(source.ring, _require(doc, "p1", list, "morphism"), "p1", "morphism")
     p0 = _matrix_from_doc(source.ring, _require(doc, "p0", list, "morphism"), "p0", "morphism")
     return mfmod.MFMorphism(source, target, p1, p0)
@@ -189,10 +177,12 @@ def toric_from_doc(doc) -> ToricSpec:
 # generic load/save
 # ---------------------------------------------------------------------------
 
+# kind -> (what a document of that kind holds, reader)
 _KINDS = {
-    "factorization": lambda doc, base, field: factorization_from_doc(doc, field),
-    "morphism": morphism_from_doc,
-    "toric": lambda doc, base, field: toric_from_doc(doc),
+    "factorization": ("a factorization",
+                      lambda doc, base, field: factorization_from_doc(doc, field)),
+    "morphism": ("a morphism", morphism_from_doc),
+    "toric": ("a fan", lambda doc, base, field: toric_from_doc(doc)),
 }
 
 
@@ -202,7 +192,7 @@ def document_to_object(doc, base_dir=".", field_override=None):
     kind = _require(doc, "kind", str, "input")
     if kind not in _KINDS:
         raise SchemaError("unknown document kind %r" % kind)
-    return _KINDS[kind](doc, base_dir, field_override)
+    return _KINDS[kind][1](doc, base_dir, field_override)
 
 
 def object_to_document(obj, source_ref=None, target_ref=None):
@@ -227,14 +217,43 @@ def save(path: str, doc) -> None:
         fh.write(dumps(doc))
 
 
-def load(path: str, field_override=None):
+def _parse(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SchemaError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("%s is not valid JSON: %s" % (path, exc)) from None
-    return document_to_object(doc, os.path.dirname(os.path.abspath(path)), field_override)
+    except RecursionError:
+        raise SchemaError("%s nests too deeply to parse" % path) from None
+
+
+def load(path: str, field_override=None):
+    """The object in the document at path, of whichever kind it holds."""
+    return document_to_object(_parse(path), os.path.dirname(os.path.abspath(path)),
+                               field_override)
+
+
+def read(ref: str, *kinds, field_override=None, base_dir=""):
+    """The object that ref names, of one of the given document kinds.
+
+    Where kinds include "factorization", ref may be a built-in preset
+    name; otherwise it is a path, taken relative to base_dir unless it
+    is absolute.  A document of any other kind is refused before
+    anything in it is built.
+    """
+    if "factorization" in kinds:
+        try:
+            return corpus.lookup(ref, field_override or QQ)
+        except KeyError:
+            pass
+    path = os.path.join(base_dir, ref)
+    doc = _parse(path)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in kinds:
+        raise SchemaError("%s does not hold %s"
+                          % (ref, " or ".join(_KINDS[k][0] for k in kinds)))
+    return _KINDS[kind][1](doc, os.path.dirname(os.path.abspath(path)), field_override)

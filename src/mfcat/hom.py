@@ -103,6 +103,11 @@ class OddMorphism:
         self.s0 = s0
         self.s1 = s1
 
+    def boundary(self):
+        """D_odd(s0, s1) = (f0 s1 + s0 e1, f1 s0 + s1 e0), an even pair (p1, p0)."""
+        E, F = self.source, self.target
+        return F.e0 @ self.s1 + self.s0 @ E.e1, F.e1 @ self.s0 + self.s1 @ E.e0
+
     def __repr__(self):
         return "OddMorphism(%r -> %r)" % (self.source, self.target)
 
@@ -117,7 +122,8 @@ class HomReport:
     target, as normal forms against its image module listed in a
     deterministic order, and both are empty when the dimension is
     infinite.  Building them raises AssertionError when the full complex
-    disagrees with h0 and h1.
+    disagrees with h0 and h1, or when an odd representative is not closed
+    (MFMorphism checks the even ones).
     """
 
     __slots__ = ("source", "target", "h0", "h1", "_bases")
@@ -145,11 +151,14 @@ class HomReport:
                 raise AssertionError("full Hom complex has dimensions %r, minimal models %r"
                                      % (dims, self.dims()))
             ring = E.ring
+            odd = tuple(OddMorphism(E, F, *_unflatten_pair(rep, ring, F.rank, E.rank))
+                        for rep in odd)
+            if not all(m.is_zero for s in odd for m in s.boundary()):
+                raise AssertionError("odd Hom representative is not closed")
             self._bases = (
                 tuple(mfmod.MFMorphism(E, F, *_unflatten_pair(rep, ring, F.rank, E.rank))
                       for rep in even),
-                tuple(OddMorphism(E, F, *_unflatten_pair(rep, ring, F.rank, E.rank))
-                      for rep in odd))
+                odd)
         return self._bases
 
     def dims(self):
@@ -200,11 +209,11 @@ def is_null_homotopic(p: mfmod.MFMorphism):
     witness = groebner.membership_witness(p.p1.entries + p.p0.entries, gb)
     if witness is None:
         return False, None
-    s0, s1 = _unflatten_pair(tuple(witness), ring, F.rank, E.rank)
+    homotopy = OddMorphism(E, F, *_unflatten_pair(tuple(witness), ring, F.rank, E.rank))
     # exactness check of the witness identities
-    if (F.e0 @ s1 + s0 @ E.e1) != p.p1 or (s1 @ E.e0 + F.e1 @ s0) != p.p0:
+    if homotopy.boundary() != (p.p1, p.p0):
         raise AssertionError("homotopy witness fails to reproduce the morphism")
-    return True, OddMorphism(E, F, s0, s1)
+    return True, homotopy
 
 
 def is_contractible(mf_obj) -> bool:

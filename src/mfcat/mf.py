@@ -402,9 +402,7 @@ def cokernel_presentation(mf: MatrixFactorization, hilbert_upto: int = 10) -> Mo
     groebner.check_hilbert_range(ring.nvars, hilbert_upto)
     rel = mf.w - ring.constant(mf.lam)
     scalar = PolyMatrix.scalar(rel, mf.rank)
-    presentation = PolyMatrix.block([[mf.e1, scalar]]) if mf.rank else PolyMatrix.zeros(ring, 0, 0)
-    if mf.rank == 0:
-        return ModulePresentation(ring, rel, presentation, 0, [0] * (hilbert_upto + 1))
+    presentation = PolyMatrix.block([[mf.e1, scalar]])
     gb = groebner.module_groebner(mf.e1.columns(), mf.rank, ring)
     dim = groebner.quotient_dim(gb)
     hilbert = groebner.hilbert_slices(gb, hilbert_upto)

@@ -204,10 +204,8 @@ def build_superpotential(spec: ToricSpec) -> SuperpotentialSpec:
     terms = {}
     ray_terms = []
     for idx, ray in enumerate(rays):
-        coords = [sum(x * b for x, b in zip(ray, column)) for column in zip(*basis_inverse)]
-        if any(x.denominator != 1 for x in coords):
-            raise AssertionError("ray %d has fractional coordinates in a unimodular basis" % idx)
-        exps = [x.numerator for x in coords] + [0] * len(param_vars)
+        exps = [sum(x * b for x, b in zip(ray, column)).numerator
+                for column in zip(*basis_inverse)] + [0] * len(param_vars)
         if idx in nonbasis:
             row = relation_inverse[nonbasis.index(idx)]
             for pos, j in enumerate(named, n):

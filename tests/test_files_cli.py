@@ -311,12 +311,16 @@ def test_repeated_parameters_are_refused(verb):
     assert res.stderr == "error: --param q is given more than once\n"
 
 
-@pytest.mark.parametrize("verb, extra", [
+# each verb with the extra arguments it needs after its first input
+VERBS = [
     ("validate", []), ("shift", []), ("sum", ["An:1:1"]), ("cone", []),
     ("tensor", ["An:1:1"]), ("knorrer", []), ("cok", []), ("hom", ["An:1:1"]),
     ("nullhomotopic", []), ("equiv", []), ("totalize", []), ("mirror-build", []),
     ("mirror-count", []), ("mirror-values", []), ("mirror-fiber", []),
-])
+]
+
+
+@pytest.mark.parametrize("verb, extra", VERBS)
 def test_every_verb_reports_a_missing_file_on_one_line(tmp_path, verb, extra):
     missing = str(tmp_path / "missing.json")
     for fmt in ("human", "machine"):
@@ -447,3 +451,142 @@ def test_cokernel_of_a_huge_power_is_counted_or_refused_fast(tmp_path):
         else:
             _one_line_error(run("cok", str(path)))
             assert time.perf_counter() - start < 5
+
+
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def _fan_doc():
+    return files.toric_to_doc(preset("P1"))
+
+
+def _morphism_doc(source="An:1:1", target="An:1:1"):
+    return {"schema_version": 1, "kind": "morphism", "source": source,
+            "target": target, "p1": [["1"]], "p0": [["1"]]}
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("verb, extra", VERBS)
+def test_documents_that_cannot_be_read_fail_on_one_line_for_every_verb(tmp_path, verb, extra):
+    # a morphism whose source is itself, a two-document morphism cycle,
+    # JSON nested 200,000 deep and schema_version true in each kind: each
+    # once recursed or was accepted
+    cycle = tmp_path / "a.json"
+    _write(tmp_path / "b.json", _morphism_doc(source="a.json"))
+    _write(cycle, _morphism_doc(source="b.json"))
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    paths = [_write(tmp_path / "self.json", _morphism_doc(source="self.json")), str(cycle),
+             str(deep)]
+    for kind, doc in (("factorization", files.factorization_to_doc(a1())),
+                      ("morphism", _morphism_doc()), ("toric", _fan_doc())):
+        doc["schema_version"] = True
+        paths.append(_write(tmp_path / ("true-%s.json" % kind), doc))
+    for path in paths:
+        for fmt in ("human", "machine"):
+            _one_line_error(run("--format", fmt, verb, path, *extra))
+
+
+def test_documents_name_only_factorizations_and_carry_the_int_version(tmp_path):
+    me = _write(tmp_path / "self.json", _morphism_doc(source="self.json"))
+    with pytest.raises(files.SchemaError, match="self.json does not hold a factorization"):
+        files.load(me)
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    with pytest.raises(files.SchemaError, match="nests too deeply"):
+        files.load(str(deep))
+    doc = files.factorization_to_doc(a1())
+    assert files.load(_write(tmp_path / "one.json", doc)) == a1()
+    doc["schema_version"] = True
+    with pytest.raises(files.SchemaError, match="schema_version True, expected 1"):
+        files.load(_write(tmp_path / "true.json", doc))
+
+
+@pytest.mark.parametrize("verb, extra, holds", [
+    ("validate", [], "a factorization"), ("sum", ["An:1:1"], "a factorization"),
+    ("hom", ["An:1:1"], "a factorization"), ("cone", [], "a morphism"),
+    ("nullhomotopic", [], "a morphism"), ("mirror-count", ["--param", "q=1"], "a fan"),
+    ("totalize", [], "a factorization or a morphism"),
+])
+def test_each_reader_refuses_a_document_of_another_kind(tmp_path, verb, extra, holds):
+    docs = [files.factorization_to_doc(a1()), _morphism_doc(), _fan_doc()]
+    refused = 0
+    for i, doc in enumerate(docs):
+        path = _write(tmp_path / ("doc%d.json" % i), doc)
+        for fmt in ("human", "machine"):
+            res = run("--format", fmt, verb, path, *extra)
+            if res.exit_code == 0:
+                continue
+            _one_line_error(res)
+            assert res.stderr == "error: %s does not hold %s\n" % (path, holds)
+            refused += 1
+    assert refused == (2 if verb == "totalize" else 4)
+
+
+def test_totalize_of_two_morphisms_reads_no_factorization(tmp_path):
+    out = tmp_path / "t.json"
+    ident = _write(tmp_path / "id.json", _morphism_doc())
+    fac = _write(tmp_path / "a1.json", files.factorization_to_doc(a1()))
+    assert run("totalize", ident, fac).stderr == "error: %s does not hold a morphism\n" % fac
+    assert run("totalize", fac, "-o", str(out)).exit_code == 0
+    assert files.load(str(out)) == a1()
+
+
+def test_hom_oracle_is_skipped_on_infinite_dimensions(tmp_path):
+    # W = x^2 y is not an isolated singularity: Hom((x, xy), (x, xy)) is infinite
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    path = tmp_path / "line.json"
+    files.save(str(path), files.factorization_to_doc(mf.rank_one(R, x**2 * y, 0, x, x * y)))
+    res = run("hom", str(path), str(path), "--oracle")
+    assert res.exit_code == 0
+    assert res.output == "h0: INFINITE\nh1: INFINITE\noracle: skipped (infinite dimensions)\n"
+    res = run("--format", "machine", "hom", str(path), str(path), "--oracle")
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {
+        "schema_version": 1, "verb": "hom", "status": "ok", "h0": "INFINITE",
+        "h1": "INFINITE", "oracle": "skipped (infinite dimensions)"}
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("shift", ["An:1:1"]), ("sum", ["An:1:1", "An:1:1"]), ("tensor", ["An:1:1", "pair:uv"]),
+    ("knorrer", ["An:1:1"]), ("totalize", ["An:1:1"]),
+])
+def test_object_verbs_print_the_document_without_an_output_file(verb, args):
+    human = run(verb, *args)
+    assert human.exit_code == 0 and human.stderr == ""
+    doc = json.loads(human.output)
+    assert human.output == files.dumps(doc) and doc["kind"] == "factorization"
+    machine = run("--format", "machine", verb, *args)
+    assert machine.exit_code == 0
+    assert json.loads(machine.output) == {
+        "schema_version": 1, "verb": verb, "status": "ok", "result": doc}
+
+
+def test_malformed_options_are_usage_errors():
+    assert run("knorrer", "An:1:1", "--vars", "a").exit_code == 2
+    assert run("knorrer", "An:1:1", "--vars", "a,").exit_code == 2
+    assert run("mirror-count", "--preset", "P1", "--param", "q").exit_code == 2
+
+
+def test_cokernel_of_a_rank_zero_factorization(tmp_path):
+    # the cone of an identity reduces to rank 0: its cokernel is 0
+    zero = mf.minimal_model(mf.cone(mf.identity_morphism(corpus.power_factorization(2, 1))))
+    assert zero.rank == 0
+    pres = mf.cokernel_presentation(zero, hilbert_upto=5)
+    assert (pres.dimension, pres.hilbert) == (0, (0,) * 6)
+    assert (pres.presentation.rows, pres.presentation.cols) == (0, 0)
+    assert str(pres.fiber_relation) == "x^3"
+    path = tmp_path / "zero.json"
+    files.save(str(path), files.factorization_to_doc(zero))
+    res = run("cok", str(path), "--upto", "5")
+    assert res.exit_code == 0
+    assert res.output == "fiber relation: x^3\ndimension:      0\nhilbert:        0 0 0 0 0 0\n"
+    res = run("--format", "machine", "cok", str(path), "--upto", "5")
+    assert json.loads(res.output) == {
+        "schema_version": 1, "verb": "cok", "status": "ok", "fiber_relation": "x^3",
+        "dimension": 0, "hilbert": [0] * 6, "presentation": []}

@@ -625,6 +625,23 @@ def test_basis_access_checks_the_counts_against_the_minimal_models(monkeypatch):
         rep.basis_odd
 
 
+def test_basis_access_closure_checks_the_odd_representatives(monkeypatch):
+    from mfcat import hom
+    homology = hom._homology
+
+    def with_an_open_odd_vector(source, target, want_reps):
+        dims, even, odd = homology(source, target, want_reps)
+        R = source.ring
+        # (s0, s1) = (1, 0) has D_odd = (e1, f1) = (x, x), not 0
+        return dims, even, [(R.one(), R.zero())] * len(odd)
+
+    monkeypatch.setattr(hom, "_homology", with_an_open_odd_vector)
+    rep = hom_dims(an(1), an(1))
+    assert rep.dims() == (1, 1)
+    with pytest.raises(AssertionError, match="not closed"):
+        rep.basis_odd
+
+
 def test_a_minimal_object_can_still_be_contractible():
     # (1 + x, x) of x + x^2: no constant entry, but 1 + x and x generate
     # the unit ideal, so only the witness path can answer

@@ -454,9 +454,10 @@ def test_superpotential_matches_the_augmented_elimination():
 
 
 def test_every_ray_gives_a_term_of_its_own():
-    # a ray's Y-exponents are its coordinates ray B^-1 and B is invertible,
-    # so distinct rays never share a term: W has one term per ray.  The
-    # seeded fans are those of tools/answers.py (seed "fans", 240 draws).
+    # a ray's Y-exponents are its coordinates ray B^-1, integers as B is
+    # unimodular, and B is invertible, so distinct rays never share a term:
+    # W has one term per ray.  The seeded fans are those of tools/answers.py
+    # (seed "fans", 240 draws).
     specs = [_fan(name) for name in sorted(PRESETS) + ["P4"]]
     rng = random.Random("fans")
     for _ in range(240):
@@ -467,10 +468,16 @@ def test_every_ray_gives_a_term_of_its_own():
     built = 0
     for spec in specs:
         try:
-            w = build_superpotential(spec).w
+            superpotential = build_superpotential(spec)
         except UnresolvableRay:
             continue
-        assert len(w.terms) == len(spec.rays), spec
+        n = spec.dimension
+        basis = [spec.rays[b] for b in spec.basis]
+        for ray, term in zip(spec.rays, superpotential.ray_terms):
+            (exps,) = term.terms
+            assert tuple(sum(e * row[j] for e, row in zip(exps[:n], basis))
+                         for j in range(n)) == ray, spec
+        assert len(superpotential.w.terms) == len(spec.rays), spec
         built += 1
     assert built >= 100
 
