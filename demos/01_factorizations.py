@@ -3,8 +3,9 @@ Building and validating two-periodic factorizations
 ====================================================
 
 A factorization of a potential W at a value lam is a pair of square
-polynomial matrices (e1, e0) with e0*e1 = e1*e0 = (W - lam)*Id, checked
-here with exact rational arithmetic.  This script builds the rank-one
+polynomial matrices (e1, e0) with e0*e1 = (W - lam)*Id, checked here
+cell by cell with exact rational arithmetic; over Q[x] this implies
+e1*e0 = (W - lam)*Id.  This script builds the rank-one
 factorizations of x^(n+1), applies the shift and cone constructions,
 and shows what a failed validation reports.
 """

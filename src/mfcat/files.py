@@ -195,13 +195,11 @@ def document_to_object(doc, base_dir=".", field_override=None):
     return _KINDS[kind][1](doc, base_dir, field_override)
 
 
-def object_to_document(obj, source_ref=None, target_ref=None):
+def object_to_document(obj):
+    """The document of a factorization or fan.  A morphism document names
+    its ends by reference, so it is built by morphism_to_doc."""
     if isinstance(obj, mfmod.MatrixFactorization):
         return factorization_to_doc(obj)
-    if isinstance(obj, mfmod.MFMorphism):
-        if source_ref is None or target_ref is None:
-            raise ValueError("morphism documents need source and target references")
-        return morphism_to_doc(obj, source_ref, target_ref)
     if isinstance(obj, ToricSpec):
         return toric_to_doc(obj)
     raise TypeError("cannot serialize %r" % type(obj).__name__)

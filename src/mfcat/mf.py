@@ -1,10 +1,21 @@
 """Matrix factorizations of a polynomial over its chosen critical value.
 
 A factorization of W - lambda is a pair of square matrices (e1, e0) with
-e0 @ e1 == e1 @ e0 == (W - lambda) * Id, checked exactly on every
-constructor.  Morphisms are pairs (p1, p0) commuting with the structure
-maps; the cone, tensor and totalization constructions follow the usual
-Z/2-graded sign conventions and are revalidated on construction.
+e0 @ e1 == (W - lambda) * Id, checked cell by cell on every constructor;
+over k[x] this implies e1 @ e0 == (W - lambda) * Id.  A morphism is a
+pair (p1, p0) with p1 e0 == f0 p0, which implies f1 p1 == p0 e1.  The
+cone, tensor and totalization constructions follow the usual Z/2-graded
+sign conventions and are revalidated on construction.
+
+Proof, over the domain k[x] with W - lambda != 0, which is refused first
+(Eisenbud, "Homological algebra on a complete intersection", Trans. AMS
+260, 1980).  det e0 det e1 = (W - lambda)^rank != 0, so e0 / (W - lambda)
+is the two-sided inverse of e1 over k(x): e1 e0 = (W - lambda) Id, and
+e0 is fixed by e1.  Multiplying p1 e0 = f0 p0 by f1 on the left and by
+e1 on the right gives (W - lambda) f1 p1 = (W - lambda) p0 e1.  Then
+f1 p1 e0 = (W - lambda) p0 fixes p0 by p1, so p1 = 0 forces p0 = 0.
+Hence objects are compared and hashed by ring, W, lambda and e1, and
+morphisms by their ends and p1.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ def _product_failures(name, product, expected):
 
 
 class MatrixFactorization:
-    """An object (e1: E1 -> E0, e0: E0 -> E1) with e0 e1 = e1 e0 = (W - lambda) Id."""
+    """An object (e1: E1 -> E0, e0: E0 -> E1) with e0 e1 = (W - lambda) Id."""
 
     __slots__ = ("ring", "w", "lam", "rank", "e1", "e0", "_model")
 
@@ -91,15 +102,13 @@ class MatrixFactorization:
             raise NotAFactorization(report)
 
     def check(self) -> ValidationReport:
-        """Re-run the defining identities and report failing cells."""
+        """Re-run the defining identity e0 e1 = (W - lambda) Id and report
+        failing cells; it implies e1 e0 = (W - lambda) Id (module docstring)."""
         shifted = self.w - self.ring.constant(self.lam)
         if shifted.is_zero:
             return ValidationReport([("W - lambda", 0, 0, "0", "a nonzero polynomial")])
-        target = PolyMatrix.scalar(shifted, self.rank)
-        failures = []
-        failures += _product_failures("e0*e1", self.e0 @ self.e1, target)
-        failures += _product_failures("e1*e0", self.e1 @ self.e0, target)
-        return ValidationReport(failures)
+        return ValidationReport(_product_failures(
+            "e0*e1", self.e0 @ self.e1, PolyMatrix.scalar(shifted, self.rank)))
 
     def potential_context(self):
         return (self.ring, self.w, self.lam)
@@ -111,11 +120,10 @@ class MatrixFactorization:
             and self.w == other.w
             and self.lam == other.lam
             and self.e1 == other.e1
-            and self.e0 == other.e0
         )
 
     def __hash__(self):
-        return hash((self.ring, self.w, self.lam, self.e1, self.e0))
+        return hash((self.ring, self.w, self.lam, self.e1))
 
     def __repr__(self):
         return "MatrixFactorization(rank %d of %s - %s over %r)" % (
@@ -135,7 +143,8 @@ def rank_one(ring, w: Polynomial, lam, top: Polynomial, bottom: Polynomial) -> M
 
 
 class MFMorphism:
-    """A closed even map (p1: E1 -> F1, p0: E0 -> F0) between factorizations."""
+    """A closed even map (p1: E1 -> F1, p0: E0 -> F0) between factorizations:
+    p1 e0 = f0 p0, which implies f1 p1 = p0 e1 (module docstring)."""
 
     __slots__ = ("source", "target", "p1", "p0")
 
@@ -153,16 +162,13 @@ class MFMorphism:
         self.target = target
         self.p1 = p1
         self.p0 = p0
-        failures = _product_failures("p1*e0 - f0*p0", p1 @ source.e0,
-                                     target.e0 @ p0)
-        failures += _product_failures("f1*p1 - p0*e1", target.e1 @ p1,
-                                      p0 @ source.e1)
+        failures = _product_failures("p1*e0 - f0*p0", p1 @ source.e0, target.e0 @ p0)
         if failures:
             raise InvalidMorphism(ValidationReport(failures))
 
     @property
     def is_zero(self):
-        return self.p1.is_zero and self.p0.is_zero
+        return self.p1.is_zero
 
     def __eq__(self, other):
         return (
@@ -170,11 +176,10 @@ class MFMorphism:
             and self.source == other.source
             and self.target == other.target
             and self.p1 == other.p1
-            and self.p0 == other.p0
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.p1, self.p0))
+        return hash((self.source, self.target, self.p1))
 
     def __repr__(self):
         return "MFMorphism(%r -> %r)" % (self.source, self.target)
@@ -238,13 +243,10 @@ def cone_triangle(p: MFMorphism):
     eyeF = PolyMatrix.identity(ring, F.rank)
     eyeE = PolyMatrix.identity(ring, E.rank)
     zEF = PolyMatrix.zeros(ring, E.rank, F.rank)
-    inject = MFMorphism(F, C,
-                        PolyMatrix.block([[eyeF], [zEF]]),
-                        PolyMatrix.block([[eyeF], [zEF]]))
-    shifted = shift(E)
-    project = MFMorphism(C, shifted,
-                         PolyMatrix.block([[zEF, -eyeE]]),
-                         PolyMatrix.block([[zEF, -eyeE]]))
+    incl = PolyMatrix.block([[eyeF], [zEF]])
+    inject = MFMorphism(F, C, incl, incl)
+    proj = PolyMatrix.block([[zEF, -eyeE]])
+    project = MFMorphism(C, shift(E), proj, proj)
     return C, inject, project
 
 
@@ -292,6 +294,14 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     return model
 
 
+def _tensor_maps(a1, a0, b1, b0):
+    """The structure maps (t1, t0) of A (x) B, given a1, a0 as a_k (x) I
+    and b1, b0 as I (x) b_k in one ring: t1 = [[a1, -b1], [b0, a0]] and
+    t0 = [[a0, b1], [-b0, a1]]."""
+    return (PolyMatrix.block([[a1, -b1], [b0, a0]]),
+            PolyMatrix.block([[a0, b1], [-b0, a1]]))
+
+
 def koszul(ring, w: Polynomial, lam=0) -> MatrixFactorization:
     """The Koszul factorization K = (x_1, w_1) (x) ... (x) (x_n, w_n) of
     W - lambda = sum_i x_i w_i, each term of W - lambda going to the first
@@ -301,8 +311,7 @@ def koszul(ring, w: Polynomial, lam=0) -> MatrixFactorization:
     generators in categories of matrix factorizations", Duke Math. J. 159,
     2011): both dimensions of Hom(E, K) and of Hom(K, E) equal
     rank E - rk e0(0) - rk e1(0).  The factors share one ring, so each
-    step tensors in place: A (x) (x_i, w_i) has e1 = [[a1, -x_i], [w_i, a0]]
-    and e0 = [[a0, x_i], [-w_i, a1]], with x_i and w_i times the identity.
+    step tensors in place, I (x) b1 and I (x) b0 being x_i Id and w_i Id.
     """
     shifted = w - ring.constant(lam)
     if shifted.is_zero or (0,) * ring.nvars in shifted.terms:
@@ -314,9 +323,8 @@ def koszul(ring, w: Polynomial, lam=0) -> MatrixFactorization:
     gens = ring.gens()
     e1, e0 = PolyMatrix.scalar(gens[0], 1), PolyMatrix.scalar(Polynomial(ring, parts[0]), 1)
     for x, part in zip(gens[1:], parts[1:]):
-        xs, ws = PolyMatrix.scalar(x, e1.rows), PolyMatrix.scalar(Polynomial(ring, part), e1.rows)
-        e1, e0 = (PolyMatrix.block([[e1, -xs], [ws, e0]]),
-                  PolyMatrix.block([[e0, xs], [-ws, e1]]))
+        e1, e0 = _tensor_maps(e1, e0, PolyMatrix.scalar(x, e1.rows),
+                              PolyMatrix.scalar(Polynomial(ring, part), e1.rows))
     return MatrixFactorization(ring, w, lam, e1, e0)
 
 
@@ -342,14 +350,7 @@ def tensor(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorizatio
     b0 = b.e0.extend(ring, bmap)
     eye_a = PolyMatrix.identity(ring, a.rank)
     eye_b = PolyMatrix.identity(ring, b.rank)
-    t1 = PolyMatrix.block([
-        [a1.kron(eye_b), -(eye_a.kron(b1))],
-        [eye_a.kron(b0), a0.kron(eye_b)],
-    ])
-    t0 = PolyMatrix.block([
-        [a0.kron(eye_b), eye_a.kron(b1)],
-        [-(eye_a.kron(b0)), a1.kron(eye_b)],
-    ])
+    t1, t0 = _tensor_maps(a1.kron(eye_b), a0.kron(eye_b), eye_a.kron(b1), eye_a.kron(b0))
     w = a.w.extend(ring, amap) + b.w.extend(ring, bmap)
     lam = ring.field.add(ring.field.coerce(a.lam), ring.field.coerce(b.lam))
     return MatrixFactorization(ring, w, lam, t1, t0)
@@ -433,9 +434,8 @@ class PairComplex:
             if d.source != objects[i] or d.target != objects[i + 1]:
                 raise ValueError("map %d does not connect objects %d -> %d" % (i, i, i + 1))
         for i in range(len(maps) - 1):
-            comp1 = maps[i + 1].p1 @ maps[i].p1
-            comp0 = maps[i + 1].p0 @ maps[i].p0
-            if not (comp1.is_zero and comp0.is_zero):
+            # the composite is closed, so its p1 decides it
+            if not (maps[i + 1].p1 @ maps[i].p1).is_zero:
                 raise CompositionNonzero("d_%d after d_%d is nonzero" % (i + 1, i))
         self.objects = objects
         self.maps = maps

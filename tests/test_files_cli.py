@@ -590,3 +590,59 @@ def test_cokernel_of_a_rank_zero_factorization(tmp_path):
     assert json.loads(res.output) == {
         "schema_version": 1, "verb": "cok", "status": "ok", "fiber_relation": "x^3",
         "dimension": 0, "hilbert": [0] * 6, "presentation": []}
+
+
+def test_object_to_document_round_trips_fans_and_refuses_morphisms():
+    for name in ("P1", "F1", "dP6"):
+        text = files.dumps(files.object_to_document(preset(name)))
+        back = files.document_to_object(json.loads(text))
+        assert files.dumps(files.object_to_document(back)) == text
+    # a morphism document names its ends, so only morphism_to_doc builds it
+    with pytest.raises(TypeError, match="cannot serialize 'MFMorphism'"):
+        files.object_to_document(mf.identity_morphism(a1()))
+
+
+def _a1_doc(**changes):
+    doc = files.factorization_to_doc(a1())
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("validate", _a1_doc(W=None), "factorization document is missing 'W'"),
+    ("validate", _a1_doc(e1=["x"]), "factorization field 'e1' must be an array of arrays"),
+    ("validate", _a1_doc(vars=[]), "factorization field 'vars' must be a non-empty list of names"),
+    ("validate", _a1_doc(W="x^2 +"), "dangling sign at end of input (line 1, column 5)"),
+    ("validate", _a1_doc(e0=[["x*"]]),
+     "expected a variable name at end of input (line 1, column 2)"),
+    ("validate", _a1_doc(W="x^2 +\n  x*"),
+     "expected a variable name at end of input (line 2, column 4)"),
+    ("mirror-count", _p1_fan(relations=["q"]), "toric relations must be objects"),
+    ("mirror-count", _p1_fan(relations=[{"coeffs": [1, 1], "parameter": 7}]),
+     "toric relation parameter must be a string or null"),
+    ("mirror-count", _p1_fan(rays=[[1], [1]]), "invalid fan: duplicate rays"),
+])
+def test_malformed_documents_fail_on_one_line(tmp_path, verb, doc, message):
+    extra = ["--param", "q=1"] if verb == "mirror-count" else []
+    res = run(verb, _write(tmp_path / "doc.json", doc), *extra)
+    _one_line_error(res)
+    assert res.stderr == "error: %s\n" % message
+
+
+def test_a_document_root_must_be_an_object(tmp_path):
+    with pytest.raises(files.SchemaError, match="document root must be an object"):
+        files.document_to_object([_a1_doc()])
+    with pytest.raises(files.SchemaError, match="document root must be an object"):
+        files.load(_write(tmp_path / "list.json", [_a1_doc()]))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["mirror-count", "--preset", "P9", "--param", "q=1"],
+     "unknown preset 'P9' (have: F1, P1, P2, P3, dP6)"),
+    (["mirror-fiber", "--preset", "P2", "--param", "q=1"],
+     "fiber counting is implemented for one variable only"),
+])
+def test_fan_verbs_refuse_unknown_presets_and_fibers_of_surfaces(args, message):
+    res = run(*args)
+    _one_line_error(res)
+    assert res.stderr == "error: %s\n" % message

@@ -505,10 +505,10 @@ def test_minimal_model_is_homotopy_equivalent_through_explicit_maps(field):
     assert mf.minimal_model(rank8) is rank8
 
 
-def _rank8():
+def _rank8(field=QQ):
     obj = None
     for v in ("x", "y", "z", "w"):
-        ring = RingContext((v,), QQ)
+        ring = RingContext((v,), field)
         x = ring.variable(v)
         factor = mf.rank_one(ring, x ** 3, 0, x, x ** 2)
         obj = factor if obj is None else mf.tensor(obj, factor)
@@ -545,6 +545,7 @@ def test_koszul_factorization_is_the_curved_koszul_complex():
     K = mf.koszul(R, u * v)
     # uv goes to u: (u, v) (x) (v, 0), not the rank-one (u, v)
     assert K.rank == 2 and K.e1 == PolyMatrix.from_rows(R, [[u, -v], [R.zero(), v]])
+    assert K.e0 == PolyMatrix.from_rows(R, [[v, v], [R.zero(), u]])
     S = RingContext(("x", "y", "z"), PrimeField(32749))
     x, y, z = S.gens()
     assert mf.koszul(S, x ** 3 + x * y + y * z ** 2 + z ** 4 + 5, 5).rank == 4
@@ -553,6 +554,74 @@ def test_koszul_factorization_is_the_curved_koszul_complex():
         mf.koszul(S, x ** 3 + 1)
     with pytest.raises(ValueError, match="nonzero"):
         mf.koszul(S, S.constant(2), 2)
+
+
+def _seeded_morphisms(field, draws=40):
+    """Closed maps the constructors accept: the even Hom bases of seeded
+    corpus pairs (s, t) and (t, u), seeded combinations of each basis,
+    composites of the two bases' elements, and the maps of the cone
+    triangle of each combination, with every cone."""
+    rng = random.Random("halves/%r" % (field,))
+    pairs = corpus.hom_pairs(field)
+    morphisms, cones = [], []
+    for _ in range(draws // 2):
+        _, _, s, t = rng.choice(pairs)
+        u = rng.choice([q[3] for q in pairs if q[2] is t])
+        first, second = hom_dims(s, t).basis_even, hom_dims(t, u).basis_even
+        morphisms += first + second
+        morphisms += [mf.compose(g, f) for g in second for f in first]
+        for basis in (first, second):
+            if not basis:
+                continue
+            E, F = basis[0].source, basis[0].target
+            p1 = p0 = PolyMatrix.zeros(E.ring, F.rank, E.rank)
+            for rep in basis:
+                c = E.ring.constant(rng.randint(-3, 3))
+                p1, p0 = p1 + rep.p1.scale(c), p0 + rep.p0.scale(c)
+            p = mf.MFMorphism(E, F, p1, p0)
+            C, inject, project = mf.cone_triangle(p)
+            morphisms += [p, inject, project]
+            cones.append(C)
+    return morphisms, cones
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_implied_identities_hold_on_everything_the_constructors_accept(field):
+    """e0 e1 = (W - lambda) Id implies e1 e0 = (W - lambda) Id, p1 e0 = f0 p0
+    implies f1 p1 = p0 e1, and e1 fixes e0 as p1 fixes p0 (mf module
+    docstring), so == and hash by e1 or p1 agree with both halves."""
+    start = time.perf_counter()
+    morphisms, cones = _seeded_morphisms(field)
+    objects = [E for _, E in _test_objects(field)] + cones + [_rank8(field)]
+    objects += list({E.potential_context(): mf.koszul(E.ring, E.w, E.lam)
+                     for E in objects}.values())
+    for E in objects:
+        assert E.e1 @ E.e0 == PolyMatrix.scalar(E.w - E.ring.constant(E.lam), E.rank), E
+    for p in morphisms:
+        assert p.target.e1 @ p.p1 == p.p0 @ p.source.e1, p
+        assert p.is_zero == (p.p1.is_zero and p.p0.is_zero)
+    # rebuilt copies and composites with identities are equal but distinct
+    objects += [mf.shift(mf.shift(E)) for E in objects]
+    morphisms += [mf.compose(p, mf.identity_morphism(p.source)) for p in morphisms]
+    groups = {}  # objects of different potentials, maps of different ends, never agree
+    for E in objects:
+        groups.setdefault(E.potential_context(), []).append(E)
+    for p in morphisms:
+        groups.setdefault((p.source, p.target), []).append(p)
+    for group in groups.values():
+        hashes = [hash(x) for x in group]
+        for i, a in enumerate(group):
+            for j in range(i, len(group)):
+                b = group[j]
+                if isinstance(a, mf.MFMorphism):
+                    halves = (a.source == b.source and a.target == b.target
+                              and a.p1 == b.p1 and a.p0 == b.p0)
+                else:
+                    halves = (a.potential_context() == b.potential_context()
+                              and a.e1 == b.e1 and a.e0 == b.e0)
+                assert (a == b) == halves
+                assert not halves or hashes[i] == hashes[j]
+    assert time.perf_counter() - start < 2
 
 
 def test_dims_build_no_representatives(monkeypatch):

@@ -42,7 +42,8 @@ def test_validation_accepts_and_rejects():
     x, y = R.gens()
     with pytest.raises(NotAFactorization) as err:
         mf.rank_one(R, x**2, 0, x, y)   # x*y != x^2
-    assert "e0*e1" in str(err.value) or "e1*e0" in str(err.value)
+    # only e0*e1 is checked: it implies e1*e0 (mf module docstring)
+    assert str(err.value) == "1 failing cell(s):\n  e0*e1[0,0] = x*y, expected x^2"
 
 
 def test_zero_potential_rejected():
@@ -91,9 +92,10 @@ def test_morphism_validation():
     x = R.variable("x")
     ident = mf.identity_morphism(E)
     assert ident.p1 == PolyMatrix.identity(R, 1)
-    with pytest.raises(InvalidMorphism):
+    with pytest.raises(InvalidMorphism) as err:
         MFMorphism(E, mf.shift(E), PolyMatrix.scalar(R.one(), 1),
                    PolyMatrix.scalar(R.one(), 1))  # fails closedness
+    assert str(err.value) == "1 failing cell(s):\n  p1*e0 - f0*p0[0,0] = x, expected -x"
     ok = MFMorphism(E, mf.shift(E), PolyMatrix.scalar(R.one(), 1),
                     PolyMatrix.scalar(-R.one(), 1))
     assert ok.p0.get(0, 0) == -R.one()
@@ -215,6 +217,36 @@ def test_pair_complex_requires_zero_composites():
     T = mf.totalize(cx)
     assert T.rank == 3
     assert mf.validate(T).ok
+
+
+def test_each_constructor_checks_one_identity_by_its_products(monkeypatch):
+    """e0 e1 = (W - lambda) Id decides a factorization and p1 e0 = f0 p0 a
+    closed map (mf module docstring): one product builds an object of
+    positive rank, two a morphism, and a complex takes one per composite."""
+    E, F = an(3, 1), an(3, 2)
+    S = mf.direct_sum(E, F)
+    ident = mf.identity_morphism(E)
+    C, inject, project = mf.cone_triangle(ident)
+    tail = mf.zero_morphism(project.target, F)
+    products = [0]
+    matmul = PolyMatrix.__matmul__
+
+    def counted(self, other):
+        products[0] += 1
+        return matmul(self, other)
+    monkeypatch.setattr(PolyMatrix, "__matmul__", counted)
+
+    def count(build):
+        products[0] = 0
+        build()
+        return products[0]
+    for X in (E, S, C):
+        assert count(lambda: MatrixFactorization(X.ring, X.w, X.lam, X.e1, X.e0)) == 1
+    assert count(lambda: mf.rank_one(E.ring, E.w, 0, E.e1.get(0, 0), E.e0.get(0, 0))) == 1
+    for p in (ident, inject, project, tail):
+        assert count(lambda: MFMorphism(p.source, p.target, p.p1, p.p0)) == 2
+    assert count(lambda: PairComplex([E, C, project.target], [inject, project])) == 1
+    assert count(lambda: PairComplex([E, C, project.target, F], [inject, project, tail])) == 2
 
 
 def test_totalize_split_short_exact_sequence():

@@ -197,6 +197,16 @@ def test_hom_oracle_agrees_over_a_prime_field():
     assert len(pairs) == 407
 
 
+def test_quotient_dim_truncated_needs_a_ring_when_no_generator_names_one():
+    R = xring()
+    assert quotient_dim_truncated([R.zero(), R.variable("x") ** 3]) == 3
+    with pytest.raises(OracleDiverged):  # the zero ideal of Q[x]: k[x] itself
+        quotient_dim_truncated([R.zero()], R, max_degree=4)
+    for gens in ([], [R.zero()]):
+        with pytest.raises(ValueError, match="cannot infer the ring"):
+            quotient_dim_truncated(gens)
+
+
 def test_quotient_dim_truncated_with_rational_coefficients():
     R = RingContext(("x", "y"), QQ)
     x, y = R.gens()

@@ -120,6 +120,19 @@ def test_parse_errors_carry_position():
     assert err is not None and err.column is not None
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x +", "dangling sign at end of input (line 1, column 3)"),
+    ("x*", "expected a variable name at end of input (line 1, column 2)"),
+    # a newline starts line 2 at column 0
+    ("x^2 +\n  y*", "expected a variable name at end of input (line 2, column 4)"),
+    ("x +\n\n y + q", "unknown variable 'q' near 'q' (line 3, column 5)"),
+])
+def test_parse_errors_name_the_line_and_column(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(ring("x", "y"), text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text, name, column", [("x*q + 1", "q", 2), ("x^2 + qq", "qq", 6)])
 def test_unknown_variable_is_reported_at_its_own_token(text, name, column):
     with pytest.raises(ParseError) as info:
