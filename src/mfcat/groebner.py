@@ -645,6 +645,24 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     return _run(ring, (), run)
 
 
+def _project(G, r):
+    """The reduced basis of the projection of G's module onto its first r
+    positions, read off G when every lead of G lies among them.
+
+    Then no nonzero element of the module lies in positions r and up, its
+    lead being a multiple of one of G's, so the projection is injective
+    and keeps every lead: the projected elements are a Groebner basis, and
+    dropping tail terms keeps them reduced.  Raises AssertionError when a
+    lead lies at position r or later, where the projection forgets it.
+    """
+    if any(e.lt[0] >= r for e in G._elems):
+        raise AssertionError("a basis lead lies outside the first %d positions" % r)
+    fld, pk = G.ring.field, G._pk
+    return GroebnerBasis(G.ring, r, [
+        _Elem({t: c for t, c in e.terms.items() if t[0] < r}, e.lt, fld, pk)
+        for e in G._elems], pk)
+
+
 def syzygy_module(vectors, ambient_rank, ring) -> GroebnerBasis:
     """Reduced Groebner basis of {w in A^s : sum_j w_j v_j = 0}, for v_j in A^r."""
     return image_and_syzygies(vectors, ambient_rank, ring)[1]

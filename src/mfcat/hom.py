@@ -20,10 +20,30 @@ models of the two ends (mf.minimal_model), which is homotopy equivalent
 to the full one and smaller, and needs no Groebner work at all when an
 end is contractible through constants.  Each object's minimal model is
 computed once and kept on the object, so later calls on the same ends
-reduce nothing again.  Representatives are built from the full complex
-on first access, each closure-checked as it is built, and their counts
-are checked against the dimensions, so the two paths check each other
-whenever both run.
+reduce nothing again.  The dimensions need only the first block row of
+each differential, its m = rank E * rank F rows of s0 in D_even and of
+p1 in D_odd.  Representatives are built from the full complex on first
+access, each closure-checked as it is built, and their counts are
+checked against the dimensions, so two independent runs check each
+other whenever both run.
+
+Proof, over k[x] with W - lambda != 0, by the argument of the mf
+docstring (Eisenbud, Trans. AMS 260, 1980).  Write pi for keeping the
+first block, p1 of an even pair and s0 of an odd one.
+  D_even: f0 p0 = p1 e0 implies f1 p1 = p0 e1, so the s0 row
+    f0 p0 - p1 e0 has the kernel of D_even.
+  D_odd: f0 s1 = -s0 e1, multiplied by f1 on the left and by e0 on the
+    right, gives (W - lambda) s1 e0 = -(W - lambda) f1 s0, so
+    s1 e0 = -f1 s0 and the p1 row f0 s1 + s0 e1 has the kernel of D_odd.
+  pi is injective on closed elements: p1 = 0 forces p0 = 0, and s0 = 0
+    leaves f0 s1 = 0, so s1 = 0 as det f0 != 0.
+Hence h0 = dim pi(ker D_even) / pi(im D_odd), and h1 likewise with the
+roles swapped.  A run on the first block row of a differential gives pi
+of its image directly.  Its kernel basis has every lead in the first
+block, which the position-over-term order puts highest, since no nonzero
+closed element vanishes there; so that basis, cut to the first block,
+is the reduced basis of pi of the kernel (groebner._project, which
+checks the leads).
 """
 
 from __future__ import annotations
@@ -174,14 +194,20 @@ def hom_complex(source, target, check=True) -> HomComplex:
 
 def _homology(source, target, want_reps):
     """((h0, h1), even representatives, odd representatives) of the Hom
-    complex, from one Buchberger run per differential."""
+    complex, from one Buchberger run per differential: on its first block
+    row for dimensions alone, on all of it for representatives."""
     H = hom_complex(source, target, check=False)
     ring = source.ring
     n = len(H.even_columns)  # both differentials are n x n
-    even_image, even_kernel = groebner.image_and_syzygies(H.even_columns, n, ring)
-    odd_image, odd_kernel = groebner.image_and_syzygies(H.odd_columns, n, ring)
-    h0, even = groebner.subquotient_basis(even_kernel, odd_image, ring, n, want_reps)
-    h1, odd = groebner.subquotient_basis(odd_kernel, even_image, ring, n, want_reps)
+    rows = n if want_reps else n // 2
+    even_image, even_kernel = groebner.image_and_syzygies(
+        [c[:rows] for c in H.even_columns], rows, ring)
+    odd_image, odd_kernel = groebner.image_and_syzygies(
+        [c[:rows] for c in H.odd_columns], rows, ring)
+    h0, even = groebner.subquotient_basis(groebner._project(even_kernel, rows), odd_image,
+                                          ring, rows, want_reps)
+    h1, odd = groebner.subquotient_basis(groebner._project(odd_kernel, rows), even_image,
+                                         ring, rows, want_reps)
     return (h0, h1), even, odd
 
 

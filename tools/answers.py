@@ -7,7 +7,10 @@ must not alter answers leaves them byte-identical:
 
 Items, each line "<key>\t<answer>":
   * hom_dims dimensions and bases on every corpus hom pair, over Q and
-    over F_32749, and on the rank-8 tensor of An:2:1 in x, y, z, w;
+    over F_32749, on the rank-8 tensor of An:2:1 in x, y, z, w, and on
+    seeded pairs of direct sums of rank-one corpus objects under seeded
+    changes of basis, whose structure matrices are neither diagonal nor
+    symmetric, over Q and over F_32749;
   * is_null_homotopic witnesses of the identity of every cone of an
     identity, and of d_i W * id_X for every corpus object X and variable i;
   * oracle.hom_dims_truncated on every fourth corpus pair, over Q and
@@ -62,6 +65,7 @@ Items, each line "<key>\t<answer>":
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -78,6 +82,7 @@ MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
 FAN_DRAWS = 240
 TENSOR_DRAWS = 40
+SCRAMBLED_DRAWS = 20
 COMPOSE_DRAWS = 20
 IDEAL_DRAWS = 40
 BASIS_DRAWS = 30
@@ -113,6 +118,42 @@ def _rank8():
         factor = mf.rank_one(ring, t ** 3, 0, t, t ** 2)
         obj = factor if obj is None else mf.tensor(obj, factor)
     return obj
+
+
+def _scrambled(rng, obj):
+    """obj under seeded changes of basis I + g E_ij of E1 and of E0, for
+    i != j and g a multiple 1..5 of 1 or of a variable."""
+    ring, n = obj.ring, obj.rank
+
+    def elementary():
+        i, j = rng.sample(range(n), 2)
+        g = rng.choice(ring.gens() + [ring.one()]) * ring.constant(rng.randint(1, 5))
+        return [PolyMatrix(ring, n, n, [entry if (r, c) == (i, j) else
+                                        ring.one() if r == c else ring.zero()
+                                        for r in range(n) for c in range(n)])
+                for entry in (g, -g)]
+    (p, p_inv), (q, q_inv) = elementary(), elementary()
+    return mf.MatrixFactorization(ring, obj.w, obj.lam, p @ obj.e1 @ q_inv, q @ obj.e0 @ p_inv)
+
+
+def _scrambled_pairs(field):
+    """SCRAMBLED_DRAWS seeded (E, F): each a direct sum of 2..3 rank-one
+    corpus objects of one potential, each shifted or not, scrambled."""
+    rng = random.Random("scrambled/%r" % (field,))
+    families = {}
+    for _, obj in corpus.base_objects(field):
+        families.setdefault(obj.potential_context(), []).append(obj)
+    families = list(families.values())
+
+    def draw(family):
+        parts = [rng.choice(family) for _ in range(rng.randint(2, 3))]
+        return _scrambled(rng, functools.reduce(
+            mf.direct_sum, [mf.shift(p) if rng.random() < 0.5 else p for p in parts]))
+    out = []
+    for _ in range(SCRAMBLED_DRAWS):
+        family = rng.choice(families)
+        out.append((draw(family), draw(family)))
+    return out
 
 
 def _rational(rng):
@@ -514,6 +555,9 @@ def items():
             yield "hom %r %s %s" % (field, ns, nt), _hom_text(hom.hom_dims(s, t))
     rank8 = _rank8()
     yield "hom rank8", _hom_text(hom.hom_dims(rank8, rank8))
+    for field in (QQ, PrimeField(32749)):
+        for i, (s, t) in enumerate(_scrambled_pairs(field)):
+            yield "hom scrambled %r %d" % (field, i), _hom_text(hom.hom_dims(s, t))
     objects = sorted(corpus.corpus_objects().items())
     for name, X in objects:
         C = mf.cone(mf.identity_morphism(X))
