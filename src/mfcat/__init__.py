@@ -19,7 +19,7 @@ from .groebner import (
     normal_form, module_normal_form, ideal_membership, submodule_membership,
     membership_witness, image_and_syzygies, syzygy_module, syzygy_basis,
     syzygy_basis_of_vectors, standard_monomials, quotient_dim, hilbert_slices,
-    quotient_module_dim, subquotient_basis, ImageNotInKernel,
+    minimal_polynomial, quotient_module_dim, subquotient_basis, ImageNotInKernel,
 )
 from .mf import (
     MatrixFactorization, MFMorphism, ValidationReport, ModulePresentation,

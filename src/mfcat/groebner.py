@@ -92,6 +92,15 @@ field elements only on the way out, through `Field.from_scaled`: a basis
 element is divided by its lead coefficient, a remainder by D*s, and a
 subquotient representative by s times the lead coefficient of its kernel
 element.  Over F_p, D and s are 1.
+
+minimal_polynomial(f, G) gives the monic minimal polynomial of
+multiplication by f on A/I, the multiplication-map method (Cox-Little-
+O'Shea, Using Algebraic Geometry, 2.4), in the same encoding: f enters
+through _entry, NF(f) is one _divide, and each power NF(f^k) stays a
+term dict over a scale s, multiplied by NF(f) with _combine, reduced by
+_divide and cleared of its content.  Its coordinates on the standard
+monomials, with s in an extra column e_k, form row k of one RowEchelon;
+the first row whose pivot lands in the e-columns is the relation.
 """
 
 from __future__ import annotations
@@ -102,6 +111,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, le, mul, neg
 
+from .matrix import RowEchelon
 from .poly import LaurentPolynomial, Polynomial, PolyError, RingMismatch, integer_multiple
 
 
@@ -779,6 +789,49 @@ def hilbert_slices(G: GroebnerBasis, upto: int = 10):
         for m in monos:
             out[sum(m)] += 1
     return out
+
+
+def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
+    """(dim A/I, [c_0, ..., c_d]) for the ideal I of G and the monic
+    minimal polynomial sum_k c_k t^k of multiplication by f on A/I, the
+    c_k field elements; (INFINITE, None) when A/I is infinite.  The rows
+    are described in the module docstring; dim + 1 of them reach a relation."""
+    if G.is_module:
+        raise ValueError("expected an ideal Groebner basis")
+    found = _standard(G)
+    if found is INFINITE:
+        return INFINITE, None
+    monos = found.get(0, {})
+    dim = len(monos)
+    ring = G.ring
+    fld = ring.field
+    plus, times, _ = _arith(fld)
+
+    def run(pk):
+        coord = {pk.pack(e): i for i, e in enumerate(monos)}
+        index = _index(G._elems)
+        [(terms, d)] = _entry([(f,)], ring, 1, pk)
+        value, s = _divide(ring, pk, terms, index)
+        value_scale = d * s
+        echelon = RowEchelon(fld)
+        power, scale = ({(0, 0): 1} if dim else {}), 1  # NF(1): 0 in the unit ideal
+        for k in range(dim + 1):
+            row = {coord[m]: c for (_, m), c in power.items()}
+            row[dim + k] = scale
+            pivot = echelon.insert(row)
+            if pivot >= dim:
+                relation = echelon.pivots[pivot]
+                return [fld.from_scaled(relation.get(dim + j, 0), relation[dim + k])
+                        for j in range(k + 1)]
+            product = {}
+            for (_, m), c in value.items():
+                _combine(product, power, m, c, plus, times, pk.top)
+            power, s = _divide(ring, pk, product, index)
+            scale *= value_scale * s
+            g = gcd(scale, *power.values())
+            if g != 1:
+                power, scale = {t: c // g for t, c in power.items()}, scale // g
+    return dim, _run(ring, [G], run)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 the one sparse row echelon over a field, ``RowEchelon``, which computes on
 ints in the field's integer encoding: fraction-free over Q, mod p over
 F_p.  The truncation oracle reads ranks and pivots from it;
-``mirror.critical_values`` finds the first linear relation among the
-powers of W with it.
+``groebner.minimal_polynomial`` finds the first linear relation among
+the powers of f with it.
 """
 
 from __future__ import annotations
@@ -226,21 +226,21 @@ class RowEchelon:
         self.pivots = {}  # leading column -> stored row
 
     def insert(self, row):
-        """Add a row; its new pivot column, or None when it was dependent."""
-        row = self._reduce(dict(row), self.field.p)
-        if not row:
-            return None
-        c = min(row)
-        self.pivots[c] = self.field.stored_form(row, c)
+        """Add a row, which the echelon takes over and may rewrite; its new
+        pivot column, or None when it was dependent."""
+        c = self._reduce(row, self.field.p)
+        if c is not None:
+            self.pivots[c] = self.field.stored_form(row, c)
         return c
 
     def _reduce(self, row, p):
+        """Reduce row in place; its smallest column then, None once empty."""
         pivots = self.pivots
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                break
+                return c
             a, b = row[c], prow[c]  # b is 1 over F_p
             g = gcd(a, b)
             if g != 1:
@@ -257,7 +257,7 @@ class RowEchelon:
                     row[cc] = s
                 else:
                     del row[cc]
-        return row
+        return None
 
     @property
     def rank(self):

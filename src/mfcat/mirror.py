@@ -11,19 +11,19 @@ inverse of the relations restricted to the non-basis rays.
 Critical points on the algebraic torus are counted through the ideal
 generated by the cleared logarithmic derivatives Y_i dW/dY_i together
 with the torus localizer z Y_1 ... Y_n - 1.  In its quotient algebra
-z Y_1 ... Y_n = 1, so W = num / Y^s is the polynomial num z^a Y^(a - s)
-with a = max(s).  Critical values come from the minimal polynomial of
-multiplication by that polynomial, found by linear algebra over the
-grevlex standard monomials.
+z Y_1 ... Y_n = 1, so W is the polynomial W (z Y_1 ... Y_n)^a for a the
+largest of 0 and minus the exponents of W.  Critical values come from
+the minimal polynomial of multiplication by that polynomial
+(groebner.minimal_polynomial).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .matrix import RowEchelon
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
-                   PolyError, integer_multiple, univariate_gcd)
+                   PolyError, univariate_gcd)
 from . import groebner
 
 
@@ -235,11 +235,21 @@ def _substituted_w(w_spec, params):
 
 
 def _critical_basis(W) -> groebner.GroebnerBasis:
-    """Basis of the cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex)."""
+    """Basis of the cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex).
+
+    Y_i dW/dY_i multiplies each term of W by its Y_i exponent; each is
+    cleared by its own least monomial Y^s, s_j = max(0, -min e_j) over its
+    terms."""
     n = W.ring.nvars
+    fld = W.ring.field
     ring = RingContext(W.ring.variables + ("z",), QQ, "grevlex")
-    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring) for i in range(n)]
-    gens.append(Polynomial(ring, {(1,) * (n + 1): ring.field.one}) - ring.one())
+    gens = []
+    for i in range(n):
+        terms = {e: fld.mul(c, k) for e, c in W.terms.items() if (k := fld.coerce(e[i]))}
+        shift = [max([0] + [-e[j] for e in terms]) for j in range(n)]
+        gens.append(Polynomial(ring, {tuple(map(add, e, shift)) + (0,): QQ.coerce(c)
+                                      for e, c in terms.items()}))
+    gens.append(Polynomial(ring, {(1,) * (n + 1): QQ.one, (0,) * (n + 1): -QQ.one}))
     return groebner.buchberger(gens, ring)
 
 
@@ -277,46 +287,21 @@ def critical_values(w_spec, params=None) -> CriticalReport:
 
     Both are read in the algebra of critical_ideal, Q[Y1..Yn, z]/I: the
     count is its number of standard monomials (InfiniteCriticalLocus when
-    they are infinite).  Write W = num / Y^s and a = max(s); as
-    z Y1 ... Yn = 1 there, W is the polynomial num z^a Y^(a - s).  The
-    monic minimal polynomial of multiplication by it is found by linear
-    algebra over the standard monomial basis.
+    they are infinite).  As z Y1 ... Yn = 1 there, W is the polynomial
+    W (z Y1 ... Yn)^a, a the largest of 0 and minus the exponents of W;
+    the eliminant is the monic minimal polynomial of multiplication by it.
     """
     W = _substituted_w(w_spec, params)
     gb = _critical_basis(W)
-    ring = gb.ring
-    sm = groebner.standard_monomials(gb)
-    if sm is groebner.INFINITE:
+    a = max([0] + [-x for e in W.terms for x in e])
+    value = Polynomial(gb.ring, {tuple(x + a for x in e) + (a,): QQ.coerce(c)
+                                 for e, c in W.terms.items()})
+    count, coefficients = groebner.minimal_polynomial(value, gb)
+    if count is groebner.INFINITE:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
-    count = len(sm)
-    coord = {exps: i for i, (_, exps) in enumerate(sm)}
-    numerator, shifts = W.clear_denominators()
-    a = max(shifts, default=0)
-    unit = Polynomial(ring, {tuple(a - s for s in shifts) + (a,): ring.field.one})
-    value = groebner.normal_form(numerator.extend(ring) * unit, gb)
-    # rows D [NF(W^k) coordinates | e_k], D clearing the denominators: the
-    # first pivot in the e-columns is the first linear relation among 1, W,
-    # ..., W^k, the minimal polynomial up to a factor; divided by its W^k
-    # entry it is monic.  count + 1 rows in count coordinates always reach one.
-    echelon = RowEchelon(QQ)
-    power = ring.one()
-    for k in range(count + 1):
-        power = groebner.normal_form(power, gb)
-        terms, scale = integer_multiple(power.terms)
-        row = {coord[e]: c for e, c in terms.items()}
-        row[count + k] = scale
-        pivot = echelon.insert(row)
-        if pivot >= count:
-            break
-        power = power * value
-    relation = echelon.pivots[pivot]
-    lead = relation[count + k]
     wring = RingContext(("w",), QQ, "lex")
-    value_poly = Polynomial(wring, {(c - count,): QQ.from_scaled(v, lead)
-                                    for c, v in relation.items()})
+    value_poly = Polynomial(wring, {(k,): c for k, c in enumerate(coefficients)})
     distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
-    if value_poly.total_degree() > count:
-        raise AssertionError("eliminant degree exceeds the critical count")
     return CriticalReport(count, value_poly, distinct)
 
 

@@ -6,15 +6,16 @@ from itertools import product
 import pytest
 
 from mfcat.poly import (
-    QQ, PrimeField, LaurentPolynomial, Polynomial, RingContext, RingMismatch, parse_polynomial,
+    QQ, PrimeField, LaurentPolynomial, Polynomial, RingContext, RingMismatch, integer_multiple,
+    parse_polynomial,
 )
-from mfcat.matrix import PolyMatrix
+from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.groebner import (
     INFINITE, buchberger, module_groebner, normal_form, module_normal_form,
     ideal_membership, submodule_membership, membership_witness, image_and_syzygies,
     syzygy_basis, syzygy_basis_of_vectors, syzygy_module, standard_monomials,
     quotient_dim, hilbert_slices, quotient_module_dim, subquotient_basis,
-    ImageNotInKernel,
+    minimal_polynomial, ImageNotInKernel,
 )
 
 
@@ -1126,3 +1127,117 @@ def test_a_guard_trip_redoes_the_run_at_twice_the_width(monkeypatch):
     G._generators = None  # unpack again from the repacked elements
     assert G.generators == ample.generators
     assert normal_form(x ** 40 * y ** 3, G) == wanted and widths[4:] == [16]
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials of multiplication maps, against the Polynomial loop
+# ---------------------------------------------------------------------------
+
+def _reference_minimal_polynomial(f, G):
+    """Rows [NF(f^k) on the standard monomials | e_k] of Polynomial powers,
+    each cleared by integer_multiple, into one RowEchelon until a pivot
+    lands in the e-columns; that row divided by its e_k entry."""
+    sm = standard_monomials(G)
+    if sm is INFINITE:
+        return INFINITE, None
+    dim = len(sm)
+    coord = {exps: i for i, (_, exps) in enumerate(sm)}
+    fld = G.ring.field
+    value = normal_form(f, G)
+    echelon = RowEchelon(fld)
+    power = G.ring.one()
+    for k in range(dim + 1):
+        power = normal_form(power, G)
+        terms, scale = integer_multiple(power.terms)
+        row = {coord[e]: c for e, c in terms.items()}
+        row[dim + k] = scale
+        pivot = echelon.insert(row)
+        if pivot >= dim:
+            break
+        power = power * value
+    relation = echelon.pivots[pivot]
+    return dim, [fld.from_scaled(relation.get(dim + j, 0), relation[dim + k])
+                 for j in range(k + 1)]
+
+
+def _zero_dimensional(rng, R, denominators):
+    """x_i^d_i plus terms of lower degree for each variable, which the
+    grevlex order keeps as the leads, and half the time one more random
+    generator."""
+    gens = []
+    for i in range(R.nvars):
+        d = rng.randint(1, 3)
+        lead = Polynomial(R, {tuple(d if j == i else 0 for j in range(R.nvars)): R.field.one})
+        gens.append(lead + _rand_entry(R, rng, (0, d - 1), (0, 3), denominators))
+    if rng.random() < 1 / 3:
+        gens.append(_rand_entry(R, rng, (1, 3), (1, 3), denominators))
+    return buchberger(gens, R)
+
+
+def test_minimal_polynomial_matches_the_polynomial_loop():
+    lower = 0
+    for seed, field, denominators in ((131, QQ, 5), (137, PrimeField(32749), 1)):
+        rng = random.Random(seed)
+        for trial in range(24):
+            R = ring(*("x", "y", "z")[:2 + trial % 2], field=field)
+            G = _zero_dimensional(rng, R, denominators)
+            for f in (_rand_entry(R, rng, (1, 4), (2, 4), denominators), R.zero(),
+                      R.constant(Fraction(-3, 2)), R.gens()[0]):
+                dim, coefficients = minimal_polynomial(f, G)
+                assert (dim, coefficients) == _reference_minimal_polynomial(f, G), (G, f)
+                assert dim == quotient_dim(G)
+                assert coefficients[-1] == field.one
+                assert all(type(c) is type(field.one) for c in coefficients)
+                lower += len(coefficients) - 1 < dim
+    assert lower >= 20
+
+
+def test_minimal_polynomial_special_cases():
+    R = ring("x", "y")
+    x, y = R.gens()
+    G = buchberger([x ** 2 - 1, y ** 2 - 1], R)
+    # dim 4, but x^2 = 1 already: degree 2, below the dimension
+    assert minimal_polynomial(x, G) == (4, [-1, 0, 1])
+    assert minimal_polynomial(x + y, G) == (4, [0, -4, 0, 1])
+    assert minimal_polynomial(R.zero(), G) == (4, [0, 1])
+    assert minimal_polynomial(R.constant(Fraction(2, 3)), G) == (4, [Fraction(-2, 3), 1])
+    # the unit ideal: A/I is the zero space, whose minimal polynomial is 1
+    for f in (x, R.zero(), R.constant(5)):
+        assert minimal_polynomial(f, buchberger([x - 1, x - 2], R)) == (0, [1])
+    assert minimal_polynomial(x, buchberger([x * y - 1], R)) == (INFINITE, None)
+    with pytest.raises(ValueError, match="expected an ideal"):
+        minimal_polynomial(x, module_groebner([(x, y)], 2, R))
+    with pytest.raises(RingMismatch):
+        minimal_polynomial(ring("x", "y", field=PrimeField(7)).gens()[0], G)
+
+
+def test_minimal_polynomial_redoes_its_loop_at_twice_the_width(monkeypatch):
+    # At 4-bit fields the standard monomials (degree <= 6) fit but their
+    # products do not, so the guard trips inside the power loop and the
+    # whole loop, echelon included, runs again at 8 bits.
+    from mfcat import groebner
+    R = ring("x", "y")
+    x, y = R.gens()
+    gens = [x ** 4 - Fraction(1, 2) * y - 1, y ** 4 - x ** 2 + 3]
+    f = x * y + Fraction(1, 3) * x ** 3
+    wanted = _reference_minimal_polynomial(f, buchberger(gens, R))
+    widths = []
+    packing = groebner._packing
+
+    def recorded(nvars, order, w):
+        widths.append(w)
+        return packing(nvars, order, w)
+    monkeypatch.setattr(groebner, "_packing", recorded)
+    monkeypatch.setattr(groebner, "_START_WIDTH", 4)
+    G = buchberger(gens, R)
+    assert widths == [4] and G._pk.w == 4
+    assert minimal_polynomial(f, G) == wanted
+    assert widths[1:] == [4, 8] and G._pk.w == 8
+    # an exponent past 2**15 redoes the run at once, from its entry
+    monkeypatch.setattr(groebner, "_START_WIDTH", 16)
+    G = buchberger([x ** 3 - 2, y ** 2 - x], R)
+    f = x ** 40000 * y + y
+    del widths[:]
+    got = minimal_polynomial(f, G)
+    assert widths == [16, 32] and G._pk.w == 32
+    assert got == _reference_minimal_polynomial(f, G)

@@ -322,6 +322,137 @@ def test_critical_values_match_the_adjoined_w_reference():
                 values(parse_laurent(ring, text))
 
 
+def _bare_potentials():
+    R1, R2 = RingContext(("Y1",), QQ), RingContext(("Y1", "Y2"), QQ)
+    return [parse_laurent(ring, text) for ring, text in (
+        (R1, "Y1 + Y1^-2"), (R1, "Y1^-2 + Y1^-1"), (R1, "Y1^-3 - 2/3*Y1^2 + Y1"),
+        (R1, "Y1^3 - 3*Y1"), (R1, "Y1"), (R1, "5"), (R1, "Y1 + Y1^-1"), (R1, "Y1^2 - 2*Y1 + 1"),
+        (R2, "Y1 + Y2 + 3*Y1^-2*Y2^-1 - Y2^-2"), (R2, "Y1^2*Y2^-1 + Y2 + Y1^-1"),
+        (R2, "Y1*Y2 + Y1^-1 + 1/2*Y2^-3"), (R2, "Y1 + Y1^-1"), (R2, "Y1*Y2 + Y1^-1*Y2^-1"))]
+
+
+def test_critical_generators_match_the_three_step_construction(monkeypatch):
+    # each cleared Y_i dW/dY_i is built in one step; it must equal
+    # log_derivative -> clear_denominators -> extend term for term, in the
+    # same order, and the S-pair counts of critical_values stay as they were
+    reductions = [0]
+    seen = []
+    original, buchberger = groebner._s_remainder, groebner.buchberger
+
+    def counted(*args):
+        reductions[0] += 1
+        return original(*args)
+
+    def recorded(gens, ring=None, track=False):
+        seen.append((list(gens), ring))
+        return buchberger(gens, ring, track)
+    monkeypatch.setattr(groebner, "_s_remainder", counted)
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    potentials = _bare_potentials()
+    for name in sorted(PRESETS) + ["P4"]:
+        built = build_superpotential(_fan(name))
+        potentials.append(built.substituted({p: 1 for p in built.param_names}))
+    for W in potentials:
+        del seen[:]
+        mirror.critical_ideal(W)
+        [(gens, ring)] = seen
+        n = W.ring.nvars
+        old = [W.log_derivative(i).clear_denominators()[0].extend(ring) for i in range(n)]
+        old.append(Polynomial(ring, {(1,) * (n + 1): ring.field.one}) - ring.one())
+        assert [list(g.terms.items()) for g in gens] == [list(g.terms.items()) for g in old], W
+        assert all(g.ring is ring for g in gens)
+    counts = {}
+    for name in ("P1", "P2", "P3", "F1", "dP6"):
+        built = build_superpotential(preset(name))
+        reductions[0] = 0
+        critical_values(built, {p: 1 for p in built.param_names})
+        counts[name] = reductions[0]
+    assert counts == {"P1": 3, "P2": 7, "P3": 12, "F1": 12, "dP6": 18}
+
+
+def test_critical_values_stay_in_the_kernel(monkeypatch):
+    # the powers of W are int term dicts inside groebner.minimal_polynomial:
+    # no normal_form call and no Polynomial product on the way
+    cases = [(W, None) for W in _bare_potentials()[:5]]
+    for name in sorted(PRESETS):
+        built = build_superpotential(_fan(name))
+        cases.append((built, {p: Fraction(3, 7) for p in built.param_names}))
+    expected = [str(critical_values(w_spec, params)) for w_spec, params in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called from critical_values")
+    monkeypatch.setattr(groebner, "normal_form", forbidden)
+    monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+    assert [str(critical_values(w_spec, params)) for w_spec, params in cases] == expected
+
+
+def _hull_area_doubled(points):
+    """Twice the area of the convex hull of lattice points: Andrew's
+    monotone chain, then the shoelace."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+    hull = half(pts) + half(pts[::-1])
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1])))
+
+
+def _blown_up_fan(rng):
+    """P^2 or P^1 x P^1 blown up 0-4 times, each time inserting a + b
+    between adjacent rays a and b; the relations express every other ray
+    in a basis of two adjacent rays, one parameter each."""
+    rays = rng.choice(([(1, 0), (0, 1), (-1, -1)], [(1, 0), (0, 1), (-1, 0), (0, -1)]))
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(len(rays))
+        a, b = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
+    i = rng.randrange(len(rays))
+    j = (i + 1) % len(rays)
+    (u1, u2), (v1, v2) = rays[i], rays[j]
+    det = u1 * v2 - u2 * v1  # +-1: adjacent rays of a smooth fan
+    relations = []
+    for r, (x, y) in enumerate(rays):
+        if r not in (i, j):
+            coeffs = [0] * len(rays)
+            coeffs[r] = 1
+            coeffs[i] = -(x * v2 - y * v1) * det  # the ray is alpha u + beta v
+            coeffs[j] = -(u1 * y - u2 * x) * det
+            relations.append((tuple(coeffs), "t%d" % r))
+    return ToricSpec(2, rays, relations, (i, j))
+
+
+def test_kouchnirenko_count_on_blown_up_fans():
+    # Kouchnirenko: for generic parameters a superpotential whose Newton
+    # polygon is conv(rays) has 2 * area(conv(rays)) torus critical points
+    rng = random.Random(67)
+    not_fano = 0
+    for trial in range(60):
+        spec = _blown_up_fan(rng)
+        built = build_superpotential(spec)
+        params = {p: Fraction(rng.randint(1, 12), rng.randint(1, 12)) for p in built.param_names}
+        expected = _hull_area_doubled(spec.rays)
+        assert critical_count(built, params) == expected, (spec.rays, params)
+        report = critical_values(built, params)
+        assert report.count == expected
+        assert report.value_polynomial.total_degree() <= expected
+        if trial % 6 == 0:
+            W = built.substituted(params)
+            assert (report.count, report.value_polynomial, report.distinct_values) \
+                == _adjoined_w_values(W), (spec.rays, params)
+        # a ray whose removal keeps the hull is not a vertex: not Fano
+        not_fano += any(_hull_area_doubled([q for q in spec.rays if q != r]) == expected
+                        for r in spec.rays)
+    assert not_fano >= 10, not_fano
+
+
 def _augmented_superpotential(spec):
     """build_superpotential by Gauss-Jordan on [A_nb | I | -A_b]."""
     n = spec.dimension

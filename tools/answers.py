@@ -48,7 +48,10 @@ Items, each line "<key>\t<answer>":
     fans: P1-P4, F1 and dP6 with permuted rays, mixed relations and
     random bases;
   * mirror.critical_values of bare Laurent potentials in one and two
-    variables, errors included;
+    variables, errors included, and of seeded two-variable ones with
+    exponents in -3..3: random, symmetric in Y1 and Y2 (eliminants below
+    the count) and with a T_2,4,5 point at (1, 1), where W is not in the
+    local Jacobian ideal (eliminants that are not squarefree);
   * the documents of mf.compose of seeded corpus morphisms over Q and
     over F_32749: g o f for hom basis representatives f: X -> Y and
     g: Y -> Z, each a seeded combination of the basis;
@@ -75,12 +78,13 @@ from click.testing import CliRunner
 from mfcat import corpus, files, groebner, hom, mf, mirror, oracle
 from mfcat.cli import main
 from mfcat.matrix import PolyMatrix, RowEchelon
-from mfcat.poly import (PolyError, Polynomial, PrimeField, QQ, RingContext, integer_multiple,
-                        parse_laurent, parse_polynomial, univariate_gcd)
+from mfcat.poly import (LaurentPolynomial, PolyError, Polynomial, PrimeField, QQ, RingContext,
+                        integer_multiple, parse_laurent, parse_polynomial, univariate_gcd)
 
 MIRROR_FANS = ("P1", "P2", "P3", "P4", "F1", "dP6")
 MIRROR_DRAWS = 8
 FAN_DRAWS = 240
+LAURENT_DRAWS = 20
 TENSOR_DRAWS = 40
 SCRAMBLED_DRAWS = 20
 COMPOSE_DRAWS = 20
@@ -468,6 +472,32 @@ def _mirror_items():
             except PolyError as exc:
                 answer = "%s: %s" % (type(exc).__name__, exc)
             yield "critical_values bare %s" % text, answer
+    rng = random.Random("laurent")
+    ring = RingContext(("Y1", "Y2"), QQ)
+    for i in range(LAURENT_DRAWS):
+        W = _seeded_laurent(rng, ring, ("random", "random", "symmetric", "degenerate")[i % 4])
+        report = mirror.critical_values(W)
+        yield ("critical_values seeded %d %s" % (i, W),
+               "%d %s %s" % (report.count, report.value_polynomial, report.distinct_values))
+
+
+def _seeded_laurent(rng, ring, kind):
+    """A Laurent potential in Y1, Y2 with exponents in -3..3: 3-5 random
+    terms, made symmetric in Y1 and Y2 for "symmetric"; for "degenerate"
+    a A^2 + b B^2 D + c A B with A, B = Y - 2 + Y^-1 = (Y - 1)^2 / Y in
+    Y1, Y2 and D = Y2 - 1, the germ u^4 + v^5 + u^2 v^2 at (1, 1)."""
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+    if kind == "degenerate":
+        A, B, D = (parse_laurent(ring, t) for t in ("Y1 - 2 + Y1^-1", "Y2 - 2 + Y2^-1", "Y2 - 1"))
+        return A * A * coeff() + B * B * D * coeff() + A * B * coeff()
+    terms = {}
+    for _ in range(rng.randint(3, 5)):
+        e = (rng.randint(-3, 3), rng.randint(-3, 3))
+        terms[e] = coeff()
+        if kind == "symmetric":
+            terms[e[::-1]] = terms[e]
+    return LaurentPolynomial(ring, terms)
 
 
 def _fan(name):
