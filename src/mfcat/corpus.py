@@ -15,6 +15,7 @@ from .poly import RingContext, QQ
 from . import mf
 
 MAX_POWER = 6
+MAX_PAIR_RANK = 2
 
 
 def power_ring(field=QQ) -> RingContext:
@@ -94,16 +95,16 @@ def _tensor_renamed(obj, newvar):
     return mf.tensor(obj, other)
 
 
-def hom_pairs(field=QQ, max_rank: int = 2):
-    """All ordered corpus pairs sharing a potential context, capped by rank."""
+def hom_pairs(field=QQ):
+    """All ordered corpus pairs sharing a potential context, of rank <= MAX_PAIR_RANK."""
     named = corpus_objects(field)
     items = sorted(named.items())
     pairs = []
     for ns, src in items:
-        if src.rank > max_rank:
+        if src.rank > MAX_PAIR_RANK:
             continue
         for nt, tgt in items:
-            if tgt.rank > max_rank:
+            if tgt.rank > MAX_PAIR_RANK:
                 continue
             if src.potential_context() == tgt.potential_context():
                 pairs.append((ns, nt, src, tgt))

@@ -596,6 +596,9 @@ def submodule_membership(vec, G: GroebnerBasis) -> bool:
 
 
 def ideal_membership(f: Polynomial, G) -> bool:
+    """f in the ideal of G, an ideal GroebnerBasis or generators (decided by their basis)."""
+    if not isinstance(G, GroebnerBasis):
+        G = buchberger(list(G), f.ring)
     return normal_form(f, G).is_zero
 
 

@@ -21,7 +21,7 @@ morphisms by their ends and p1.
 from __future__ import annotations
 
 from .matrix import PolyMatrix
-from .poly import Polynomial, PolyError, RingMismatch
+from .poly import Polynomial, PolyError, RingContext, RingMismatch
 from . import groebner
 
 
@@ -340,7 +340,6 @@ def tensor(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorizatio
     overlap = set(a.ring.variables) & set(b.ring.variables)
     if overlap:
         raise VariableCollision("tensor factors share variables: %s" % sorted(overlap))
-    from .poly import RingContext
     ring = RingContext(a.ring.variables + b.ring.variables, a.ring.field, a.ring.order)
     amap = [ring.var_index(v) for v in a.ring.variables]
     bmap = [ring.var_index(v) for v in b.ring.variables]
@@ -361,7 +360,6 @@ def knorrer(mf: MatrixFactorization, names=("u", "v")) -> MatrixFactorization:
     u_name, v_name = names
     if u_name in mf.ring.variables or v_name in mf.ring.variables:
         raise VariableCollision("variables %r already in use" % (names,))
-    from .poly import RingContext
     pair_ring = RingContext((u_name, v_name), mf.ring.field, mf.ring.order)
     u = pair_ring.variable(u_name)
     v = pair_ring.variable(v_name)

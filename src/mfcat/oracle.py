@@ -99,7 +99,7 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     _check_count("start_degree", start_degree)
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
-    H = hommod.hom_complex(source, target, check=False)
+    H = hommod.hom_complex(source, target)
     n = len(H.even_columns)
     even, odd = (_Images(source.ring.field, c) for c in (H.even_columns, H.odd_columns))
     entered = 0  # monomials whose unknowns are in both echelons

@@ -42,6 +42,36 @@ def test_division_uses_the_first_listed_divisor():
     assert normal_form(x*y, [x - y, x*y - 1]) == y**2
 
 
+def test_membership_in_a_generator_list_is_decided_against_its_basis():
+    R = ring("x", "y")
+    x, y = R.gens()
+    # y is left over by division by x + y and then x, but (x + y, x) = (x, y)
+    assert normal_form(y, [x + y, x]) == y
+    assert ideal_membership(y, [x + y, x])
+    for field in (QQ, PrimeField(32749)):
+        rng = random.Random("list-membership/%r" % (field,))
+        S = ring("x", "y", "z", field=field)
+
+        def poly(degree, terms):
+            out = S.zero()
+            for _ in range(terms):
+                e = [rng.randint(0, degree) for _ in range(3)]
+                c = S.constant(Fraction(rng.randint(-6, 6), rng.randint(1, 9)))
+                out = out + c * math.prod(v ** k for v, k in zip(S.gens(), e))
+            return out
+        undivided = 0
+        for _ in range(20):
+            gens = [poly(2, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            divisors = gens + [S.zero()]
+            rng.shuffle(divisors)
+            member = sum((poly(1, 2) * g for g in gens), S.zero())
+            assert ideal_membership(member, divisors)
+            undivided += not normal_form(member, divisors).is_zero
+            f = poly(2, 3)
+            assert ideal_membership(f, divisors) == ideal_membership(f, buchberger(gens, S))
+        assert undivided  # the draws reach members that list division misses
+
+
 def test_reduced_basis_is_interreduced():
     R = ring("x", "y")
     x, y = R.gens()
@@ -867,7 +897,7 @@ def test_image_and_syzygies_keeps_the_leads_it_knows(monkeypatch):
         t = R.variable(v)
         factor = mf.rank_one(R, t ** 3, 0, t, t ** 2)
         E = factor if E is None else mf.tensor(E, factor)
-    H = hom_complex(E, E, check=False)
+    H = hom_complex(E, E)
     R, n = E.ring, len(H.even_columns)
     keys, reductions = [0], [0]
     order_key, s_remainder = R.key, groebner._s_remainder

@@ -35,7 +35,7 @@ def uv_pair(swap=False):
 def test_differential_squares_to_zero():
     E = an(3, 2)
     F = mf.direct_sum(an(3, 1), mf.shift(an(3, 1)))
-    H = hom_complex(E, F)  # constructor verifies D_even o D_odd = 0 = D_odd o D_even
+    H = hom_complex(E, F)
     assert (H.d_even @ H.d_odd).is_zero
     assert (H.d_odd @ H.d_even).is_zero
 
@@ -285,7 +285,7 @@ def test_placed_differentials_equal_the_kronecker_formulas(field):
         family = rng.choice(_families(field, 4))
         E = _scrambled(rng, _draw(rng, family, 4))
         F = _scrambled(rng, _draw(rng, family, 4))
-        H = hom_complex(E, F)  # also verifies both compositions vanish
+        H = hom_complex(E, F)
         assert (H.d_even, H.d_odd) == _kron_differentials(E, F), (E.rank, F.rank)
         assert H.even_columns == [tuple(c) for c in H.d_even.columns()]
         assert H.odd_columns == [tuple(c) for c in H.d_odd.columns()]
@@ -306,10 +306,23 @@ def test_hom_paths_form_no_kronecker_products(monkeypatch):
 
 
 def test_hom_between_different_potentials_is_refused():
-    for source, target in ((an(2, 1), an(3, 1)), (an(1, 1), uv_pair())):
+    # the cone of an identity has a rank-0 minimal model, so hom_dims
+    # builds no complex for it and must compare the contexts itself
+    cone = mf.cone(mf.identity_morphism(an(2, 1)))
+    for source, target in ((an(2, 1), an(3, 1)), (an(1, 1), uv_pair()),
+                           (cone, an(3, 1)), (an(3, 1), cone)):
         for call in (hom_complex, hom_dims, oracle.hom_dims_truncated):
-            with pytest.raises(RingMismatch):
+            with pytest.raises(RingMismatch, match=r"different \(ring, W, lambda\)"):
                 call(source, target)
+
+
+def test_building_a_hom_complex_multiplies_no_matrices(monkeypatch):
+    E = _scrambled(random.Random(7), mf.direct_sum(an(3, 1), mf.shift(an(3, 2))))
+    F = mf.direct_sum(an(3, 2), an(3, 3))
+    products = _count_calls(monkeypatch, PolyMatrix, "__matmul__")
+    H, K = hom_complex(E, F), hom_complex(F, E)
+    assert products == [0]
+    assert len(H.even_columns) == len(K.odd_columns) == 8
 
 
 def _renamed(obj, suffix):
@@ -403,21 +416,27 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def _seeded_cones(field, draws=40):
-    """Cones of seeded even morphisms between corpus pairs: combinations of
-    each pair's even hom basis with coefficients in -3..3, which include
-    invertible multiples of identities and so constant entries."""
+def _seeded_combinations(field, draws=40):
+    """Seeded even morphisms between corpus pairs, as ("X->Y", map) pairs:
+    combinations of each pair's even hom basis with coefficients in -3..3,
+    which include invertible multiples of identities."""
     rng = random.Random("cones/%r" % (field,))
     pairs = corpus.hom_pairs(field)
-    cones = []
+    out = []
     for _ in range(draws):
         ns, nt, s, t = rng.choice(pairs)
         p1 = p0 = PolyMatrix.zeros(s.ring, t.rank, s.rank)
         for rep in hom_dims(s, t).basis_even:
             c = s.ring.constant(rng.randint(-3, 3))
             p1, p0 = p1 + rep.p1.scale(c), p0 + rep.p0.scale(c)
-        cones.append(("cone(%s->%s)" % (ns, nt), mf.cone(mf.MFMorphism(s, t, p1, p0))))
-    return cones
+        out.append(("%s->%s" % (ns, nt), mf.MFMorphism(s, t, p1, p0)))
+    return out
+
+
+def _seeded_cones(field, draws=40):
+    """The cones of the seeded combinations, whose maps' constant entries
+    give the cones constant entries."""
+    return [("cone(%s)" % name, mf.cone(p)) for name, p in _seeded_combinations(field, draws)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -711,16 +730,51 @@ def test_basis_access_closure_checks_the_odd_representatives(monkeypatch):
         rep.basis_odd
 
 
-def test_a_minimal_object_can_still_be_contractible():
-    # (1 + x, x) of x + x^2: no constant entry, but 1 + x and x generate
-    # the unit ideal, so only the witness path can answer
-    R = xring()
+def _unit_ideal_object(field=QQ):
+    """(1 + x, x) of x + x^2: no constant entry, but 1 + x and x generate
+    the unit ideal, so it is minimal and contractible."""
+    R = RingContext(("x",), field)
     x = R.variable("x")
-    E = mf.rank_one(R, x + x ** 2, 0, 1 + x, x)
+    return mf.rank_one(R, x + x ** 2, 0, 1 + x, x)
+
+
+def test_a_minimal_object_can_still_be_contractible():
+    # only the witness path can answer
+    E = _unit_ideal_object()
     assert mf.minimal_model(E) is E and E.rank == 1
     assert is_contractible(E)
     _assert_contracted(E)
     assert hom_dims(E, E).dims() == (0, 0)
+
+
+def test_contractibility_runs_the_witness_on_the_minimal_model(monkeypatch):
+    from mfcat import hom
+    witness = hom.is_null_homotopic
+    ranks = []
+    monkeypatch.setattr(hom, "is_null_homotopic",
+                        lambda p: ranks.append(p.source.rank) or witness(p))
+    # a cone of an identity plus a minimal object, at rank 3 with a rank-1 model
+    for E, expected in ((an(2, 1), False), (_unit_ideal_object(), True)):
+        obj = mf.direct_sum(mf.cone(mf.identity_morphism(E)), E)
+        assert obj.rank == 3 and mf.minimal_model(obj).rank == 1
+        assert is_contractible(obj) is expected
+    assert ranks == [1, 1]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_contractibility_of_the_model_agrees_with_the_witness_on_the_object(field):
+    maps = [(name, p) for name, p in _seeded_combinations(field)
+            if p != mf.identity_morphism(p.source)][:20]
+    objects = (sorted(corpus.corpus_objects(field).items())
+               + [("cone(%s)" % name, mf.cone(p)) for name, p in maps]
+               + [("(1 + x, x)", _unit_ideal_object(field))])
+    seen = set()
+    for name, E in objects:
+        expected = is_null_homotopic(mf.identity_morphism(E))[0]
+        assert is_contractible(E) is expected, name
+        seen.add((expected, mf.minimal_model(E).rank > 0))
+    # contractible and not, also where the model is not rank 0
+    assert {(True, False), (True, True), (False, True)} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_hom_oracle_inserts_each_image_once(monkeypatch):
     # one echelon per differential for the whole scan, and each image
     # D(e_t m) of an unknown up to the last degree scanned entered once
     assert len(made) == 2
-    n = hom_complex(src, tgt, check=False).d_even.cols
+    n = hom_complex(src, tgt).d_even.cols
     assert len(inserts) == 2 * n * len(real_monos(src.ring.nvars, degrees[-1]))
 
 
@@ -316,7 +316,7 @@ def _high_and_full_rank(matrix, monos, d):
 
 
 def _reference_hom_dims(source, target, start_degree, plateau, max_degree):
-    H = hom_complex(source, target, check=False)
+    H = hom_complex(source, target)
     prev, streak = None, 0
     for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(source.ring.nvars, d)

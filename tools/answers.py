@@ -55,6 +55,9 @@ Items, each line "<key>\t<answer>":
   * the documents of mf.compose of seeded corpus morphisms over Q and
     over F_32749: g o f for hom basis representatives f: X -> Y and
     g: Y -> Z, each a seeded combination of the basis;
+  * hom.is_contractible of the cone and hom.is_homotopy_equivalence of
+    each of those composites and of d_i W * id_X for every corpus object
+    X and variable i;
   * CLI output, human and machine: `cok <object>` for every corpus
     object, also with `--upto` 4 and 24, and 40 for the knorrer objects,
     `hom --oracle` on every 41st corpus pair, `tensor` of seeded corpus
@@ -612,9 +615,24 @@ def items():
         for nx, ny, nz, h in drawn:
             yield ("compose %r %s %s %s" % (field, nx, ny, nz),
                    repr(files.dumps(files.morphism_to_doc(h, nx, nz))))
+    yield from _equivalence_items(objects, composites)
     yield from _mirror_items()
     yield from _fan_items()
     yield from _cli_items(objects, composites[QQ])
+
+
+def _equivalence_items(objects, composites):
+    """is_contractible of the cone and is_homotopy_equivalence of each
+    seeded composite and of d_i W * id_X for every corpus object X."""
+    maps = [("compose %r %s %s %s" % (field, nx, ny, nz), h)
+            for field, drawn in composites.items() for nx, ny, nz, h in drawn]
+    for name, X in objects:
+        for i in range(X.ring.nvars):
+            dw = PolyMatrix.scalar(X.w.derivative(i), X.rank)
+            maps.append(("jacobian %s %d" % (name, i), mf.MFMorphism(X, X, dw, dw)))
+    for key, h in maps:
+        yield "contractible cone %s" % key, repr(hom.is_contractible(mf.cone(h)))
+        yield "homotopy_equivalence %s" % key, repr(hom.is_homotopy_equivalence(h))
 
 
 def _cli_items(objects, composites):
