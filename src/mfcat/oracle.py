@@ -6,40 +6,38 @@ d and solving finite exact linear systems, raising d until consecutive
 answers agree.  They share no code with the basis engine, which is the
 point: agreement is evidence, disagreement is a bug.
 
-All three eliminate images.  A vector v of polynomials in slots u has
+All three eliminate images.  A vector v of polynomials in U slots has
 the images x^m v, and one echelon per call holds every image entered so
 far, each entered once: a scan that raises d enters only the images new
-at d.  Coordinate (u, m') is a column that runs by deg m' descending:
-its order of first appearance minus deg m' * 2**48.  A stored row's
-pivot, its smallest column, is then a coordinate of its top degree, so
-for every d at once the images' span meets degree <= d in the span of
-the stored rows whose pivot has degree <= d.
+at d.  Coordinate (u, e) is the int column u - U * P(e), P(e) the
+exponents of e in w-bit fields under a field holding deg e.  w is the
+bit length of the scan's cap plus the vectors' largest degree, so no
+field overflows, none is checked, and P is additive (Monagan and Pearce,
+CASC 2007): x^m v is v's row shifted by -U * P(m).  Higher degree means
+a smaller column, so a stored row's pivot, its smallest column, has its
+top degree, and for every d the images' span meets degree <= d in the
+stored rows whose pivot clears one threshold.  The order within a
+degree changes no rank, so no answer.  Over Q a vector is entered times
+the lcm of its denominators, so ``RowEchelon`` eliminates on ints.
 
 Hom dimensions at degree d: both differentials d_even and d_odd of the
 Hom complex are n x n, acting on the same unknowns (t, m), slot t times
 a monomial m of degree <= d, whose image under D is column t of D times
 m.  The truncated cycles of D number unknowns - rank(D), and the
-boundaries D x lying in degree <= d number boundaries(D, d), the pivots
-of degree <= d, so
+boundaries D x in degree <= d number boundaries(D, d), so
 
     h0 = (unknowns - rank(d_even)) - boundaries(d_odd, d)
     h1 = (unknowns - rank(d_odd)) - boundaries(d_even, d).
-
-Every system is solved on ints: over Q a vector is first multiplied by
-the lcm of its denominators, which changes no span, and ``RowEchelon``
-eliminates fraction-free; over F_p the coefficients are ints mod p already.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from operator import add
+from math import comb
 
 from .matrix import RowEchelon
 from .poly import PolyError, RingMismatch, integer_multiple
 from . import hom as hommod
-
-_DEGREE = 1 << 48  # column offset of one degree; more than any count of coordinates
 
 
 class OracleDiverged(PolyError):
@@ -60,30 +58,34 @@ def _check_count(name, value, least=0):
         raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
+def _top(cap, vectors):
+    """cap plus the largest degree in the vectors, lists of polynomials."""
+    return cap + max((sum(e) for v in vectors for p in v for e in p.terms), default=0)
+
+
 class _Images:
-    """Row echelon of the images x^m v of vectors v, lists of polynomials."""
+    """Row echelon of the images x^m v of vectors v, lists of polynomials in
+    `slots` slots of `ring`, while exponents and degrees stay <= `top`."""
 
-    def __init__(self, field, vectors):
-        self.echelon = RowEchelon(field)
-        self._vectors = [integer_multiple({(u, alpha): c for u, p in enumerate(v)
-                                           for alpha, c in p.terms.items()})[0].items()
-                         for v in vectors]
-        self._columns = {}  # coordinate (u, m') -> column
+    def __init__(self, ring, vectors, slots, top):
+        self.echelon, self._slots, w = RowEchelon(ring.field), slots, top.bit_length()
+        self._degree = slots << w * ring.nvars  # column offset of one degree
+        self._steps = [-self._degree - (slots << w * i) for i in range(ring.nvars)]  # base(x_i)
+        self._rows = [integer_multiple({u + self.base(e): c for u, p in enumerate(v)
+                                        for e, c in p.terms.items()})[0].items() for v in vectors]
 
-    def insert(self, i, m):
-        """Enter x^m times vector i; its new pivot column, or None."""
-        columns, row = self._columns, {}
-        for (u, alpha), c in self._vectors[i]:
-            key = (u, tuple(map(add, m, alpha)))
-            col = columns.get(key)
-            if col is None:
-                col = columns[key] = len(columns) - sum(key[1]) * _DEGREE
-            row[col] = c
-        return self.echelon.insert(row)
+    def base(self, m):
+        """-slots * P(m), the shift of every column under x^m."""
+        return sum(k * step for k, step in zip(m, self._steps))
+
+    def insert(self, i, base):
+        """Enter x^m times vector i, base = self.base(m); its new pivot column, or None."""
+        return self.echelon.insert({base + c: a for c, a in self._rows[i]})
 
     def boundaries(self, d):
         """The dimension of the entered images' span in degree <= d."""
-        return sum(c >= -d * _DEGREE for c in self.echelon.pivots)
+        lowest = self._slots - (d + 1) * self._degree  # degree <= d iff column >= lowest
+        return sum(c >= lowest for c in self.echelon.pivots)
 
 
 def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau=3):
@@ -100,18 +102,16 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
     H = hommod.hom_complex(source, target)
-    n = len(H.even_columns)
-    even, odd = (_Images(source.ring.field, c) for c in (H.even_columns, H.odd_columns))
-    entered = 0  # monomials whose unknowns are in both echelons
-    prev, streak = None, 0
+    n, top = len(H.even_columns), _top(max_degree, H.even_columns + H.odd_columns)
+    even, odd = (_Images(source.ring, c, n, top) for c in (H.even_columns, H.odd_columns))
+    entered, prev, streak = 0, None, 0  # entered: monomials whose unknowns are in both echelons
     for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(source.ring.nvars, d)
-        for m in monos[entered:]:
+        for base in map(even.base, monos[entered:]):  # odd packs alike: same slots and top
             for t in range(n):
-                even.insert(t, m)
-                odd.insert(t, m)
-        entered = len(monos)
-        unknowns = n * entered
+                even.insert(t, base)
+                odd.insert(t, base)
+        entered, unknowns = len(monos), n * len(monos)
         cur = (unknowns - even.echelon.rank - odd.boundaries(d),
                unknowns - odd.echelon.rank - even.boundaries(d))
         streak = streak + 1 if cur == prev else 1
@@ -130,19 +130,22 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         if not gens:
             raise ValueError("cannot infer the ring")
         ring = gens[0].ring
-    images = _Images(ring.field, [[g] for g in gens])
-    degrees = [g.total_degree() for g in gens]
-    entered = -1  # the multiples x^m g of degree <= entered are in the echelon
-    prev = None
+    if any(g.ring != ring for g in gens):
+        raise RingMismatch("generator in a different ring")
+    images = _Images(ring, [[g] for g in gens], 1, _top(max_degree, [gens]))
+    n, degrees, bases = ring.nvars, [g.total_degree() for g in gens], []  # bases: of monos read
+    entered, prev = -1, None  # the multiples x^m g of degree <= entered are in the echelon
     for d in range(start_degree, max_degree + 1):
-        monos = _monomials_upto(ring.nvars, d)
+        monos = _monomials_upto(n, d)
+        bases += map(images.base, monos[len(bases):])
+        # the new x^m g_i have entered - gdeg < deg m <= d - gdeg: a slice of monos by count
         for i, gdeg in enumerate(degrees):
-            for m in monos:
-                if entered < sum(m) + gdeg <= d:
-                    images.insert(i, m)
+            lo, hi = (comb(k + n, n) if k >= 0 else 0 for k in (entered - gdeg, d - gdeg))
+            for base in bases[lo:hi]:
+                images.insert(i, base)
         entered = d
         cur = len(monos) - images.echelon.rank
-        if prev is not None and cur == prev:
+        if cur == prev:
             return cur
         prev = cur
     raise OracleDiverged("quotient dimension failed to stabilize by degree %d" % max_degree)
@@ -154,16 +157,12 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
     Solves the exact linear system directly; never builds a basis: f is
     a member iff it adds no pivot to the echelon of the products x^m g_i.
     """
-    ring = f.ring
-    gens = [g for g in gens if not g.is_zero]
-    if any(g.ring != ring for g in gens):
+    _check_count("quotient_degree", quotient_degree)
+    vectors = [[g] for g in gens if not g.is_zero] + [[f]]
+    if any(g.ring != f.ring for g, in vectors):
         raise RingMismatch("generator in a different ring")
-    if f.is_zero:
-        return True
-    if not gens:
-        return False
-    images = _Images(ring.field, [[g] for g in gens + [f]])
-    for m in _monomials_upto(ring.nvars, quotient_degree):
-        for i in range(len(gens)):
-            images.insert(i, m)
-    return images.insert(len(gens), (0,) * ring.nvars) is None
+    images = _Images(f.ring, vectors, 1, _top(quotient_degree, vectors))
+    for base in map(images.base, _monomials_upto(f.ring.nvars, quotient_degree)):
+        for i in range(len(vectors) - 1):
+            images.insert(i, base)
+    return images.insert(len(vectors) - 1, 0) is None

@@ -88,6 +88,14 @@ def test_linear_membership_refuses_a_generator_from_another_ring():
         ideal_member_linear(x**2, [xring().variable("x")], 2)
 
 
+def test_truncated_quotient_refuses_a_generator_from_another_ring():
+    R, S = RingContext(("x", "y"), QQ), RingContext(("u", "v"), QQ)
+    (x, y), u = R.gens(), S.variable("u")
+    for gens, ring in (([x**2, u**2, y**2], None), ([x**2, y**2], S)):
+        with pytest.raises(RingMismatch):
+            quotient_dim_truncated(gens, ring)
+
+
 def test_hom_truncation_agrees_on_small_objects():
     pairs = [
         (an(1, 1), an(1, 1)),
@@ -165,6 +173,28 @@ def test_hom_oracle_inserts_each_image_once(monkeypatch):
     assert len(inserts) == 2 * n * len(real_monos(src.ring.nvars, degrees[-1]))
 
 
+def test_quotient_oracle_enters_each_multiple_once(monkeypatch):
+    from mfcat import oracle
+    inserts, degrees = [], []
+
+    class CountingEchelon(oracle.RowEchelon):
+        def insert(self, row):
+            inserts.append(len(row))
+            return super().insert(row)
+
+    monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
+    monkeypatch.setattr(oracle, "_monomials_upto",
+                        lambda nvars, d: degrees.append(d) or _monomials_upto(nvars, d))
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    gens = [x**3 + y, y**4 - x**2, x * y**2]
+    assert quotient_dim_truncated(gens, R, start_degree=2) == _reference_quotient_dim(gens, R, 2, 24)
+    # each multiple x^m g of degree <= the last degree read entered once
+    last = degrees[-1]
+    assert degrees == list(range(2, last + 1)) and last >= 4
+    assert len(inserts) == sum(len(_monomials_upto(2, last - g.total_degree())) for g in gens)
+
+
 def test_oracle_refuses_bad_scan_parameters_before_eliminating(monkeypatch):
     from mfcat import oracle
 
@@ -185,6 +215,9 @@ def test_oracle_refuses_bad_scan_parameters_before_eliminating(monkeypatch):
     for kwargs, error in bad + [({"start_degree": -4}, ValueError)]:
         with pytest.raises(error):
             quotient_dim_truncated([x**3, y**3], R, **kwargs)
+    for degree, error in ((-3, ValueError), (True, TypeError), (2.0, TypeError)):
+        with pytest.raises(error, match="quotient_degree"):
+            ideal_member_linear(x**2, [x, y], degree)
 
 
 def test_hom_oracle_agrees_over_a_prime_field():
@@ -392,6 +425,50 @@ def test_hom_scan_matches_the_per_degree_reference():
             assert got == want, (src, tgt, a, p, b)
             seen.add(want == "diverged")
     assert seen == {True, False}
+
+
+def test_packed_columns_are_distinct_and_fall_with_degree():
+    """Every coordinate up to the width bound has its own column, a higher
+    degree a smaller one, boundaries(d) counts the pivots of degree <= d,
+    and x^m shifts every column by base(m)."""
+    from mfcat import oracle
+    rng = random.Random(29)
+    for nvars, top in ((1, 31), (1, 32), (2, 15), (2, 7), (3, 7), (3, 8)):
+        R = RingContext(("x", "y", "z")[:nvars], QQ)
+        slots = rng.randint(1, 5)
+        images = oracle._Images(R, [], slots, top)
+        coords = [(u, m) for m in _monomials_upto(nvars, top) for u in range(slots)]
+        columns = {u + images.base(m): sum(m) for u, m in coords}
+        assert len(columns) == len(coords)
+        by_column = [columns[c] for c in sorted(columns, reverse=True)]
+        assert by_column == sorted(by_column)
+        for u, m in rng.sample(coords, 40):
+            images.echelon.insert({u + images.base(m): 1})
+        pivots = [columns[c] for c in images.echelon.pivots]
+        for d in range(top + 1):
+            assert images.boundaries(d) == sum(k <= d for k in pivots)
+        for _ in range(40):
+            a, b = rng.choice(coords)[1], rng.choice(coords)[1]
+            if sum(a) + sum(b) <= top:
+                assert images.base(a) + images.base(b) == images.base(tuple(map(add, a, b)))
+
+
+def test_hom_scan_at_the_top_of_a_field_matches_the_reference():
+    """A cap that brings an image's exponent and degree to 31, the largest
+    value of a 5-bit field, on An:6 pairs and on pairs in (u, v)."""
+    from mfcat import oracle
+    names = [("An:6:1", "An:6:1"), ("An:6:2", "An:6:5"), ("An:6:3", "shift(An:6:4)"),
+             ("pair:uv", "pair:uv"), ("pair:uv", "shift(pair:vu)")]
+    for ns, nt in names:
+        src, tgt = corpus.lookup(ns), corpus.lookup(nt)
+        H = hom_complex(src, tgt)
+        columns = H.even_columns + H.odd_columns
+        cap = 31 - max(p.total_degree() for c in columns for p in c if not p.is_zero)
+        assert oracle._top(cap, columns) == 31
+        want = _reference_hom_dims(src, tgt, cap - 1, 2, cap)
+        assert want != "diverged"
+        got = hom_dims_truncated(src, tgt, start_degree=cap - 1, plateau=2, max_degree=cap)
+        assert got == want, (ns, nt)
 
 
 def test_plateau_counts_consecutive_equal_readings(monkeypatch):

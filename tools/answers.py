@@ -14,8 +14,9 @@ Items, each line "<key>\t<answer>":
   * is_null_homotopic witnesses of the identity of every cone of an
     identity, and of d_i W * id_X for every corpus object X and variable i;
   * oracle.hom_dims_truncated on every fourth corpus pair, over Q and
-    over F_32749, and on every 16th at a seeded start degree, plateau
-    and cap (the dimensions, or "diverged");
+    over F_32749, on every 16th at a seeded start degree, plateau and
+    cap (the dimensions, or "diverged"), and on the seeded scrambled
+    pairs, whose entries are not monomials;
   * groebner.standard_monomials, quotient_dim and hilbert_slices (up to
     degree 12) of seeded ideals of Q[x, y, z] and F_32749[x, y, z] and
     seeded submodules of A^1..A^3 over Q[x, y] and F_32749[x, y], INFINITE
@@ -589,8 +590,11 @@ def items():
     rank8 = _rank8()
     yield "hom rank8", _hom_text(hom.hom_dims(rank8, rank8))
     for field in (QQ, PrimeField(32749)):
-        for i, (s, t) in enumerate(_scrambled_pairs(field)):
+        scrambled = _scrambled_pairs(field)
+        for i, (s, t) in enumerate(scrambled):
             yield "hom scrambled %r %d" % (field, i), _hom_text(hom.hom_dims(s, t))
+        for i, (s, t) in enumerate(scrambled):
+            yield "oracle scrambled %r %d" % (field, i), repr(oracle.hom_dims_truncated(s, t))
     objects = sorted(corpus.corpus_objects().items())
     for name, X in objects:
         C = mf.cone(mf.identity_morphism(X))
