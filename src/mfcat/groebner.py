@@ -69,12 +69,14 @@ membership witnesses, which, unlike reduced bases, depend on it.
 
 Every input enters the kernel one way, through _entry: basis inputs,
 tracked inputs, dividends and raw divisor lists alike, an ideal's
-polynomials as one-entry vectors of A^1.  It checks the ring of every
-entry, appends e_j to a tracked input, and only then multiplies the term
-dict by the lcm D of its denominators, so a tracked input enters as
-[D v_j ; D e_j], which still represents D v_j.  Every normal form and
-membership witness comes from one remainder, _remainder: _entry, then
-_divide.
+polynomials as one-entry vectors of A^1.  It packs sparse vectors, lists
+of (position, term dict) pairs, appends e_j to a tracked input, and only
+then multiplies the term dict by the lcm D of its denominators, so a
+tracked input enters as [D v_j ; D e_j], which still represents D v_j.
+Polynomial vectors reach it through _sparse, which checks each distinct
+ring once per call; hom places its first block rows as sparse vectors.
+Every normal form and membership witness comes from one remainder,
+_remainder: _entry, then _divide.
 
 The kernel computes on ints, in the field's integer encoding: over Q
 over Z, as Singular does with primitive normal forms and content removal
@@ -206,27 +208,37 @@ def _run(ring, bases, body):
 
 
 def _entry(vectors, ring, rank, pk, track=False):
-    """The one way into the kernel: each vector of A^rank (an ideal's
-    polynomials as one-entry vectors, rank 1) as (D * terms, D) over Z for
-    the lcm D of its denominators; D is 1 over F_p.  With `track`, e_j is
-    placed at position rank + j before clearing, so input j enters as
-    [D v_j ; D e_j].  The ring and exponents of every entry are checked."""
-    pack = pk.pack
+    """The one way into the kernel: each sparse vector of A^rank, a list of
+    (position, {exponents: coefficient}) pairs at distinct positions, as
+    (D * terms, D) over Z for the lcm D of its denominators; D is 1 over
+    F_p.  With `track`, e_j is placed at position rank + j before
+    clearing, so input j enters as [D v_j ; D e_j]."""
+    pack, one = pk.pack, ring.field.one
     out = []
-    for j, vec in enumerate(map(tuple, vectors)):
+    for j, vec in enumerate(vectors):
+        terms = {(pos, pack(exps)): c for pos, entry in vec for exps, c in entry.items()}
+        if track:
+            terms[(rank + j, 0)] = one
+        out.append(integer_multiple(terms))
+    return out
+
+
+def _sparse(vectors, ring, rank):
+    """Vectors of Polynomials in A^rank as _entry's sparse vectors, checked:
+    their lengths, each distinct RingContext against `ring` once per call,
+    and that a Laurent entry has no negative exponent."""
+    equal = {id(ring): ring}  # the rings checked, kept so no id is reused
+    out = []
+    for vec in map(tuple, vectors):
         if len(vec) != rank:
             raise ValueError("vector of length %d in rank-%d module" % (len(vec), rank))
-        terms = {}
-        for pos, poly in enumerate(vec):
-            if poly.ring is not ring and poly.ring != ring:
-                raise RingMismatch("vector entry in a different ring")
-            if not isinstance(poly, Polynomial):  # refuses negative exponents
-                poly = Polynomial(ring, poly.terms)
-            for exps, c in poly.terms.items():
-                terms[(pos, pack(exps))] = c
-        if track:
-            terms[(rank + j, 0)] = ring.field.one
-        out.append(integer_multiple(terms))
+        for poly in vec:
+            if id(poly.ring) not in equal:
+                if poly.ring != ring:
+                    raise RingMismatch("vector entry in a different ring")
+                equal[id(poly.ring)] = poly.ring
+        out.append([(pos, (p if isinstance(p, Polynomial) else Polynomial(ring, p.terms)).terms)
+                    for pos, p in enumerate(vec) if p.terms])
     return out
 
 
@@ -459,8 +471,8 @@ def _reduce(ring, pk, basis):
 # ---------------------------------------------------------------------------
 
 class GroebnerBasis:
-    """Reduced, order-sorted basis of an ideal or submodule; its generators
-    are monic."""
+    """Reduced, order-sorted basis of an ideal or submodule, its generators
+    monic; or, inside the package, one as a run left it (_syzygy_run)."""
 
     __slots__ = ("ring", "ambient_rank", "_elems", "_pk", "_inputs", "_generators")
 
@@ -536,10 +548,12 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
 
 def _basis(vectors, ring, rank, ambient_rank, track):
     """The reduced basis of the span of vectors of A^rank, from one run."""
+    sparse = _sparse(vectors, ring, rank)
+
     def run(pk):
-        core = _buchberger_core(ring, pk, _entry(vectors, ring, rank, pk, track), rank)
+        core = _buchberger_core(ring, pk, _entry(sparse, ring, rank, pk, track), rank)
         return GroebnerBasis(ring, ambient_rank, _reduce(ring, pk, core), pk,
-                             len(vectors) if track else None)
+                             len(sparse) if track else None)
     return _run(ring, (), run)
 
 
@@ -561,10 +575,10 @@ def _shape(modules, ring, ambient_rank):
 def _remainder(G, vec, rank):
     """(rem, scale, pk) of the vector vec of A^rank divided by G's elements:
     rem / scale is the remainder over the field, its monomials packed by pk."""
-    vec = tuple(vec)
+    sparse = _sparse([vec], G.ring, rank)
 
     def run(pk):
-        [(terms, d)] = _entry([vec], G.ring, rank, pk)
+        [(terms, d)] = _entry(sparse, G.ring, rank, pk)
         rem, s = _divide(G.ring, pk, terms, _index(G._elems))
         return rem, d * s, pk
     return _run(G.ring, [G], run)
@@ -576,7 +590,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
         if G.is_module:
             raise ValueError("expected an ideal Groebner basis")
     else:  # the divisors as they are, unreduced, in list order
-        ring, gens = f.ring, [(g,) for g in G]
+        ring, gens = f.ring, _sparse([(g,) for g in G], f.ring, 1)
         G = _run(ring, (), lambda pk: GroebnerBasis(ring, None, [
             _Elem(t, pk.lead(t), ring.field, pk)
             for t, _ in _entry(gens, ring, 1, pk) if t], pk))
@@ -634,39 +648,40 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     so the top parts of the elements with leads above the e-block form a
     Groebner basis of the span; reduced, it is module_groebner's basis.
     """
-    r = ambient_rank
-    vectors = [tuple(v) for v in vectors]
+    return _syzygy_run(_sparse(vectors, ring, ambient_rank), ambient_rank, ring, True)
 
+
+def _syzygy_run(vectors, r, ring, reduced):
+    """image_and_syzygies of _entry's sparse vectors: both bases reduced, or
+    as the run leaves them, Groebner bases in stored form all the same."""
     def run(pk):
         image, syz = [], []
-        # Each element is rewritten in place, not normalised again.  A stripped
-        # image part may have lost its content, which is safe: _reduce divides
-        # a tail only by elements with smaller leads, which it has already
-        # normalised, and normalises each element it keeps.
         inputs = _entry(vectors, ring, r, pk, track=True)
         for e in _buchberger_core(ring, pk, inputs, r, syzygies=True):
             pos, m = e.lt
-            if pos < r:  # strip the e-block: its tails need no reducing
+            if pos < r:  # strip the e-block, which may hold the content
                 e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
+                e.normalise(ring.field)
                 image.append(e)
             else:  # a lead in the e-block puts every term there
                 e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
                 e.lt = (pos - r, m)
                 syz.append(e)
-        return (GroebnerBasis(ring, r, _reduce(ring, pk, image), pk),
-                GroebnerBasis(ring, len(inputs), _reduce(ring, pk, syz), pk))
+        if reduced:
+            image, syz = _reduce(ring, pk, image), _reduce(ring, pk, syz)
+        return GroebnerBasis(ring, r, image, pk), GroebnerBasis(ring, len(inputs), syz, pk)
     return _run(ring, (), run)
 
 
 def _project(G, r):
-    """The reduced basis of the projection of G's module onto its first r
-    positions, read off G when every lead of G lies among them.
+    """A Groebner basis of the projection of G's module onto its first r
+    positions, reduced if G is, read off G when every lead lies among them.
 
     Then no nonzero element of the module lies in positions r and up, its
     lead being a multiple of one of G's, so the projection is injective
     and keeps every lead: the projected elements are a Groebner basis, and
-    dropping tail terms keeps them reduced.  Raises AssertionError when a
-    lead lies at position r or later, where the projection forgets it.
+    dropping tail terms keeps a reduced one reduced.  Raises AssertionError
+    when a lead lies at position r or later, where the projection forgets it.
     """
     if any(e.lt[0] >= r for e in G._elems):
         raise AssertionError("a basis lead lies outside the first %d positions" % r)
@@ -698,7 +713,9 @@ def syzygy_basis_of_vectors(vectors, ambient_rank, ring) -> list:
 def _walk(kernel_leads, image_leads, nvars, upto=None):
     """The monomials of LT(K) outside LT(I), of degree <= upto when given,
     as {position: {exponents: index of the first kernel lead dividing it}}.
-    The kernel leads are those of a reduced basis, none of degree > upto.
+    The kernel leads are those of any Groebner basis, none of degree > upto:
+    a multiple of a lead that another lead divides is reached from it, or
+    was already seen from the other, so it is counted once either way.
 
     From each lead the walk steps by x_j, j never decreasing, and stops at
     multiples of image leads and at monomials an earlier lead reached; all
@@ -723,7 +740,7 @@ def _walk(kernel_leads, image_leads, nvars, upto=None):
             if upto is None and len(bounded) < nvars:
                 return INFINITE
             seen = found.setdefault(pos, {})
-            seen[k] = n
+            seen.setdefault(k, n)
             stack = [(k, 0, sum(k))]
             while stack:
                 m, first, degree = stack.pop()
@@ -809,11 +826,12 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
     ring = G.ring
     fld = ring.field
     plus, times, _ = _arith(fld)
+    sparse = _sparse([(f,)], ring, 1)
 
     def run(pk):
         coord = {pk.pack(e): i for i, e in enumerate(monos)}
         index = _index(G._elems)
-        [(terms, d)] = _entry([(f,)], ring, 1, pk)
+        [(terms, d)] = _entry(sparse, ring, 1, pk)
         value, s = _divide(ring, pk, terms, index)
         value_scale = d * s
         echelon = RowEchelon(fld)

@@ -11,21 +11,26 @@ or f1, not multiplied out from Kronecker products with identities.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
 this complex.  Everything is computed exactly: one Buchberger run per
-differential gives the reduced bases of both its kernel (the syzygy
-module of its columns) and its image (their span), through
-image_and_syzygies; dimensions and representatives then come from the
-leading terms of each kernel and the other differential's image
-(subquotient_basis).
+differential gives Groebner bases of both its kernel (the syzygy module
+of its columns) and its image (their span); dimensions and
+representatives then come from the leading terms of each kernel and the
+other differential's image (subquotient_basis).  Representatives are
+normal forms, so their runs reduce both bases (image_and_syzygies); the
+dimensions need only the leads, which any Groebner basis gives, so their
+runs keep the bases as Buchberger leaves them.
 
 hom_dims reads the dimensions from the complex between the minimal
 models of the two ends (mf.minimal_model, kept on each object), which is
 homotopy equivalent to the full one and smaller, and needs no Groebner
 work at all when an end is contractible through constants.  The
 dimensions need only the first block row of each differential, its
-m = rank E * rank F rows of s0 in D_even and of p1 in D_odd.
-Representatives are built from the full complex on first access, each
-closure-checked as it is built, and their counts are checked against the
-dimensions, so two independent runs check each other whenever both run.
+m = rank E * rank F rows of s0 in D_even and of p1 in D_odd:
+  D_even: -I (x) e0^T | f0 (x) I,   D_odd: I (x) e1^T | f0 (x) I,
+so f1 never enters the dimensions.  Those rows are placed straight from
+the terms of the entries, with no HomComplex.  Representatives are built from the
+full HomComplex on first access, each closure-checked as it is built, and
+their counts are checked against the dimensions, so two independently
+built runs check each other whenever both run.
 
 Proof, over k[x] with W - lambda != 0, by the argument of the mf
 docstring (Eisenbud, Trans. AMS 260, 1980).  Write pi for keeping the
@@ -42,8 +47,8 @@ roles swapped.  A run on the first block row of a differential gives pi
 of its image directly.  Its kernel basis has every lead in the first
 block, which the position-over-term order puts highest, since no nonzero
 closed element vanishes there; so that basis, cut to the first block,
-is the reduced basis of pi of the kernel (groebner._project, which
-checks the leads).
+is a Groebner basis of pi of the kernel (groebner._project, which checks
+the leads).
 """
 
 from __future__ import annotations
@@ -189,18 +194,38 @@ def hom_complex(source, target) -> HomComplex:
     return HomComplex(source, target)
 
 
+def _first_block_rows(source, target):
+    """The columns of the first block rows of D_even and D_odd, as groebner's
+    sparse vectors: -I (x) e0^T | f0 (x) I and I (x) e1^T | f0 (x) I."""
+    s, t = source.rank, target.rank
+    neg, f0 = source.ring.field.neg, target.e0.entries
+
+    def left(a):  # column (j, l) holds a[l, k] at row (j, k)
+        return [[(j * s + k, a[l * s + k]) for k in range(s) if a[l * s + k]]
+                for j in range(t) for l in range(s)]
+    # column (j, l) holds f0[i, j] at row (i, l)
+    right = [[(i * s + l, f0[i * t + j].terms) for i in range(t) if f0[i * t + j].terms]
+             for j in range(t) for l in range(s)]
+    return (left([{x: neg(c) for x, c in p.terms.items()} for p in source.e0.entries]) + right,
+            left([p.terms for p in source.e1.entries]) + right)
+
+
 def _homology(source, target, want_reps):
     """((h0, h1), even representatives, odd representatives) of the Hom
     complex, from one Buchberger run per differential: on its first block
-    row for dimensions alone, on all of it for representatives."""
-    H = hom_complex(source, target)
+    row for dimensions alone, with the bases the run leaves, and on all of
+    the HomComplex, reduced, for representatives."""
     ring = source.ring
-    n = len(H.even_columns)  # both differentials are n x n
-    rows = n if want_reps else n // 2
-    even_image, even_kernel = groebner.image_and_syzygies(
-        [c[:rows] for c in H.even_columns], rows, ring)
-    odd_image, odd_kernel = groebner.image_and_syzygies(
-        [c[:rows] for c in H.odd_columns], rows, ring)
+    if want_reps:
+        H = hom_complex(source, target)
+        rows = len(H.even_columns)  # both differentials are rows x rows
+        runs = [groebner.image_and_syzygies(c, rows, ring)
+                for c in (H.even_columns, H.odd_columns)]
+    else:
+        rows = source.rank * target.rank
+        runs = [groebner._syzygy_run(c, rows, ring, False)
+                for c in _first_block_rows(source, target)]
+    (even_image, even_kernel), (odd_image, odd_kernel) = runs
     h0, even = groebner.subquotient_basis(groebner._project(even_kernel, rows), odd_image,
                                           ring, rows, want_reps)
     h1, odd = groebner.subquotient_basis(groebner._project(odd_kernel, rows), even_image,
@@ -212,11 +237,11 @@ def hom_dims(source, target) -> HomReport:
     """Even and odd homology of the Hom complex, read from the minimal
     models of both ends: (0, 0) with no Groebner work when either has
     rank 0.  Representatives are built on first access."""
-    S, T = mfmod.minimal_model(source), mfmod.minimal_model(target)
-    if S.rank and T.rank:  # HomComplex compares the ends' contexts
-        return HomReport(source, target, *_homology(S, T, want_reps=False)[0])
     if source.potential_context() != target.potential_context():
         raise groebner.RingMismatch(_MISMATCH)
+    S, T = mfmod.minimal_model(source), mfmod.minimal_model(target)
+    if S.rank and T.rank:
+        return HomReport(source, target, *_homology(S, T, want_reps=False)[0])
     return HomReport(source, target, 0, 0)
 
 

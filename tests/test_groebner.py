@@ -545,6 +545,38 @@ def test_every_entry_point_checks_the_ring_of_each_entry():
             call(lambda p: LaurentPolynomial(R, {(-1, 0): R.field.one, **p.terms}))
 
 
+def test_each_rebuilt_ring_is_compared_once_per_call(monkeypatch):
+    # Every object loaded from a document carries a RingContext of its own,
+    # equal to the ring of the call but not it.  Each such context is
+    # compared once per call, so the comparisons do not grow with the
+    # number of entries that carry it.
+    import json
+    from mfcat import files, mf
+    R = ring("x", "y")
+    x, y = R.gens()
+    doc = files.dumps(files.factorization_to_doc(mf.rank_one(R, x**2 * y - y**3, 0, x - y,
+                                                             x * y + y**2)))
+    E, F = (files.document_to_object(json.loads(doc)) for _ in range(2))
+    assert E.ring == F.ring == R and len({id(E.ring), id(F.ring), id(R)}) == 3
+    a, b = E.e1.entries[0], F.e0.entries[0]
+    xa, yb = E.ring.variable("x") * a, F.ring.variable("y") * b
+    compared = [0]
+    equal = RingContext.__eq__
+
+    def counted(self, other):
+        compared[0] += 1
+        return equal(self, other)
+    monkeypatch.setattr(RingContext, "__eq__", counted)
+    counts = []
+    for n in (3, 12):
+        vectors = [(a, b), (b, a), (xa, yb)] * (n // 3)
+        compared[0] = 0
+        image, syz = image_and_syzygies(vectors, 2, R)
+        assert len(syz) > 0
+        counts.append(compared[0])
+    assert counts[0] == counts[1] <= 2
+
+
 # ---------------------------------------------------------------------------
 # an independent reference: plain Buchberger over every pair, no criteria
 # ---------------------------------------------------------------------------
@@ -832,11 +864,15 @@ def test_kernel_elements_stay_primitive():
             rank = 1 + n % 2
             vectors = [tuple(_rand_entry(R, rng, (0, 3), (1, 3), 5) for _ in range(rank))
                        for _ in range(3)]
+            sparse = groebner._sparse(vectors, R, rank)
             pk = groebner._packing(R.nvars, R.order, groebner._START_WIDTH)
-            basis = groebner._buchberger_core(R, pk, groebner._entry(vectors, R, rank, pk, True),
+            basis = groebner._buchberger_core(R, pk, groebner._entry(sparse, R, rank, pk, True),
                                               rank, syzygies=True)
             _assert_primitive(basis, field)
             _assert_primitive(groebner._reduce(R, pk, basis), field)
+            # the bases a run leaves unreduced, the image parts cut off their e-block
+            for G in groebner._syzygy_run(sparse, rank, R, False):
+                _assert_primitive(G._elems, field)
 
 
 def test_projection_keeps_stored_leads_and_refuses_a_lead_it_would_drop():
