@@ -74,7 +74,7 @@ of (position, term dict) pairs, appends e_j to a tracked input, and only
 then multiplies the term dict by the lcm D of its denominators, so a
 tracked input enters as [D v_j ; D e_j], which still represents D v_j.
 Polynomial vectors reach it through _sparse, which checks each distinct
-ring once per call; hom places its first block rows as sparse vectors.
+ring once per call; hom places its differentials as sparse vectors.
 Every normal form and membership witness comes from one remainder,
 _remainder: _entry, then _divide.
 
@@ -154,7 +154,7 @@ class _Packing:
     """The packed monomials of one number of variables and order at field
     width w: see the module docstring."""
 
-    __slots__ = ("w", "shifts", "mask", "weights", "key_weights", "top", "guard", "desc")
+    __slots__ = ("w", "shifts", "mask", "weights", "top", "guard", "desc")
 
     def __init__(self, nvars, order, w):
         nw = nvars * w
@@ -166,11 +166,8 @@ class _Packing:
         self.weights = [(1 << s) + (1 << nw) for s in shifts]  # x_i and the degree
         self.top = 1 << (nw + w - 1)
         self.guard = self.top + sum(1 << (s + w - 1) for s in shifts)
-        self.desc, self.key_weights = {
-            "lex": (lambda m: -(m & low), [1 << s for s in shifts]),
-            "grlex": (neg, self.weights),
-            "grevlex": (lambda m: 2 * (m & low) - m, [(1 << nw) - (1 << s) for s in shifts]),
-        }[order]
+        self.desc = {"lex": lambda m: -(m & low), "grlex": neg,
+                     "grevlex": lambda m: 2 * (m & low) - m}[order]
 
     def pack(self, exps):
         m = sum(map(mul, exps, self.weights))
@@ -181,9 +178,6 @@ class _Packing:
     def unpack(self, m):
         mask = self.mask
         return tuple([m >> s & mask for s in self.shifts])
-
-    def key(self, exps):  # the ring's order, for exponents below 2**w
-        return sum(map(mul, exps, self.key_weights))
 
     def lead(self, terms):  # the highest term of a kernel term dict
         return min(terms, key=lambda t: (t[0], self.desc(t[1])))
@@ -533,7 +527,7 @@ def buchberger(gens, ring=None, track=False) -> GroebnerBasis:
     """
     gens = [(g,) for g in gens]
     ring, _ = _shape([gens], ring, 1)
-    return _basis(gens, ring, 1, None, track)
+    return _basis(_sparse(gens, ring, 1), ring, 1, None, track)
 
 
 def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> GroebnerBasis:
@@ -543,13 +537,11 @@ def module_groebner(vectors, ambient_rank=None, ring=None, track=False) -> Groeb
     """
     vectors = [tuple(v) for v in vectors]
     ring, ambient_rank = _shape([vectors], ring, ambient_rank)
-    return _basis(vectors, ring, ambient_rank, ambient_rank, track)
+    return _basis(_sparse(vectors, ring, ambient_rank), ring, ambient_rank, ambient_rank, track)
 
 
-def _basis(vectors, ring, rank, ambient_rank, track):
-    """The reduced basis of the span of vectors of A^rank, from one run."""
-    sparse = _sparse(vectors, ring, rank)
-
+def _basis(sparse, ring, rank, ambient_rank, track):
+    """The reduced basis of the span of sparse vectors of A^rank, from one run."""
     def run(pk):
         core = _buchberger_core(ring, pk, _entry(sparse, ring, rank, pk, track), rank)
         return GroebnerBasis(ring, ambient_rank, _reduce(ring, pk, core), pk,
@@ -774,8 +766,7 @@ def standard_monomials(G: GroebnerBasis):
     found = _standard(G)
     if found is INFINITE:
         return INFINITE
-    # every exponent of a standard monomial is below that of some lead of G
-    return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G._pk.key)]
+    return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G.ring.key)]
 
 
 def quotient_dim(G: GroebnerBasis):
@@ -905,7 +896,7 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
         reps = []
         image_index = _index(image_gb._elems)
         for pos in sorted(found):
-            for exps in sorted(found[pos], key=pk.key):
+            for exps in sorted(found[pos], key=ring.key):
                 g = kernel_gb._elems[found[pos][exps]]
                 shifted = {}
                 _combine(shifted, g.terms, pk.pack(exps) - g.lt[1], 1, add, mul, pk.top)

@@ -6,31 +6,28 @@ even elements and D(s) = f s + s e on odd ones.  Both compositions
 vanish, as e^2 = f^2 = (W - lambda) Id holds on every factorization (mf):
   D_even D_odd s = f (f s + s e) - (f s + s e) e = f^2 s - s e^2 = 0,
   D_odd D_even p = f (f p - p e) + (f p - p e) e = f^2 p - p e^2 = 0.
-Each entry of either differential is placed from an entry of e0, e1, f0
-or f1, not multiplied out from Kronecker products with identities.
+In blocks of m = rank E * rank F rows and columns,
+  D_even = [[-I (x) e0^T, f0 (x) I], [f1 (x) I, -I (x) e1^T]],
+  D_odd  = [[ I (x) e1^T, f0 (x) I], [f1 (x) I,  I (x) e0^T]].
+_differentials is their one placement: the columns, cut to the first m
+or all 2m rows, as groebner's sparse vectors read from the entries of
+e0, e1, f0 and f1, not multiplied out from Kronecker products.  Every
+reader takes those columns as they are; HomComplex is their public view.
 
 Morphism spaces of the homotopy category are the degree-0 homology of
-this complex.  Everything is computed exactly: one Buchberger run per
-differential gives Groebner bases of both its kernel (the syzygy module
-of its columns) and its image (their span); dimensions and
-representatives then come from the leading terms of each kernel and the
-other differential's image (subquotient_basis).  Representatives are
-normal forms, so their runs reduce both bases (image_and_syzygies); the
-dimensions need only the leads, which any Groebner basis gives, so their
-runs keep the bases as Buchberger leaves them.
+this complex.  One Buchberger run per differential gives Groebner bases
+of its kernel (its columns' syzygies) and its image (their span), whose
+leads, against the other differential's image, give dimensions and
+representatives (subquotient_basis); only representatives, being normal
+forms, need the bases reduced.
 
 hom_dims reads the dimensions from the complex between the minimal
 models of the two ends (mf.minimal_model, kept on each object), which is
-homotopy equivalent to the full one and smaller, and needs no Groebner
-work at all when an end is contractible through constants.  The
-dimensions need only the first block row of each differential, its
-m = rank E * rank F rows of s0 in D_even and of p1 in D_odd:
-  D_even: -I (x) e0^T | f0 (x) I,   D_odd: I (x) e1^T | f0 (x) I,
-so f1 never enters the dimensions.  Those rows are placed straight from
-the terms of the entries, with no HomComplex.  Representatives are built from the
-full HomComplex on first access, each closure-checked as it is built, and
-their counts are checked against the dimensions, so two independently
-built runs check each other whenever both run.
+homotopy equivalent to the full one and smaller: no Groebner work when
+an end is contractible through constants.  They need only the m rows of
+the first block row, s0 in D_even and p1 in D_odd, so f1 never enters
+them.  Representatives come from all 2m rows between the ends on first
+access, closure-checked, and their counts check the dimensions.
 
 Proof, over k[x] with W - lambda != 0, by the argument of the mf
 docstring (Eisenbud, Trans. AMS 260, 1980).  Write pi for keeping the
@@ -56,57 +53,76 @@ from __future__ import annotations
 from functools import cached_property
 
 from .matrix import PolyMatrix
+from .poly import Polynomial
 from . import groebner
 from . import mf as mfmod
 
 _MISMATCH = "hom complex endpoints have different (ring, W, lambda)"
 
 
-class HomComplex:
-    """Even/odd differentials acting on row-major vectorizations.
+def _check_ends(source, target):
+    if source.potential_context() != target.potential_context():
+        raise groebner.RingMismatch(_MISMATCH)
 
-    An even pair (p1, p0) flattens to vec(p1) ++ vec(p0), an odd pair
-    (s0, s1) to vec(s0) ++ vec(s1); each block is (target rank t) x
-    (source rank s), with slot (i, k) at i*s + k.  The columns of both
-    differentials are placed from e0, e1, f0, f1: I_t (x) A^T has A[l, k]
-    at row (i, k), column (i, l), and B (x) I_s has B[i, j] at row (i, k),
-    column (j, k).  d_even and d_odd are built from the columns on first use.
-    """
+
+def _differentials(source, target, rows):
+    """The columns of D_even and D_odd cut to their first `rows` rows, m or
+    2m, as groebner's sparse vectors.  Column (j, l) of I (x) A^T holds
+    A[l, k] at row (j, k), and of B (x) I holds B[i, j] at row (i, l); a
+    slot (i, k) of a block is row i * rank E + k."""
+    s, t = source.rank, target.rank
+    m, neg = s * t, source.ring.field.neg
+
+    def eye(a, negate, top):
+        a = [{x: neg(c) for x, c in p.terms.items()} if negate else p.terms for p in a.entries]
+        return [[(top + j * s + k, a[l * s + k]) for k in range(s) if a[l * s + k]]
+                for j in range(t) for l in range(s)]
+
+    def kron(b, top):
+        b = [p.terms for p in b.entries]
+        return [[(top + i * s + l, b[i * t + j]) for i in range(t) if b[i * t + j]]
+                for j in range(t) for l in range(s)]
+
+    f0 = kron(target.e0, 0)
+    if rows == m:
+        return eye(source.e0, True, 0) + f0, eye(source.e1, False, 0) + f0
+    f1 = kron(target.e1, m)
+
+    def placed(left, right, negate):
+        return ([a + b for a, b in zip(eye(left, negate, 0), f1)]
+                + [a + b for a, b in zip(f0, eye(right, negate, m))])
+    return placed(source.e0, source.e1, True), placed(source.e1, source.e0, False)
+
+
+class HomComplex:
+    """The public view of the Hom complex: an even pair (p1, p0) flattens
+    to vec(p1) ++ vec(p0), an odd pair (s0, s1) to vec(s0) ++ vec(s1), each
+    block (target rank) x (source rank) and row-major.  even_columns and
+    odd_columns (tuples of polynomials) and the matrices d_even and d_odd
+    are built on first access from _differentials at all 2m rows."""
 
     def __init__(self, source, target):
-        if source.potential_context() != target.potential_context():
-            raise groebner.RingMismatch(_MISMATCH)
-        s, t = source.rank, target.rank
-        m = s * t
-        zero = source.ring.zero()
-        e0, e1, f0, f1 = source.e0.entries, source.e1.entries, target.e0.entries, target.e1.entries
-
-        def place(top_left, bottom_right):
-            # [[I (x) top_left^T, f0 (x) I], [f1 (x) I, I (x) bottom_right^T]]
-            cols = []
-            for top, a, b in ((0, top_left, f1), (m, bottom_right, f0)):
-                other = m - top
-                for j in range(t):
-                    for l in range(s):
-                        col = [zero] * (2 * m)
-                        col[top + j * s:top + j * s + s] = a[l * s:l * s + s]
-                        col[other + l:other + m:s] = b[j::t]
-                        cols.append(tuple(col))
-            return cols
-
-        # D_even (p1, p0) = (f0 p0 - p1 e0, f1 p1 - p0 e1), landing on (s0, s1);
-        # D_odd (s0, s1) = (f0 s1 + s0 e1, f1 s0 + s1 e0), landing on (p1, p0)
-        self.even_columns = place([-p for p in e0], [-p for p in e1])
-        self.odd_columns = place(e1, e0)
+        _check_ends(source, target)
         self.source = source
         self.target = target
+
+    @cached_property
+    def _columns(self):
+        ring, n = self.source.ring, 2 * self.source.rank * self.target.rank
+        return [[tuple(Polynomial(ring, d.get(r, {})) for r in range(n)) for d in map(dict, cols)]
+                for cols in _differentials(self.source, self.target, n)]
 
     def _matrix(self, columns):
         n = len(columns)
         return PolyMatrix(self.source.ring, n, n, [p for row in zip(*columns) for p in row])
 
+    even_columns = property(lambda self: self._columns[0])
+    odd_columns = property(lambda self: self._columns[1])
     d_even = cached_property(lambda self: self._matrix(self.even_columns))
     d_odd = cached_property(lambda self: self._matrix(self.odd_columns))
+
+
+hom_complex = HomComplex
 
 
 def _unflatten_pair(vec, ring, rows, cols):
@@ -190,42 +206,15 @@ class HomReport:
         return "HomReport(h0=%s, h1=%s)" % (self.h0, self.h1)
 
 
-def hom_complex(source, target) -> HomComplex:
-    return HomComplex(source, target)
-
-
-def _first_block_rows(source, target):
-    """The columns of the first block rows of D_even and D_odd, as groebner's
-    sparse vectors: -I (x) e0^T | f0 (x) I and I (x) e1^T | f0 (x) I."""
-    s, t = source.rank, target.rank
-    neg, f0 = source.ring.field.neg, target.e0.entries
-
-    def left(a):  # column (j, l) holds a[l, k] at row (j, k)
-        return [[(j * s + k, a[l * s + k]) for k in range(s) if a[l * s + k]]
-                for j in range(t) for l in range(s)]
-    # column (j, l) holds f0[i, j] at row (i, l)
-    right = [[(i * s + l, f0[i * t + j].terms) for i in range(t) if f0[i * t + j].terms]
-             for j in range(t) for l in range(s)]
-    return (left([{x: neg(c) for x, c in p.terms.items()} for p in source.e0.entries]) + right,
-            left([p.terms for p in source.e1.entries]) + right)
-
-
 def _homology(source, target, want_reps):
     """((h0, h1), even representatives, odd representatives) of the Hom
     complex, from one Buchberger run per differential: on its first block
     row for dimensions alone, with the bases the run leaves, and on all of
-    the HomComplex, reduced, for representatives."""
-    ring = source.ring
-    if want_reps:
-        H = hom_complex(source, target)
-        rows = len(H.even_columns)  # both differentials are rows x rows
-        runs = [groebner.image_and_syzygies(c, rows, ring)
-                for c in (H.even_columns, H.odd_columns)]
-    else:
-        rows = source.rank * target.rank
-        runs = [groebner._syzygy_run(c, rows, ring, False)
-                for c in _first_block_rows(source, target)]
-    (even_image, even_kernel), (odd_image, odd_kernel) = runs
+    its rows, reduced, for representatives."""
+    ring, rows = source.ring, source.rank * target.rank * (2 if want_reps else 1)
+    (even_image, even_kernel), (odd_image, odd_kernel) = (
+        groebner._syzygy_run(c, rows, ring, want_reps)
+        for c in _differentials(source, target, rows))
     h0, even = groebner.subquotient_basis(groebner._project(even_kernel, rows), odd_image,
                                           ring, rows, want_reps)
     h1, odd = groebner.subquotient_basis(groebner._project(odd_kernel, rows), even_image,
@@ -237,8 +226,7 @@ def hom_dims(source, target) -> HomReport:
     """Even and odd homology of the Hom complex, read from the minimal
     models of both ends: (0, 0) with no Groebner work when either has
     rank 0.  Representatives are built on first access."""
-    if source.potential_context() != target.potential_context():
-        raise groebner.RingMismatch(_MISMATCH)
+    _check_ends(source, target)
     S, T = mfmod.minimal_model(source), mfmod.minimal_model(target)
     if S.rank and T.rank:
         return HomReport(source, target, *_homology(S, T, want_reps=False)[0])
@@ -252,9 +240,8 @@ def is_null_homotopic(p: mfmod.MFMorphism):
     p0 = s1 e0 + f1 s0 exactly, or (False, None).
     """
     E, F = p.source, p.target
-    H = hom_complex(E, F)
-    ring = E.ring
-    gb = groebner.module_groebner(H.odd_columns, len(H.odd_columns), ring, track=True)
+    ring, rows = E.ring, 2 * E.rank * F.rank
+    gb = groebner._basis(_differentials(E, F, rows)[1], ring, rows, rows, True)
     witness = groebner.membership_witness(p.p1.entries + p.p0.entries, gb)
     if witness is None:
         return False, None

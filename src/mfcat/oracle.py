@@ -6,11 +6,12 @@ d and solving finite exact linear systems, raising d until consecutive
 answers agree.  They share no code with the basis engine, which is the
 point: agreement is evidence, disagreement is a bug.
 
-All three eliminate images.  A vector v of polynomials in U slots has
-the images x^m v, and one echelon per call holds every image entered so
-far, each entered once: a scan that raises d enters only the images new
-at d.  Coordinate (u, e) is the int column u - U * P(e), P(e) the
-exponents of e in w-bit fields under a field holding deg e.  w is the
+All three eliminate images.  A vector v in U slots, a list of (slot,
+term dict) pairs (a generator g is [(0, g.terms)]), has the images x^m v,
+and one echelon per call holds every image entered so far, each entered
+once: a scan that raises d enters only the images new at d.  Coordinate
+(u, e) is the int column u - U * P(e), P(e) the exponents of e in w-bit
+fields under a field holding deg e.  w is the
 bit length of the scan's cap plus the vectors' largest degree, so no
 field overflows, none is checked, and P is additive (Monagan and Pearce,
 CASC 2007): x^m v is v's row shifted by -U * P(m).  Higher degree means
@@ -21,9 +22,10 @@ degree changes no rank, so no answer.  Over Q a vector is entered times
 the lcm of its denominators, so ``RowEchelon`` eliminates on ints.
 
 Hom dimensions at degree d: both differentials d_even and d_odd of the
-Hom complex are n x n, acting on the same unknowns (t, m), slot t times
-a monomial m of degree <= d, whose image under D is column t of D times
-m.  The truncated cycles of D number unknowns - rank(D), and the
+Hom complex are n x n, their columns placed by hom._differentials at all
+n = 2 rank E rank F rows, acting on the same unknowns (t, m), slot t
+times a monomial m of degree <= d, whose image under D is column t of D
+times m.  The truncated cycles of D number unknowns - rank(D), and the
 boundaries D x in degree <= d number boundaries(D, d), so
 
     h0 = (unknowns - rank(d_even)) - boundaries(d_odd, d)
@@ -58,21 +60,20 @@ def _check_count(name, value, least=0):
         raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
-def _top(cap, vectors):
-    """cap plus the largest degree in the vectors, lists of polynomials."""
-    return cap + max((sum(e) for v in vectors for p in v for e in p.terms), default=0)
+def _top(cap, vectors):  # cap plus the largest degree in the vectors
+    return cap + max((sum(e) for v in vectors for _, terms in v for e in terms), default=0)
 
 
 class _Images:
-    """Row echelon of the images x^m v of vectors v, lists of polynomials in
-    `slots` slots of `ring`, while exponents and degrees stay <= `top`."""
+    """Row echelon of the images x^m v of vectors v in `slots` slots of
+    `ring`, while exponents and degrees stay <= `top`."""
 
     def __init__(self, ring, vectors, slots, top):
         self.echelon, self._slots, w = RowEchelon(ring.field), slots, top.bit_length()
         self._degree = slots << w * ring.nvars  # column offset of one degree
         self._steps = [-self._degree - (slots << w * i) for i in range(ring.nvars)]  # base(x_i)
-        self._rows = [integer_multiple({u + self.base(e): c for u, p in enumerate(v)
-                                        for e, c in p.terms.items()})[0].items() for v in vectors]
+        self._rows = [integer_multiple({u + self.base(e): c for u, terms in v
+                                        for e, c in terms.items()})[0].items() for v in vectors]
 
     def base(self, m):
         """-slots * P(m), the shift of every column under x^m."""
@@ -101,9 +102,10 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     _check_count("start_degree", start_degree)
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
-    H = hommod.hom_complex(source, target)
-    n, top = len(H.even_columns), _top(max_degree, H.even_columns + H.odd_columns)
-    even, odd = (_Images(source.ring, c, n, top) for c in (H.even_columns, H.odd_columns))
+    hommod._check_ends(source, target)
+    columns = hommod._differentials(source, target, 2 * source.rank * target.rank)
+    n, top = len(columns[0]), _top(max_degree, columns[0] + columns[1])
+    even, odd = (_Images(source.ring, c, n, top) for c in columns)
     entered, prev, streak = 0, None, 0  # entered: monomials whose unknowns are in both echelons
     for d in range(start_degree, max_degree + 1):
         monos = _monomials_upto(source.ring.nvars, d)
@@ -132,7 +134,8 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingMismatch("generator in a different ring")
-    images = _Images(ring, [[g] for g in gens], 1, _top(max_degree, [gens]))
+    vectors = [[(0, g.terms)] for g in gens]
+    images = _Images(ring, vectors, 1, _top(max_degree, vectors))
     n, degrees, bases = ring.nvars, [g.total_degree() for g in gens], []  # bases: of monos read
     entered, prev = -1, None  # the multiples x^m g of degree <= entered are in the echelon
     for d in range(start_degree, max_degree + 1):
@@ -158,9 +161,10 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
     a member iff it adds no pivot to the echelon of the products x^m g_i.
     """
     _check_count("quotient_degree", quotient_degree)
-    vectors = [[g] for g in gens if not g.is_zero] + [[f]]
-    if any(g.ring != f.ring for g, in vectors):
+    gens = [g for g in gens if not g.is_zero] + [f]
+    if any(g.ring != f.ring for g in gens):
         raise RingMismatch("generator in a different ring")
+    vectors = [[(0, g.terms)] for g in gens]
     images = _Images(f.ring, vectors, 1, _top(quotient_degree, vectors))
     for base in map(images.base, _monomials_upto(f.ring.nvars, quotient_degree)):
         for i in range(len(vectors) - 1):

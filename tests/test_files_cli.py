@@ -145,6 +145,21 @@ def test_validate_rejects_broken_file(tmp_path):
     assert "expected x^2" in res.stderr
 
 
+def test_failing_cells_are_reported_on_one_line(tmp_path):
+    # a report's cells once went to stderr on lines of their own
+    fac = _write(tmp_path / "bad.json", {
+        "schema_version": 1, "kind": "factorization", "field": "Q", "vars": ["x"],
+        "W": "x^2", "lambda": "0", "e1": [["x"]], "e0": [["x + 1"]]})
+    for args in (["validate", fac], ["shift", fac], ["knorrer", fac], ["hom", fac, "An:1:1"]):
+        res = run(*args)
+        _one_line_error(res)
+        assert res.stderr == "error: 1 failing cell(s): e0*e1[0,0] = x^2 + x, expected x^2\n"
+    morphism = dict(_morphism_doc(), p0=[["x"]])
+    res = run("cone", _write(tmp_path / "open.json", morphism))
+    _one_line_error(res)
+    assert res.stderr.startswith("error: 1 failing cell(s): p1*e0 - f0*p0[0,0] = ")
+
+
 @pytest.mark.parametrize("field, override, w, lam", [
     ("Q", None, "x^2 + 1/0*x", "0"),
     ("Fp:7", None, "x^2 + 1/7*x", "0"),
