@@ -109,6 +109,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 from operator import add, le, mul, neg
@@ -665,6 +666,13 @@ def _syzygy_run(vectors, r, ring, reduced):
     return _run(ring, (), run)
 
 
+def _image_leads(vectors, r, ring):
+    """The leads (position, exponents) of a Groebner basis of the span of
+    _entry's sparse vectors in A^r, as one untracked run leaves it."""
+    return _run(ring, (), lambda pk: [(e.lt[0], e.exps) for e in _buchberger_core(
+        ring, pk, _entry(vectors, ring, r, pk), r)])
+
+
 def _project(G, r):
     """A Groebner basis of the projection of G's module onto its first r
     positions, reduced if G is, read off G when every lead lies among them.
@@ -800,6 +808,70 @@ def hilbert_slices(G: GroebnerBasis, upto: int = 10):
         for m in monos:
             out[sum(m)] += 1
     return out
+
+
+def _numerator(leads, degrees, weights):
+    """The numerator N of the Hilbert series N / prod_i (1 - q^weights[i])
+    of A^r modulo the monomial module of `leads`, (position, exponents)
+    pairs, with position p in degree degrees[p]: a Counter {degree:
+    coefficient}, the sum over the positions of q^degrees[p] N(I_p)."""
+    ideals = [[] for _ in degrees]
+    for pos, exps in leads:
+        ideals[pos].append(exps)
+    out = Counter()
+    for d, gens in zip(degrees, ideals):
+        for k, c in _ideal_numerator(set(gens), weights).items():
+            out[d + k] += c
+    return out
+
+
+def _ideal_numerator(gens, weights):
+    """N(A / I) for the monomial ideal I of a set of exponent tuples, by
+    Bigatti's pivot (JPAA 119, 1997): N(I) = N(I + (p)) + q^deg p N(I : p)
+    for p = x_i^e, x_i the variable in most of the minimal generators that
+    are not pure powers, e the median of their x_i exponents.  p is not in
+    I, as a pure power of x_i dividing it would divide a minimal generator.
+    Generators that are all pure powers are coprime: N = prod (1 - q^deg g)."""
+    gens = [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
+    mixed = [g for g in gens if len(g) - g.count(0) > 1]
+    if not mixed:
+        out = Counter({0: 1})
+        for g in gens:
+            d = sum(map(mul, weights, g))
+            for k, c in list(out.items()):
+                out[k + d] -= c
+        return out
+    counts = [sum(1 for g in mixed if g[i]) for i in range(len(weights))]
+    i = counts.index(max(counts))
+    exps = sorted(g[i] for g in mixed if g[i])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(len(weights)))
+    out = _ideal_numerator({g for g in gens if g[i] < e} | {pivot}, weights)
+    colon = {g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens}
+    for k, c in _ideal_numerator(colon, weights).items():
+        out[k + e * weights[i]] += c
+    return out
+
+
+def _series_dim(numerator, weights):
+    """The sum of the coefficients of numerator / prod_i (1 - q^weights[i]),
+    a k-dimension, or INFINITE when the division leaves a remainder, for
+    then the series has infinitely many terms.  Each factor divides out
+    exactly iff the quotient's top `w` coefficients vanish."""
+    degrees = [k for k, c in numerator.items() if c]
+    if not degrees:
+        return 0
+    low = min(degrees)
+    coeffs = [0] * (max(degrees) - low + 1)
+    for k in degrees:
+        coeffs[k - low] = numerator[k]
+    for w in weights:
+        for k in range(w, len(coeffs)):
+            coeffs[k] += coeffs[k - w]
+        if any(coeffs[-w:]):
+            return INFINITE
+        del coeffs[-w:]
+    return sum(coeffs)
 
 
 def minimal_polynomial(f: Polynomial, G: GroebnerBasis):

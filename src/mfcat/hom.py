@@ -26,8 +26,10 @@ models of the two ends (mf.minimal_model, kept on each object), which is
 homotopy equivalent to the full one and smaller: no Groebner work when
 an end is contractible through constants.  They need only the m rows of
 the first block row, s0 in D_even and p1 in D_odd, so f1 never enters
-them.  Representatives come from all 2m rows between the ends on first
-access, closure-checked, and their counts check the dimensions.
+them: from Hilbert series when both models are graded (below), and
+otherwise from the kernel and image of each such row.  Representatives
+come from all 2m rows between the ends on first access, closure-checked,
+and their counts check the dimensions.
 
 Proof, over k[x] with W - lambda != 0, by the argument of the mf
 docstring (Eisenbud, Trans. AMS 260, 1980).  Write pi for keeping the
@@ -46,10 +48,34 @@ block, which the position-over-term order puts highest, since no nonzero
 closed element vanishes there; so that basis, cut to the first block,
 is a Groebner basis of pi of the kernel (groebner._project, which checks
 the leads).
+
+Graded dimensions (Kreuzer-Robbiano, Computational Commutative Algebra
+2, ch. 5).  Let lambda = 0 and let both models be graded by the weights
+of W (mf._grading), so that e0 and f0 have degree 0 and e1 and f1 degree
+D = deg W.  A slot (i, k) of a block then has degree deg F_i - deg E_k;
+D_even has degree 0 from C0 = (p1, p0) to C1 = (s0, s1), whose s1 slots
+are lowered by D, and D_odd has degree D from C1 to C0.  Each graded
+piece is finite, so with the Hilbert series HS of the first block rows
+M_e and M_o in their slots' degrees,
+  HS(H0) = HS(C0) - HS(im M_e) - HS(im M_o),
+  HS(H1) = HS(C1) - q^-D HS(im M_o) - HS(im M_e):
+H0 is ker D_even, C0 less im D_even, over im D_odd, and in C1 the image
+of D_odd sits D lower.  pi keeps these: it keeps degrees and is
+injective on closed elements, which both images are, so
+HS(im D_even) = HS(im M_e) and HS(im D_odd) = HS(im M_o).  For any
+monomial order, HS(im M) = HS(A^m) - HS(A^m / LT(im M)), as a
+homogeneous module has a homogeneous Groebner basis; so one untracked
+run on each first block row leaves all the dimensions need.  Every
+series is a numerator over prod_i (1 - q^w_i) (groebner._numerator),
+and a dimension is its value at q = 1, INFINITE when the division leaves
+a remainder.  Every other input (lambda != 0, a W with no positive
+weights, an inhomogeneous entry, basis degrees that disagree) takes the
+syzygy path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .matrix import PolyMatrix
@@ -222,15 +248,45 @@ def _homology(source, target, want_reps):
     return (h0, h1), even, odd
 
 
+def _graded_dims(source, target):
+    """(h0, h1) by the Hilbert series identities of the module docstring,
+    after one untracked image run per first block row; None unless both
+    ends are graded (mf._grading).  Each series is kept as its numerator."""
+    gs, gt = mfmod._grading(source), mfmod._grading(target)
+    if not (gs and gt):
+        return None
+    weights, top, (e0, e1), (f0, f1) = gs[0], gs[1], gs[2:], gt[2:]
+    ring, m = source.ring, source.rank * target.rank
+
+    def slots(f, e, shift=0):  # the degrees of a block's slots (i, k), row-major
+        return [i - k - shift for i in f for k in e]
+
+    def image(columns, degrees):  # N(im M) = N(A^m) - N(A^m / LT(im M))
+        out = Counter(degrees)
+        out.subtract(groebner._numerator(groebner._image_leads(columns, m, ring),
+                                         degrees, weights))
+        return out
+    p1, p0, s0, s1 = slots(f1, e1), slots(f0, e0), slots(f1, e0), slots(f0, e1, top)
+    even, odd = map(image, _differentials(source, target, m), (s0, p1))
+    h0, h1 = Counter(p1 + p0), Counter(s0 + s1)
+    h0.subtract(even)
+    h0.subtract(odd)
+    h1.subtract({k - top: c for k, c in odd.items()})
+    h1.subtract(even)
+    return groebner._series_dim(h0, weights), groebner._series_dim(h1, weights)
+
+
 def hom_dims(source, target) -> HomReport:
     """Even and odd homology of the Hom complex, read from the minimal
     models of both ends: (0, 0) with no Groebner work when either has
-    rank 0.  Representatives are built on first access."""
+    rank 0, from Hilbert numerators when both are graded, and otherwise
+    from _homology.  Representatives are built on first access."""
     _check_ends(source, target)
     S, T = mfmod.minimal_model(source), mfmod.minimal_model(target)
-    if S.rank and T.rank:
-        return HomReport(source, target, *_homology(S, T, want_reps=False)[0])
-    return HomReport(source, target, 0, 0)
+    if not (S.rank and T.rank):
+        return HomReport(source, target, 0, 0)
+    return HomReport(source, target,
+                     *(_graded_dims(S, T) or _homology(S, T, want_reps=False)[0]))
 
 
 def is_null_homotopic(p: mfmod.MFMorphism):

@@ -25,11 +25,14 @@ class PolyMatrix:
             raise ValueError("negative matrix shape")
         if len(entries) != rows * cols:
             raise ValueError("expected %d entries, got %d" % (rows * cols, len(entries)))
+        equal = {id(ring): ring}  # the rings checked, kept so no id is reused
         for p in entries:
             if not isinstance(p, Polynomial):
                 raise TypeError("matrix entries must be Polynomials")
-            if p.ring != ring:
-                raise RingMismatch("matrix entry in a different ring")
+            if id(p.ring) not in equal:
+                if p.ring != ring:
+                    raise RingMismatch("matrix entry in a different ring")
+                equal[id(p.ring)] = p.ring
         self.ring = ring
         self.rows = rows
         self.cols = cols

@@ -20,8 +20,12 @@ morphisms by their ends and p1.
 
 from __future__ import annotations
 
-from .matrix import PolyMatrix
-from .poly import Polynomial, PolyError, RingContext, RingMismatch
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+from .matrix import PolyMatrix, RowEchelon
+from .poly import QQ, Polynomial, PolyError, RingContext, RingMismatch
 from . import groebner
 
 
@@ -80,7 +84,7 @@ def _product_failures(name, product, expected):
 class MatrixFactorization:
     """An object (e1: E1 -> E0, e0: E0 -> E1) with e0 e1 = (W - lambda) Id."""
 
-    __slots__ = ("ring", "w", "lam", "rank", "e1", "e0", "_model")
+    __slots__ = ("ring", "w", "lam", "rank", "e1", "e0", "_model", "_graded")
 
     def __init__(self, ring, w: Polynomial, lam, e1: PolyMatrix, e0: PolyMatrix):
         if w.ring != ring:
@@ -97,6 +101,7 @@ class MatrixFactorization:
         self.e1 = e1
         self.e0 = e0
         self._model = None  # minimal_model(self), once computed
+        self._graded = None  # _grading(self), once computed
         report = self.check()
         if not report.ok:
             raise NotAFactorization(report)
@@ -292,6 +297,76 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     mf._model = model = MatrixFactorization(ring, mf.w, mf.lam, e1, e0)
     model._model = model
     return model
+
+
+def _weights(w: Polynomial):
+    """(weights, deg W) for the positive, primitive integer weights of the
+    variables under which W is homogeneous, or None.  They come from exact
+    elimination on the differences of W's exponent vectors, with every free
+    variable, one absent from W included, of weight 1; None when a weight
+    comes out <= 0, as for x^2 + x^3."""
+    exps = list(w.terms)
+    echelon = RowEchelon(QQ)
+    for a in exps[1:]:
+        echelon.insert({i: x - y for i, (x, y) in enumerate(zip(a, exps[0])) if x != y})
+    out = [Fraction(1)] * w.ring.nvars
+    for c in sorted(echelon.pivots, reverse=True):  # back substitution
+        row = echelon.pivots[c]
+        out[c] = Fraction(-sum(v * out[j] for j, v in row.items() if j != c), row[c])
+    scale = lcm(*(q.denominator for q in out))
+    out = [int(q * scale) for q in out]
+    if any(x <= 0 for x in out):
+        return None
+    g = gcd(*out)
+    out = tuple(x // g for x in out)
+    return out, sum(map(mul, out, exps[0]))
+
+
+def _grading(mf: MatrixFactorization):
+    """(weights, D, E0 degrees, E1 degrees): the weights of W and basis
+    degrees under which e0 has degree 0 and e1 degree D = deg W, or False
+    when lambda != 0, W has no weights or no such degrees exist.  Computed
+    once per object and kept on it."""
+    if mf._graded is None:
+        mf._graded = _basis_degrees(mf)
+    return mf._graded
+
+
+def _basis_degrees(mf):
+    """The degrees are checked, not solved for: an entry at (i, j) of e1
+    fixes deg E1_j = deg e1[i, j] + deg E0_i - D, one of e0 deg E0_j =
+    deg e0[i, j] + deg E1_i.  So in each component of the basis elements
+    that entries link the first gets degree 0, and each entry fixes or
+    checks another; an inhomogeneous entry has no degree."""
+    found = None if mf.lam else _weights(mf.w)
+    if found is None:
+        return False
+    wts, top = found
+    r = mf.rank
+    links = [[] for _ in range(2 * r)]  # basis element k of E0 is node k, of E1 node r + k
+    for m, rows, cols, shift in ((mf.e1, 0, r, -top), (mf.e0, r, 0, 0)):
+        for n, p in enumerate(m.entries):
+            if p.terms:
+                degrees = {sum(map(mul, wts, e)) for e in p.terms}
+                if len(degrees) > 1:
+                    return False
+                i, j = divmod(n, r)
+                d = degrees.pop() + shift
+                links[rows + i].append((cols + j, d))
+                links[cols + j].append((rows + i, -d))
+    degree = [None] * (2 * r)
+    for start in range(2 * r):
+        if degree[start] is None:
+            degree[start], stack = 0, [start]
+            while stack:
+                u = stack.pop()
+                for v, d in links[u]:
+                    if degree[v] is None:
+                        degree[v] = degree[u] + d
+                        stack.append(v)
+                    elif degree[v] != degree[u] + d:
+                        return False
+    return wts, top, tuple(degree[:r]), tuple(degree[r:])
 
 
 def _tensor_maps(a1, a0, b1, b0):

@@ -34,7 +34,8 @@ boundaries D x in degree <= d number boundaries(D, d), so
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from .matrix import RowEchelon
@@ -48,9 +49,15 @@ class OracleDiverged(PolyError):
 
 def _monomials_upto(nvars, d):
     """Exponent tuples of total degree 0..d, by degree, then descending lex
-    (the order in which the sorted variable-index multisets come)."""
-    return [tuple(c.count(i) for i in range(nvars))
-            for k in range(d + 1) for c in combinations_with_replacement(range(nvars), k)]
+    (the order in which the sorted variable-index multisets come), as a
+    tuple joined from the cached tuples of each degree."""
+    return tuple(chain.from_iterable(_monomials_of(nvars, k) for k in range(d + 1)))
+
+
+@lru_cache(maxsize=256)
+def _monomials_of(nvars, k):
+    return tuple(tuple(c.count(i) for i in range(nvars))
+                 for c in combinations_with_replacement(range(nvars), k))
 
 
 def _check_count(name, value, least=0):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -1110,6 +1111,92 @@ def test_hilbert_slices_test_few_leads_per_standard_monomial(monkeypatch):
     slices = hilbert_slices(G, 40)
     assert sum(slices) == 24682
     assert calls[0] < 2 * sum(slices)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert numerators against the walk
+# ---------------------------------------------------------------------------
+
+def _seeded_leads(rng, n, N):
+    """Leads of a monomial submodule of A^N: often pure powers of every
+    variable at a position (finite there), a few other monomials, and
+    sometimes a unit."""
+    out = []
+    for pos in range(N):
+        draw = rng.random()
+        if draw < 0.1:
+            out.append((pos, (0,) * n))
+        elif draw < 0.75:
+            out += [(pos, tuple(rng.randint(1, 4) if j == i else 0 for j in range(n)))
+                    for i in range(n)]
+        out += [(pos, tuple(rng.randint(0, 3) for _ in range(n)))
+                for _ in range(rng.randint(0, 4))]
+    return out
+
+
+def _series(numerator, weights, low, top):
+    """The coefficients of numerator / prod_i (1 - q^weights[i]) at the
+    degrees low..top, by expanding each factor as a geometric series."""
+    coeffs = [0] * (top - low + 1)
+    for k, c in numerator.items():
+        if low <= k <= top:
+            coeffs[k - low] += c
+    for w in weights:
+        for k in range(w, len(coeffs)):
+            coeffs[k] += coeffs[k - w]
+    return coeffs
+
+
+@pytest.mark.parametrize("weighted", (False, True), ids=("unweighted", "weighted"))
+def test_hilbert_numerators_match_the_walk(weighted):
+    """The numerator gives the walk's count of standard monomials, or
+    INFINITE where the walk finds an unbounded variable, and its series
+    counts the standard monomials degree by degree: position p in degree
+    degrees[p], x_i of degree weights[i]."""
+    from mfcat import groebner
+    rng = random.Random("numerator/%s" % weighted)
+    seen = set()
+    for trial in range(80):
+        n, N = trial % 5, rng.randint(1, 3)
+        weights = tuple(rng.randint(1, 3) if weighted else 1 for _ in range(n))
+        degrees = [rng.randint(-3, 3) for _ in range(N)]
+        leads = _seeded_leads(rng, n, N)
+        numerator = groebner._numerator(leads, degrees, weights)
+        units = [(pos, (0,) * n) for pos in range(N)]
+        walked = groebner._walk(units, leads, n)
+        dim = groebner._series_dim(numerator, weights)
+        seen.add(dim is INFINITE)
+        assert dim == (INFINITE if walked is INFINITE
+                       else sum(map(len, walked.values()))), trial
+        low, top = min(degrees), max(degrees) + 8
+        counts = [0] * (top - low + 1)
+        for pos, monos in groebner._walk(units, leads, n, top - low).items():
+            for m in monos:
+                d = degrees[pos] + sum(map(operator.mul, weights, m))
+                if d <= top:
+                    counts[d - low] += 1
+        assert _series(numerator, weights, low, top) == counts, trial
+    assert seen == {True, False}
+
+
+def _nonzero(numerator):
+    return {k: c for k, c in numerator.items() if c}
+
+
+def test_hilbert_numerators_of_small_modules():
+    from mfcat import groebner
+    # (x^2, y^3) with x, y of degrees 2, 3: (1 - q^4)(1 - q^9), dimension 6
+    numerator = groebner._numerator([(0, (2, 0)), (0, (0, 3))], [0], (2, 3))
+    assert _nonzero(numerator) == {0: 1, 13: 1, 4: -1, 9: -1}
+    assert groebner._series_dim(numerator, (2, 3)) == 6
+    # x^2 in k[x, y] leaves y free; at two positions in degrees 1 and -2
+    numerator = groebner._numerator([(0, (2, 0)), (1, (2, 0))], [1, -2], (1, 1))
+    assert _nonzero(numerator) == {1: 1, -2: 1, 3: -1, 0: -1}
+    assert groebner._series_dim(numerator, (1, 1)) is INFINITE
+    # a unit, an empty module, no variables
+    assert groebner._series_dim(groebner._numerator([(0, (0, 0))], [5], (1, 1)), (1, 1)) == 0
+    assert groebner._series_dim(groebner._numerator([], [], (1,)), (1,)) == 0
+    assert groebner._series_dim(groebner._numerator([], [0, 4], ()), ()) == 2
 
 
 # ---------------------------------------------------------------------------

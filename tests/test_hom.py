@@ -377,17 +377,15 @@ def _assert_closed(rep):
 KUENNETH_BUDGET_S = 60
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_hom_of_tensor_products_follows_kuenneth(field):
-    """Hom(E (x) E', F (x) F') = Hom(E, F) (x) Hom(E', F') in disjoint
-    variables (Yoshino 1998; Dyckerhoff 2011), with 0 * INFINITE = 0."""
+def _kuenneth_draws(field):
+    """20 seeded (source, target, expected) tensor products of two or
+    three factors in disjoint variables, expected by the Kuenneth formula
+    from the factors' hom_dims."""
     ring = RingContext(("x", "z"), field)
     x = ring.variable("x")
     line = mf.rank_one(ring, x ** 2, 0, x, x)  # a non-isolated fiber: infinite Hom
     families = _families(field, 3) + [[line, mf.cone(mf.identity_morphism(line))]]
     rng = random.Random("kuenneth/%r" % field)
-    start = time.perf_counter()
-    seen = set()
     for draw in range(20):
         factors = 2 if draw < 14 else 3
         source = target = None
@@ -400,6 +398,16 @@ def test_hom_of_tensor_products_follows_kuenneth(field):
             expected = _kuenneth(expected, hom_dims(E, F).dims())
             source = E if source is None else mf.tensor(source, E)
             target = F if target is None else mf.tensor(target, F)
+        yield source, target, expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_hom_of_tensor_products_follows_kuenneth(field):
+    """Hom(E (x) E', F (x) F') = Hom(E, F) (x) Hom(E', F') in disjoint
+    variables (Yoshino 1998; Dyckerhoff 2011), with 0 * INFINITE = 0."""
+    start = time.perf_counter()
+    seen = set()
+    for draw, (source, target, expected) in enumerate(_kuenneth_draws(field)):
         rep = hom_dims(source, target)
         assert rep.dims() == expected, (draw, source, target)
         _assert_closed(rep)
@@ -916,3 +924,135 @@ def test_dims_reduce_no_basis_and_build_no_complex(monkeypatch):
     assert len(rep.basis_even) == 5
     # the image and the kernel of each differential, on all 2m = 8 rows
     assert (reductions, complexes) == ([8] * 4, [0])
+
+
+# ---------------------------------------------------------------------------
+# graded dimensions from Hilbert numerators
+# ---------------------------------------------------------------------------
+
+def _syzygy_dims(S, T):
+    return hom._homology(S, T, want_reps=False)[0]
+
+
+def _graded_pairs(field):
+    """(name, model, model) for every corpus pair whose minimal models both
+    have positive rank, the rank-8 tensor, the seeded cones whose model is
+    graded and the Kuenneth draws."""
+    out = [("%s->%s" % (ns, nt), mf.minimal_model(s), mf.minimal_model(t))
+           for ns, nt, s, t in corpus.hom_pairs(field)]
+    out = [p for p in out if p[1].rank and p[2].rank]
+    out.append(("rank8", _rank8(field), _rank8(field)))
+    for name, C in _seeded_cones(field):
+        M = mf.minimal_model(C)
+        if M.rank and mf._grading(M):
+            out.append((name, M, M))
+    for draw, (S, T, _) in enumerate(_kuenneth_draws(field)):
+        out.append(("kuenneth%d" % draw, mf.minimal_model(S), mf.minimal_model(T)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_graded_dims_agree_with_the_syzygy_path(field, monkeypatch):
+    """Every corpus pair that reaches Groebner work, the rank-8 tensor,
+    the graded seeded cones and the Kuenneth draws take the graded path,
+    and their dimensions equal those of the tracked syzygy runs."""
+    pairs = _graded_pairs(field)
+    syzygy_runs = _count_calls(monkeypatch, hom, "_homology")
+    kinds = {"corpus": 0, "cone": 0, "kuenneth": 0, "rank8": 0}
+    infinite = 0
+    for name, S, T in pairs:
+        assert mf._grading(S) and mf._grading(T), name
+        dims = hom_dims(S, T).dims()
+        assert syzygy_runs == [0], name
+        assert dims == _syzygy_dims(S, T), name
+        syzygy_runs[0] = 0
+        kind = next((k for k in kinds if name.startswith(k)), "corpus")
+        kinds[kind] += 1
+        infinite += INFINITE in dims
+    assert kinds["corpus"] == 940 and kinds["rank8"] == 1 and kinds["kuenneth"] == 20
+    assert kinds["cone"] >= 25 and infinite >= 1
+
+
+def _ungraded_pairs(field):
+    """(name, model, model) pairs that have no grading: lambda != 0,
+    inhomogeneous changes of basis and W = x^2 + x^3, whose one weight is 0."""
+    R = RingContext(("x",), field)
+    x = R.variable("x")
+    out = [("lambda = 1", mf.rank_one(R, x ** 2, 1, x - 1, x + 1)),
+           ("x^2 + x^3", mf.rank_one(R, x ** 2 + x ** 3, 0, x, x + x ** 2))]
+    E = mf.direct_sum(corpus.power_factorization(2, 1, field), corpus.power_factorization(2, 2, field))
+    one, zero, g = E.ring.one(), E.ring.zero(), 1 + E.ring.variable("x")
+    P, P_inv = (PolyMatrix(E.ring, 2, 2, [one, h, zero, one]) for h in (g, -g))
+    out.append(("change of basis by 1 + x",
+                mf.MatrixFactorization(E.ring, E.w, E.lam, P @ E.e1, E.e0 @ P_inv)))
+    return [(name, M, M) for name, M in ((n, mf.minimal_model(E)) for n, E in out)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_ungraded_ends_keep_the_syzygy_path(field, monkeypatch):
+    homology = hom._homology
+    runs = []
+    monkeypatch.setattr(hom, "_homology", lambda S, T, want_reps: runs.append(want_reps)
+                        or homology(S, T, want_reps))
+    pairs = _ungraded_pairs(field)
+    for name, S, T in pairs:
+        assert S.rank and mf._grading(S) is False, name
+        assert hom_dims(S, T).dims() == homology(S, T, False)[0], name
+        assert hom._graded_dims(S, T) is None, name
+    assert runs == [False] * len(pairs)
+    # W = x^3 has a weight; the changed basis gives an entry x^2 + x^3 no degree
+    E = pairs[2][1]
+    assert mf._weights(E.w) == ((1,), 3) and mf._weights(pairs[1][1].w) is None
+    assert any(len({sum(e) for e in p.terms}) > 1 for p in E.e1.entries)
+
+
+def test_weights_of_potentials():
+    R = RingContext(("x", "u", "v"), QQ)
+    x, u, v = R.gens()
+    assert mf._weights(x ** 3 + u * v) == ((2, 3, 3), 6)
+    assert mf._weights(u * v) == ((1, 1, 1), 2)  # x is absent: weight 1
+    assert mf._weights(x ** 4 * u + u ** 3 * v - v ** 5) == ((11, 16, 12), 60)
+    assert mf._weights(x * u + v) is None  # free u, v = 1 leave x at 0
+    assert mf._weights(x ** 2 - x * u ** 3) == ((3, 1, 1), 6)
+    assert mf._weights(x ** 2 + x ** 3) is None
+
+
+def test_basis_degrees_are_checked_against_every_entry():
+    """e1: E1 -> E0 of degree D and e0: E0 -> E1 of degree 0 fix the
+    basis degrees along each component; an entry that disagrees with
+    them, or has no degree, refuses the grading.  Only W, lambda and the
+    entries are read, so unvalidated stand-ins show the refusals."""
+    from types import SimpleNamespace
+    assert mf._grading(an(2, 1)) == ((1,), 3, (0,), (-2,))
+    R = xring()
+    x = R.variable("x")
+
+    def stand_in(e1, e0):
+        return SimpleNamespace(w=x ** 3, lam=0, rank=2, _graded=None,
+                               e1=PolyMatrix(R, 2, 2, e1), e0=PolyMatrix(R, 2, 2, e0))
+    zero = R.zero()
+    # two components, each starting at degree 0
+    assert mf._grading(stand_in([x, zero, zero, x ** 2], [x ** 2, zero, zero, x])) == (
+        (1,), 3, (0, 0), (-2, -1))
+    # e1 = [[x, x], [x, x^2]] links E0_0, E1_0, E0_1 and E1_1 in a cycle of
+    # degrees 1 + 2 against 1 + 1
+    assert mf._grading(stand_in([x, x, x, x ** 2], [zero] * 4)) is False
+    assert mf._grading(stand_in([x, x, x, x], [zero] * 4))[2:] == ((0, 0), (-2, -2))
+    assert mf._grading(stand_in([x + x ** 2, zero, zero, x], [zero] * 4)) is False
+
+
+def test_each_model_is_graded_once_and_keeps_its_grading(monkeypatch):
+    # fresh corpus objects, so that no earlier test has graded them
+    fresh = corpus._corpus_objects_cached.__wrapped__(QQ)
+    monkeypatch.setattr(corpus, "_corpus_objects_cached", lambda field: fresh)
+    graded = _count_calls(monkeypatch, mf, "_basis_degrees")
+    pairs = corpus.hom_pairs()
+    for _, _, E, F in pairs:
+        hom_dims(E, F)
+    models = {id(M): M for _, _, E, F in pairs for M in map(mf.minimal_model, (E, F)) if M.rank}
+    assert graded == [len(models)]
+    gradings = [mf._grading(M) for M in models.values()]
+    for _, _, E, F in pairs:
+        hom_dims(E, F)
+    assert graded == [len(models)]  # asking again grades nothing
+    assert [mf._grading(M) for M in models.values()] == gradings and all(gradings)

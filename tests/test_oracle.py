@@ -140,7 +140,7 @@ def test_oracle_shares_no_code_with_the_basis_engine():
         expected = [m for k in range(6)
                     for m in sorted((m for m in product(range(k + 1), repeat=nvars)
                                      if sum(m) == k), reverse=True)]
-        assert oracle._monomials_upto(nvars, 5) == expected
+        assert list(oracle._monomials_upto(nvars, 5)) == expected
 
 
 def test_hom_oracle_inserts_each_image_once(monkeypatch):

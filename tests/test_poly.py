@@ -451,6 +451,33 @@ def test_matrix_block():
         PolyMatrix.block([[a, PolyMatrix.zeros(R, 3, 1)]])
 
 
+def test_a_matrix_compares_each_rebuilt_ring_once(monkeypatch):
+    # Entries rebuilt in rings equal to the matrix's ring but not it: each
+    # distinct ring is compared once per matrix, however many entries it has.
+    R = ring("x", "y")
+    rebuilt = [ring("x", "y") for _ in range(2)]
+    compared = [0]
+    equal = RingContext.__eq__
+
+    def counted(self, other):
+        compared[0] += 1
+        return equal(self, other)
+    monkeypatch.setattr(RingContext, "__eq__", counted)
+    counts = []
+    for n in (2, 8):
+        entries = [S.variable("x") ** k for k in range(n) for S in rebuilt]
+        compared[0] = 0
+        m = PolyMatrix(R, n, 2, entries)
+        counts.append(compared[0])
+        assert m.entries == tuple(entries)
+    assert counts == [2, 2]
+    compared[0] = 0
+    PolyMatrix.identity(R, 8)  # entries of the matrix's own ring compare nothing
+    assert compared == [0]
+    with pytest.raises(RingMismatch, match="matrix entry in a different ring"):
+        PolyMatrix(R, 1, 2, [R.one(), ring("x", "z").one()])
+
+
 def test_row_echelon_reports_pivot_columns():
     echelon = RowEchelon(QQ)
     assert echelon.insert({2: 3, 5: 1}) == 2
