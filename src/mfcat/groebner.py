@@ -101,8 +101,10 @@ O'Shea, Using Algebraic Geometry, 2.4), in the same encoding: f enters
 through _entry, NF(f) is one _divide, and each power NF(f^k) stays a
 term dict over a scale s, multiplied by NF(f) with _combine, reduced by
 _divide and cleared of its content.  Its coordinates on the standard
-monomials, with s in an extra column e_k, form row k of one RowEchelon;
-the first row whose pivot lands in the e-columns is the relation.
+monomials, numbered as normal forms reach them, with s in an extra column
+e_k, form row k of one RowEchelon; the first row whose pivot, its
+smallest column, lands in the e-columns is the relation, which does not
+depend on how the monomial columns are numbered.
 """
 
 from __future__ import annotations
@@ -710,83 +712,70 @@ def syzygy_basis_of_vectors(vectors, ambient_rank, ring) -> list:
 # dimension counting
 # ---------------------------------------------------------------------------
 
-def _walk(kernel_leads, image_leads, nvars, upto=None):
-    """The monomials of LT(K) outside LT(I), of degree <= upto when given,
-    as {position: {exponents: index of the first kernel lead dividing it}}.
-    The kernel leads are those of any Groebner basis, none of degree > upto:
-    a multiple of a lead that another lead divides is reached from it, or
-    was already seen from the other, so it is counted once either way.
+# No quotient with more standard monomials than this is enumerated, nor a
+# Hilbert range with more monomials of degree <= upto (check_hilbert_range).
+HILBERT_MONOMIAL_LIMIT = 10 ** 6
 
-    From each lead the walk steps by x_j, j never decreasing, and stops at
-    multiples of image leads and at monomials an earlier lead reached; all
-    monomials between the lead and a multiple m outside LT(I) divide m, so
-    m is reached.  Only an image lead l with l_j = m_j + 1 can divide m x_j
-    and not m.  Without upto, INFINITE when at some lead k an x_i is bounded
-    by no image lead l, that is, no l has l_j <= k_j for all j != i.  A walk
-    that passes HILBERT_MONOMIAL_LIMIT monomials at one position raises.
-    """
-    limit = HILBERT_MONOMIAL_LIMIT
+
+def _enumerable(dim):
+    """dim, a count about to be enumerated, refused above HILBERT_MONOMIAL_LIMIT."""
+    if dim is not INFINITE and dim > HILBERT_MONOMIAL_LIMIT:
+        raise ValueError("quotient has more than %d standard monomials" % HILBERT_MONOMIAL_LIMIT)
+    return dim
+
+
+def _dim(kernel_leads, image_leads, nvars, rank):
+    """k-dimension of K/I, that of LT(K)/LT(I) (Macaulay), or INFINITE, for
+    the leads of Groebner bases of I <= K in A^rank: _series_dim of
+    N(A^rank / LT(I)) - N(A^rank / LT(K)) in the standard grading."""
+    ones, degrees = (1,) * nvars, [0] * rank
+    numerator = Counter(_numerator(image_leads, degrees, ones))
+    numerator.subtract(_numerator(kernel_leads, degrees, ones))
+    return _series_dim(numerator, ones)
+
+
+def _walk(kernel_leads, image_leads, nvars):
+    """The monomials of LT(K) outside LT(I), a finite set (_dim), as
+    {position: {exponents: index of the first kernel lead dividing it}},
+    for the leads of any Groebner bases.  From each lead the walk steps by
+    x_j, j never decreasing, and stops at multiples of image leads and at
+    monomials an earlier lead reached; all monomials between the lead and
+    a multiple m outside LT(I) divide m, so m is reached.  Only an image
+    lead l with l_j = m_j + 1 can divide m x_j and not m."""
     found = {}
     for n, (pos, k) in enumerate(kernel_leads):
         leads = [l for p, l in image_leads if p == pos]
-        bounded = set()
-        for l in leads:
-            over = [j for j in range(nvars) if l[j] > k[j]]
-            if not over:
-                break  # l divides k
-            if len(over) == 1:
-                bounded.add(over[0])
-        else:
-            if upto is None and len(bounded) < nvars:
-                return INFINITE
-            seen = found.setdefault(pos, {})
-            seen.setdefault(k, n)
-            stack = [(k, 0, sum(k))]
-            while stack:
-                m, first, degree = stack.pop()
-                if degree == upto:
+        if any(_divides(l, k) for l in leads):
+            continue
+        seen = found.setdefault(pos, {})
+        seen.setdefault(k, n)
+        stack = [(k, 0)]
+        while stack:
+            m, first = stack.pop()
+            for j in range(first, nvars):
+                e = m[j] + 1
+                c = m[:j] + (e,) + m[j + 1:]
+                if c in seen or any(l[j] == e and _divides(l, c) for l in leads):
                     continue
-                for j in range(first, nvars):
-                    e = m[j] + 1
-                    c = m[:j] + (e,) + m[j + 1:]
-                    if c in seen or any(l[j] == e and _divides(l, c) for l in leads):
-                        continue
-                    seen[c] = n
-                    if len(seen) > limit:
-                        raise ValueError("quotient has more than %d standard monomials"
-                                         " at one position" % limit)
-                    stack.append((c, j, degree + 1))
+                seen[c] = n
+                stack.append((c, j))
     return found
 
 
-def _standard(G, upto=None):
-    """The _walk of the monomials of A^r outside LT(G)."""
-    units = [(pos, (0,) * G.ring.nvars) for pos in range(G._rank)]
-    return _walk(units, G.leading_terms(), G.ring.nvars, upto)
-
-
 def standard_monomials(G: GroebnerBasis):
-    """Monomials of A^r outside the lead-term module, or INFINITE.
-
-    Returns a list of (position, exponent-tuple) sorted by position then
-    by the ring's monomial order, ascending.
-    """
-    found = _standard(G)
-    if found is INFINITE:
+    """Monomials of A^r outside the lead-term module, as (position,
+    exponents) sorted by position, then by the ring's order; or INFINITE."""
+    if _enumerable(quotient_dim(G)) is INFINITE:
         return INFINITE
+    n = G.ring.nvars
+    found = _walk([(pos, (0,) * n) for pos in range(G._rank)], G.leading_terms(), n)
     return [(pos, m) for pos in sorted(found) for m in sorted(found[pos], key=G.ring.key)]
 
 
 def quotient_dim(G: GroebnerBasis):
     """k-dimension of A / ideal (or A^r / module), or INFINITE."""
-    found = _standard(G)
-    return INFINITE if found is INFINITE else sum(map(len, found.values()))
-
-
-# No walk enumerates more standard monomials than this at one position;
-# hilbert_slices walks at worst every monomial of degree <= upto, so a
-# range with more monomials than this is refused before it walks.
-HILBERT_MONOMIAL_LIMIT = 10 ** 6
+    ones = (1,) * G.ring.nvars
+    return _series_dim(_numerator(G.leading_terms(), [0] * G._rank, ones), ones)
 
 
 def check_hilbert_range(nvars, upto):
@@ -801,98 +790,108 @@ def check_hilbert_range(nvars, upto):
 
 
 def hilbert_slices(G: GroebnerBasis, upto: int = 10):
-    """Counts of standard monomials of each exact total degree 0..upto."""
+    """Counts of standard monomials of each exact total degree 0..upto: the
+    first coefficients of N / (1 - q)^n for the numerator N of A^r / LT(G),
+    one prefix sum per variable."""
     check_hilbert_range(G.ring.nvars, upto)
     out = [0] * (upto + 1)
-    for monos in _standard(G, upto).values():
-        for m in monos:
-            out[sum(m)] += 1
+    for k, c in _numerator(G.leading_terms(), [0] * G._rank, (1,) * G.ring.nvars).items():
+        if k <= upto:
+            out[k] += c
+    for _ in range(G.ring.nvars):
+        for k in range(1, upto + 1):
+            out[k] += out[k - 1]
     return out
 
 
 def _numerator(leads, degrees, weights):
     """The numerator N of the Hilbert series N / prod_i (1 - q^weights[i])
     of A^r modulo the monomial module of `leads`, (position, exponents)
-    pairs, with position p in degree degrees[p]: a Counter {degree:
+    pairs, with position p in degree degrees[p]: a dict {degree:
     coefficient}, the sum over the positions of q^degrees[p] N(I_p)."""
     ideals = [[] for _ in degrees]
     for pos, exps in leads:
         ideals[pos].append(exps)
-    out = Counter()
+    out = {}
     for d, gens in zip(degrees, ideals):
-        for k, c in _ideal_numerator(set(gens), weights).items():
-            out[d + k] += c
+        for k, c in _ideal_numerator(_minimal(gens), weights).items():
+            out[d + k] = out.get(d + k, 0) + c
     return out
 
 
+def _minimal(gens):
+    """The minimal generators of the monomial ideal of exponent tuples: a
+    proper divisor has a lower degree, so each is tested against those kept."""
+    kept = []
+    for g in sorted(set(gens), key=sum):
+        if not any(all(map(le, h, g)) for h in kept):
+            kept.append(g)
+    return kept
+
+
 def _ideal_numerator(gens, weights):
-    """N(A / I) for the monomial ideal I of a set of exponent tuples, by
+    """N(A / I) for the monomial ideal I of minimal generators `gens`, by
     Bigatti's pivot (JPAA 119, 1997): N(I) = N(I + (p)) + q^deg p N(I : p)
     for p = x_i^e, x_i the variable in most of the minimal generators that
     are not pure powers, e the median of their x_i exponents.  p is not in
-    I, as a pure power of x_i dividing it would divide a minimal generator.
-    Generators that are all pure powers are coprime: N = prod (1 - q^deg g)."""
-    gens = [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
+    I, as a pure power of x_i dividing it would divide a minimal generator,
+    so p and the generators with x_i exponent below e are minimal for
+    I + (p); I : p is minimalised.  Coprime generators, all pure powers,
+    give N = prod (1 - q^deg g)."""
     mixed = [g for g in gens if len(g) - g.count(0) > 1]
     if not mixed:
-        out = Counter({0: 1})
+        out = {0: 1}
         for g in gens:
             d = sum(map(mul, weights, g))
             for k, c in list(out.items()):
-                out[k + d] -= c
+                out[k + d] = out.get(k + d, 0) - c
         return out
-    counts = [sum(1 for g in mixed if g[i]) for i in range(len(weights))]
+    counts = [sum(map(bool, column)) for column in zip(*mixed)]
     i = counts.index(max(counts))
     exps = sorted(g[i] for g in mixed if g[i])
     e = exps[len(exps) // 2]
     pivot = tuple(e if j == i else 0 for j in range(len(weights)))
-    out = _ideal_numerator({g for g in gens if g[i] < e} | {pivot}, weights)
-    colon = {g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens}
+    out = _ideal_numerator([g for g in gens if g[i] < e] + [pivot], weights)
+    colon = _minimal(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
     for k, c in _ideal_numerator(colon, weights).items():
-        out[k + e * weights[i]] += c
+        k += e * weights[i]
+        out[k] = out.get(k, 0) + c
     return out
 
 
 def _series_dim(numerator, weights):
-    """The sum of the coefficients of numerator / prod_i (1 - q^weights[i]),
-    a k-dimension, or INFINITE when the division leaves a remainder, for
-    then the series has infinitely many terms.  Each factor divides out
-    exactly iff the quotient's top `w` coefficients vanish."""
-    degrees = [k for k, c in numerator.items() if c]
-    if not degrees:
-        return 0
-    low = min(degrees)
-    coeffs = [0] * (max(degrees) - low + 1)
-    for k in degrees:
-        coeffs[k - low] = numerator[k]
-    for w in weights:
-        for k in range(w, len(coeffs)):
-            coeffs[k] += coeffs[k - w]
-        if any(coeffs[-w:]):
-            return INFINITE
-        del coeffs[-w:]
-    return sum(coeffs)
+    """The k-dimension of a graded module with Hilbert series numerator /
+    prod_i (1 - q^weights[i]), or INFINITE.  By Hilbert-Serre the series
+    has a pole at q = 1 of the order of the module's Krull dimension, so it
+    is finite iff the Taylor coefficients a_j = sum_k c_k C(k - low, j) at
+    q = 1 of numerator / q^low vanish for j < n = len(weights), and then
+    its value at 1, the dimension, is (-1)^n a_n / prod_i weights[i]."""
+    terms = [(k, c) for k, c in numerator.items() if c]
+    low, n = min((k for k, _ in terms), default=0), len(weights)
+    a = [sum(c * math.comb(k - low, j) for k, c in terms) for j in range(n + 1)]
+    if any(a[:n]):
+        return INFINITE
+    return (-1) ** n * a[n] // math.prod(weights)
 
 
 def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
     """(dim A/I, [c_0, ..., c_d]) for the ideal I of G and the monic
     minimal polynomial sum_k c_k t^k of multiplication by f on A/I, the
     c_k field elements; (INFINITE, None) when A/I is infinite.  The rows
-    are described in the module docstring; dim + 1 of them reach a relation."""
+    are described in the module docstring; dim + 1 of them reach a relation,
+    so a dim above HILBERT_MONOMIAL_LIMIT is refused before the first."""
     if G.is_module:
         raise ValueError("expected an ideal Groebner basis")
-    found = _standard(G)
-    if found is INFINITE:
+    dim = _enumerable(quotient_dim(G))
+    if dim is INFINITE:
         return INFINITE, None
-    monos = found.get(0, {})
-    dim = len(monos)
     ring = G.ring
     fld = ring.field
     plus, times, _ = _arith(fld)
     sparse = _sparse([(f,)], ring, 1)
 
     def run(pk):
-        coord = {pk.pack(e): i for i, e in enumerate(monos)}
+        coord = {}  # the standard monomials, numbered as normal forms reach them
         index = _index(G._elems)
         [(terms, d)] = _entry(sparse, ring, 1, pk)
         value, s = _divide(ring, pk, terms, index)
@@ -900,7 +899,7 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
         echelon = RowEchelon(fld)
         power, scale = ({(0, 0): 1} if dim else {}), 1  # NF(1): 0 in the unit ideal
         for k in range(dim + 1):
-            row = {coord[m]: c for (_, m), c in power.items()}
+            row = {coord.setdefault(m, len(coord)): c for (_, m), c in power.items()}
             row[dim + k] = scale
             pivot = echelon.insert(row)
             if pivot >= dim:
@@ -924,8 +923,7 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
 
 def quotient_module_dim(kernel_gens, image_basis, ring=None, ambient_rank=None):
     """k-dimension of the kernel submodule over the image submodule."""
-    dim, _ = subquotient_basis(kernel_gens, image_basis, ring, ambient_rank, want_reps=False)
-    return dim
+    return subquotient_basis(kernel_gens, image_basis, ring, ambient_rank, want_reps=False)[0]
 
 
 def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, want_reps=True):
@@ -940,9 +938,10 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
     Commutative Algebra, 2.1): for I <= K with Groebner bases under one
     order, the monomials m of LT(K) outside LT(I) index a k-basis of K/I.
     m is represented by NF_I(x^a g) for the first basis element g of K
-    with x^a LT(g) = m, listed by position, then by m ascending.  K/I is
-    INFINITE iff for some lead k of K and variable x_i no lead l of I at
-    k's position has l_j <= k_j for all j != i.
+    with x^a LT(g) = m, listed by position, then by m ascending.  The
+    dimension is counted first (_dim): K/I is INFINITE iff the Hilbert
+    series of LT(K)/LT(I) has a pole at q = 1, whose order is its Krull
+    dimension, and a finite K/I is walked for representatives only.
     """
     modules = [m if isinstance(m, GroebnerBasis) else [tuple(v) for v in m]
                for m in (kernel_gens, image_basis)]
@@ -960,11 +959,12 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
                 raise ImageNotInKernel("image element %r lies outside the kernel module" % (
                     _terms_to_vector(e.terms, ring, pk, ambient_rank, scale=e.lc),))
 
-        found = _walk(kernel_gb.leading_terms(), image_gb.leading_terms(), ring.nvars)
-        if found is INFINITE:
-            return INFINITE, []
-        if not want_reps:
-            return sum(map(len, found.values())), []
+        leads = kernel_gb.leading_terms(), image_gb.leading_terms()
+        dim = _dim(*leads, ring.nvars, ambient_rank)
+        if dim is INFINITE or not want_reps:
+            return dim, []
+        _enumerable(dim)
+        found = _walk(*leads, ring.nvars)
         reps = []
         image_index = _index(image_gb._elems)
         for pos in sorted(found):

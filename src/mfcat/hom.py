@@ -67,8 +67,8 @@ monomial order, HS(im M) = HS(A^m) - HS(A^m / LT(im M)), as a
 homogeneous module has a homogeneous Groebner basis; so one untracked
 run on each first block row leaves all the dimensions need.  Every
 series is a numerator over prod_i (1 - q^w_i) (groebner._numerator),
-and a dimension is its value at q = 1, INFINITE when the division leaves
-a remainder.  Every other input (lambda != 0, a W with no positive
+and a dimension its value at q = 1: INFINITE when it has a pole there,
+whose order is the module's Krull dimension.  Every other input (lambda != 0, a W with no positive
 weights, an inhomogeneous entry, basis degrees that disagree) takes the
 syzygy path.
 """

@@ -424,48 +424,57 @@ def test_huge_hilbert_range_is_refused_before_enumerating():
         groebner.hilbert_slices(groebner.buchberger([E.w]), limit)
 
 
-def test_standard_monomial_walk_is_bounded_at_each_position(tmp_path, monkeypatch):
+def test_enumerations_are_refused_by_their_count(tmp_path, monkeypatch):
+    # Counts read Hilbert numerators and have no limit.  Enumerating a
+    # quotient, its standard monomials or subquotient representatives, is
+    # refused by its whole count, at all positions together, before it walks.
     limit = 40
     monkeypatch.setattr(groebner, "HILBERT_MONOMIAL_LIMIT", limit)
     R = RingContext(("x", "y"), QQ)
     x, y = R.gens()
-    assert groebner.quotient_dim(groebner.buchberger([x ** limit, y])) == limit
+    assert len(groebner.standard_monomials(groebner.buchberger([x ** limit, y]))) == limit
+    G = groebner.buchberger([x ** (limit + 1), y])
+    assert groebner.quotient_dim(G) == limit + 1
     with pytest.raises(ValueError, match="more than 40 standard monomials"):
-        groebner.quotient_dim(groebner.buchberger([x ** (limit + 1), y]))
-    # the bound is per position: two positions of `limit` monomials each pass
+        groebner.standard_monomials(G)
+    one = R.one()
+    assert groebner.quotient_module_dim([(one,)], [(x ** (limit + 1),), (y,)], R, 1) == limit + 1
+    with pytest.raises(ValueError, match="more than 40 standard monomials"):
+        groebner.subquotient_basis([(one,)], [(x ** (limit + 1),), (y,)], R, 1)
     zero = R.zero()
     both = groebner.module_groebner([(x ** limit, zero), (y, zero), (zero, y ** limit), (zero, x)],
                                     2, R)
     assert groebner.quotient_dim(both) == 2 * limit
+    with pytest.raises(ValueError, match="more than 40 standard monomials"):
+        groebner.standard_monomials(both)
     # cok of the rank-one factorization (x^e, x) of x^(e+1) counts e monomials
     S = RingContext(("x",), QQ)
     t = S.variable("x")
     for e in (limit, limit + 1):
         path = tmp_path / ("power%d.json" % e)
         files.save(str(path), files.factorization_to_doc(mf.rank_one(S, t ** (e + 1), 0, t ** e, t)))
-        if e == limit:
-            res = run("--format", "machine", "cok", str(path))
-            assert res.exit_code == 0 and json.loads(res.output)["dimension"] == limit
-        else:
-            _one_line_error(run("cok", str(path)))
+        res = run("--format", "machine", "cok", str(path))
+        assert res.exit_code == 0 and json.loads(res.output)["dimension"] == e
 
 
 def test_cokernel_of_a_huge_power_is_counted_or_refused_fast(tmp_path):
-    # cok of (x^e, x) of x^(e+1) has e standard monomials: counted for
-    # e = 10^5, and for e = 10^9 refused on one line once the walk passes
-    # HILBERT_MONOMIAL_LIMIT, as the README promises.
+    # cok of (x^e, x) of x^(e+1) has e standard monomials, counted from the
+    # Hilbert numerator 1 - q^e for e = 10^5 and 10^9 alike, as the README
+    # promises; enumerating the 10^9 of them is refused before any walk.
     S = RingContext(("x",), QQ)
     t = S.variable("x")
     for e in (10 ** 5, 10 ** 9):
         path = tmp_path / ("power%d.json" % e)
         files.save(str(path), files.factorization_to_doc(mf.rank_one(S, t ** (e + 1), 0, t ** e, t)))
         start = time.perf_counter()
-        if e == 10 ** 5:
-            res = run("--format", "machine", "cok", str(path))
-            assert res.exit_code == 0 and json.loads(res.output)["dimension"] == e
-        else:
-            _one_line_error(run("cok", str(path)))
-            assert time.perf_counter() - start < 5
+        res = run("--format", "machine", "cok", str(path))
+        assert res.exit_code == 0 and json.loads(res.output)["dimension"] == e
+        assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than %d standard monomials"
+                       % groebner.HILBERT_MONOMIAL_LIMIT):
+        groebner.standard_monomials(groebner.buchberger([t ** e]))
+    assert time.perf_counter() - start < 5
 
 
 DEEP_JSON = "[" * 200000 + "]" * 200000

@@ -986,13 +986,26 @@ def _monomials_of_degree(nvars, d):
             for rest in _monomials_of_degree(nvars - 1, d - a)]
 
 
+def _scan(leads, rank, nvars, upto, weights=None, shifts=None):
+    """Standard monomials of each degree 0..upto, every monomial tested
+    against every lead: x_i of degree weights[i] (default 1), position p
+    raised by shifts[p] >= 0 (default 0)."""
+    weights = weights or (1,) * nvars
+    shifts = shifts or [0] * rank
+    counts = [0] * (upto + 1)
+    for pos in range(rank):
+        for d in range(upto - shifts[pos] + 1):  # a weighted degree is at least d
+            for m in _monomials_of_degree(nvars, d):
+                k = shifts[pos] + sum(map(operator.mul, weights, m))
+                if k <= upto and not any(p == pos and all(a <= b for a, b in zip(l, m))
+                                         for p, l in leads):
+                    counts[k] += 1
+    return counts
+
+
 def _scan_slices(G, upto):
     """Standard monomials of each degree, every monomial tested against every lead."""
-    leads = G.leading_terms()
-    return [sum(1 for pos in range(G.ambient_rank or 1)
-                for m in _monomials_of_degree(G.ring.nvars, d)
-                if not any(p == pos and all(a <= b for a, b in zip(l, m)) for p, l in leads))
-            for d in range(upto + 1)]
+    return _scan(G.leading_terms(), G.ambient_rank or 1, G.ring.nvars, upto)
 
 
 def _monomial(R, exps):
@@ -1093,14 +1106,19 @@ def test_subquotient_walk_matches_the_box_and_the_first_kernel_lead():
     assert seen == {True, False}
 
 
-def test_hilbert_slices_test_few_leads_per_standard_monomial(monkeypatch):
+def test_standard_monomial_walk_tests_few_leads_per_monomial(monkeypatch):
     # Only an image lead l with l_j = m_j + 1 can divide m x_j and not m,
-    # so the walk makes 82 divisibility tests for the 24,682 standard
-    # monomials of coker(e1) of knorrer(pair:uv) up to degree 40, where
-    # testing every monomial against every lead made 283,843.
-    from mfcat import corpus, groebner
-    E = corpus.lookup("knorrer(pair:uv)")
-    G = module_groebner(E.e1.columns(), E.rank, E.ring)
+    # so the walk makes 2,038 divisibility tests for the 14,425 standard
+    # monomials of this rank-2 module, where testing every monomial
+    # against every lead at its position would make 77,300.
+    from mfcat import groebner
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    zero = R.zero()
+    G = module_groebner(
+        [(g, zero) for g in (x ** 30, y ** 30, z ** 30, x ** 10 * y ** 10, y ** 12 * z ** 15,
+                             x ** 20 * z ** 5)]
+        + [(zero, g) for g in (x ** 20, y ** 20, z ** 20, x ** 5 * y ** 5 * z ** 5)], 2, R)
     calls = [0]
     divides = groebner._divides
 
@@ -1108,13 +1126,13 @@ def test_hilbert_slices_test_few_leads_per_standard_monomial(monkeypatch):
         calls[0] += 1
         return divides(a, b)
     monkeypatch.setattr(groebner, "_divides", counted)
-    slices = hilbert_slices(G, 40)
-    assert sum(slices) == 24682
-    assert calls[0] < 2 * sum(slices)
+    monomials = standard_monomials(G)
+    assert len(monomials) == quotient_dim(G) == 14425
+    assert calls[0] < 2 * len(monomials)
 
 
 # ---------------------------------------------------------------------------
-# Hilbert numerators against the walk
+# Hilbert numerators against the box and the scan
 # ---------------------------------------------------------------------------
 
 def _seeded_leads(rng, n, N):
@@ -1148,11 +1166,11 @@ def _series(numerator, weights, low, top):
 
 
 @pytest.mark.parametrize("weighted", (False, True), ids=("unweighted", "weighted"))
-def test_hilbert_numerators_match_the_walk(weighted):
-    """The numerator gives the walk's count of standard monomials, or
-    INFINITE where the walk finds an unbounded variable, and its series
-    counts the standard monomials degree by degree: position p in degree
-    degrees[p], x_i of degree weights[i]."""
+def test_hilbert_numerators_match_the_box_and_the_scan(weighted):
+    """The numerator gives the box's count of standard monomials, or
+    INFINITE where the box finds an unbounded variable, and its series
+    counts the standard monomials degree by degree as a scan of every
+    monomial does: position p in degree degrees[p], x_i of degree weights[i]."""
     from mfcat import groebner
     rng = random.Random("numerator/%s" % weighted)
     seen = set()
@@ -1162,20 +1180,13 @@ def test_hilbert_numerators_match_the_walk(weighted):
         degrees = [rng.randint(-3, 3) for _ in range(N)]
         leads = _seeded_leads(rng, n, N)
         numerator = groebner._numerator(leads, degrees, weights)
-        units = [(pos, (0,) * n) for pos in range(N)]
-        walked = groebner._walk(units, leads, n)
+        boxed = _box_difference([(pos, (0,) * n) for pos in range(N)], leads, n, tuple)
         dim = groebner._series_dim(numerator, weights)
         seen.add(dim is INFINITE)
-        assert dim == (INFINITE if walked is INFINITE
-                       else sum(map(len, walked.values()))), trial
+        assert dim == (INFINITE if boxed is INFINITE else len(boxed)), trial
         low, top = min(degrees), max(degrees) + 8
-        counts = [0] * (top - low + 1)
-        for pos, monos in groebner._walk(units, leads, n, top - low).items():
-            for m in monos:
-                d = degrees[pos] + sum(map(operator.mul, weights, m))
-                if d <= top:
-                    counts[d - low] += 1
-        assert _series(numerator, weights, low, top) == counts, trial
+        assert (_series(numerator, weights, low, top)
+                == _scan(leads, N, n, top - low, weights, [d - low for d in degrees])), trial
     assert seen == {True, False}
 
 
@@ -1197,6 +1208,36 @@ def test_hilbert_numerators_of_small_modules():
     assert groebner._series_dim(groebner._numerator([(0, (0, 0))], [5], (1, 1)), (1, 1)) == 0
     assert groebner._series_dim(groebner._numerator([], [], (1,)), (1,)) == 0
     assert groebner._series_dim(groebner._numerator([], [0, 4], ()), ()) == 2
+
+
+def test_counts_read_numerators_and_never_walk(monkeypatch):
+    """With _walk raising, every count still answers: quotient dimensions,
+    Hilbert slices, cokernels, critical values and ungraded Hom dimensions.
+    minimal_polynomial refuses a count above the limit before it computes
+    its first normal form."""
+    from mfcat import corpus, groebner, hom, mf, mirror
+
+    def refused(*args):
+        raise AssertionError("called")
+    monkeypatch.setattr(groebner, "_walk", refused)
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    assert quotient_dim(buchberger([x ** 80, y ** 80, z ** 80], R)) == 512000
+    dp6 = mirror.build_superpotential(mirror.preset("dP6"))
+    params = {p: 1 for p in dp6.param_names}
+    G = mirror.critical_ideal(dp6, params)
+    assert hilbert_slices(G, 4) == [1, 3, 2, 0, 0]
+    assert mirror.critical_values(dp6, params).count == 6
+    cokernel = mf.cokernel_presentation(corpus.lookup("knorrer(pair:uv)"), 4)
+    assert (cokernel.dimension, cokernel.hilbert) == (INFINITE, (2, 6, 12, 20, 30))
+    S = ring("x")
+    t = S.variable("x")
+    E = mf.rank_one(S, t ** 2 - 2 * t + 2, 1, t - 1, t - 1)  # W - 1 = (x - 1)^2
+    assert hom._homology(E, E, want_reps=False)[0] == (1, 1)
+    monkeypatch.setattr(groebner, "HILBERT_MONOMIAL_LIMIT", 5)
+    monkeypatch.setattr(groebner, "_divide", refused)
+    with pytest.raises(ValueError, match="more than 5 standard monomials"):
+        minimal_polynomial(G.ring.gens()[0], G)
 
 
 # ---------------------------------------------------------------------------

@@ -855,29 +855,29 @@ def _non_minimal(leads):
 def test_unreduced_dims_of_rebuilt_ends_match_the_full_complex(field, monkeypatch):
     """Dimensions from the unreduced runs on the first block rows equal the
     counts of the full complex, built independently with reduced bases, on
-    ends rebuilt from separate documents; many of the dims walks start from
+    ends rebuilt from separate documents; many of the dims counts start from
     kernel leads that are not minimal."""
     from mfcat import groebner, hom
     inputs = [(name, _rebuilt(S), _rebuilt(T)) for name, S, T in _half_height_inputs(field)]
-    walk, walks = groebner._walk, []
+    count, counts = groebner._dim, []
 
-    def recorded(kernel_leads, image_leads, nvars, upto=None):
-        walks.append((_non_minimal(kernel_leads), _non_minimal(image_leads)))
-        return walk(kernel_leads, image_leads, nvars, upto)
-    monkeypatch.setattr(groebner, "_walk", recorded)
+    def recorded(kernel_leads, image_leads, nvars, rank):
+        counts.append((_non_minimal(kernel_leads), _non_minimal(image_leads)))
+        return count(kernel_leads, image_leads, nvars, rank)
+    monkeypatch.setattr(groebner, "_dim", recorded)
     start = time.perf_counter()
     non_minimal = [0, 0]
     for name, S, T in inputs:
         assert S.ring is not T.ring, name
         half = hom._homology(S, T, want_reps=False)[0]
-        assert len(walks) == 2, name
+        assert len(counts) == 2, name
         for k in range(2):
-            non_minimal[k] += sum(w[k] for w in walks)
-        del walks[:]
+            non_minimal[k] += sum(c[k] for c in counts)
+        del counts[:]
         assert half == hom._homology(S, T, want_reps=True)[0], name
-        assert not any(map(any, walks)), name  # reduced bases have minimal leads
-        del walks[:]
-    # of the 542 dims walks, 26 over Q and 21 over F_32749 start from kernel
+        assert not any(map(any, counts)), name  # reduced bases have minimal leads
+        del counts[:]
+    # of the 542 dims counts, 26 over Q and 21 over F_32749 start from kernel
     # leads that are not minimal, and 538 in each meet image leads that are not
     assert non_minimal[0] >= 10 and non_minimal[1] >= 200
     assert time.perf_counter() - start < 2
