@@ -41,6 +41,16 @@ is never used when syzygies are kept, where it would lose the Koszul
 syzygies; it drops a new pair after M/F, so that the pair still removes
 others.
 
+So the update runs by lead position: inserting h scans only the live
+pairs queued at h's position (B) and the elements there that still form
+pairs (M/F and their pruning); positions where B never runs keep no pair
+list.  All pairs wait in one heap of [lcm degree, i, j, lcm], the only
+selection order.  A pair B drops leaves its position's list and is
+marked dead, and the heap skips it when it pops it (lazy deletion);
+nothing is re-heapified.  (degree, i, j) is unique to a pair, so the live
+pairs leave the heap in the order a rebuilt heap gives, and no S-pair
+reduction, basis or witness changes.
+
 Monomials are packed (Monagan-Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
 kernel term is (position, m) for an int m holding a degree field above
@@ -386,8 +396,9 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
     coprime = rank == 1 and not syzygies
     basis = []
     index = {}   # the basis by lead position, as _divide takes it
-    active = []  # indices of the elements that still form new pairs
-    pairs = []   # heap of (lcm degree, i, j, lcm)
+    active = {}  # by lead position, the indices of elements that still form new pairs
+    queued = {}  # by lead position where B runs, the queued pairs
+    pairs = []   # heap of [lcm degree, i, j, lcm]; lcm is None once dead or popped
 
     def insert(terms, lt):
         e = _Elem(terms, lt, fld, pk)
@@ -397,35 +408,49 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
         n = len(basis)
         basis.append(e)
         index.setdefault(pos, []).append(e)
-        # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
+        queue = None
         if pos >= rank or not syzygies:
-            pairs[:] = [p for p in pairs
-                        if not (basis[p[1]].lt[0] == pos and _divides(h, p[3])
-                                and _lcm(basis[p[1]].exps, h) != p[3]
-                                and _lcm(basis[p[2]].exps, h) != p[3])]
-            heapq.heapify(pairs)
+            # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
+            queue = queued.setdefault(pos, [])
+            kept = []
+            for p in queue:
+                _, i, j, lcm = p
+                if lcm is None:
+                    continue  # popped since the last scan
+                if (_divides(h, lcm) and _lcm(basis[i].exps, h) != lcm
+                        and _lcm(basis[j].exps, h) != lcm):
+                    p[3] = None  # dead: skipped when popped
+                else:
+                    kept.append(p)
+            queue[:] = kept
         # M and F: of the new pairs keep one per minimal lcm
+        mine = active.setdefault(pos, [])
         new = {}
-        for i in active:
-            if basis[i].lt[0] == pos:
-                new.setdefault(_lcm(basis[i].exps, h), []).append(i)
+        for i in mine:
+            new.setdefault(_lcm(basis[i].exps, h), []).append(i)
         for lcm, group in new.items():
             if any(m != lcm and _divides(m, lcm) for m in new):
                 continue
             degree = sum(lcm)
             if coprime and any(sum(basis[i].exps) + sum(h) == degree for i in group):
                 continue  # coprime leads reduce to zero (ideal case only)
-            heapq.heappush(pairs, (degree, group[0], n, lcm))
-        active[:] = [i for i in active
-                     if not (basis[i].lt[0] == pos and _divides(h, basis[i].exps))]
-        active.append(n)
+            pair = [degree, group[0], n, lcm]
+            heapq.heappush(pairs, pair)
+            if queue is not None:
+                queue.append(pair)
+        mine[:] = [i for i in mine if not _divides(h, basis[i].exps)]
+        mine.append(n)
 
     for terms, _ in inputs:
         if terms:
             insert(terms, pk.lead(terms))
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        pair = heapq.heappop(pairs)
+        _, i, j, lcm = pair
+        if lcm is None:
+            continue  # dropped by B since it was queued
+        pair[3] = None  # popped: its position's next B scan forgets it
         rem = _s_remainder(ring, pk, basis[i], basis[j], lcm, index)
         if rem:
             insert(rem, next(iter(rem)))  # remainders come out descending
@@ -437,21 +462,19 @@ def _reduce(ring, pk, basis):
     """The reduced basis spanned by a Groebner basis of _Elems, sorted by
     descending lead.  Reuses (and rewrites) the given _Elems."""
     desc = pk.desc
-    # minimalize: drop any element whose lead is divisible by another's
-    order = sorted(range(len(basis)),
-                   key=lambda i: (-basis[i].lt[0], -desc(basis[i].lt[1]), i))
-    kept = []
-    for i in order:
-        e = basis[i]
-        if not any(basis[j].lt[0] == e.lt[0] and _divides(basis[j].exps, e.exps)
-                   for j in kept):
-            kept.append(i)
-    reduced = [basis[i] for i in kept]  # ascending lead order
+    # minimalize: drop any element whose lead another's at its position
+    # divides, testing it against the kept elements at that position only
+    reduced = []  # ascending lead order
+    index = {}    # the kept elements by lead position, an _index of `reduced`
+    for e in sorted(basis, key=lambda e: (-e.lt[0], -desc(e.lt[1]))):
+        mine = index.setdefault(e.lt[0], [])
+        if not any(_divides(f.exps, e.exps) for f in mine):
+            mine.append(e)
+            reduced.append(e)
 
     # tail-reduce, ascending: reducers always have smaller leads and are done.
     # No other lead divides e's lead, and e's lead divides no smaller term,
     # so e may stay in the index while its tail is divided.
-    index = _index(reduced)
     for e in reduced:
         tail = dict(e.terms)
         del tail[e.lt]

@@ -973,6 +973,24 @@ def test_graded_dims_agree_with_the_syzygy_path(field, monkeypatch):
     assert kinds["cone"] >= 25 and infinite >= 1
 
 
+def test_graded_dims_pin_their_s_pair_reductions(monkeypatch):
+    # The graded path's two untracked image runs on the rank-8 tensor make
+    # 401 S-pair reductions, and one hom_dims sweep over the corpus pairs
+    # over Q makes 3,570.  The pair update by lead position selects the
+    # pairs a scan of the whole queue would, so neither count may move.
+    from mfcat import groebner
+    reductions = _count_calls(monkeypatch, groebner, "_s_remainder")
+    image_runs = _count_calls(monkeypatch, groebner, "_image_leads")
+    syzygy_runs = _count_calls(monkeypatch, hom, "_homology")
+    E = _rank8()
+    assert hom_dims(E, E).dims() == (8, 8)
+    assert (reductions, image_runs) == ([401], [2])
+    reductions[0] = 0
+    for _, _, S, T in corpus.hom_pairs():
+        hom_dims(S, T)
+    assert reductions == [3570] and syzygy_runs == [0]
+
+
 def _ungraded_pairs(field):
     """(name, model, model) pairs that have no grading: lambda != 0,
     inhomogeneous changes of basis and W = x^2 + x^3, whose one weight is 0."""
