@@ -9,18 +9,18 @@ unimodular basis, and a non-basis ray's q-exponents are a row of the
 inverse of the relations restricted to the non-basis rays.
 
 Critical points on the algebraic torus are counted through the ideal
-generated by the cleared logarithmic derivatives Y_i dW/dY_i together
-with the torus localizer z Y_1 ... Y_n - 1.  In its quotient algebra
-z Y_1 ... Y_n = 1, so W is the polynomial W (z Y_1 ... Y_n)^a for a the
-largest of 0 and minus the exponents of W.  Critical values come from
-the minimal polynomial of multiplication by that polynomial
+I = (Y_i dW/dY_i, z Y_1 ... Y_n - 1) of Q[Y, z] (Cox-Little-O'Shea, Ideals,
+Varieties, and Algorithms, 4.2), each Laurent term Y^e written as
+Y^(e + a 1) z^a, a = max(0, -min e).  That is Y^e (z Y_1 ... Y_n)^a, and
+(z Y_1 ... Y_n)^a = 1 modulo the localizer, which I contains; so I is the
+full preimage of the Laurent critical ideal, whatever the lift.  Critical
+values come from the minimal polynomial of multiplication by the lifted W
 (groebner.minimal_polynomial).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
                    PolyError, univariate_gcd)
@@ -234,21 +234,23 @@ def _substituted_w(w_spec, params):
     raise TypeError("expected a SuperpotentialSpec or LaurentPolynomial")
 
 
-def _critical_basis(W) -> groebner.GroebnerBasis:
-    """Basis of the cleared Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex).
+def _on_torus(W, ring) -> Polynomial:
+    """W in ring, each term Y^e as Y^(e + a 1) z^a, a = max(0, -min e): one-to-one on terms."""
+    out = {}
+    for e, c in W.terms.items():
+        a = -min((0,) + e)
+        out[tuple(x + a for x in e) + (a,)] = QQ.coerce(c)
+    return Polynomial(ring, out)
 
-    Y_i dW/dY_i multiplies each term of W by its Y_i exponent; each is
-    cleared by its own least monomial Y^s, s_j = max(0, -min e_j) over its
-    terms."""
+
+def _critical_basis(W) -> groebner.GroebnerBasis:
+    """Basis of Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex).
+
+    Each term is lifted by _on_torus, that is multiplied by (z Y1 ... Yn)^a,
+    which is 1 mod z Y1 ... Yn - 1: for P^n the generators are Y_i - q z."""
     n = W.ring.nvars
-    fld = W.ring.field
     ring = RingContext(W.ring.variables + ("z",), QQ, "grevlex")
-    gens = []
-    for i in range(n):
-        terms = {e: fld.mul(c, k) for e, c in W.terms.items() if (k := fld.coerce(e[i]))}
-        shift = [max([0] + [-e[j] for e in terms]) for j in range(n)]
-        gens.append(Polynomial(ring, {tuple(map(add, e, shift)) + (0,): QQ.coerce(c)
-                                      for e, c in terms.items()}))
+    gens = [_on_torus(W.log_derivative(i), ring) for i in range(n)]
     gens.append(Polynomial(ring, {(1,) * (n + 1): QQ.one, (0,) * (n + 1): -QQ.one}))
     return groebner.buchberger(gens, ring)
 
@@ -287,16 +289,13 @@ def critical_values(w_spec, params=None) -> CriticalReport:
 
     Both are read in the algebra of critical_ideal, Q[Y1..Yn, z]/I: the
     count is its number of standard monomials (InfiniteCriticalLocus when
-    they are infinite).  As z Y1 ... Yn = 1 there, W is the polynomial
-    W (z Y1 ... Yn)^a, a the largest of 0 and minus the exponents of W;
-    the eliminant is the monic minimal polynomial of multiplication by it.
+    they are infinite).  W is lifted as the generators are (_on_torus), so
+    it is W in the algebra; the eliminant is the monic minimal polynomial
+    of multiplication by it.
     """
     W = _substituted_w(w_spec, params)
     gb = _critical_basis(W)
-    a = max([0] + [-x for e in W.terms for x in e])
-    value = Polynomial(gb.ring, {tuple(x + a for x in e) + (a,): QQ.coerce(c)
-                                 for e, c in W.terms.items()})
-    count, coefficients = groebner.minimal_polynomial(value, gb)
+    count, coefficients = groebner.minimal_polynomial(_on_torus(W, gb.ring), gb)
     if count is groebner.INFINITE:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     wring = RingContext(("w",), QQ, "lex")

@@ -1,4 +1,6 @@
 import json
+import random
+import signal
 import time
 
 import pytest
@@ -670,3 +672,96 @@ def test_fan_verbs_refuse_unknown_presets_and_fibers_of_surfaces(args, message):
     res = run(*args)
     _one_line_error(res)
     assert res.stderr == "error: %s\n" % message
+
+
+# ---------------------------------------------------------------------------
+# a seeded structural fuzzer: canonical documents with one or two leaves or
+# subtrees replaced, or a key deleted, each sent to one verb of its kind
+# ---------------------------------------------------------------------------
+
+# raw JSON text, so that numbers too long for json.dumps and NaN go in as written
+FUZZ_VALUES = ['""', '"x^99999999999"', '"1/0"', "1" + "0" * 400, "NaN", "[[[]]]", '"Fp:4"',
+               "9" * 5000, "-1", "0", "2", "3", '"x"', '"x^2 - 1"', "null", "true", "0.5", "{}"]
+FUZZ_RUNS = 200
+FUZZ_ALARM_S = 2
+
+
+class _Alarm(BaseException):
+    pass
+
+
+def _slots(node):
+    """(container, key) of every value below node, subtrees included."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+def _mutated(doc, rng):
+    doc = json.loads(json.dumps(doc))
+    raw = []
+    for _ in range(rng.randint(1, 2)):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = rng.choice(slots)
+        value = container[key]
+        if isinstance(value, int) and not isinstance(value, bool) and rng.random() < 0.5:
+            container[key] = value + rng.choice((-2, -1, 1, 2))
+        elif isinstance(container, dict) and rng.random() < 0.2:
+            del container[key]
+        else:
+            container[key] = "@%d@" % len(raw)
+            raw.append(rng.choice(FUZZ_VALUES))
+    text = json.dumps(doc)
+    for i, value in enumerate(raw):
+        text = text.replace('"@%d@"' % i, value)
+    return text
+
+
+def _fan_verbs(name):
+    params = [a for p in preset(name).parameter_names for a in ("--param", "%s=1" % p)]
+    return [lambda f: ["mirror-build", f], lambda f: ["mirror-count", f, *params],
+            lambda f: ["mirror-values", f, *params], lambda f: ["mirror-fiber", f, *params]]
+
+
+def test_cli_contract_under_a_seeded_structural_fuzzer(tmp_path):
+    # exit 0, 1 or 2; exit 1 prints exactly one error: line; nothing escapes
+    # and no run passes the alarm
+    factorization_verbs = [lambda f: ["validate", f], lambda f: ["shift", f],
+                           lambda f: ["cok", f], lambda f: ["knorrer", f],
+                           lambda f: ["hom", f, f]]
+    morphism_verbs = [lambda f: ["cone", f], lambda f: ["nullhomotopic", f],
+                      lambda f: ["equiv", f]]
+    cases = [(files.factorization_to_doc(E), factorization_verbs)
+             for E in (a1(), corpus.power_factorization(3, 2), corpus.product_factorization(),
+                       corpus.power_factorization(2, 1, field=PrimeField(7)))]
+    cases.append((_morphism_doc(), morphism_verbs))
+    cases += [(files.toric_to_doc(preset(name)), _fan_verbs(name)) for name in ("P1", "P2", "F1")]
+
+    def ring(signum, frame):
+        raise _Alarm()
+    rng = random.Random(67)
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        for i in range(FUZZ_RUNS):
+            doc, verbs = rng.choice(cases)
+            text = _mutated(doc, rng)
+            path = tmp_path / ("doc%d.json" % i)
+            path.write_text(text)
+            args = ["--format", rng.choice(("human", "machine"))] + rng.choice(verbs)(str(path))
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S)
+            try:
+                res = run(*args, catch_exceptions=False)
+            except (Exception, _Alarm) as exc:
+                pytest.fail("%s on %.300s: %r" % (args[2], text, exc))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert res.exit_code in (0, 1, 2), (args[2], text[:300], res.output)
+            if res.exit_code == 1:
+                lines = res.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (args[2], text[:300])
+    finally:
+        signal.signal(signal.SIGALRM, previous)

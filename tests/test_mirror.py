@@ -144,8 +144,10 @@ def test_critical_values_reduce_few_s_pairs(monkeypatch):
     # Without the Gebauer-Moeller pair criteria these counts were
     # P1 19, P2 55, P3 126, F1 92 and dP6 171; with them 8, 13, 19, 20, 41
     # while W was adjoined as a variable w; in the critical ideal's own
-    # algebra they are 3, 7, 12, 12, 18.
-    bounds = {"P1": 4, "P2": 9, "P3": 14, "F1": 14, "dP6": 22}
+    # algebra 3, 7, 12, 12, 18 with each generator cleared by its least
+    # monomial; with each term lifted on its own (Y_i - q z for P^n) they
+    # are 1, 1, 1, 2, 12.
+    bounds = {"P1": 1, "P2": 1, "P3": 1, "F1": 2, "dP6": 12}
     reductions = [0]
     original = groebner._s_remainder
 
@@ -331,10 +333,25 @@ def _bare_potentials():
         (R2, "Y1*Y2 + Y1^-1 + 1/2*Y2^-3"), (R2, "Y1 + Y1^-1"), (R2, "Y1*Y2 + Y1^-1*Y2^-1"))]
 
 
-def test_critical_generators_match_the_three_step_construction(monkeypatch):
-    # each cleared Y_i dW/dY_i is built in one step; it must equal
-    # log_derivative -> clear_denominators -> extend term for term, in the
-    # same order, and the S-pair counts of critical_values stay as they were
+def _three_step_basis(W):
+    # the construction before the term-by-term lift: each Y_i dW/dY_i cleared
+    # by its own least monomial (log_derivative -> clear_denominators -> extend)
+    n = W.ring.nvars
+    ring = RingContext(W.ring.variables + ("z",), QQ, "grevlex")
+    gens = [W.log_derivative(i).clear_denominators()[0].extend(ring) for i in range(n)]
+    gens.append(Polynomial(ring, {(1,) * (n + 1): ring.field.one}) - ring.one())
+    return groebner.buchberger(gens, ring)
+
+
+def _lift(e):
+    a = max([0] + [-x for x in e])
+    return tuple(x + a for x in e) + (a,)
+
+
+def test_critical_generators_are_lifted_term_by_term_to_the_same_basis(monkeypatch):
+    # each term c Y^e of Y_i dW/dY_i becomes c Y^(e + a 1) z^a, a = max(0, -min e);
+    # that is the term times (z Y1 ... Yn)^a = 1 mod the localizer, so the
+    # reduced basis is the one the cleared generators give, in fewer S-pairs
     reductions = [0]
     seen = []
     original, buchberger = groebner._s_remainder, groebner.buchberger
@@ -346,28 +363,38 @@ def test_critical_generators_match_the_three_step_construction(monkeypatch):
     def recorded(gens, ring=None, track=False):
         seen.append((list(gens), ring))
         return buchberger(gens, ring, track)
-    monkeypatch.setattr(groebner, "_s_remainder", counted)
-    monkeypatch.setattr(groebner, "buchberger", recorded)
+    rng = random.Random(59)
     potentials = _bare_potentials()
     for name in sorted(PRESETS) + ["P4"]:
         built = build_superpotential(_fan(name))
         potentials.append(built.substituted({p: 1 for p in built.param_names}))
-    for W in potentials:
+        for _ in range(2):
+            potentials.append(built.substituted({p: Fraction(rng.randint(1, 12), rng.randint(1, 12))
+                                                 for p in built.param_names}))
+    reference = [_three_step_basis(W) for W in potentials]
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    for W, old in zip(potentials, reference):
         del seen[:]
-        mirror.critical_ideal(W)
+        gb = mirror.critical_ideal(W)
         [(gens, ring)] = seen
         n = W.ring.nvars
-        old = [W.log_derivative(i).clear_denominators()[0].extend(ring) for i in range(n)]
-        old.append(Polynomial(ring, {(1,) * (n + 1): ring.field.one}) - ring.one())
-        assert [list(g.terms.items()) for g in gens] == [list(g.terms.items()) for g in old], W
+        lifted = [[(_lift(e), c * e[i]) for e, c in W.terms.items() if e[i]] for i in range(n)]
+        lifted.append([((1,) * (n + 1), 1), ((0,) * (n + 1), -1)])
+        assert [list(g.terms.items()) for g in gens] == lifted, W
         assert all(g.ring is ring for g in gens)
+        assert [g.terms for g in gb.generators] == [g.terms for g in old.generators], W
+    p2 = build_superpotential(preset("P2"))
+    del seen[:]
+    critical_ideal(p2, {"q": 2})
+    assert [str(g) for g in seen[0][0]] == ["Y1 - 2*z", "Y2 - 2*z", "Y1*Y2*z - 1"]
+    monkeypatch.setattr(groebner, "_s_remainder", counted)
     counts = {}
-    for name in ("P1", "P2", "P3", "F1", "dP6"):
-        built = build_superpotential(preset(name))
+    for name in ("P1", "P2", "P3", "P4", "F1", "dP6"):
+        built = build_superpotential(_fan(name))
         reductions[0] = 0
         critical_values(built, {p: 1 for p in built.param_names})
         counts[name] = reductions[0]
-    assert counts == {"P1": 3, "P2": 7, "P3": 12, "F1": 12, "dP6": 18}
+    assert counts == {"P1": 1, "P2": 1, "P3": 1, "P4": 1, "F1": 2, "dP6": 12}
 
 
 def test_critical_values_stay_in_the_kernel(monkeypatch):
