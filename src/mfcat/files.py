@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .poly import (RingContext, QQ, field_from_spec, parse_polynomial,
                    parse_coefficient, PolyError)
@@ -225,6 +226,9 @@ def _parse(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("%s is not valid JSON: %s" % (path, exc)) from None
+    except ValueError:  # the one other refusal: an integer too long for int()
+        raise SchemaError("%s holds an integer of more than %d digits"
+                          % (path, sys.get_int_max_str_digits())) from None
     except RecursionError:
         raise SchemaError("%s nests too deeply to parse" % path) from None
 

@@ -492,7 +492,8 @@ def _reduce(ring, pk, basis):
 
 class GroebnerBasis:
     """Reduced, order-sorted basis of an ideal or submodule, its generators
-    monic; or, inside the package, one as a run left it (_syzygy_run)."""
+    monic; inside the package normal_form also wraps a raw divisor list in
+    one, unreduced and in list order."""
 
     __slots__ = ("ring", "ambient_rank", "_elems", "_pk", "_inputs", "_generators")
 
@@ -666,54 +667,38 @@ def image_and_syzygies(vectors, ambient_rank, ring):
     so the top parts of the elements with leads above the e-block form a
     Groebner basis of the span; reduced, it is module_groebner's basis.
     """
-    return _syzygy_run(_sparse(vectors, ring, ambient_rank), ambient_rank, ring, True)
+    return _syzygy_run(_sparse(vectors, ring, ambient_rank), ambient_rank, ring)
 
 
-def _syzygy_run(vectors, r, ring, reduced):
-    """image_and_syzygies of _entry's sparse vectors: both bases reduced, or
-    as the run leaves them, Groebner bases in stored form all the same."""
+def _syzygy_run(vectors, r, ring):
+    """image_and_syzygies of _entry's sparse vectors."""
     def run(pk):
         image, syz = [], []
         inputs = _entry(vectors, ring, r, pk, track=True)
         for e in _buchberger_core(ring, pk, inputs, r, syzygies=True):
             pos, m = e.lt
-            if pos < r:  # strip the e-block, which may hold the content
+            if pos < r:  # strip the e-block; _reduce restores the stored form
                 e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
-                e.normalise(ring.field)
                 image.append(e)
             else:  # a lead in the e-block puts every term there
                 e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
                 e.lt = (pos - r, m)
                 syz.append(e)
-        if reduced:
-            image, syz = _reduce(ring, pk, image), _reduce(ring, pk, syz)
-        return GroebnerBasis(ring, r, image, pk), GroebnerBasis(ring, len(inputs), syz, pk)
+        return (GroebnerBasis(ring, r, _reduce(ring, pk, image), pk),
+                GroebnerBasis(ring, len(inputs), _reduce(ring, pk, syz), pk))
     return _run(ring, (), run)
 
 
-def _image_leads(vectors, r, ring):
-    """The leads (position, exponents) of a Groebner basis of the span of
-    _entry's sparse vectors in A^r, as one untracked run leaves it."""
-    return _run(ring, (), lambda pk: [(e.lt[0], e.exps) for e in _buchberger_core(
-        ring, pk, _entry(vectors, ring, r, pk), r)])
-
-
-def _project(G, r):
-    """A Groebner basis of the projection of G's module onto its first r
-    positions, reduced if G is, read off G when every lead lies among them.
-
-    Then no nonzero element of the module lies in positions r and up, its
-    lead being a multiple of one of G's, so the projection is injective
-    and keeps every lead: the projected elements are a Groebner basis, and
-    dropping tail terms keeps a reduced one reduced.  Raises AssertionError
-    when a lead lies at position r or later, where the projection forgets it.
-    """
-    if any(e.lt[0] >= r for e in G._elems):
-        raise AssertionError("a basis lead lies outside the first %d positions" % r)
-    fld, pk = G.ring.field, G._pk
-    return GroebnerBasis(G.ring, r, [
-        _Elem({t: c for t, c in e.terms.items() if t[0] < r}, e.lt, fld, pk)
-        for e in G._elems], pk)
+def _leads(vectors, r, ring, track):
+    """(image leads, syzygy leads), as (position, exponents), of the bases
+    one run on _entry's sparse vectors in A^r leaves; untracked, no syzygies."""
+    def run(pk):
+        leads = [(e.lt[0], e.exps) for e in _buchberger_core(
+            ring, pk, _entry(vectors, ring, r, pk, track), r, track)]
+        if not track:
+            return leads, []
+        return [t for t in leads if t[0] < r], [(p - r, x) for p, x in leads if p >= r]
+    return _run(ring, (), run)
 
 
 def syzygy_module(vectors, ambient_rank, ring) -> GroebnerBasis:

@@ -17,9 +17,8 @@ reader takes those columns as they are; HomComplex is their public view.
 Morphism spaces of the homotopy category are the degree-0 homology of
 this complex.  One Buchberger run per differential gives Groebner bases
 of its kernel (its columns' syzygies) and its image (their span), whose
-leads, against the other differential's image, give dimensions and
-representatives (subquotient_basis); only representatives, being normal
-forms, need the bases reduced.
+leads alone, against the other differential's image, give dimensions;
+representatives, being normal forms, need them reduced (subquotient_basis).
 
 hom_dims reads the dimensions from the complex between the minimal
 models of the two ends (mf.minimal_model, kept on each object), which is
@@ -27,9 +26,9 @@ homotopy equivalent to the full one and smaller: no Groebner work when
 an end is contractible through constants.  They need only the m rows of
 the first block row, s0 in D_even and p1 in D_odd, so f1 never enters
 them: from Hilbert series when both models are graded (below), and
-otherwise from the kernel and image of each such row.  Representatives
-come from all 2m rows between the ends on first access, closure-checked,
-and their counts check the dimensions.
+otherwise from the leads of the kernel and image of each such row.
+Representatives come from all 2m rows between the ends on first access,
+closure-checked, and their counts check the dimensions.
 
 Proof, over k[x] with W - lambda != 0, by the argument of the mf
 docstring (Eisenbud, Trans. AMS 260, 1980).  Write pi for keeping the
@@ -45,9 +44,11 @@ Hence h0 = dim pi(ker D_even) / pi(im D_odd), and h1 likewise with the
 roles swapped.  A run on the first block row of a differential gives pi
 of its image directly.  Its kernel basis has every lead in the first
 block, which the position-over-term order puts highest, since no nonzero
-closed element vanishes there; so that basis, cut to the first block,
-is a Groebner basis of pi of the kernel (groebner._project, which checks
-the leads).
+closed element vanishes there; so that basis, cut to the first block, is
+one of pi of the kernel with the same leads (_homology checks them), and
+pi(im D_odd) lies in it as D_even D_odd = 0: leads count h0 (groebner._dim),
+and h1 likewise.  A witness needs no second block: if the p1 row of D_odd
+maps s to p1, D_odd s - p is closed with first block 0, so it is 0.
 
 Graded dimensions (Kreuzer-Robbiano, Computational Commutative Algebra
 2, ch. 5).  Let lambda = 0 and let both models be graded by the weights
@@ -234,17 +235,20 @@ class HomReport:
 
 def _homology(source, target, want_reps):
     """((h0, h1), even representatives, odd representatives) of the Hom
-    complex, from one Buchberger run per differential: on its first block
-    row for dimensions alone, with the bases the run leaves, and on all of
-    its rows, reduced, for representatives."""
-    ring, rows = source.ring, source.rank * target.rank * (2 if want_reps else 1)
+    complex: dimensions alone from the leads of one tracked run per first
+    block row, representatives from reduced runs on all 2m rows."""
+    ring, m = source.ring, source.rank * target.rank
+    if not want_reps:
+        (even_image, even_kernel), (odd_image, odd_kernel) = (
+            groebner._leads(c, m, ring, True) for c in _differentials(source, target, m))
+        if any(pos >= m for pos, _ in even_kernel + odd_kernel):
+            raise AssertionError("a kernel lead lies outside the first block")
+        return (groebner._dim(even_kernel, odd_image, ring.nvars, m),
+                groebner._dim(odd_kernel, even_image, ring.nvars, m)), [], []
     (even_image, even_kernel), (odd_image, odd_kernel) = (
-        groebner._syzygy_run(c, rows, ring, want_reps)
-        for c in _differentials(source, target, rows))
-    h0, even = groebner.subquotient_basis(groebner._project(even_kernel, rows), odd_image,
-                                          ring, rows, want_reps)
-    h1, odd = groebner.subquotient_basis(groebner._project(odd_kernel, rows), even_image,
-                                         ring, rows, want_reps)
+        groebner._syzygy_run(c, 2 * m, ring) for c in _differentials(source, target, 2 * m))
+    h0, even = groebner.subquotient_basis(even_kernel, odd_image, ring, 2 * m)
+    h1, odd = groebner.subquotient_basis(odd_kernel, even_image, ring, 2 * m)
     return (h0, h1), even, odd
 
 
@@ -263,7 +267,7 @@ def _graded_dims(source, target):
 
     def image(columns, degrees):  # N(im M) = N(A^m) - N(A^m / LT(im M))
         out = Counter(degrees)
-        out.subtract(groebner._numerator(groebner._image_leads(columns, m, ring),
+        out.subtract(groebner._numerator(groebner._leads(columns, m, ring, False)[0],
                                          degrees, weights))
         return out
     p1, p0, s0, s1 = slots(f1, e1), slots(f0, e0), slots(f1, e0), slots(f0, e1, top)
@@ -293,16 +297,16 @@ def is_null_homotopic(p: mfmod.MFMorphism):
     """Decide p ~ 0; on success also return the contracting homotopy.
 
     Returns (True, OddMorphism) with p1 = f0 s1 + s0 e1 and
-    p0 = s1 e0 + f1 s0 exactly, or (False, None).
+    p0 = s1 e0 + f1 s0 exactly, or (False, None).  Only p1 is divided, on
+    the first block row of D_odd (module docstring); both identities are checked.
     """
     E, F = p.source, p.target
-    ring, rows = E.ring, 2 * E.rank * F.rank
-    gb = groebner._basis(_differentials(E, F, rows)[1], ring, rows, rows, True)
-    witness = groebner.membership_witness(p.p1.entries + p.p0.entries, gb)
+    ring, m = E.ring, E.rank * F.rank
+    gb = groebner._basis(_differentials(E, F, m)[1], ring, m, m, True)
+    witness = groebner.membership_witness(p.p1.entries, gb)
     if witness is None:
         return False, None
     homotopy = OddMorphism(E, F, *_unflatten_pair(tuple(witness), ring, F.rank, E.rank))
-    # exactness check of the witness identities
     if homotopy.boundary() != (p.p1, p.p0):
         raise AssertionError("homotopy witness fails to reproduce the morphism")
     return True, homotopy

@@ -12,6 +12,7 @@ polynomial from it, cancelled terms included.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -223,7 +224,7 @@ def field_from_spec(spec: str) -> Field:
         digits = spec[3:]
         if not (digits.isascii() and digits.isdigit()):
             raise ParseError("bad field spec %r (the modulus must be ASCII digits)" % spec)
-        return PrimeField(int(digits))
+        return PrimeField(parse_coefficient(QQ, digits).numerator)
     raise ParseError("bad field spec %r (expected Q or Fp:<p>)" % spec)
 
 
@@ -655,6 +656,17 @@ class _Parser:
         kind, value, line, col = self.peek()
         raise ParseError(message + (" near %r" % value if value else " at end of input"), line, col)
 
+    def integer(self, what):
+        """The value of the INT token at the cursor, not taken."""
+        kind, value, line, col = self.peek()
+        if kind != "INT":
+            self.error("expected " + what)
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python converts
+            raise ParseError("integer of %d digits, more than the %d allowed"
+                             % (len(value), sys.get_int_max_str_digits()), line, col) from None
+
     def parse(self):
         """The one polynomial of the text, its terms summed in one dict."""
         fld = self.ring.field
@@ -689,14 +701,11 @@ class _Parser:
         exps = [0] * self.ring.nvars
         kind, value, _, _ = self.peek()
         if kind == "INT":
+            num = self.integer("a coefficient")
             self.take()
-            num = int(value)
             if self.peek()[:2] == ("OP", "/"):
                 self.take()
-                k2, v2, _, _ = self.peek()
-                if k2 != "INT":
-                    self.error("expected denominator")
-                den = fld.coerce(int(v2))
+                den = fld.coerce(self.integer("denominator"))
                 if den == fld.zero:
                     self.error("zero denominator in %s" % fld)
                 self.take()
@@ -735,11 +744,8 @@ class _Parser:
                     self.error("negative exponent outside a Laurent context")
                 self.take()
                 neg = True
-            kind2, value2, _, _ = self.peek()
-            if kind2 != "INT":
-                self.error("expected an exponent")
+            power = -self.integer("an exponent") if neg else self.integer("an exponent")
             self.take()
-            power = -int(value2) if neg else int(value2)
         exps[idx] += power
 
 

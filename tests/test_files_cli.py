@@ -1,6 +1,7 @@
 import json
 import random
 import signal
+import sys
 import time
 
 import pytest
@@ -653,6 +654,29 @@ def test_malformed_documents_fail_on_one_line(tmp_path, verb, doc, message):
     res = run(verb, _write(tmp_path / "doc.json", doc), *extra)
     _one_line_error(res)
     assert res.stderr == "error: %s\n" % message
+
+
+def test_integers_too_long_for_int_fail_on_one_line_that_names_them(tmp_path):
+    # a fan ray as a JSON number and a coefficient of W or e0 as a polynomial
+    # string, each of more digits than int() converts: the line was Python's
+    # own advice to raise sys.set_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit + 1)
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(_p1_fan()).replace('"rays": [[1], [-1]]',
+                                                 '"rays": [[%s], [-1]]' % nines))
+    message = "%s holds an integer of more than %d digits" % (fan, limit)
+    with pytest.raises(files.SchemaError) as info:
+        files.load(str(fan))
+    assert str(info.value) == message
+    res = run("mirror-count", str(fan), "--param", "q=1")
+    _one_line_error(res)
+    assert res.stderr == "error: %s\n" % message
+    for doc, column in ((_a1_doc(W="x^2 + %s" % nines), 6), (_a1_doc(e0=[["%s*x" % nines]]), 0)):
+        res = run("validate", _write(tmp_path / "a1.json", doc))
+        _one_line_error(res)
+        assert res.stderr == "error: integer of %d digits, more than the %d allowed (line 1, column %d)\n" % (
+            limit + 1, limit, column)
 
 
 def test_a_document_root_must_be_an_object(tmp_path):

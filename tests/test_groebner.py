@@ -871,24 +871,9 @@ def test_kernel_elements_stay_primitive():
                                               rank, syzygies=True)
             _assert_primitive(basis, field)
             _assert_primitive(groebner._reduce(R, pk, basis), field)
-            # the bases a run leaves unreduced, the image parts cut off their e-block
-            for G in groebner._syzygy_run(sparse, rank, R, False):
+            # the reduced bases of a syzygy run, the image parts cut off their e-block
+            for G in groebner._syzygy_run(sparse, rank, R):
                 _assert_primitive(G._elems, field)
-
-
-def test_projection_keeps_stored_leads_and_refuses_a_lead_it_would_drop():
-    from mfcat import groebner
-    for field in (QQ, PrimeField(32749)):
-        R = ring("x", "y", field=field)
-        x, y = R.gens()
-        # (2x + 4y, 3) is primitive, but its first entry has content 2
-        G = module_groebner([(2 * x + 4 * y, R.constant(3))], 2, R)
-        top = groebner._project(G, 1)
-        assert top.ambient_rank == 1 and top.leading_terms() == G.leading_terms() == [(0, (1, 0))]
-        _assert_primitive(top._elems, field)
-        assert top.generators == ((x + 2 * y,),)
-        with pytest.raises(AssertionError, match="first 1 positions"):
-            groebner._project(module_groebner([(x, R.zero()), (R.zero(), y)], 2, R), 1)
 
 
 def test_syzygy_run_keeps_the_pairs_above_its_e_block(monkeypatch):

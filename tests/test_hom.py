@@ -980,7 +980,7 @@ def test_graded_dims_pin_their_s_pair_reductions(monkeypatch):
     # pairs a scan of the whole queue would, so neither count may move.
     from mfcat import groebner
     reductions = _count_calls(monkeypatch, groebner, "_s_remainder")
-    image_runs = _count_calls(monkeypatch, groebner, "_image_leads")
+    image_runs = _count_calls(monkeypatch, groebner, "_leads")
     syzygy_runs = _count_calls(monkeypatch, hom, "_homology")
     E = _rank8()
     assert hom_dims(E, E).dims() == (8, 8)
@@ -1022,6 +1022,128 @@ def test_ungraded_ends_keep_the_syzygy_path(field, monkeypatch):
     E = pairs[2][1]
     assert mf._weights(E.w) == ((1,), 3) and mf._weights(pairs[1][1].w) is None
     assert any(len({sum(e) for e in p.terms}) > 1 for p in E.e1.entries)
+
+
+def test_ungraded_dims_refuse_a_kernel_lead_outside_the_first_block(monkeypatch):
+    # The ungraded dims count pi of each kernel, pi keeping the first block,
+    # from the leads of its basis, which the module docstring's theorem puts
+    # in that block.  A lead in the second block, which pi would forget, is
+    # refused, not counted.
+    from mfcat import groebner
+    _, S, T = _ungraded_pairs(QQ)[1]
+    leads, displaced = groebner._leads, []
+
+    def with_a_lead_in_the_second_block(vectors, r, ring, track):
+        image, kernel = leads(vectors, r, ring, track)
+        if track and kernel:
+            pos, exps = kernel.pop()
+            kernel.append((r + pos, exps))
+            displaced.append(r)
+        return image, kernel
+    assert hom_dims(S, T).dims() == (1, 1)
+    monkeypatch.setattr(groebner, "_leads", with_a_lead_in_the_second_block)
+    with pytest.raises(AssertionError, match="outside the first block"):
+        hom_dims(S, T)
+    assert displaced == [1, 1]  # both runs of m = 1 row finish before the check
+
+
+# ---------------------------------------------------------------------------
+# null-homotopy witnesses from the first block row, and Serre duality
+# ---------------------------------------------------------------------------
+
+def _full_height_null_homotopic(p):
+    """Whether p1 and p0 together lie in the span of the columns of D_odd,
+    by a tracked run on all 2m rows: the decision before witnesses divided
+    p1 alone."""
+    from mfcat import groebner
+    E, F = p.source, p.target
+    rows = 2 * E.rank * F.rank
+    gb = groebner._basis(hom._differentials(E, F, rows)[1], E.ring, rows, rows, True)
+    return groebner.membership_witness(p.p1.entries + p.p0.entries, gb) is not None
+
+
+def _witness_inputs(field):
+    """(name, map): the identity of every corpus object and of its identity
+    cone, a seeded x_i^k * id with k in 0..3, a zero map to a seeded object
+    of its context, and the seeded non-identity combinations."""
+    rng = random.Random("witnesses/%r" % (field,))
+    pairs = corpus.hom_pairs(field)
+    out = []
+    for name, X in sorted(corpus.corpus_objects(field).items()):
+        identity = mf.identity_morphism(X)
+        xk = PolyMatrix.scalar(rng.choice(X.ring.gens()) ** rng.randint(0, 3), X.rank)
+        _, other, _, Y = rng.choice([q for q in pairs if q[2] is X] or [(0, name, 0, X)])
+        out += [("id " + name, identity),
+                ("id cone(id %s)" % name, mf.identity_morphism(mf.cone(identity))),
+                ("x^k id " + name, mf.MFMorphism(X, X, xk, xk)),
+                ("0 %s->%s" % (name, other), mf.zero_morphism(X, Y))]
+    out += [(name, p) for name, p in _seeded_combinations(field)
+            if p != mf.identity_morphism(p.source)]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_first_block_witnesses_agree_with_the_full_height_run(field):
+    """is_null_homotopic divides p1 alone by a tracked basis of the first
+    block row of D_odd; it decides as the run on all 2m rows does, and each
+    witness it returns has boundary exactly p."""
+    decisions = {}
+    for name, p in _witness_inputs(field):
+        flag, s = is_null_homotopic(p)
+        assert flag is _full_height_null_homotopic(p), name
+        if flag:
+            assert s.boundary() == (p.p1, p.p0), name
+            assert (s.s0.rows, s.s0.cols) == (p.target.rank, p.source.rank), name
+        kind = name.split(" ")[0]
+        decisions.setdefault(kind, set()).add(flag)
+    assert decisions["id"] == decisions["x^k"] == {True, False}
+    assert decisions["0"] == {True} and len(decisions) > 4
+
+
+def _swapped_rank8(field):
+    """The rank-8 tensor with its last factor (w, w^2) swapped to (w^2, w)."""
+    obj = None
+    for v in ("x", "y", "z", "w"):
+        ring = RingContext((v,), field)
+        x = ring.variable(v)
+        factor = mf.rank_one(ring, x ** 3, 0, *((x ** 2, x) if v == "w" else (x, x ** 2)))
+        obj = factor if obj is None else mf.tensor(obj, factor)
+    return obj
+
+
+def _duality_pairs(field):
+    """(name, E, F) over contexts whose singular points are isolated: the
+    test suite's ungraded pairs, each seeded cone against the source, the
+    target and itself, and the rank-8 tensor against its swapped form."""
+    out = list(_ungraded_pairs(field))
+    for name, p in _seeded_combinations(field):
+        C = mf.cone(p)
+        out += [("cone(%s), source" % name, C, p.source),
+                ("target, cone(%s)" % name, p.target, C), ("cone(%s)" % name, C, C)]
+    out.append(("rank8, swapped", _rank8(field), _swapped_rank8(field)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_hom_dims_obey_serre_duality(field):
+    """Where W - lambda has isolated singular points, MF(W - lambda) has
+    Serre functor [n], n the number of variables (Auslander 1978;
+    Dyckerhoff, Duke Math. J. 159, 2011; Murfet, Compositio Math. 149,
+    2013), so h_i(E, F) = h_(i + n mod 2)(F, E).  An independent check of
+    both dimension paths: every corpus pair, the ungraded pairs, seeded
+    cones and rank 8."""
+    corpus_dims = {(ns, nt): hom_dims(s, t).dims() for ns, nt, s, t in corpus.hom_pairs(field)}
+    checked = 0
+    for (ns, nt), dims in corpus_dims.items():
+        n = corpus.lookup(ns, field).ring.nvars
+        assert dims == corpus_dims[nt, ns][n % 2:] + corpus_dims[nt, ns][:n % 2], (ns, nt)
+        checked += 1
+    for name, E, F in _duality_pairs(field):
+        there, back = hom_dims(E, F).dims(), hom_dims(F, E).dims()
+        n = E.ring.nvars
+        assert there == back[n % 2:] + back[:n % 2], name
+        checked += 1
+    assert checked == 1627 + 3 + 3 * 40 + 1
 
 
 def test_weights_of_potentials():

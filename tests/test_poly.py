@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -160,6 +161,29 @@ def test_field_spec_modulus_is_ascii_digits(spec):
     # int() read "3_1" as 31, "+7" and " 7" as 7 and Arabic-Indic three as 3
     with pytest.raises(ParseError):
         field_from_spec(spec)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("x^2 + %s*y", 6),         # a coefficient
+    ("x +\n 1/%s", 3),         # a denominator, on line 2
+    ("x^%s", 2),               # an exponent
+])
+def test_integers_too_long_for_int_are_parse_errors(text, column):
+    # int() refuses more than sys.get_int_max_str_digits() digits with
+    # advice to raise that limit, which no document can follow
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(ring("x", "y"), text % ("9" * (limit + 1)))
+    assert str(info.value) == "integer of %d digits, more than the %d allowed (line %d, column %d)" % (
+        limit + 1, limit, text.count("\n") + 1, column)
+    assert parse_polynomial(ring("x", "y"), text % ("9" * limit)).terms
+
+
+def test_a_modulus_too_long_for_int_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match="integer of %d digits, more than the %d allowed"
+                       % (limit + 1, limit)):
+        field_from_spec("Fp:" + "9" * (limit + 1))
 
 
 @pytest.mark.parametrize("name", ["x\u00b2", "y\u0663", "z\uff17"])
