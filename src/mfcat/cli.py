@@ -94,7 +94,7 @@ def _rational(option, text):
     try:
         return parse_coefficient(QQ, text)
     except PolyError as exc:
-        raise PolyError("%s %r: %s" % (option, text, exc)) from None
+        raise PolyError("%s (%d characters): %s" % (option, len(text), exc)) from None
 
 
 def _parse_params(pairs):

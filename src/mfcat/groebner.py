@@ -51,31 +51,34 @@ nothing is re-heapified.  (degree, i, j) is unique to a pair, so the live
 pairs leave the heap in the order a rebuilt heap gives, and no S-pair
 reduction, basis or witness changes.
 
-Monomials are packed (Monagan-Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
-kernel term is (position, m) for an int m holding a degree field above
-one w-bit field per variable, the first variable highest for lex and
-grlex, the last for grevlex.  A product is m + m' and a quotient m - m';
-the descending order key is -m (grlex), -(m & low) (lex) or
-2*(m & low) - m (grevlex), low masking the variable fields; and with G
-the top bit of every field, a divides b iff ((b | G) - a) & G == G.
-Both need every field below 2**(w-1), and no field exceeds the degree
-field, the highest, so one compare per new monomial guards them all.  A
-run whose monomial trips the guard is redone at 2w (_run), from 16 bits
-or the width of the bases it is given, which are repacked when a run is
-wider.  Monomials are unpacked only on the way out; each element caches
-its lead's exponent tuple for the pair criteria and the walk.
+Terms are packed whole (Monagan-Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a kernel
+term is one int key, (position << bits) + (m ^ base), for a monomial m of
+one w-bit field per variable and a degree field, the first variable
+highest for lex and grlex, the last for grevlex, the degree field highest
+but lowest for lex, and base all ones but on grevlex's variable fields.
+So a smaller key is a higher term, position over term, and a lead is the
+least key; with no field carrying, the key is linear in the exponents:
+times x^u adds one constant, a quotient is a difference of keys, and r
+positions down adds r << bits.  With G the top bit of every field, a
+divides b at its position iff ((b ^ base | G) - (a ^ base)) & G == G.  Both need every
+field below 2**(w-1), and no field exceeds the degree field, so one test
+of its top bit per new key guards them all.  A run whose monomial trips
+the guard is redone at 2w (_run), from 16 bits or the width of the bases
+it is given, which are repacked when a run is wider.  Monomials are
+unpacked only on the way out; each element caches its lead's exponent
+tuple for the pair criteria and the walk.
 
 Division is heap-ordered: beside the dict of pending terms sits a heap of
-(position, descending order key, term), so each term's key is computed
-once, when it enters the dict.  A term that cancels leaves a stale heap
-entry, skipped when popped; a processed term never comes back, because a
+the same int keys.  A term that cancels leaves a stale heap entry,
+skipped when popped; a processed term never comes back, because a
 reduction step adds only terms smaller than the one it removes.  So a
-remainder leaves _divide in descending order, and the lead of a new basis
-element is its first term, not recomputed.  The divisors are indexed by
-lead position, in list order within a position, so the divisor used is
-the first listed one whose lead divides: that choice fixes remainders and
-membership witnesses, which, unlike reduced bases, depend on it.
+remainder leaves _divide in ascending key order, and the lead of a new
+basis element is its first term, not recomputed.  The divisors are
+indexed by lead position, in list order within a position, so the
+divisor used is the first listed one whose lead divides: that choice
+fixes remainders and membership witnesses, which, unlike reduced bases,
+depend on it.
 
 Every input enters the kernel one way, through _entry: basis inputs,
 tracked inputs, dividends and raw divisor lists alike, an ideal's
@@ -164,36 +167,32 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """The packed monomials of one number of variables and order at field
-    width w: see the module docstring."""
+    """The kernel terms of one number of variables and order at field width
+    w, each one int key: see the module docstring."""
 
-    __slots__ = ("w", "shifts", "mask", "weights", "top", "guard", "desc")
+    __slots__ = ("w", "bits", "shifts", "mask", "weights", "base", "top", "guard")
 
     def __init__(self, nvars, order, w):
-        nw = nvars * w
-        shifts = [i * w for i in range(nvars)]
-        if order != "grevlex":
-            shifts.reverse()
-        low = (1 << nw) - 1
-        self.w, self.shifts, self.mask = w, shifts, (1 << w) - 1
-        self.weights = [(1 << s) + (1 << nw) for s in shifts]  # x_i and the degree
-        self.top = 1 << (nw + w - 1)
+        nw, lex = nvars * w, order == "lex"
+        shifts = [i * w for i in range(nvars)]  # grevlex: the last variable highest
+        if order != "grevlex":  # the first highest, and for lex above the degree
+            shifts = [s + lex * w for s in reversed(shifts)]
+        degree = 0 if lex else nw  # the degree field's shift
+        self.w, self.bits, self.shifts, self.mask = w, nw + w, shifts, (1 << w) - 1
+        self.weights = [(1 << s) + (1 << degree) for s in shifts]  # x_i and the degree
+        ones = (1 << (nw + w)) - 1
+        self.base = ones ^ ((1 << nw) - 1) if order == "grevlex" else ones
+        self.top = 1 << (degree + w - 1)
         self.guard = self.top + sum(1 << (s + w - 1) for s in shifts)
-        self.desc = {"lex": lambda m: -(m & low), "grlex": neg,
-                     "grevlex": lambda m: 2 * (m & low) - m}[order]
 
-    def pack(self, exps):
-        m = sum(map(mul, exps, self.weights))
-        if m >= self.top:
+    def key(self, pos, exps):
+        if sum(exps) >> (self.w - 1):
             raise _Overflow
-        return m
+        return (pos << self.bits) + (sum(map(mul, exps, self.weights)) ^ self.base)
 
-    def unpack(self, m):
-        mask = self.mask
+    def unpack(self, k):
+        m, mask = k ^ self.base, self.mask
         return tuple([m >> s & mask for s in self.shifts])
-
-    def lead(self, terms):  # the highest term of a kernel term dict
-        return min(terms, key=lambda t: (t[0], self.desc(t[1])))
 
 
 _packing = lru_cache(maxsize=None)(_Packing)
@@ -220,12 +219,12 @@ def _entry(vectors, ring, rank, pk, track=False):
     (D * terms, D) over Z for the lcm D of its denominators; D is 1 over
     F_p.  With `track`, e_j is placed at position rank + j before
     clearing, so input j enters as [D v_j ; D e_j]."""
-    pack, one = pk.pack, ring.field.one
+    key, one, e0 = pk.key, ring.field.one, pk.key(rank, ())
     out = []
     for j, vec in enumerate(vectors):
-        terms = {(pos, pack(exps)): c for pos, entry in vec for exps, c in entry.items()}
+        terms = {key(pos, exps): c for pos, entry in vec for exps, c in entry.items()}
         if track:
-            terms[(rank + j, 0)] = one
+            terms[e0 + (j << pk.bits)] = one
         out.append(integer_multiple(terms))
     return out
 
@@ -252,11 +251,12 @@ def _sparse(vectors, ring, rank):
 def _terms_to_vector(terms, ring, pk, rank, start=0, scale=1):
     """The entries at positions start .. start + rank - 1 of a kernel term
     dict divided by `scale`, which is 1 over F_p, as field elements."""
-    to_field, unpack = ring.field.from_scaled, pk.unpack
+    to_field, unpack, bits = ring.field.from_scaled, pk.unpack, pk.bits
     polys = [{} for _ in range(rank)]
-    for (pos, m), c in terms.items():
-        if start <= pos < start + rank:
-            polys[pos - start][unpack(m)] = to_field(c, scale)
+    for k, c in terms.items():
+        pos = (k >> bits) - start
+        if 0 <= pos < rank:
+            polys[pos][unpack(k)] = to_field(c, scale)
     return tuple(Polynomial(ring, d) for d in polys)
 
 
@@ -271,15 +271,17 @@ def _divides(a, b):
 
 
 class _Elem:
-    """A divisor with lead term `lt`, in the field's stored form; `exps`
-    is the lead's exponent tuple."""
+    """A divisor with lead key `lt`, in the field's stored form; `exps` is
+    the lead's exponent tuple and `mono` is lt ^ base, whose packed
+    monomial below the position the guard test reads."""
 
-    __slots__ = ("terms", "lt", "lc", "exps")
+    __slots__ = ("terms", "lt", "lc", "exps", "mono")
 
     def __init__(self, terms, lt, fld, pk):
         self.terms = terms
         self.lt = lt
-        self.exps = pk.unpack(lt[1])
+        self.exps = pk.unpack(lt)
+        self.mono = lt ^ pk.base
         self.normalise(fld)
 
     def normalise(self, fld):
@@ -287,11 +289,11 @@ class _Elem:
         self.lc = self.terms[self.lt]
 
 
-def _index(elems):
+def _index(elems, pk):
     """The divisors by lead position, each position's list in `elems` order."""
     index = {}
     for e in elems:
-        index.setdefault(e.lt[0], []).append(e)
+        index.setdefault(e.lt >> pk.bits, []).append(e)
     return index
 
 
@@ -303,23 +305,21 @@ def _divide(ring, pk, f_terms, index):
     order whose lead divides the current lead term is used.
     """
     plus, times, negate = _arith(ring.field)
-    desc, guard, top = pk.desc, pk.guard, pk.top
+    bits, base, guard, top = pk.bits, pk.base, pk.guard, pk.top
     work = dict(f_terms)
-    heap = [(t[0], desc(t[1]), t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
     s = 1
     while heap:
-        t = pop(heap)[2]
+        t = pop(heap)
         c = work.pop(t, None)
         if c is None:
             continue  # cancelled since it was pushed
-        pos, m = t
-        guarded = m | guard
-        for e in index.get(pos, ()):
-            lt = e.lt
-            if (guarded - lt[1]) & guard == guard:  # LT(e) divides t
+        guarded = t ^ base | guard
+        for e in index.get(t >> bits, ()):
+            if (guarded - e.mono) & guard == guard:  # LT(e) divides t
                 a = e.lc
                 if a != 1:  # over Q: scale by a/g so that a divides the term
                     g = gcd(a, c)
@@ -329,19 +329,18 @@ def _divide(ring, pk, f_terms, index):
                         work = {k: v * q for k, v in work.items()}
                         rem = {k: v * q for k, v in rem.items()}
                     c //= g
-                mono = m - lt[1]
+                shift = t - e.lt
                 coeff = negate(c)
-                for (p, x), v in e.terms.items():
-                    x += mono
-                    if x == m and p == pos:
+                for k, v in e.terms.items():
+                    k += shift
+                    if k == t:
                         continue  # cancels the term exactly
-                    k = (p, x)
                     old = work.get(k)
                     if old is None:
-                        if x >= top:
+                        if not k & top:
                             raise _Overflow
                         work[k] = times(coeff, v)
-                        push(heap, (p, desc(x), k))
+                        push(heap, k)
                     else:
                         new = plus(old, times(coeff, v))
                         if new:
@@ -358,13 +357,13 @@ def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _combine(target, source, mono, coeff, plus, times, top):
-    """target += coeff * x^mono * source, in place on a kernel term dict."""
-    for (pos, m), c in source.items():
-        m += mono
-        if m >= top:
+def _combine(target, source, shift, coeff, plus, times, top):
+    """target += coeff * x^u * source, in place on a kernel term dict, for
+    the key shift of x^u (a key difference)."""
+    for k, c in source.items():
+        k += shift
+        if not k & top:
             raise _Overflow
-        k = (pos, m)
         s = plus(target.get(k, 0), times(coeff, c))
         if s:
             target[k] = s
@@ -377,10 +376,10 @@ def _s_remainder(ring, pk, ei, ej, lcm, index):
     dividing lcm, an exponent tuple) under an _index."""
     plus, times, negate = _arith(ring.field)
     g = gcd(ei.lc, ej.lc)
-    m = pk.pack(lcm)
+    k = pk.key(ei.lt >> pk.bits, lcm)
     spoly = {}
-    _combine(spoly, ei.terms, m - ei.lt[1], ej.lc // g, plus, times, pk.top)
-    _combine(spoly, ej.terms, m - ej.lt[1], negate(ei.lc // g), plus, times, pk.top)
+    _combine(spoly, ei.terms, k - ei.lt, ej.lc // g, plus, times, pk.top)
+    _combine(spoly, ej.terms, k - ej.lt, negate(ei.lc // g), plus, times, pk.top)
     return _divide(ring, pk, spoly, index)[0]
 
 
@@ -402,9 +401,9 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
 
     def insert(terms, lt):
         e = _Elem(terms, lt, fld, pk)
-        if e.lt[0] >= rank and not syzygies:
+        pos, h = e.lt >> pk.bits, e.exps
+        if pos >= rank and not syzygies:
             return
-        pos, h = e.lt[0], e.exps
         n = len(basis)
         basis.append(e)
         index.setdefault(pos, []).append(e)
@@ -443,7 +442,7 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
 
     for terms, _ in inputs:
         if terms:
-            insert(terms, pk.lead(terms))
+            insert(terms, min(terms))
 
     while pairs:
         pair = heapq.heappop(pairs)
@@ -453,7 +452,7 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
         pair[3] = None  # popped: its position's next B scan forgets it
         rem = _s_remainder(ring, pk, basis[i], basis[j], lcm, index)
         if rem:
-            insert(rem, next(iter(rem)))  # remainders come out descending
+            insert(rem, next(iter(rem)))  # remainders come out ascending
 
     return basis
 
@@ -461,13 +460,12 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
 def _reduce(ring, pk, basis):
     """The reduced basis spanned by a Groebner basis of _Elems, sorted by
     descending lead.  Reuses (and rewrites) the given _Elems."""
-    desc = pk.desc
     # minimalize: drop any element whose lead another's at its position
     # divides, testing it against the kept elements at that position only
-    reduced = []  # ascending lead order
+    reduced = []  # ascending lead order, descending keys
     index = {}    # the kept elements by lead position, an _index of `reduced`
-    for e in sorted(basis, key=lambda e: (-e.lt[0], -desc(e.lt[1]))):
-        mine = index.setdefault(e.lt[0], [])
+    for e in sorted(basis, key=lambda e: e.lt, reverse=True):
+        mine = index.setdefault(e.lt >> pk.bits, [])
         if not any(_divides(f.exps, e.exps) for f in mine):
             mine.append(e)
             reduced.append(e)
@@ -510,8 +508,9 @@ class GroebnerBasis:
         old = self._pk
         if pk.w != old.w:
             for e in self._elems:
-                e.terms = {(p, pk.pack(old.unpack(m))): c for (p, m), c in e.terms.items()}
-                e.lt = (e.lt[0], pk.pack(e.exps))
+                e.terms = {pk.key(k >> old.bits, old.unpack(k)): c for k, c in e.terms.items()}
+                e.lt = pk.key(e.lt >> old.bits, e.exps)
+                e.mono = e.lt ^ pk.base
             self._pk = pk
 
     @property
@@ -534,7 +533,7 @@ class GroebnerBasis:
 
     def leading_terms(self):
         """List of (position, exponent-tuple) for each basis element."""
-        return [(e.lt[0], e.exps) for e in self._elems]
+        return [(e.lt >> self._pk.bits, e.exps) for e in self._elems]
 
     def __len__(self):
         return len(self._elems)
@@ -598,7 +597,7 @@ def _remainder(G, vec, rank):
 
     def run(pk):
         [(terms, d)] = _entry(sparse, G.ring, rank, pk)
-        rem, s = _divide(G.ring, pk, terms, _index(G._elems))
+        rem, s = _divide(G.ring, pk, terms, _index(G._elems, pk))
         return rem, d * s, pk
     return _run(G.ring, [G], run)
 
@@ -611,7 +610,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     else:  # the divisors as they are, unreduced, in list order
         ring, gens = f.ring, _sparse([(g,) for g in G], f.ring, 1)
         G = _run(ring, (), lambda pk: GroebnerBasis(ring, None, [
-            _Elem(t, pk.lead(t), ring.field, pk)
+            _Elem(t, min(t), ring.field, pk)
             for t, _ in _entry(gens, ring, 1, pk) if t], pk))
     rem, scale, pk = _remainder(G, (f,), 1)
     return _terms_to_vector(rem, G.ring, pk, 1, scale=scale)[0]
@@ -650,7 +649,7 @@ def membership_witness(vec, G: GroebnerBasis):
         vec = (vec,)
     rank = G._rank
     rem, scale, pk = _remainder(G, vec, rank)
-    if any(pos < rank for pos, _ in rem):
+    if rem and min(rem) >> pk.bits < rank:
         return None
     return [-w for w in _terms_to_vector(rem, G.ring, pk, G._inputs, rank, scale=scale)]
 
@@ -675,14 +674,14 @@ def _syzygy_run(vectors, r, ring):
     def run(pk):
         image, syz = [], []
         inputs = _entry(vectors, ring, r, pk, track=True)
+        block = r << pk.bits  # every e-block key is at least this, every other less
         for e in _buchberger_core(ring, pk, inputs, r, syzygies=True):
-            pos, m = e.lt
-            if pos < r:  # strip the e-block; _reduce restores the stored form
-                e.terms = {t: c for t, c in e.terms.items() if t[0] < r}
+            if e.lt < block:  # strip the e-block; _reduce restores the stored form
+                e.terms = {k: c for k, c in e.terms.items() if k < block}
                 image.append(e)
             else:  # a lead in the e-block puts every term there
-                e.terms = {(p - r, x): c for (p, x), c in e.terms.items()}
-                e.lt = (pos - r, m)
+                e.terms = {k - block: c for k, c in e.terms.items()}
+                e.lt -= block
                 syz.append(e)
         return (GroebnerBasis(ring, r, _reduce(ring, pk, image), pk),
                 GroebnerBasis(ring, len(inputs), _reduce(ring, pk, syz), pk))
@@ -693,7 +692,7 @@ def _leads(vectors, r, ring, track):
     """(image leads, syzygy leads), as (position, exponents), of the bases
     one run on _entry's sparse vectors in A^r leaves; untracked, no syzygies."""
     def run(pk):
-        leads = [(e.lt[0], e.exps) for e in _buchberger_core(
+        leads = [(e.lt >> pk.bits, e.exps) for e in _buchberger_core(
             ring, pk, _entry(vectors, ring, r, pk, track), r, track)]
         if not track:
             return leads, []
@@ -900,14 +899,15 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
 
     def run(pk):
         coord = {}  # the standard monomials, numbered as normal forms reach them
-        index = _index(G._elems)
+        index = _index(G._elems, pk)
         [(terms, d)] = _entry(sparse, ring, 1, pk)
         value, s = _divide(ring, pk, terms, index)
         value_scale = d * s
         echelon = RowEchelon(fld)
-        power, scale = ({(0, 0): 1} if dim else {}), 1  # NF(1): 0 in the unit ideal
+        one = pk.key(0, ())
+        power, scale = ({one: 1} if dim else {}), 1  # NF(1): 0 in the unit ideal
         for k in range(dim + 1):
-            row = {coord.setdefault(m, len(coord)): c for (_, m), c in power.items()}
+            row = {coord.setdefault(t, len(coord)): c for t, c in power.items()}
             row[dim + k] = scale
             pivot = echelon.insert(row)
             if pivot >= dim:
@@ -915,8 +915,8 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
                 return [fld.from_scaled(relation.get(dim + j, 0), relation[dim + k])
                         for j in range(k + 1)]
             product = {}
-            for (_, m), c in value.items():
-                _combine(product, power, m, c, plus, times, pk.top)
+            for t, c in value.items():
+                _combine(product, power, t - one, c, plus, times, pk.top)
             power, s = _divide(ring, pk, product, index)
             scale *= value_scale * s
             g = gcd(scale, *power.values())
@@ -961,7 +961,7 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
 
     def run(pk):
         # containment: every image basis element must die against the kernel basis
-        kernel_index = _index(kernel_gb._elems)
+        kernel_index = _index(kernel_gb._elems, pk)
         for e in image_gb._elems:
             if _divide(ring, pk, e.terms, kernel_index)[0]:
                 raise ImageNotInKernel("image element %r lies outside the kernel module" % (
@@ -974,12 +974,12 @@ def subquotient_basis(kernel_gens, image_basis, ring=None, ambient_rank=None, wa
         _enumerable(dim)
         found = _walk(*leads, ring.nvars)
         reps = []
-        image_index = _index(image_gb._elems)
+        image_index = _index(image_gb._elems, pk)
         for pos in sorted(found):
             for exps in sorted(found[pos], key=ring.key):
                 g = kernel_gb._elems[found[pos][exps]]
                 shifted = {}
-                _combine(shifted, g.terms, pk.pack(exps) - g.lt[1], 1, add, mul, pk.top)
+                _combine(shifted, g.terms, pk.key(pos, exps) - g.lt, 1, add, mul, pk.top)
                 rem, s = _divide(ring, pk, shifted, image_index)
                 reps.append(_terms_to_vector(rem, ring, pk, ambient_rank, scale=g.lc * s))
         return len(reps), reps

@@ -322,6 +322,19 @@ def test_mirror_values_use_the_coefficient_grammar(option, value):
     assert res.stderr.startswith("error: %s " % option)
 
 
+@pytest.mark.parametrize("option", ["--param", "--at"])
+def test_a_refused_option_value_is_named_by_its_length(option):
+    # the line names the option and the value's length; 5,000 digits are not echoed
+    if option == "--param":
+        args, name = ["--param", "q=" + "9" * 5000], "--param q"
+    else:
+        args, name = ["--param", "q=1", "--at", "9" * 5000], "--at"
+    res = run("mirror-fiber", "--preset", "P1", *args)
+    _one_line_error(res)
+    assert res.stderr == ("error: %s (5000 characters): integer of 5000 digits, more than the "
+                          "4300 allowed (line 1, column 0)\n" % name)
+
+
 @pytest.mark.parametrize("verb", ["mirror-count", "mirror-values", "mirror-fiber"])
 def test_repeated_parameters_are_refused(verb):
     res = run(verb, "--preset", "P1", "--param", "q=1", "--param", "q=2")

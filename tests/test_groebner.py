@@ -1236,9 +1236,13 @@ def _split(rng, degree, n):
 
 
 def test_packed_order_keys_and_guard_test_match_the_order_and_divisibility():
-    # The heap's descending key must order packed monomials as the ring's
-    # key reversed, and the guard-bit test of _divide must agree with
-    # exponent-wise divisibility, up to the field boundary 2**(w-1) - 1.
+    # A kernel term's int key must order terms position over term, position
+    # 0 highest and the ring's key reversed within a position; the guard-bit
+    # test of _divide must agree with exponent-wise divisibility, up to the
+    # field boundary 2**(w-1) - 1; multiplying by x^u must add one constant,
+    # the key of x^u at position 0 less the key of 1, and a product past the
+    # boundary must clear the top bit _divide and _combine check; and moving
+    # a term r positions down, as the e-block split does, must add r << bits.
     from mfcat import groebner
     rng = random.Random(2207)
     for order in ("lex", "grlex", "grevlex"):
@@ -1251,21 +1255,34 @@ def test_packed_order_keys_and_guard_test_match_the_order_and_divisibility():
                                                                    for _ in range(20)]
                 monos = list({_split(rng, d, n) for d in degrees}
                              | {tuple(edge if j == i else 0 for j in range(n)) for i in range(n)})
-                packed = {m: pk.pack(m) for m in monos}
-                assert all(pk.unpack(p) == m for m, p in packed.items())
-                assert (sorted(monos, key=lambda m: pk.desc(packed[m]))
-                        == sorted(monos, key=R.key, reverse=True))
-                guard = pk.guard
+                keys = {(pos, m): pk.key(pos, m) for pos in range(4) for m in monos}
+                assert all(pk.unpack(k) == m and k >> pk.bits == pos
+                           for (pos, m), k in keys.items())
+                by_term = sorted(keys, key=lambda t: R.key(t[1]), reverse=True)
+                assert sorted(keys, key=keys.get) == sorted(by_term, key=lambda t: t[0])
+                for (pos, m), k in keys.items():
+                    for r in range(4 - pos):
+                        assert keys[pos + r, m] == k + (r << pk.bits)
+                guard, base, one = pk.guard, pk.base, pk.key(0, (0,) * n)
+
+                def shift(u):  # the key difference of x^u
+                    return pk.key(0, u) - one
                 for a in monos:
                     for b in monos:
+                        pos = rng.randrange(4)
+                        ka, kb = keys[pos, a], keys[pos, b]
                         divides = all(i <= j for i, j in zip(a, b))
-                        assert (((packed[b] | guard) - packed[a]) & guard == guard) == divides
+                        assert (((kb ^ base | guard) - (ka ^ base)) & guard == guard) == divides
                         if divides:
-                            assert packed[b] - packed[a] == pk.pack(tuple(j - i for i, j in zip(a, b)))
-                        elif sum(a) + sum(b) <= edge:
-                            assert packed[a] + packed[b] == pk.pack(tuple(map(sum, zip(a, b))))
+                            assert kb - ka == shift(tuple(j - i for i, j in zip(a, b)))
+                        product = ka + shift(b)
+                        if sum(a) + sum(b) <= edge:
+                            assert product == pk.key(pos, tuple(map(sum, zip(a, b))))
+                            assert product & pk.top
+                        else:
+                            assert not product & pk.top
                 with pytest.raises(groebner._Overflow):
-                    pk.pack((edge + 1,) + (0,) * (n - 1))
+                    pk.key(0, (edge + 1,) + (0,) * (n - 1))
 
 
 def test_huge_exponents_keep_their_answers():

@@ -915,7 +915,7 @@ def test_dims_reduce_no_basis_and_build_no_complex(monkeypatch):
 
     def recorded(ring, pk, basis):
         # the number of positions the basis spans, at most its ambient rank
-        reductions.append(1 + max(p for e in basis for p, _ in e.terms))
+        reductions.append(1 + max(k >> pk.bits for e in basis for k in e.terms))
         return reduce(ring, pk, basis)
     monkeypatch.setattr(groebner, "_reduce", recorded)
     rep = hom_dims(E, F)
