@@ -15,7 +15,6 @@ from .poly import RingContext, QQ
 from . import mf
 
 MAX_POWER = 6
-MAX_PAIR_RANK = 2
 
 
 def power_ring(field=QQ) -> RingContext:
@@ -96,16 +95,12 @@ def _tensor_renamed(obj, newvar):
 
 
 def hom_pairs(field=QQ):
-    """All ordered corpus pairs sharing a potential context, of rank <= MAX_PAIR_RANK."""
+    """All ordered corpus pairs sharing a potential context."""
     named = corpus_objects(field)
     items = sorted(named.items())
     pairs = []
     for ns, src in items:
-        if src.rank > MAX_PAIR_RANK:
-            continue
         for nt, tgt in items:
-            if tgt.rank > MAX_PAIR_RANK:
-                continue
             if src.potential_context() == tgt.potential_context():
                 pairs.append((ns, nt, src, tgt))
     return pairs

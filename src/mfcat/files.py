@@ -16,7 +16,7 @@ import os
 import sys
 
 from .poly import (RingContext, QQ, field_from_spec, parse_polynomial,
-                   parse_coefficient, PolyError)
+                   parse_coefficient, PolyError, quoted)
 from .matrix import PolyMatrix
 from . import mf as mfmod
 from . import corpus
@@ -49,8 +49,8 @@ def _integers(values, name, what):
 def _check_version(doc, what):
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SchemaError("%s document has schema_version %r, expected %d"
-                          % (what, version, SCHEMA_VERSION))
+        raise SchemaError("%s document has schema_version %s, expected %d"
+                          % (what, quoted(version), SCHEMA_VERSION))
 
 
 def _matrix_from_doc(ring, data, name, what):
@@ -192,7 +192,7 @@ def document_to_object(doc, base_dir=".", field_override=None):
         raise SchemaError("document root must be an object")
     kind = _require(doc, "kind", str, "input")
     if kind not in _KINDS:
-        raise SchemaError("unknown document kind %r" % kind)
+        raise SchemaError("unknown document kind %s" % quoted(kind))
     return _KINDS[kind][1](doc, base_dir, field_override)
 
 

@@ -51,9 +51,9 @@ and h1 likewise.  A witness needs no second block: if the p1 row of D_odd
 maps s to p1, D_odd s - p is closed with first block 0, so it is 0.
 
 Graded dimensions (Kreuzer-Robbiano, Computational Commutative Algebra
-2, ch. 5).  Let lambda = 0 and let both models be graded by the weights
-of W (mf._grading), so that e0 and f0 have degree 0 and e1 and f1 degree
-D = deg W.  A slot (i, k) of a block then has degree deg F_i - deg E_k;
+2, ch. 5).  Let lambda = 0 and let both models be graded by the same
+weights of W (mf._grading), so that e0 and f0 have degree 0 and e1 and f1
+degree D = deg W.  A slot (i, k) of a block then has degree deg F_i - deg E_k;
 D_even has degree 0 from C0 = (p1, p0) to C1 = (s0, s1), whose s1 slots
 are lowered by D, and D_odd has degree D from C1 to C0.  Each graded
 piece is finite, so with the Hilbert series HS of the first block rows
@@ -69,9 +69,9 @@ homogeneous module has a homogeneous Groebner basis; so one untracked
 run on each first block row leaves all the dimensions need.  Every
 series is a numerator over prod_i (1 - q^w_i) (groebner._numerator),
 and a dimension its value at q = 1: INFINITE when it has a pole there,
-whose order is the module's Krull dimension.  Every other input (lambda != 0, a W with no positive
-weights, an inhomogeneous entry, basis degrees that disagree) takes the
-syzygy path.
+whose order is the module's Krull dimension.  Every other input takes
+the syzygy path: lambda != 0, no positive weights for W, an inhomogeneous
+entry, disagreeing basis degrees, or ends graded by different weights.
 """
 
 from __future__ import annotations
@@ -253,11 +253,11 @@ def _homology(source, target, want_reps):
 
 
 def _graded_dims(source, target):
-    """(h0, h1) by the Hilbert series identities of the module docstring,
-    after one untracked image run per first block row; None unless both
-    ends are graded (mf._grading).  Each series is kept as its numerator."""
+    """(h0, h1) from Hilbert numerators (module docstring), after one
+    untracked image run per first block row; None unless both ends are
+    graded by the same weights and D (mf._grading)."""
     gs, gt = mfmod._grading(source), mfmod._grading(target)
-    if not (gs and gt):
+    if not (gs and gt and gs[:2] == gt[:2]):
         return None
     weights, top, (e0, e1), (f0, f1) = gs[0], gs[1], gs[2:], gt[2:]
     ring, m = source.ring, source.rank * target.rank

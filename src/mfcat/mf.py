@@ -20,9 +20,7 @@ morphisms by their ends and p1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
 from .matrix import PolyMatrix, RowEchelon
 from .poly import QQ, Polynomial, PolyError, RingContext, RingMismatch
@@ -299,74 +297,50 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     return model
 
 
-def _weights(w: Polynomial):
-    """(weights, deg W) for the positive, primitive integer weights of the
-    variables under which W is homogeneous, or None.  They come from exact
-    elimination on the differences of W's exponent vectors, with every free
-    variable, one absent from W included, of weight 1; None when a weight
-    comes out <= 0, as for x^2 + x^3."""
-    exps = list(w.terms)
-    echelon = RowEchelon(QQ)
-    for a in exps[1:]:
-        echelon.insert({i: x - y for i, (x, y) in enumerate(zip(a, exps[0])) if x != y})
-    out = [Fraction(1)] * w.ring.nvars
-    for c in sorted(echelon.pivots, reverse=True):  # back substitution
-        row = echelon.pivots[c]
-        out[c] = Fraction(-sum(v * out[j] for j, v in row.items() if j != c), row[c])
-    scale = lcm(*(q.denominator for q in out))
-    out = [int(q * scale) for q in out]
-    if any(x <= 0 for x in out):
-        return None
-    g = gcd(*out)
-    out = tuple(x // g for x in out)
-    return out, sum(map(mul, out, exps[0]))
-
-
 def _grading(mf: MatrixFactorization):
-    """(weights, D, E0 degrees, E1 degrees): the weights of W and basis
-    degrees under which e0 has degree 0 and e1 degree D = deg W, or False
-    when lambda != 0, W has no weights or no such degrees exist.  Computed
-    once per object and kept on it."""
+    """(weights, D, E0 degrees, E1 degrees): positive, primitive integer
+    weights under which W is homogeneous of degree D, and basis degrees
+    under which e0 has degree 0 and e1 degree D; or False when lambda != 0
+    or there are none.  Computed once per object and kept on it."""
     if mf._graded is None:
-        mf._graded = _basis_degrees(mf)
+        mf._graded = _solve_grading(mf)
     return mf._graded
 
 
-def _basis_degrees(mf):
-    """The degrees are checked, not solved for: an entry at (i, j) of e1
-    fixes deg E1_j = deg e1[i, j] + deg E0_i - D, one of e0 deg E0_j =
-    deg e0[i, j] + deg E1_i.  So in each component of the basis elements
-    that entries link the first gets degree 0, and each entry fixes or
-    checks another; an inhomogeneous entry has no degree."""
-    found = None if mf.lam else _weights(mf.w)
-    if found is None:
+def _solve_grading(mf):
+    """One homogeneous linear system in the basis degrees, D and the
+    weights w, by one elimination and one back substitution: a term x^a of
+    W gives <w, a> = D, of e1[i, j] deg E1_j = <w, a> + deg E0_i - D, of
+    e0[i, j] deg E0_j = <w, a> + deg E1_i.  The columns hold the degrees
+    of E1 and E0, each from its last basis element, then D and w, so the
+    first basis element of each component that entries link is free.
+    Free degrees are 0 and free weights 1, a variable absent from W
+    included.  A weight <= 0 refuses the grading: W has none (x^2 + x^3),
+    an entry is inhomogeneous or the degrees around a cycle disagree."""
+    if mf.lam:
         return False
-    wts, top = found
-    r = mf.rank
-    links = [[] for _ in range(2 * r)]  # basis element k of E0 is node k, of E1 node r + k
-    for m, rows, cols, shift in ((mf.e1, 0, r, -top), (mf.e0, r, 0, 0)):
-        for n, p in enumerate(m.entries):
-            if p.terms:
-                degrees = {sum(map(mul, wts, e)) for e in p.terms}
-                if len(degrees) > 1:
-                    return False
-                i, j = divmod(n, r)
-                d = degrees.pop() + shift
-                links[rows + i].append((cols + j, d))
-                links[cols + j].append((rows + i, -d))
-    degree = [None] * (2 * r)
-    for start in range(2 * r):
-        if degree[start] is None:
-            degree[start], stack = 0, [start]
-            while stack:
-                u = stack.pop()
-                for v, d in links[u]:
-                    if degree[v] is None:
-                        degree[v] = degree[u] + d
-                        stack.append(v)
-                    elif degree[v] != degree[u] + d:
-                        return False
-    return wts, top, tuple(degree[:r]), tuple(degree[r:])
+    r, top = mf.rank, 2 * mf.rank  # D at column top, weight i at top + 1 + i
+    equations = [(mf.w, {top: 1})]  # per term x^a: these columns - <w, a> = 0
+    for m, source, target, d in ((mf.e1, r - 1, top - 1, {top: 1}), (mf.e0, top - 1, r - 1, {})):
+        equations += [(p, {source - n % r: 1, target - n // r: -1, **d})  # basis n % r to n // r
+                      for n, p in enumerate(m.entries) if p.terms]
+    echelon = RowEchelon(QQ)
+    for p, columns in equations:
+        for a in p.terms:
+            row = {top + 1 + i: -x for i, x in enumerate(a) if x}
+            row.update(columns)
+            echelon.insert(row)
+    out = [0] * (top + 1) + [1] * mf.w.ring.nvars  # up to one positive factor
+    for c, row in sorted(echelon.pivots.items(), reverse=True):  # row[c] > 0
+        s = -sum(v * out[j] for j, v in row.items() if j != c)
+        out = [q * row[c] for q in out]
+        out[c] = s
+    if any(q <= 0 for q in out[top + 1:]):
+        return False
+    g = gcd(*out[top + 1:]) or 1  # no weights in a ring with no variables
+    out = [q // g for q in out]
+    degrees = out[:top][::-1]  # by basis element: E0, then E1
+    return tuple(out[top + 1:]), out[top], tuple(degrees[:r]), tuple(degrees[r:])
 
 
 def _tensor_maps(a1, a0, b1, b0):

@@ -32,6 +32,16 @@ class ParseError(PolyError):
         self.column = column
 
 
+def quoted(value):
+    """repr(value), or when value (its repr, if not a string) is longer than
+    40 characters, its first 12 characters and its length: an error names
+    user input without echoing all of it."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    return "%r... (%d characters)" % (text[:12], len(text))
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 # ---------------------------------------------------------------------------
@@ -223,9 +233,9 @@ def field_from_spec(spec: str) -> Field:
     if spec.startswith("Fp:"):
         digits = spec[3:]
         if not (digits.isascii() and digits.isdigit()):
-            raise ParseError("bad field spec %r (the modulus must be ASCII digits)" % spec)
+            raise ParseError("bad field spec %s (the modulus must be ASCII digits)" % quoted(spec))
         return PrimeField(parse_coefficient(QQ, digits).numerator)
-    raise ParseError("bad field spec %r (expected Q or Fp:<p>)" % spec)
+    raise ParseError("bad field spec %s (expected Q or Fp:<p>)" % quoted(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +268,10 @@ class RingContext:
     def __init__(self, variables, field: Field = QQ, order: str = "grevlex"):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names: %r" % (variables,))
+            raise ValueError("duplicate variable names: %s" % quoted(variables))
         for v in variables:
             if not v or not _is_name(v):
-                raise ValueError("bad variable name %r" % (v,))
+                raise ValueError("bad variable name %s" % quoted(v))
         if order not in ORDER_KEYS:
             raise ValueError("unknown monomial order %r" % order)
         if not isinstance(field, Field):
@@ -654,7 +664,8 @@ class _Parser:
 
     def error(self, message):
         kind, value, line, col = self.peek()
-        raise ParseError(message + (" near %r" % value if value else " at end of input"), line, col)
+        raise ParseError(message + (" near " + quoted(value) if value else " at end of input"),
+                         line, col)
 
     def integer(self, what):
         """The value of the INT token at the cursor, not taken."""
@@ -733,7 +744,7 @@ class _Parser:
         try:
             idx = self.ring.var_index(value)
         except KeyError:
-            self.error("unknown variable %r" % value)
+            self.error("unknown variable " + quoted(value))
         self.take()
         power = 1
         if self.peek()[:2] == ("OP", "^"):

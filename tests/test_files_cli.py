@@ -335,6 +335,37 @@ def test_a_refused_option_value_is_named_by_its_length(option):
                           "4300 allowed (line 1, column 0)\n" % name)
 
 
+LONG_NAME = "'aaaaaaaaaaaa'... (5000 characters)"
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("--at", "1_" + "0" * 5000, "--at (5002 characters): expected '+' or '-' near "
+     "'_00000000000'... (5001 characters) (line 1, column 1)"),
+    ("--at", "a" * 5000, "--at (5000 characters): unknown variable %s near %s "
+     "(line 1, column 0)" % (LONG_NAME, LONG_NAME)),
+    ("field", "x" * 5000, "bad field spec 'xxxxxxxxxxxx'... (5000 characters) "
+     "(expected Q or Fp:<p>) (line 1, column 0)"),
+    ("W", "a" * 5000, "unknown variable %s near %s (line 1, column 0)" % (LONG_NAME, LONG_NAME)),
+    ("schema_version", "s" * 5000, "factorization document has schema_version "
+     "'ssssssssssss'... (5000 characters), expected 1"),
+    ("vars", ["1" + "a" * 5000], "bad variable name '1aaaaaaaaaaa'... (5001 characters)"),
+], ids=["--at token", "--at variable", "document field", "document W", "document version",
+        "document vars"])
+def test_over_long_text_in_a_parse_error_is_named_by_its_length(tmp_path, where, value, message):
+    # a 5,000-character token, field spec, variable name or schema version
+    # is named by its first 12 characters and its length, not echoed
+    if where == "--at":
+        res = run("mirror-fiber", "--preset", "P1", "--param", "q=1", "--at", value)
+    else:
+        doc = files.factorization_to_doc(a1())
+        doc[where] = value
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        res = run("validate", str(path))
+    _one_line_error(res)
+    assert res.stderr == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("verb", ["mirror-count", "mirror-values", "mirror-fiber"])
 def test_repeated_parameters_are_refused(verb):
     res = run(verb, "--preset", "P1", "--param", "q=1", "--param", "q=2")
@@ -718,9 +749,11 @@ def test_fan_verbs_refuse_unknown_presets_and_fibers_of_surfaces(args, message):
 
 # raw JSON text, so that numbers too long for json.dumps and NaN go in as written
 FUZZ_VALUES = ['""', '"x^99999999999"', '"1/0"', "1" + "0" * 400, "NaN", "[[[]]]", '"Fp:4"',
-               "9" * 5000, "-1", "0", "2", "3", '"x"', '"x^2 - 1"', "null", "true", "0.5", "{}"]
+               "9" * 5000, '"%s"' % ("a" * 5000), "-1", "0", "2", "3", '"x"', '"x^2 - 1"',
+               "null", "true", "0.5", "{}"]
 FUZZ_RUNS = 200
 FUZZ_ALARM_S = 2
+FUZZ_LINE_BOUND = 500  # no error: line echoes a long value whole
 
 
 class _Alarm(BaseException):
@@ -765,8 +798,8 @@ def _fan_verbs(name):
 
 
 def test_cli_contract_under_a_seeded_structural_fuzzer(tmp_path):
-    # exit 0, 1 or 2; exit 1 prints exactly one error: line; nothing escapes
-    # and no run passes the alarm
+    # exit 0, 1 or 2; exit 1 prints exactly one error: line, shorter than
+    # FUZZ_LINE_BOUND; nothing escapes and no run passes the alarm
     factorization_verbs = [lambda f: ["validate", f], lambda f: ["shift", f],
                            lambda f: ["cok", f], lambda f: ["knorrer", f],
                            lambda f: ["hom", f, f]]
@@ -800,5 +833,6 @@ def test_cli_contract_under_a_seeded_structural_fuzzer(tmp_path):
             if res.exit_code == 1:
                 lines = res.stderr.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (args[2], text[:300])
+                assert len(lines[0]) < FUZZ_LINE_BOUND, (args[2], lines[0][:300])
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -1020,7 +1020,7 @@ def test_ungraded_ends_keep_the_syzygy_path(field, monkeypatch):
     assert runs == [False] * len(pairs)
     # W = x^3 has a weight; the changed basis gives an entry x^2 + x^3 no degree
     E = pairs[2][1]
-    assert mf._weights(E.w) == ((1,), 3) and mf._weights(pairs[1][1].w) is None
+    assert _weights(E.w) == ((1,), 3) and _weights(pairs[1][1].w) is False
     assert any(len({sum(e) for e in p.terms}) > 1 for p in E.e1.entries)
 
 
@@ -1114,13 +1114,19 @@ def _swapped_rank8(field):
 def _duality_pairs(field):
     """(name, E, F) over contexts whose singular points are isolated: the
     test suite's ungraded pairs, each seeded cone against the source, the
-    target and itself, and the rank-8 tensor against its swapped form."""
+    target and itself, the rank-8 tensor against its swapped form, and 20
+    seeded pairs of scrambled sums, whose entries are inhomogeneous."""
     out = list(_ungraded_pairs(field))
     for name, p in _seeded_combinations(field):
         C = mf.cone(p)
         out += [("cone(%s), source" % name, C, p.source),
                 ("target, cone(%s)" % name, p.target, C), ("cone(%s)" % name, C, C)]
     out.append(("rank8, swapped", _rank8(field), _swapped_rank8(field)))
+    rng = random.Random("duality/%r" % (field,))
+    for draw in range(20):
+        family = rng.choice(_families(field, 4))
+        out.append(("scrambled%d" % draw,) + tuple(_scrambled(rng, _draw(rng, family, 3))
+                                                   for _ in range(2)))
     return out
 
 
@@ -1131,7 +1137,7 @@ def test_hom_dims_obey_serre_duality(field):
     Dyckerhoff, Duke Math. J. 159, 2011; Murfet, Compositio Math. 149,
     2013), so h_i(E, F) = h_(i + n mod 2)(F, E).  An independent check of
     both dimension paths: every corpus pair, the ungraded pairs, seeded
-    cones and rank 8."""
+    cones, rank 8 and scrambled sums."""
     corpus_dims = {(ns, nt): hom_dims(s, t).dims() for ns, nt, s, t in corpus.hom_pairs(field)}
     checked = 0
     for (ns, nt), dims in corpus_dims.items():
@@ -1143,18 +1149,50 @@ def test_hom_dims_obey_serre_duality(field):
         n = E.ring.nvars
         assert there == back[n % 2:] + back[:n % 2], name
         checked += 1
-    assert checked == 1627 + 3 + 3 * 40 + 1
+    assert checked == 1627 + 3 + 3 * 40 + 1 + 20
+
+
+def _weights(w):
+    """(weights, D) of W from the grading of its rank-one factorization
+    (1, W), whose basis degrees are then 0 and -D; False when it has none."""
+    graded = mf._grading(mf.rank_one(w.ring, w, 0, w.ring.one(), w))
+    assert graded is False or graded[2:] == ((0,), (-graded[1],))
+    return graded and graded[:2]
 
 
 def test_weights_of_potentials():
     R = RingContext(("x", "u", "v"), QQ)
     x, u, v = R.gens()
-    assert mf._weights(x ** 3 + u * v) == ((2, 3, 3), 6)
-    assert mf._weights(u * v) == ((1, 1, 1), 2)  # x is absent: weight 1
-    assert mf._weights(x ** 4 * u + u ** 3 * v - v ** 5) == ((11, 16, 12), 60)
-    assert mf._weights(x * u + v) is None  # free u, v = 1 leave x at 0
-    assert mf._weights(x ** 2 - x * u ** 3) == ((3, 1, 1), 6)
-    assert mf._weights(x ** 2 + x ** 3) is None
+    assert _weights(x ** 3 + u * v) == ((2, 3, 3), 6)
+    assert _weights(u * v) == ((1, 1, 1), 2)  # x is absent: weight 1
+    assert _weights(x ** 4 * u + u ** 3 * v - v ** 5) == ((11, 16, 12), 60)
+    assert _weights(x * u + v) is False  # free u, v = 1 leave x at 0
+    assert _weights(x ** 2 - x * u ** 3) == ((3, 1, 1), 6)
+    assert _weights(x ** 2 + x ** 3) is False
+
+
+def test_ends_graded_by_different_weights_keep_the_syzygy_path(monkeypatch):
+    """Entries can pin a weight that W leaves free, so two ends may be
+    graded by different weights; the graded path then refuses the pair."""
+    R = RingContext(("x", "u", "v"), QQ)
+    x, u, v = R.gens()
+    zero, g = R.zero(), x ** 2 + u  # homogeneous only when 2 deg x = deg u
+    S = mf.MatrixFactorization(R, u * v, 0, PolyMatrix(R, 2, 2, [u, g, zero, v]),
+                               PolyMatrix(R, 2, 2, [v, -g, zero, u]))
+    T = mf.rank_one(R, u * v, 0, u, v)
+    assert mf._grading(S)[:2] == ((1, 2, 2), 4) and mf._grading(T)[:2] == ((1, 1, 1), 2)
+    # and a stand-in grading that doubles the weights and D of one end
+    E, F = an(2, 1), an(2, 2)
+    grading = mf._grading
+
+    def doubled_on_f(M):
+        graded = grading(M)
+        return ((2,), 6) + graded[2:] if M is F else graded
+    monkeypatch.setattr(mf, "_grading", doubled_on_f)
+    for source, target in ((S, T), (T, S), (E, F), (F, E)):
+        assert hom._graded_dims(source, target) is None
+        assert hom_dims(source, target).dims() == _syzygy_dims(source, target)
+    assert hom._graded_dims(S, S) is not None and hom._graded_dims(E, E) is not None
 
 
 def test_basis_degrees_are_checked_against_every_entry():
@@ -1185,7 +1223,7 @@ def test_each_model_is_graded_once_and_keeps_its_grading(monkeypatch):
     # fresh corpus objects, so that no earlier test has graded them
     fresh = corpus._corpus_objects_cached.__wrapped__(QQ)
     monkeypatch.setattr(corpus, "_corpus_objects_cached", lambda field: fresh)
-    graded = _count_calls(monkeypatch, mf, "_basis_degrees")
+    graded = _count_calls(monkeypatch, mf, "_solve_grading")
     pairs = corpus.hom_pairs()
     for _, _, E, F in pairs:
         hom_dims(E, F)
