@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .poly import QQ, PolyError, field_from_spec, parse_coefficient
+from .poly import QQ, PolyError, field_from_spec, parse_coefficient, quoted, shortened
 from . import mf as mfmod
 from . import hom as hommod
 from . import files
@@ -101,12 +101,13 @@ def _parse_params(pairs):
     params = {}
     for pair in pairs:
         if "=" not in pair:
-            raise click.UsageError("--param expects name=value, got %r" % pair)
+            raise click.UsageError("--param expects name=value, got %s" % quoted(pair))
         name, _, raw = pair.partition("=")
         name = name.strip()
+        option = "--param %s" % shortened(name)
         if name in params:
-            raise ValueError("--param %s is given more than once" % name)
-        params[name] = _rational("--param %s" % name, raw)
+            raise ValueError("%s is given more than once" % option)
+        params[name] = _rational(option, raw)
     return params
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .poly import RingContext, QQ
+from .poly import RingContext, QQ, quoted
 from . import mf
 
 MAX_POWER = 6
@@ -111,5 +111,5 @@ def lookup(name: str, field=QQ) -> mf.MatrixFactorization:
     named = corpus_objects(field)
     if name in named:
         return named[name]
-    raise KeyError("unknown preset %r (try one of: %s, ...)" %
-                   (name, ", ".join(sorted(named)[:6])))
+    raise KeyError("unknown preset %s (try one of: %s, ...)" %
+                   (quoted(name), ", ".join(sorted(named)[:6])))

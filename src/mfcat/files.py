@@ -16,7 +16,7 @@ import os
 import sys
 
 from .poly import (RingContext, QQ, field_from_spec, parse_polynomial,
-                   parse_coefficient, PolyError, quoted)
+                   parse_coefficient, PolyError, quoted, shortened)
 from .matrix import PolyMatrix
 from . import mf as mfmod
 from . import corpus
@@ -221,7 +221,9 @@ def _parse(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise SchemaError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+        # up to 120 characters, as a temporary path often passes 40
+        raise SchemaError("cannot read %s: %s"
+                          % (shortened(path, 120), exc.strerror or exc)) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

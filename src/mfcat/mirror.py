@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
-                   PolyError, univariate_gcd)
+                   PolyError, quoted, univariate_gcd)
 from . import groebner
 
 
@@ -165,7 +165,7 @@ class SuperpotentialSpec:
             values[_param_variable(name)] = val
         extra = set(params) - set(self.param_names)
         if extra:
-            raise MissingParameter("unknown parameter(s): %s" % sorted(extra))
+            raise MissingParameter("unknown parameter(s): %s" % quoted(sorted(extra)))
         target = RingContext(self.y_names, QQ, "grevlex")
         return self.w.substitute(values, target)
 
@@ -372,5 +372,6 @@ def preset(name: str) -> ToricSpec:
     try:
         factory = PRESETS[name]
     except KeyError:
-        raise KeyError("unknown preset %r (have: %s)" % (name, ", ".join(sorted(PRESETS)))) from None
+        raise KeyError("unknown preset %s (have: %s)"
+                       % (quoted(name), ", ".join(sorted(PRESETS)))) from None
     return factory()

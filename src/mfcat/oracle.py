@@ -9,11 +9,10 @@ point: agreement is evidence, disagreement is a bug.
 All three eliminate images.  A vector v in U slots, a list of (slot,
 term dict) pairs (a generator g is [(0, g.terms)]), has the images x^m v,
 and one echelon per call holds every image entered so far, each entered
-once: a scan that raises d enters only the images new at d.  Coordinate
-(u, e) is the int column u - U * P(e), P(e) the exponents of e in w-bit
-fields under a field holding deg e.  w is the
-bit length of the scan's cap plus the vectors' largest degree, so no
-field overflows, none is checked, and P is additive (Monagan and Pearce,
+at most once: a scan that raises d enters only the images new at d.
+Coordinate (u, e) is the int column u - U * P(e), P(e) the exponents of e
+in w-bit fields under a field holding deg e.  w is the bit length of the
+scan's cap plus the vectors' largest degree, so no field overflows, none is checked, and P is additive (Monagan and Pearce,
 CASC 2007): x^m v is v's row shifted by -U * P(m).  Higher degree means
 a smaller column, so a stored row's pivot, its smallest column, has its
 top degree, and for every d the images' span meets degree <= d in the
@@ -30,6 +29,18 @@ boundaries D x in degree <= d number boundaries(D, d), so
 
     h0 = (unknowns - rank(d_even)) - boundaries(d_odd, d)
     h1 = (unknowns - rank(d_odd)) - boundaries(d_even, d).
+
+The Hom scan enters images by degree, then descending lex, then slot, and
+skips x_i x^m v_t when x^m v_t was dependent or skipped (the criterion
+behind Faugere's F5, ISSAC 2002: a syzygy's multiples are syzygies).  The
+order is multiplicative, m' before m puts x_i m' before x_i m, so if x^m v
+lies in the span of the images before it, x_i x^m v lies in the span of
+their x_i-multiples, which all come before it; by induction so does every
+skipped image.  A dependent row adds no pivot and rewrites no stored row,
+so rank, pivots and boundaries(D, d) are those of entering every image.
+Each echelon keeps one int mask per monomial of the last degree entered,
+bit t for slot t, and ``_layer`` packs each degree once with the indices
+of each monomial's parents m/x_i.
 """
 
 from __future__ import annotations
@@ -60,6 +71,17 @@ def _monomials_of(nvars, k):
                  for c in combinations_with_replacement(range(nvars), k))
 
 
+@lru_cache(maxsize=256)
+def _layer(nvars, k, w):
+    """(P(m), parents) for each monomial m of degree k, in scan order: P(m)
+    packs m in w-bit fields as ``_Images`` does, and parents index the
+    m/x_i in _monomials_of(nvars, k - 1)."""
+    index = {e: j for j, e in enumerate(_monomials_of(nvars, k - 1))} if k else {}
+    return tuple((sum(a << w * i for i, a in enumerate(m)) + (k << w * nvars),
+                  tuple(index[m[:i] + (a - 1,) + m[i + 1:]] for i, a in enumerate(m) if a))
+                 for m in _monomials_of(nvars, k))
+
+
 def _check_count(name, value, least=0):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
@@ -76,7 +98,8 @@ class _Images:
     `ring`, while exponents and degrees stay <= `top`."""
 
     def __init__(self, ring, vectors, slots, top):
-        self.echelon, self._slots, w = RowEchelon(ring.field), slots, top.bit_length()
+        self.echelon, self._slots, self._nvars = RowEchelon(ring.field), slots, ring.nvars
+        w = self._w = top.bit_length()
         self._degree = slots << w * ring.nvars  # column offset of one degree
         self._steps = [-self._degree - (slots << w * i) for i in range(ring.nvars)]  # base(x_i)
         self._rows = [integer_multiple({u + self.base(e): c for u, terms in v
@@ -89,6 +112,22 @@ class _Images:
     def insert(self, i, base):
         """Enter x^m times vector i, base = self.base(m); its new pivot column, or None."""
         return self.echelon.insert({base + c: a for c, a in self._rows[i]})
+
+    def enter_layer(self, k, dead):
+        """Enter x^m v_t for the monomials m of degree k, in scan order, and
+        each vector t, skipping x^m v_t when bit t is set in the mask
+        dead[j] of a parent m/x_i; the masks of this layer, bit t set where
+        x^m v_t was dependent or skipped."""
+        masks, echelon, rows = [], self.echelon, self._rows
+        for p, parents in _layer(self._nvars, k, self._w):
+            base, mask = -self._slots * p, 0
+            for j in parents:
+                mask |= dead[j]
+            for t, row in enumerate(rows):
+                if not mask >> t & 1 and echelon.insert({base + c: a for c, a in row}) is None:
+                    mask |= 1 << t
+            masks.append(mask)
+        return masks
 
     def boundaries(self, d):
         """The dimension of the entered images' span in degree <= d."""
@@ -112,15 +151,12 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     hommod._check_ends(source, target)
     columns = hommod._differentials(source, target, 2 * source.rank * target.rank)
     n, top = len(columns[0]), _top(max_degree, columns[0] + columns[1])
-    even, odd = (_Images(source.ring, c, n, top) for c in columns)
-    entered, prev, streak = 0, None, 0  # entered: monomials whose unknowns are in both echelons
+    even, odd = images = [_Images(source.ring, c, n, top) for c in columns]
+    dead, entered, prev, streak = [(), ()], 0, None, 0  # dead: the masks of layer entered - 1
     for d in range(start_degree, max_degree + 1):
-        monos = _monomials_upto(source.ring.nvars, d)
-        for base in map(even.base, monos[entered:]):  # odd packs alike: same slots and top
-            for t in range(n):
-                even.insert(t, base)
-                odd.insert(t, base)
-        entered, unknowns = len(monos), n * len(monos)
+        for k in range(entered, d + 1):
+            dead = [e.enter_layer(k, masks) for e, masks in zip(images, dead)]
+        entered, unknowns = d + 1, n * len(_monomials_upto(source.ring.nvars, d))
         cur = (unknowns - even.echelon.rank - odd.boundaries(d),
                unknowns - odd.echelon.rank - even.boundaries(d))
         streak = streak + 1 if cur == prev else 1

@@ -42,6 +42,12 @@ def quoted(value):
     return "%r... (%d characters)" % (text[:12], len(text))
 
 
+def shortened(text, limit=40):
+    """text itself, or when it is longer than limit (at least 40)
+    characters, its name by ``quoted``."""
+    return text if len(text) <= limit else quoted(text)
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 # ---------------------------------------------------------------------------

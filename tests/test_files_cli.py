@@ -366,6 +366,19 @@ def test_over_long_text_in_a_parse_error_is_named_by_its_length(tmp_path, where,
     assert res.stderr == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("args", [
+    ["mirror-count", "--preset", "P" * 5000],
+    ["mirror-count", "--preset", "P1", "--param", "q=1", "--param", "q" * 5000 + "=2"],
+    ["mirror-count", "--preset", "P1", "--param", "q" * 5000 + "=x"],
+    ["hom", "A" * 5000, "An:1:1"],
+], ids=["preset", "unknown parameter", "refused parameter", "unreadable path"])
+def test_over_long_option_values_are_named_by_their_length(args):
+    # a 5,000-character preset name, parameter name or path is not echoed
+    res = run(*args)
+    _one_line_error(res)
+    assert len(res.stderr) < 200 and "(500" in res.stderr
+
+
 @pytest.mark.parametrize("verb", ["mirror-count", "mirror-values", "mirror-fiber"])
 def test_repeated_parameters_are_refused(verb):
     res = run(verb, "--preset", "P1", "--param", "q=1", "--param", "q=2")

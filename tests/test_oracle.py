@@ -143,7 +143,25 @@ def test_oracle_shares_no_code_with_the_basis_engine():
         assert list(oracle._monomials_upto(nvars, 5)) == expected
 
 
-def test_hom_oracle_inserts_each_image_once(monkeypatch):
+def _skipped_images(D, monos):
+    """The images D(e_t x^m), m in monos, that a plain echelon fed every
+    image in scan order meets after one of their parents (m/x_i, t) reduced
+    to zero there."""
+    echelon, coordinates, dead, skipped = RowEchelon(D.ring.field), {}, set(), 0
+    for m in monos:
+        for t in range(D.cols):
+            parents = {(m[:i] + (a - 1,) + m[i + 1:], t) for i, a in enumerate(m) if a}
+            skipped += bool(parents & dead)
+            terms, _ = integer_multiple({(u, tuple(map(add, m, alpha))): c
+                                         for u, p in enumerate(D.column(t))
+                                         for alpha, c in p.terms.items()})
+            if echelon.insert({coordinates.setdefault(key, len(coordinates)): c
+                               for key, c in terms.items()}) is None:
+                dead.add((m, t))
+    return skipped
+
+
+def test_hom_oracle_skips_the_multiples_of_dependent_images(monkeypatch):
     from mfcat import oracle
     made, inserts, degrees = [], [], []
     real_echelon, real_monos = oracle.RowEchelon, oracle._monomials_upto
@@ -163,14 +181,42 @@ def test_hom_oracle_inserts_each_image_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
     monkeypatch.setattr(oracle, "_monomials_upto", recording_monos)
-    src, tgt = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
-    assert hom_dims_truncated(src, tgt) == (1, 1)
-    assert degrees == list(range(4, 4 + len(degrees))) and len(degrees) >= 3
-    # one echelon per differential for the whole scan, and each image
-    # D(e_t m) of an unknown up to the last degree scanned entered once
-    assert len(made) == 2
-    n = hom_complex(src, tgt).d_even.cols
-    assert len(inserts) == 2 * n * len(real_monos(src.ring.nvars, degrees[-1]))
+    for names, dims, count in ((("An:3:1", "An:3:2"), (1, 1), 18),
+                               (("tensor(An:1:1,An:1:1~y)",) * 2, (2, 2), 148)):
+        del made[:], inserts[:], degrees[:]
+        src, tgt = map(corpus.lookup, names)
+        assert hom_dims_truncated(src, tgt) == dims
+        start = src.w.total_degree()
+        assert degrees == list(range(start, start + len(degrees))) and len(degrees) >= 3
+        # one echelon per differential for the whole scan; each image
+        # D(e_t m) of an unknown up to the last degree scanned is entered
+        # once, unless a parent (m/x_i, t) reduced to zero
+        assert len(made) == 2
+        H, monos = hom_complex(src, tgt), real_monos(src.ring.nvars, degrees[-1])
+        skipped = sum(_skipped_images(D, monos) for D in (H.d_even, H.d_odd))
+        assert len(inserts) == 2 * H.d_even.cols * len(monos) - skipped == count
+
+
+def test_hom_scan_order_is_multiplicative_and_layers_pack_as_images():
+    from mfcat import oracle
+    for nvars in range(1, 5):
+        monos = _monomials_upto(nvars, 6)
+        position = {m: j for j, m in enumerate(_monomials_upto(nvars, 7))}
+        for i in range(nvars):
+            # m' before m puts x_i m' before x_i m
+            shifted = [position[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monos]
+            assert shifted == sorted(set(shifted))
+        ring = RingContext(tuple("x%d" % i for i in range(nvars)), QQ)
+        images = oracle._Images(ring, [[(0, {(0,) * nvars: 1})]], 3, 6)
+        w = (6).bit_length()
+        for k in range(7):
+            layer = oracle._layer(nvars, k, w)
+            below = oracle._monomials_of(nvars, k - 1) if k else ()
+            assert len(layer) == len(oracle._monomials_of(nvars, k))
+            for m, (packed, parents) in zip(oracle._monomials_of(nvars, k), layer):
+                assert images.base(m) == -3 * packed
+                assert sorted(below[j] for j in parents) == sorted(
+                    m[:i] + (a - 1,) + m[i + 1:] for i, a in enumerate(m) if a)
 
 
 def test_quotient_oracle_enters_each_multiple_once(monkeypatch):
