@@ -71,13 +71,17 @@ def _monomials_of(nvars, k):
                  for c in combinations_with_replacement(range(nvars), k))
 
 
+def _packed(m, w):
+    """P(m): the exponents of m in w-bit fields, under a field holding deg m."""
+    return sum(a << w * i for i, a in enumerate(m)) + (sum(m) << w * len(m))
+
+
 @lru_cache(maxsize=256)
 def _layer(nvars, k, w):
-    """(P(m), parents) for each monomial m of degree k, in scan order: P(m)
-    packs m in w-bit fields as ``_Images`` does, and parents index the
-    m/x_i in _monomials_of(nvars, k - 1)."""
+    """(P(m), parents) for each monomial m of degree k, in scan order, where
+    parents index the m/x_i in _monomials_of(nvars, k - 1)."""
     index = {e: j for j, e in enumerate(_monomials_of(nvars, k - 1))} if k else {}
-    return tuple((sum(a << w * i for i, a in enumerate(m)) + (k << w * nvars),
+    return tuple((_packed(m, w),
                   tuple(index[m[:i] + (a - 1,) + m[i + 1:]] for i, a in enumerate(m) if a))
                  for m in _monomials_of(nvars, k))
 
@@ -101,13 +105,12 @@ class _Images:
         self.echelon, self._slots, self._nvars = RowEchelon(ring.field), slots, ring.nvars
         w = self._w = top.bit_length()
         self._degree = slots << w * ring.nvars  # column offset of one degree
-        self._steps = [-self._degree - (slots << w * i) for i in range(ring.nvars)]  # base(x_i)
         self._rows = [integer_multiple({u + self.base(e): c for u, terms in v
                                         for e, c in terms.items()})[0].items() for v in vectors]
 
     def base(self, m):
         """-slots * P(m), the shift of every column under x^m."""
-        return sum(k * step for k, step in zip(m, self._steps))
+        return -self._slots * _packed(m, self._w)
 
     def insert(self, i, base):
         """Enter x^m times vector i, base = self.base(m); its new pivot column, or None."""

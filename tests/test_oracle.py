@@ -215,6 +215,9 @@ def test_hom_scan_order_is_multiplicative_and_layers_pack_as_images():
             assert len(layer) == len(oracle._monomials_of(nvars, k))
             for m, (packed, parents) in zip(oracle._monomials_of(nvars, k), layer):
                 assert images.base(m) == -3 * packed
+                # additive: x_i is 1 in its own field and in the degree field
+                assert packed == sum(a * ((1 << w * i) + (1 << w * nvars))
+                                     for i, a in enumerate(m))
                 assert sorted(below[j] for j in parents) == sorted(
                     m[:i] + (a - 1,) + m[i + 1:] for i, a in enumerate(m) if a)
 
