@@ -100,12 +100,18 @@ class PolyMatrix:
     # -- access ----------------------------------------------------------
 
     def get(self, i: int, j: int) -> Polynomial:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d, %d) of a %dx%d matrix" % (i, j, self.rows, self.cols))
         return self.entries[i * self.cols + j]
 
     def row(self, i: int):
+        if not 0 <= i < self.rows:
+            raise IndexError("row %d of a %dx%d matrix" % (i, self.rows, self.cols))
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int):
+        if not 0 <= j < self.cols:
+            raise IndexError("column %d of a %dx%d matrix" % (j, self.rows, self.cols))
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def columns(self):

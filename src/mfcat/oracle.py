@@ -6,19 +6,21 @@ d and solving finite exact linear systems, raising d until consecutive
 answers agree.  They share no code with the basis engine, which is the
 point: agreement is evidence, disagreement is a bug.
 
-All three eliminate images.  A vector v in U slots, a list of (slot,
-term dict) pairs (a generator g is [(0, g.terms)]), has the images x^m v,
-and one echelon per call holds every image entered so far, each entered
-at most once: a scan that raises d enters only the images new at d.
+All three eliminate images.  A vector v in U slots, a list of (slot, term
+dict) pairs (a generator g is [(0, g.terms)]), has the images x^m v, and
+one echelon per call holds every image entered so far, each entered at
+most once: a scan that raises d enters only the images new at d, reading
+each degree's monomials from the cached ``_monomials_of`` or ``_layer``,
+and counts those of degree <= d in N variables as C(d + N, N).
 Coordinate (u, e) is the int column u - U * P(e), P(e) the exponents of e
 in w-bit fields under a field holding deg e.  w is the bit length of the
-scan's cap plus the vectors' largest degree, so no field overflows, none is checked, and P is additive (Monagan and Pearce,
-CASC 2007): x^m v is v's row shifted by -U * P(m).  Higher degree means
-a smaller column, so a stored row's pivot, its smallest column, has its
-top degree, and for every d the images' span meets degree <= d in the
-stored rows whose pivot clears one threshold.  The order within a
-degree changes no rank, so no answer.  Over Q a vector is entered times
-the lcm of its denominators, so ``RowEchelon`` eliminates on ints.
+scan's cap plus the vectors' largest degree, so no field overflows and P
+is additive (Monagan and Pearce, CASC 2007): x^m v is v's row shifted by
+-U * P(m).  Higher degree means a smaller column, so a stored row's
+pivot, its smallest column, has its top degree, and for every d the
+images' span meets degree <= d in the stored rows whose pivot clears one
+threshold.  The order within a degree changes no rank, so no answer, and
+over Q a vector enters ``RowEchelon`` cleared of denominators, as ints.
 
 Hom dimensions at degree d: both differentials d_even and d_odd of the
 Hom complex are n x n, their columns placed by hom._differentials at all
@@ -39,14 +41,13 @@ their x_i-multiples, which all come before it; by induction so does every
 skipped image.  A dependent row adds no pivot and rewrites no stored row,
 so rank, pivots and boundaries(D, d) are those of entering every image.
 Each echelon keeps one int mask per monomial of the last degree entered,
-bit t for slot t, and ``_layer`` packs each degree once with the indices
-of each monomial's parents m/x_i.
+bit t for slot t.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 
 from .matrix import RowEchelon
@@ -56,13 +57,6 @@ from . import hom as hommod
 
 class OracleDiverged(PolyError):
     pass
-
-
-def _monomials_upto(nvars, d):
-    """Exponent tuples of total degree 0..d, by degree, then descending lex
-    (the order in which the sorted variable-index multisets come), as a
-    tuple joined from the cached tuples of each degree."""
-    return tuple(chain.from_iterable(_monomials_of(nvars, k) for k in range(d + 1)))
 
 
 @lru_cache(maxsize=256)
@@ -159,7 +153,7 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     for d in range(start_degree, max_degree + 1):
         for k in range(entered, d + 1):
             dead = [e.enter_layer(k, masks) for e, masks in zip(images, dead)]
-        entered, unknowns = d + 1, n * len(_monomials_upto(source.ring.nvars, d))
+        entered, unknowns = d + 1, n * comb(d + source.ring.nvars, source.ring.nvars)
         cur = (unknowns - even.echelon.rank - odd.boundaries(d),
                unknowns - odd.echelon.rank - even.boundaries(d))
         streak = streak + 1 if cur == prev else 1
@@ -182,18 +176,13 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         raise RingMismatch("generator in a different ring")
     vectors = [[(0, g.terms)] for g in gens]
     images = _Images(ring, vectors, 1, _top(max_degree, vectors))
-    n, degrees, bases = ring.nvars, [g.total_degree() for g in gens], []  # bases: of monos read
-    entered, prev = -1, None  # the multiples x^m g of degree <= entered are in the echelon
+    n, degrees, entered, prev = ring.nvars, [g.total_degree() for g in gens], 0, None
     for d in range(start_degree, max_degree + 1):
-        monos = _monomials_upto(n, d)
-        bases += map(images.base, monos[len(bases):])
-        # the new x^m g_i have entered - gdeg < deg m <= d - gdeg: a slice of monos by count
-        for i, gdeg in enumerate(degrees):
-            lo, hi = (comb(k + n, n) if k >= 0 else 0 for k in (entered - gdeg, d - gdeg))
-            for base in bases[lo:hi]:
-                images.insert(i, base)
-        entered = d
-        cur = len(monos) - images.echelon.rank
+        for k in range(entered, d + 1):  # enter the multiples x^m g_i of degree k
+            for i, gdeg in enumerate(degrees):
+                for m in _monomials_of(n, k - gdeg) if k >= gdeg else ():
+                    images.insert(i, images.base(m))
+        entered, cur = d + 1, comb(d + n, n) - images.echelon.rank
         if cur == prev:
             return cur
         prev = cur
@@ -212,7 +201,8 @@ def ideal_member_linear(f, gens, quotient_degree) -> bool:
         raise RingMismatch("generator in a different ring")
     vectors = [[(0, g.terms)] for g in gens]
     images = _Images(f.ring, vectors, 1, _top(quotient_degree, vectors))
-    for base in map(images.base, _monomials_upto(f.ring.nvars, quotient_degree)):
-        for i in range(len(vectors) - 1):
-            images.insert(i, base)
+    for k in range(quotient_degree + 1):
+        for base in map(images.base, _monomials_of(f.ring.nvars, k)):
+            for i in range(len(vectors) - 1):
+                images.insert(i, base)
     return images.insert(len(vectors) - 1, 0) is None

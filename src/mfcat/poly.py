@@ -86,24 +86,18 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Arithmetic interface shared by Q and F_p, and the one integer
     encoding of the exact kernels: they compute on int dicts, fraction-free
-    over Q and mod `p` over F_p, and come back through `from_scaled`."""
+    over Q and mod `p` over F_p, and come back through `from_scaled`.
+
+    Each field defines add, sub, mul, neg and inv, and:
+      * coerce(value): the field element of an int or Fraction; anything
+        else, bool included, raises TypeError;
+      * stored_form(terms, lead): an int dict in its stored form at the key
+        `lead`, over Q divided by its content and signed so the lead is
+        positive, over F_p monic; returned as given when already stored;
+      * from_scaled(c, d): the field element c/d of ints c and d.
+    """
 
     p = None  # the modulus over F_p
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -113,21 +107,6 @@ class Field:
         if k < 0:
             a, k = self.inv(a), -k
         return a ** k if self.p is None else pow(a, k, self.p)
-
-    def coerce(self, value):
-        """The field element of an int or Fraction; anything else, bool
-        included, raises TypeError."""
-        raise NotImplementedError
-
-    def stored_form(self, terms, lead):
-        """An int dict in its stored form at the key `lead`: over Q divided
-        by its content and signed so the lead is positive, over F_p monic.
-        Returned as given when it is already stored."""
-        raise NotImplementedError
-
-    def from_scaled(self, c, d):
-        """The field element c/d of ints c and d."""
-        raise NotImplementedError
 
     def format(self, a) -> str:
         return str(a)
@@ -534,6 +513,9 @@ class Polynomial(_TermPoly):
         """Evaluate at a full point given as a list of coefficients."""
         fld = self.ring.field
         values = [fld.coerce(v) for v in values]
+        if len(values) != self.ring.nvars:
+            raise ValueError("a point needs %d coordinates, got %d"
+                             % (self.ring.nvars, len(values)))
         total = fld.zero
         for exps, c in self.terms.items():
             for v, e in zip(values, exps):
@@ -696,8 +678,6 @@ class _Parser:
                 self.take()
                 sign = -1 if value == "-" else 1
             elif not first:
-                if kind == "END":
-                    break
                 self.error("expected '+' or '-'")
             if self.peek()[0] == "END":
                 if first and sign == 1 and self.pos == 0:
@@ -804,6 +784,8 @@ def univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     if f.ring != g.ring:
         raise RingMismatch("gcd operands in different rings")
+    if f.ring.nvars != 1:
+        raise ValueError("univariate_gcd needs a ring of one variable, not %d" % f.ring.nvars)
     field = f.ring.field
     a, b = _coefficient_list(f), _coefficient_list(g)
     while b:

@@ -11,8 +11,27 @@ from mfcat.hom import hom_complex, hom_dims
 from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.oracle import (
     OracleDiverged, hom_dims_truncated, quotient_dim_truncated,
-    ideal_member_linear, _monomials_upto,
+    ideal_member_linear, _monomials_of,
 )
+
+
+def _monomials_upto(nvars, d):
+    """The oracle's monomials of degree 0..d, its per-degree tables joined."""
+    return [m for k in range(d + 1) for m in _monomials_of(nvars, k)]
+
+
+def _recording_comb(monkeypatch):
+    """Wrap oracle.comb, which each scan calls once per degree it reads as
+    C(d + N, N); the list of the degrees d read."""
+    from mfcat import oracle
+    real_comb, degrees = oracle.comb, []
+
+    def comb(n, k):
+        degrees.append(n - k)
+        return real_comb(n, k)
+
+    monkeypatch.setattr(oracle, "comb", comb)
+    return degrees
 
 
 def xring():
@@ -134,13 +153,13 @@ def test_oracle_shares_no_code_with_the_basis_engine():
     borrowed = [name for name, obj in vars(oracle).items()
                 if getattr(obj, "__module__", None) == "mfcat.groebner"]
     assert borrowed == []
-    # its own enumerator keeps the order the oracle always used: by degree,
-    # then descending lex
+    # its own per-degree tables keep the order the oracle always used: by
+    # degree, then descending lex
     for nvars in range(4):
         expected = [m for k in range(6)
                     for m in sorted((m for m in product(range(k + 1), repeat=nvars)
                                      if sum(m) == k), reverse=True)]
-        assert list(oracle._monomials_upto(nvars, 5)) == expected
+        assert [m for k in range(6) for m in oracle._monomials_of(nvars, k)] == expected
 
 
 def _skipped_images(D, monos):
@@ -163,8 +182,8 @@ def _skipped_images(D, monos):
 
 def test_hom_oracle_skips_the_multiples_of_dependent_images(monkeypatch):
     from mfcat import oracle
-    made, inserts, degrees = [], [], []
-    real_echelon, real_monos = oracle.RowEchelon, oracle._monomials_upto
+    made, inserts, degrees = [], [], _recording_comb(monkeypatch)
+    real_echelon = oracle.RowEchelon
 
     class CountingEchelon(real_echelon):
         def __init__(self, field):
@@ -175,12 +194,7 @@ def test_hom_oracle_skips_the_multiples_of_dependent_images(monkeypatch):
             inserts.append(len(row))
             return super().insert(row)
 
-    def recording_monos(nvars, d):
-        degrees.append(d)
-        return real_monos(nvars, d)
-
     monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
-    monkeypatch.setattr(oracle, "_monomials_upto", recording_monos)
     for names, dims, count in ((("An:3:1", "An:3:2"), (1, 1), 18),
                                (("tensor(An:1:1,An:1:1~y)",) * 2, (2, 2), 148)):
         del made[:], inserts[:], degrees[:]
@@ -192,7 +206,7 @@ def test_hom_oracle_skips_the_multiples_of_dependent_images(monkeypatch):
         # D(e_t m) of an unknown up to the last degree scanned is entered
         # once, unless a parent (m/x_i, t) reduced to zero
         assert len(made) == 2
-        H, monos = hom_complex(src, tgt), real_monos(src.ring.nvars, degrees[-1])
+        H, monos = hom_complex(src, tgt), _monomials_upto(src.ring.nvars, degrees[-1])
         skipped = sum(_skipped_images(D, monos) for D in (H.d_even, H.d_odd))
         assert len(inserts) == 2 * H.d_even.cols * len(monos) - skipped == count
 
@@ -224,7 +238,7 @@ def test_hom_scan_order_is_multiplicative_and_layers_pack_as_images():
 
 def test_quotient_oracle_enters_each_multiple_once(monkeypatch):
     from mfcat import oracle
-    inserts, degrees = [], []
+    inserts, degrees = [], _recording_comb(monkeypatch)
 
     class CountingEchelon(oracle.RowEchelon):
         def insert(self, row):
@@ -232,8 +246,6 @@ def test_quotient_oracle_enters_each_multiple_once(monkeypatch):
             return super().insert(row)
 
     monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
-    monkeypatch.setattr(oracle, "_monomials_upto",
-                        lambda nvars, d: degrees.append(d) or _monomials_upto(nvars, d))
     R = RingContext(("x", "y"), QQ)
     x, y = R.gens()
     gens = [x**3 + y, y**4 - x**2, x * y**2]
@@ -524,9 +536,7 @@ def test_plateau_counts_consecutive_equal_readings(monkeypatch):
     """An answer is accepted at the plateau-th consecutive equal reading:
     with plateau=1 the first degree read decides."""
     source, target = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
-    read = []
-    monkeypatch.setattr("mfcat.oracle._monomials_upto",
-                        lambda nvars, d: read.append(d) or _monomials_upto(nvars, d))
+    read = _recording_comb(monkeypatch)
     for plateau in (1, 2, 3):
         read.clear()
         assert hom_dims_truncated(source, target, plateau=plateau) == (1, 1)
