@@ -1170,8 +1170,8 @@ def test_graded_hom_series_obey_serre_duality(field, monkeypatch):
         return series_dim(numerator, weights)
     monkeypatch.setattr(groebner, "_series_dim", reading)
 
-    def numerators(S, T):
-        del read[:]
+    def numerators(S, T):  # (N_0, N_1) of _graded_dims(S, T), or None
+        read.clear()
         return read[:] if hom._graded_dims(S, T) else None
 
     pairs = [(s, t) for _, _, s, t in corpus.hom_pairs(field)]
@@ -1193,6 +1193,8 @@ def test_graded_hom_series_obey_serre_duality(field, monkeypatch):
             checked += 1
     # the 940 graded corpus pairs, and the graded ones of _duality_pairs
     assert checked == 2 * (940 + (86 if field == QQ else 84))
+
+
 def _weights(w):
     """(weights, D) of W from the grading of its rank-one factorization
     (1, W), whose basis degrees are then 0 and -D; False when it has none."""
