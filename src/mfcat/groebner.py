@@ -51,6 +51,25 @@ nothing is re-heapified.  (degree, i, j) is unique to a pair, so the live
 pairs leave the heap in the order a rebuilt heap gives, and no S-pair
 reduction, basis or witness changes.
 
+A run may also start from groups, each already a Groebner basis, and
+then forms pairs only across groups: a pair inside one reduces to zero
+there, and still counts for M/F and B.  A lone input is its own group,
+so every other run is unchanged.  The groups are the two placed factor
+bases of a slot module A^t (x) R + U (x) A^s in A^(t s), slot (i, k) at
+position i s + k (_kron_leads, for hom's first block rows): t copies
+A^t (x) G of a basis G of R, and s copies H (x) A^s of one H of U.  Each
+copy keeps the order and the copies of one factor lie at disjoint
+positions, so each group is a Groebner basis.  A pair across them, of
+e_i (x) g and u (x) e_k with coprime leads, is dropped after M/F, like an
+ideal's coprime pairs.  With u = a e_i + u' and g = b e_k + g' for the
+monic leads a e_i and b e_k,
+  a (e_i (x) g) - b (u (x) e_k) = u (x) g' - u' (x) g
+    = sum_l g'_l (u (x) e_l) - sum_j u'_j (e_j (x) g),
+and every summand has its lead below a b at i s + k: a t-representation
+(Becker-Weispfenning, Groebner Bases, 5.5).  No pair with an element made
+later is dropped so, nor any pair of a tracked run, which needs them for
+its syzygies.
+
 Terms are packed whole (Monagan-Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a kernel
 term is one int key, (position << bits) + (m ^ base), for a monomial m of
@@ -288,6 +307,15 @@ class _Elem:
         self.terms = fld.stored_form(self.terms, self.lt)
         self.lc = self.terms[self.lt]
 
+    def shifted(self, shift):
+        """This element moved shift >> bits positions down, or itself at 0."""
+        if not shift:
+            return self
+        e = _Elem.__new__(_Elem)
+        e.terms = {k + shift: c for k, c in self.terms.items()}
+        e.lt, e.lc, e.exps, e.mono = self.lt + shift, self.lc, self.exps, self.mono + shift
+        return e
+
 
 def _index(elems, pk):
     """The divisors by lead position, each position's list in `elems` order."""
@@ -383,29 +411,34 @@ def _s_remainder(ring, pk, ei, ej, lcm, index):
     return _divide(ring, pk, spoly, index)[0]
 
 
-def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
+def _buchberger_core(ring, pk, inputs, rank, syzygies=False, factors=()):
     """A Groebner basis of the (terms, D) pairs of _entry, as a list of _Elem.
 
     Positions `rank` and up form the e-block.  With `syzygies` set the
     elements whose lead lies in the e-block are kept; otherwise they are
     dropped as they appear.  The basis is not reduced: see _reduce.
     Pairs are kept by the Gebauer-Moeller update: see the module docstring.
+    `factors`, in an untracked run only, holds two lists of _Elems, the
+    placed factor bases A^t (x) G and H (x) A^s of _kron_leads: they enter
+    first, each as a group that is already a Groebner basis, and form
+    pairs only across the two groups.
     """
     fld = ring.field
     coprime = rank == 1 and not syzygies
     basis = []
+    groups = []  # per element: 0 or 1 for factors[0] or factors[1], None for the rest
     index = {}   # the basis by lead position, as _divide takes it
     active = {}  # by lead position, the indices of elements that still form new pairs
     queued = {}  # by lead position where B runs, the queued pairs
     pairs = []   # heap of [lcm degree, i, j, lcm]; lcm is None once dead or popped
 
-    def insert(terms, lt):
-        e = _Elem(terms, lt, fld, pk)
+    def insert(e, group=None):
         pos, h = e.lt >> pk.bits, e.exps
         if pos >= rank and not syzygies:
             return
         n = len(basis)
         basis.append(e)
+        groups.append(group)
         index.setdefault(pos, []).append(e)
         queue = None
         if pos >= rank or not syzygies:
@@ -427,22 +460,29 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
         new = {}
         for i in mine:
             new.setdefault(_lcm(basis[i].exps, h), []).append(i)
-        for lcm, group in new.items():
+        for lcm, lcm_group in new.items():
             if any(m != lcm and _divides(m, lcm) for m in new):
                 continue
+            if group is not None and any(groups[i] == group for i in lcm_group):
+                continue  # inside a factor basis: reduces to zero
             degree = sum(lcm)
-            if coprime and any(sum(basis[i].exps) + sum(h) == degree for i in group):
-                continue  # coprime leads reduce to zero (ideal case only)
-            pair = [degree, group[0], n, lcm]
+            if any(sum(basis[i].exps) + sum(h) == degree
+                   and (coprime or group is not None and groups[i] is not None)
+                   for i in lcm_group):
+                continue  # coprime leads, in an ideal or across the factor bases
+            pair = [degree, lcm_group[0], n, lcm]
             heapq.heappush(pairs, pair)
             if queue is not None:
                 queue.append(pair)
         mine[:] = [i for i in mine if not _divides(h, basis[i].exps)]
         mine.append(n)
 
+    for group, elems in enumerate(factors):
+        for e in elems:
+            insert(e, group)
     for terms, _ in inputs:
         if terms:
-            insert(terms, min(terms))
+            insert(_Elem(terms, min(terms), fld, pk))
 
     while pairs:
         pair = heapq.heappop(pairs)
@@ -452,7 +492,7 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False):
         pair[3] = None  # popped: its position's next B scan forgets it
         rem = _s_remainder(ring, pk, basis[i], basis[j], lcm, index)
         if rem:
-            insert(rem, next(iter(rem)))  # remainders come out ascending
+            insert(_Elem(rem, next(iter(rem)), fld, pk))  # remainders come out ascending
 
     return basis
 
@@ -697,6 +737,35 @@ def _leads(vectors, r, ring, track):
         if not track:
             return leads, []
         return [t for t in leads if t[0] < r], [(p - r, x) for p, x in leads if p >= r]
+    return _run(ring, (), run)
+
+
+def _kron_leads(rs, u, s, t, ring):
+    """For each R of `rs`, the leads, as (position, exponents), of a
+    Groebner basis of A^t (x) R + U (x) A^s in A^(t s), slot (i, k) at
+    position i s + k, where each R is spanned by a list of sparse vectors
+    of A^s and U by the sparse vectors u of A^t.  Each run starts from the
+    two placed factor bases (module docstring): t copies of a basis of R,
+    copy i shifted i s positions down, and s copies of one of U, built at
+    positions i s and copy l shifted l down; U's basis is built once."""
+    m = s * t
+
+    def run(pk):
+        def placed(vectors, spread, shifts):
+            """Copies of a basis of the vectors' span, built at positions
+            p * spread, one shifted down by each of `shifts` positions: the
+            inputs themselves when no two of their leads share a position."""
+            entries = _entry([[(p * spread, terms) for p, terms in v] for v in vectors],
+                             ring, m, pk)
+            elems = [_Elem(terms, min(terms), ring.field, pk) for terms, _ in entries if terms]
+            if len({e.lt >> pk.bits for e in elems}) < len(elems):
+                elems = _reduce(ring, pk, _buchberger_core(ring, pk, entries, m))
+            return [e.shifted(shift << pk.bits) for shift in shifts for e in elems]
+        right = placed(u, s, range(s))
+        lefts = (placed(r, 1, [i * s for i in range(t)]) for r in rs)
+        return [[(e.lt >> pk.bits, e.exps)
+                 for e in _buchberger_core(ring, pk, (), m, factors=(left, right))]
+                for left in lefts]
     return _run(ring, (), run)
 
 

@@ -66,7 +66,13 @@ injective on closed elements, which both images are, so
 HS(im D_even) = HS(im M_e) and HS(im D_odd) = HS(im M_o).  For any
 monomial order, HS(im M) = HS(A^m) - HS(A^m / LT(im M)), as a
 homogeneous module has a homogeneous Groebner basis; so one untracked
-run on each first block row leaves all the dimensions need.  Every
+run on each first block row leaves all the dimensions need.  Those rows
+are [-I (x) e0^T | f0 (x) I] and [I (x) e1^T | f0 (x) I], so with s and t
+the ranks of E and F the image of each is A^t (x) R + U (x) A^s in the
+m = t s slots: U is the span of the columns of f0 in A^t, and R that of
+the rows of e0, or of e1, in A^s.  Each run starts from the placed
+Groebner bases of R and of U (groebner._kron_leads), U's built once for
+both, and never meets the 2m columns.  Every
 series is a numerator over prod_i (1 - q^w_i) (groebner._numerator),
 and a dimension its value at q = 1: INFINITE when it has a pole there,
 whose order is the module's Krull dimension.  Every other input takes
@@ -260,18 +266,20 @@ def _graded_dims(source, target):
     if not (gs and gt and gs[:2] == gt[:2]):
         return None
     weights, top, (e0, e1), (f0, f1) = gs[0], gs[1], gs[2:], gt[2:]
-    ring, m = source.ring, source.rank * target.rank
+    ring, s, t = source.ring, source.rank, target.rank
 
     def slots(f, e, shift=0):  # the degrees of a block's slots (i, k), row-major
         return [i - k - shift for i in f for k in e]
 
-    def image(columns, degrees):  # N(im M) = N(A^m) - N(A^m / LT(im M))
+    def image(leads, degrees):  # N(im M) = N(A^m) - N(A^m / LT(im M))
         out = Counter(degrees)
-        out.subtract(groebner._numerator(groebner._leads(columns, m, ring, False)[0],
-                                         degrees, weights))
+        out.subtract(groebner._numerator(leads, degrees, weights))
         return out
     p1, p0, s0, s1 = slots(f1, e1), slots(f0, e0), slots(f1, e0), slots(f0, e1, top)
-    even, odd = map(image, _differentials(source, target, m), (s0, p1))
+    rows = ([e.entries[i * s:(i + 1) * s] for i in range(s)] for e in (source.e0, source.e1))
+    leads = groebner._kron_leads([groebner._sparse(r, ring, s) for r in rows],
+                                 groebner._sparse(target.e0.columns(), ring, t), s, t, ring)
+    even, odd = map(image, leads, (s0, p1))
     h0, h1 = Counter(p1 + p0), Counter(s0 + s1)
     h0.subtract(even)
     h0.subtract(odd)

@@ -449,10 +449,19 @@ class _TermPoly:
         """Multiply by the single term c * x^exps."""
         fld = self.ring.field
         c = fld.coerce(c)
+        if len(exps) != self.ring.nvars:
+            raise ValueError("expected one exponent per variable (%d), got %d"
+                             % (self.ring.nvars, len(exps)))
         return type(self)(
             self.ring,
             {tuple(a + b for a, b in zip(e, exps)): fld.mul(v, c) for e, v in self.terms.items()},
         )
+
+    def _variable(self, var):
+        """var, refused unless it is the index of one of the ring's variables."""
+        if not (isinstance(var, int) and 0 <= var < self.ring.nvars):
+            raise ValueError("no variable with that index (the ring has %d)" % self.ring.nvars)
+        return var
 
     def __eq__(self, other):
         if _is_coeff(other):
@@ -501,7 +510,7 @@ class Polynomial(_TermPoly):
     _allow_negative = False
 
     def derivative(self, var: int) -> "Polynomial":
-        fld = self.ring.field
+        fld, var = self.ring.field, self._variable(var)
         out = {}
         for exps, c in self.terms.items():
             k = exps[var]
@@ -541,7 +550,7 @@ class LaurentPolynomial(_TermPoly):
 
     def log_derivative(self, var: int) -> "LaurentPolynomial":
         """y_i * d/dy_i: multiplies each term by its y_i exponent."""
-        fld = self.ring.field
+        fld, var = self.ring.field, self._variable(var)
         return LaurentPolynomial(
             self.ring, {e: fld.mul(c, fld.coerce(e[var])) for e, c in self.terms.items()})
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import operator
@@ -899,7 +900,9 @@ def test_dims_run_on_the_first_block_rows(monkeypatch):
     assert mf.minimal_model(E) is E and mf.minimal_model(F) is F
     rep = hom_dims(E, F)
     assert rep.dims() == (5, 5)
-    assert shapes == [(4, 8), (4, 8)]  # m = rank E * rank F rows, 2m columns
+    # the graded dims place their factor columns in the m = rank E * rank F
+    # rows: the 2 columns of F's e0 once, then the 2 rows of E's e0 and e1
+    assert shapes == [(4, 2), (4, 2), (4, 2)]
     del shapes[:]
     assert len(rep.basis_even) == 5
     assert shapes == [(8, 8), (8, 8)]
@@ -974,21 +977,124 @@ def test_graded_dims_agree_with_the_syzygy_path(field, monkeypatch):
 
 
 def test_graded_dims_pin_their_s_pair_reductions(monkeypatch):
-    # The graded path's two untracked image runs on the rank-8 tensor make
-    # 401 S-pair reductions, and one hom_dims sweep over the corpus pairs
-    # over Q makes 3,570.  The pair update by lead position selects the
-    # pairs a scan of the whole queue would, so neither count may move.
+    # The graded path's runs on the rank-8 tensor, factor bases included,
+    # make 307 S-pair reductions, and one hom_dims sweep over the corpus
+    # pairs over Q makes 3,505.  They made 401 and 3,570 while each first
+    # block row was one run on its 2m columns; its runs now start from the
+    # placed factor bases, form no pair inside either, and drop the cross
+    # pairs with coprime leads.  The pair update by lead position selects
+    # the pairs a scan of the whole queue would, so neither count may move.
     from mfcat import groebner
     reductions = _count_calls(monkeypatch, groebner, "_s_remainder")
-    image_runs = _count_calls(monkeypatch, groebner, "_leads")
+    image_runs = _count_calls(monkeypatch, groebner, "_kron_leads")
     syzygy_runs = _count_calls(monkeypatch, hom, "_homology")
     E = _rank8()
     assert hom_dims(E, E).dims() == (8, 8)
-    assert (reductions, image_runs) == ([401], [2])
+    assert (reductions, image_runs) == ([307], [1])
     reductions[0] = 0
     for _, _, S, T in corpus.hom_pairs():
         hom_dims(S, T)
-    assert reductions == [3570] and syzygy_runs == [0]
+    assert reductions == [3505] and syzygy_runs == [0]
+
+
+def _minimal_leads(leads):
+    """The minimal generators of a lead module, by position."""
+    from mfcat import groebner
+    by_position = {}
+    for pos, exps in leads:
+        by_position.setdefault(pos, []).append(exps)
+    return {pos: sorted(groebner._minimal(gens)) for pos, gens in by_position.items()}
+
+
+def _weighted_entry(R, rng, weights, degree, homogeneous):
+    """0 or a sum of up to three terms with coefficients in -3..3, each of
+    weighted degree `degree`, or at most `degree` when not homogeneous."""
+    from itertools import product
+    monomials = [e for e in product(range(degree + 1), repeat=R.nvars)
+                 if sum(map(operator.mul, e, weights)) == degree
+                 or not homogeneous and sum(map(operator.mul, e, weights)) < degree]
+    terms = {}
+    for _ in range(rng.randint(0, 3) if monomials else 0):
+        terms[rng.choice(monomials)] = R.field.coerce(rng.randint(-3, 3))
+    return {e: c for e, c in terms.items() if c}
+
+
+def _seeded_first_block_rows(field, draws):
+    """(ring, rows of A, columns of B, s, t, columns of [+-I (x) A^T | B (x) I])
+    for seeded square A (s x s) and B (t x t), s, t in 1..3, over 1 or 2
+    variables with random positive weights and orders: every fourth draw
+    has inhomogeneous entries.  The columns are placed as
+    hom._differentials places them, slot (i, k) at position i * s + k."""
+    rng = random.Random(4141 + (field.p or 0))
+    out = []
+    for draw in range(draws):
+        nvars, order = rng.choice((1, 2, 2)), rng.choice(("grevlex", "lex", "grlex"))
+        R = RingContext(("x", "y")[:nvars], field, order)
+        weights = [rng.randint(1, 3) for _ in range(nvars)]
+        s, t, homogeneous = rng.randint(1, 3), rng.randint(1, 3), draw % 4 != 3
+        entry = lambda: _weighted_entry(R, rng, weights, rng.randint(1, 4), homogeneous)
+        A = [[entry() for _ in range(s)] for _ in range(s)]
+        B = [[entry() for _ in range(t)] for _ in range(t)]
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in A]
+        columns = [[(i, B[i][j]) for i in range(t) if B[i][j]] for j in range(t)]
+        sign = rng.choice((R.field.neg, lambda c: c))
+        placed = ([[(j * s + k, {e: sign(c) for e, c in a.items()}) for k, a in row]
+                   for j in range(t) for row in rows]
+                  + [[(i * s + l, b) for i, b in column] for column in columns for l in range(s)])
+        out.append((R, rows, columns, s, t, placed))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_factor_started_image_runs_keep_the_minimal_leads(field, monkeypatch):
+    """A run started from the placed factor bases of a first block row
+    [+-I (x) A^T | B (x) I] has the minimal leads of a plain untracked run
+    on its columns: on seeded A and B, and on every run of the graded
+    pairs, the corpus pairs and the rank-8 tensor among them.  No S-pair
+    of two elements of one factor basis is ever reduced."""
+    from mfcat import groebner
+    core, s_remainder = groebner._buchberger_core, groebner._s_remainder
+    groups, inside, across = [()], [0], [0]
+
+    def recorded_core(ring, pk, inputs, rank, syzygies=False, factors=()):
+        groups[0] = [set(map(id, g)) for g in factors]
+        try:
+            return core(ring, pk, inputs, rank, syzygies, factors)
+        finally:
+            groups[0] = ()
+
+    def recorded_remainder(ring, pk, ei, ej, lcm, index):
+        if groups[0]:
+            if any(id(ei) in g and id(ej) in g for g in groups[0]):
+                inside[0] += 1
+            else:
+                across[0] += 1
+        return s_remainder(ring, pk, ei, ej, lcm, index)
+    monkeypatch.setattr(groebner, "_buchberger_core", recorded_core)
+    monkeypatch.setattr(groebner, "_s_remainder", recorded_remainder)
+
+    runs = 0
+    for R, rows, columns, s, t, placed in _seeded_first_block_rows(field, 120):
+        [leads] = groebner._kron_leads([rows], columns, s, t, R)
+        plain = groebner._leads(placed, s * t, R, False)[0]
+        assert _minimal_leads(leads) == _minimal_leads(plain), (R, rows, columns)
+        runs += 1
+    kron_leads, recorded = groebner._kron_leads, []
+    monkeypatch.setattr(groebner, "_kron_leads", lambda *args: recorded.append(
+        kron_leads(*args)) or recorded[-1])
+    pairs = [p for p in _graded_pairs(field) if p[1].rank and p[2].rank]
+    for name, S, T in pairs:
+        del recorded[:]
+        assert hom._graded_dims(S, T) is not None, name
+        m = S.rank * T.rank
+        plain = [groebner._leads(c, m, S.ring, False)[0] for c in hom._differentials(S, T, m)]
+        assert list(map(_minimal_leads, recorded[0])) == list(map(_minimal_leads, plain)), name
+        runs += 2
+    kinds = collections.Counter(
+        next((k for k in ("cone", "kuenneth", "rank8") if name.startswith(k)), "corpus")
+        for name, _, _ in pairs)
+    assert kinds["corpus"] == 940 and kinds["rank8"] == 1 and runs == 120 + 2 * len(pairs)
+    assert inside == [0] and across[0] > 5000, (inside, across)
 
 
 def _ungraded_pairs(field):

@@ -7,7 +7,9 @@ from mfcat import corpus, mf
 from mfcat.groebner import buchberger, membership_witness, module_groebner, module_normal_form
 from mfcat.matrix import PolyMatrix
 from mfcat.mirror import ToricSpec, critical_count
-from mfcat.poly import QQ, PrimeField, Polynomial, RingContext, RingMismatch, univariate_gcd
+from mfcat.poly import (
+    QQ, LaurentPolynomial, PrimeField, Polynomial, RingContext, RingMismatch, univariate_gcd,
+)
 
 R, S = RingContext(("x",), QQ), RingContext(("x", "y"), QQ)
 x, (sx, sy) = R.variable("x"), S.gens()
@@ -76,6 +78,20 @@ CASES = {
     "negative-power": (lambda: x ** -1, ValueError, "negative power of a polynomial"),
     "evaluate-point": (lambda: (sx + sy).evaluate([1]), ValueError,
                        "a point needs 2 coordinates, got 1"),
+    "derivative-index": (lambda: (sx * sy ** 2).derivative(2), ValueError,
+                         "no variable with that index (the ring has 2)"),
+    "derivative-negative": (lambda: (sx * sy ** 2).derivative(-1), ValueError,
+                            "no variable with that index (the ring has 2)"),
+    "derivative-zero": (lambda: S.zero().derivative(2), ValueError,
+                        "no variable with that index (the ring has 2)"),
+    "log-derivative-negative": (lambda: LaurentPolynomial(S, {(-1, 2): 1}).log_derivative(-1),
+                                ValueError, "no variable with that index (the ring has 2)"),
+    "log-derivative-zero": (lambda: LaurentPolynomial(R, {}).log_derivative(1), ValueError,
+                            "no variable with that index (the ring has 1)"),
+    "mul-term-long": (lambda: x.mul_term((1, 5), 1), ValueError,
+                      "expected one exponent per variable (1), got 2"),
+    "mul-term-short": (lambda: (sx + sy).mul_term((1,), 1), ValueError,
+                       "expected one exponent per variable (2), got 1"),
     "gcd-rings": (lambda: univariate_gcd(x, corpus.power_ring(PrimeField(32749)).variable("x")),
                   RingMismatch, "gcd operands in different rings"),
     "gcd-two-variables": (lambda: univariate_gcd(sx * sy, sx), ValueError,
