@@ -70,6 +70,21 @@ and every summand has its lead below a b at i s + k: a t-representation
 later is dropped so, nor any pair of a tracked run, which needs them for
 its syzygies.
 
+Given a W with W A^t in U and W A^s in R (hom: f0 f1 = W Id, and
+e1 e0 = e0 e1 = W Id), _kron_leads leaves out of H, before it places a
+copy, every u whose lead is x^a LT(W) e_i.  Then u - c x^a W e_i, for
+the scalar c that cancels the lead, lies in U with a lower lead, so it
+has a standard representation over H that does not use u; and W e_(i,k)
+= e_i (x) W e_k lies in A^t (x) R, of which the first group is a basis.
+So
+  u (x) e_k = c x^a W e_(i,k) + sum_(v != u) q_v (v (x) e_k)
+with no summand's lead above LT(u (x) e_k), and each v left out too,
+whose lead is lower, is such a sum in turn.  So the module is unchanged,
+and every pair the run skips keeps a t-representation.  A pair inside the
+second group puts this sum in place of u (x) e_k in its representation
+over H (x) e_k, and a coprime cross pair uses only copies of the two
+elements it pairs.
+
 Terms are packed whole (Monagan-Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a kernel
 term is one int key, (position << bits) + (m ^ base), for a monomial m of
@@ -740,29 +755,39 @@ def _leads(vectors, r, ring, track):
     return _run(ring, (), run)
 
 
-def _kron_leads(rs, u, s, t, ring):
+def _kron_leads(rs, u, s, t, ring, w):
     """For each R of `rs`, the leads, as (position, exponents), of a
     Groebner basis of A^t (x) R + U (x) A^s in A^(t s), slot (i, k) at
     position i s + k, where each R is spanned by a list of sparse vectors
     of A^s and U by the sparse vectors u of A^t.  Each run starts from the
     two placed factor bases (module docstring): t copies of a basis of R,
     copy i shifted i s positions down, and s copies of one of U, built at
-    positions i s and copy l shifted l down; U's basis is built once."""
+    positions i s and copy l shifted l down; U's basis is built once.
+    `w` is the lead exponents of a W with W A^t in U and W A^s in every
+    R, or None for W = 0, which has no lead.  The elements of U's basis
+    whose lead LT(W) divides are left out before any copy is placed: a
+    copy u (x) e_k of one is c x^a W e_(i,k), which lies in A^t (x) R,
+    plus copies of U's other elements, none with a lead above
+    LT(u (x) e_k) (module docstring)."""
     m = s * t
 
     def run(pk):
-        def placed(vectors, spread, shifts):
-            """Copies of a basis of the vectors' span, built at positions
-            p * spread, one shifted down by each of `shifts` positions: the
-            inputs themselves when no two of their leads share a position."""
+        def basis(vectors, spread):
+            """A Groebner basis of the vectors' span, built at positions
+            p * spread: the inputs themselves when no two of their leads
+            share a position."""
             entries = _entry([[(p * spread, terms) for p, terms in v] for v in vectors],
                              ring, m, pk)
             elems = [_Elem(terms, min(terms), ring.field, pk) for terms, _ in entries if terms]
             if len({e.lt >> pk.bits for e in elems}) < len(elems):
                 elems = _reduce(ring, pk, _buchberger_core(ring, pk, entries, m))
+            return elems
+
+        def placed(elems, shifts):  # one copy shifted down by each of `shifts` positions
             return [e.shifted(shift << pk.bits) for shift in shifts for e in elems]
-        right = placed(u, s, range(s))
-        lefts = (placed(r, 1, [i * s for i in range(t)]) for r in rs)
+        right = placed([e for e in basis(u, s) if w is None or not _divides(w, e.exps)],
+                       range(s))
+        lefts = (placed(basis(r, 1), [i * s for i in range(t)]) for r in rs)
         return [[(e.lt >> pk.bits, e.exps)
                  for e in _buchberger_core(ring, pk, (), m, factors=(left, right))]
                 for left in lefts]

@@ -72,7 +72,8 @@ the ranks of E and F the image of each is A^t (x) R + U (x) A^s in the
 m = t s slots: U is the span of the columns of f0 in A^t, and R that of
 the rows of e0, or of e1, in A^s.  Each run starts from the placed
 Groebner bases of R and of U (groebner._kron_leads), U's built once for
-both, and never meets the 2m columns.  Every
+both, and never meets the 2m columns.  U's elements whose lead LT(W)
+divides enter neither run, as W A^t lies in U and W A^s in R.  Every
 series is a numerator over prod_i (1 - q^w_i) (groebner._numerator),
 and a dimension its value at q = 1: INFINITE when it has a pole there,
 whose order is the module's Krull dimension.  Every other input takes
@@ -278,7 +279,8 @@ def _graded_dims(source, target):
     p1, p0, s0, s1 = slots(f1, e1), slots(f0, e0), slots(f1, e0), slots(f0, e1, top)
     rows = ([e.entries[i * s:(i + 1) * s] for i in range(s)] for e in (source.e0, source.e1))
     leads = groebner._kron_leads([groebner._sparse(r, ring, s) for r in rows],
-                                 groebner._sparse(target.e0.columns(), ring, t), s, t, ring)
+                                 groebner._sparse(target.e0.columns(), ring, t), s, t, ring,
+                                 source.w.lead_term()[0])
     even, odd = map(image, leads, (s0, p1))
     h0, h1 = Counter(p1 + p0), Counter(s0 + s1)
     h0.subtract(even)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from mfcat.poly import QQ, PrimeField, RingContext, RingMismatch, integer_multiple
+from mfcat.poly import QQ, Polynomial, PrimeField, RingContext, RingMismatch, integer_multiple
 from mfcat.matrix import PolyMatrix, RowEchelon
 from mfcat.groebner import INFINITE
 from mfcat import corpus, files, hom, mf, oracle
@@ -978,23 +978,25 @@ def test_graded_dims_agree_with_the_syzygy_path(field, monkeypatch):
 
 def test_graded_dims_pin_their_s_pair_reductions(monkeypatch):
     # The graded path's runs on the rank-8 tensor, factor bases included,
-    # make 307 S-pair reductions, and one hom_dims sweep over the corpus
-    # pairs over Q makes 3,505.  They made 401 and 3,570 while each first
-    # block row was one run on its 2m columns; its runs now start from the
-    # placed factor bases, form no pair inside either, and drop the cross
-    # pairs with coprime leads.  The pair update by lead position selects
-    # the pairs a scan of the whole queue would, so neither count may move.
+    # make 195 S-pair reductions, and one hom_dims sweep over the corpus
+    # pairs over Q makes 3,469.  They made 401 and 3,570 while each first
+    # block row was one run on its 2m columns, and 307 and 3,505 while the
+    # runs started from every copy of U's basis; the runs now start from
+    # the placed factor bases less the copies of U's elements whose lead
+    # LT(W) divides, form no pair inside either, and drop the cross pairs
+    # with coprime leads.  The pair update by lead position selects the
+    # pairs a scan of the whole queue would, so neither count may move.
     from mfcat import groebner
     reductions = _count_calls(monkeypatch, groebner, "_s_remainder")
     image_runs = _count_calls(monkeypatch, groebner, "_kron_leads")
     syzygy_runs = _count_calls(monkeypatch, hom, "_homology")
     E = _rank8()
     assert hom_dims(E, E).dims() == (8, 8)
-    assert (reductions, image_runs) == ([307], [1])
+    assert (reductions, image_runs) == ([195], [1])
     reductions[0] = 0
     for _, _, S, T in corpus.hom_pairs():
         hom_dims(S, T)
-    assert reductions == [3505] and syzygy_runs == [0]
+    assert reductions == [3469] and syzygy_runs == [0]
 
 
 def _minimal_leads(leads):
@@ -1019,12 +1021,22 @@ def _weighted_entry(R, rng, weights, degree, homogeneous):
     return {e: c for e, c in terms.items() if c}
 
 
+def _determinant(R, rows):
+    """The determinant of a square matrix of term dicts, along its first row."""
+    if not rows:
+        return R.one()
+    minor = lambda k: _determinant(R, [r[:k] + r[k + 1:] for r in rows[1:]])
+    return sum((Polynomial(R, a) * (-1) ** k * minor(k) for k, a in enumerate(rows[0])), R.zero())
+
+
 def _seeded_first_block_rows(field, draws):
-    """(ring, rows of A, columns of B, s, t, columns of [+-I (x) A^T | B (x) I])
-    for seeded square A (s x s) and B (t x t), s, t in 1..3, over 1 or 2
-    variables with random positive weights and orders: every fourth draw
-    has inhomogeneous entries.  The columns are placed as
-    hom._differentials places them, slot (i, k) at position i * s + k."""
+    """(ring, rows of A, columns of B, s, t, columns of [+-I (x) A^T | B (x) I],
+    the lead of W = det A det B, None for W = 0) for seeded square A
+    (s x s) and B (t x t), s, t in 1..3, over 1 or 2 variables with random
+    positive weights and orders: every fourth draw has inhomogeneous
+    entries.  The columns are placed as hom._differentials places them,
+    slot (i, k) at position i * s + k.  W A^s lies in the span of A's rows
+    and W A^t in that of B's columns, as A^T adj(A^T) = det A I."""
     rng = random.Random(4141 + (field.p or 0))
     out = []
     for draw in range(draws):
@@ -1041,7 +1053,8 @@ def _seeded_first_block_rows(field, draws):
         placed = ([[(j * s + k, {e: sign(c) for e, c in a.items()}) for k, a in row]
                    for j in range(t) for row in rows]
                   + [[(i * s + l, b) for i, b in column] for column in columns for l in range(s)])
-        out.append((R, rows, columns, s, t, placed))
+        w = _determinant(R, A) * _determinant(R, B)
+        out.append((R, rows, columns, s, t, placed, w.lead_term()[0] if w.terms else None))
     return out
 
 
@@ -1074,8 +1087,8 @@ def test_factor_started_image_runs_keep_the_minimal_leads(field, monkeypatch):
     monkeypatch.setattr(groebner, "_s_remainder", recorded_remainder)
 
     runs = 0
-    for R, rows, columns, s, t, placed in _seeded_first_block_rows(field, 120):
-        [leads] = groebner._kron_leads([rows], columns, s, t, R)
+    for R, rows, columns, s, t, placed, w in _seeded_first_block_rows(field, 120):
+        [leads] = groebner._kron_leads([rows], columns, s, t, R, w)
         plain = groebner._leads(placed, s * t, R, False)[0]
         assert _minimal_leads(leads) == _minimal_leads(plain), (R, rows, columns)
         runs += 1
@@ -1094,7 +1107,52 @@ def test_factor_started_image_runs_keep_the_minimal_leads(field, monkeypatch):
         next((k for k in ("cone", "kuenneth", "rank8") if name.startswith(k)), "corpus")
         for name, _, _ in pairs)
     assert kinds["corpus"] == 940 and kinds["rank8"] == 1 and runs == 120 + 2 * len(pairs)
-    assert inside == [0] and across[0] > 5000, (inside, across)
+    assert inside == [0] and across[0] > 4700, (inside, across)
+
+
+def test_graded_image_runs_leave_out_the_copies_of_multiples_of_w(monkeypatch):
+    """Each grouped image run starts from every copy of R's basis and from
+    the copies of U's basis less those u (x) e_k whose lead LT(W) divides,
+    compared with the same run given W = 0, on the rank-8 tensor and on
+    every corpus pair over Q."""
+    from mfcat import groebner
+    core, kron_leads = groebner._buchberger_core, groebner._kron_leads
+    starts, runs = [], []  # runs: (LT(W), the start given LT(W), the start given W = 0)
+
+    def recorded_core(ring, pk, inputs, rank, syzygies=False, factors=()):
+        if factors:
+            starts.append([[(e.lt >> pk.bits, e.exps) for e in g] for g in factors])
+        return core(ring, pk, inputs, rank, syzygies, factors)
+
+    def recorded_kron_leads(rs, u, s, t, ring, w):
+        leads = kron_leads(rs, u, s, t, ring, w)
+        kept = starts[:]
+        del starts[:]
+        kron_leads(rs, u, s, t, ring, None)
+        runs.extend((w, a, b) for a, b in zip(kept, starts))
+        del starts[:]
+        return leads
+    monkeypatch.setattr(groebner, "_buchberger_core", recorded_core)
+    monkeypatch.setattr(groebner, "_kron_leads", recorded_kron_leads)
+
+    def dropped(w, start, full):
+        """The number of U copies a start leaves out: those, and only those,
+        whose lead LT(W) divides at its slot.  Every R copy stays."""
+        kept = set(start[1])
+        assert start[0] == full[0] and kept <= set(full[1])
+        assert all(groebner._divides(w, x) == ((p, x) not in kept) for p, x in full[1])
+        return len(full[1]) - len(start[1])
+
+    E = _rank8()
+    assert hom_dims(E, E).dims() == (8, 8)
+    assert ([(w, len(a[0]), len(a[1]), len(b[1])) for w, a, b in runs]
+            == [((3, 0, 0, 0), 120, 64, 120)] * 2)
+    assert [dropped(*run) for run in runs] == [56, 56]
+    del runs[:]
+    for _, _, S, T in corpus.hom_pairs():
+        hom_dims(S, T)
+    assert len(runs) == 1880 and sum(dropped(*run) for run in runs) == 36
+    assert (sum(len(a[1]) for _, a, _ in runs), sum(len(b[1]) for _, _, b in runs)) == (3544, 3580)
 
 
 def _ungraded_pairs(field):
