@@ -242,6 +242,17 @@ class RowEchelon:
             self.pivots[c] = self.field.stored_form(row, c)
         return c
 
+    def insert_stored(self, row, lead):
+        """``insert`` for a row already in stored form whose smallest column
+        is `lead`: when no pivot sits at `lead`, the row would reduce to
+        itself, so it is stored as given with one lookup.  A row shifted by
+        a constant column offset keeps its stored form and its lead, so one
+        stored row serves all its shifts."""
+        if lead in self.pivots:
+            return self.insert(row)
+        self.pivots[lead] = row
+        return lead
+
     def _reduce(self, row, p):
         """Reduce row in place; its smallest column then, None once empty."""
         pivots = self.pivots

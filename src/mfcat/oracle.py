@@ -21,6 +21,12 @@ pivot, its smallest column, has its top degree, and for every d the
 images' span meets degree <= d in the stored rows whose pivot clears one
 threshold.  The order within a degree changes no rank, so no answer, and
 over Q a vector enters ``RowEchelon`` cleared of denominators, as ints.
+Each vector's row is put once in the field's stored form at its smallest
+column, its lead.  A shift adds one constant to every column, so it keeps
+the smallest column and every coefficient, and the stored form of a shift
+is the shift of the stored form: x^m v enters ``insert_stored`` with lead
+base + lead and, when no pivot sits there, is stored with one lookup, as
+the row ``insert`` would store.  A zero vector has no lead and is dependent.
 
 Hom dimensions at degree d: both differentials d_even and d_odd of the
 Hom complex are n x n, their columns placed by hom._differentials at all
@@ -51,7 +57,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .matrix import RowEchelon
-from .poly import PolyError, RingMismatch, integer_multiple
+from .poly import PolyError, RingMismatch, integer_multiple, shortened
 from . import hom as hommod
 
 
@@ -87,6 +93,17 @@ def _check_count(name, value, least=0):
         raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
+def _check_scan(what, start, cap):
+    """Raise OracleDiverged when a scan starting above its cap would read no
+    degree.  The message names start and cap by ``poly.shortened``, or by
+    bit length past 10,000 bits, beyond which Python may refuse str()."""
+    if start > cap:
+        start, cap = ("an int of %d bits" % n.bit_length() if n.bit_length() > 10000
+                      else shortened(str(n)) for n in (start, cap))
+        raise OracleDiverged("%s: no degree was read, as the scan starts at degree %s, "
+                             "above the cap of %s" % (what, start, cap))
+
+
 def _top(cap, vectors):  # cap plus the largest degree in the vectors
     return cap + max((sum(e) for v in vectors for _, terms in v for e in terms), default=0)
 
@@ -96,11 +113,19 @@ class _Images:
     `ring`, while exponents and degrees stay <= `top`."""
 
     def __init__(self, ring, vectors, slots, top):
-        self.echelon, self._slots, self._nvars = RowEchelon(ring.field), slots, ring.nvars
+        field = ring.field
+        self.echelon, self._slots, self._nvars = RowEchelon(field), slots, ring.nvars
         w = self._w = top.bit_length()
         self._degree = slots << w * ring.nvars  # column offset of one degree
-        self._rows = [integer_multiple({u + self.base(e): c for u, terms in v
-                                        for e, c in terms.items()})[0].items() for v in vectors]
+        self._rows, self._zero = [], 0  # (stored row's items, lead); bit t: v_t is zero
+        for t, v in enumerate(vectors):
+            row = integer_multiple({u + self.base(e): c for u, terms in v for e, c in terms.items()})[0]
+            lead = min(row, default=None)
+            if lead is None:
+                self._zero |= 1 << t
+            else:
+                row = field.stored_form(row, lead)
+            self._rows.append((row.items(), lead))
 
     def base(self, m):
         """-slots * P(m), the shift of every column under x^m."""
@@ -108,20 +133,23 @@ class _Images:
 
     def insert(self, i, base):
         """Enter x^m times vector i, base = self.base(m); its new pivot column, or None."""
-        return self.echelon.insert({base + c: a for c, a in self._rows[i]})
+        row, lead = self._rows[i]
+        if lead is None:
+            return None
+        return self.echelon.insert_stored({base + c: a for c, a in row}, base + lead)
 
     def enter_layer(self, k, dead):
         """Enter x^m v_t for the monomials m of degree k, in scan order, and
         each vector t, skipping x^m v_t when bit t is set in the mask
         dead[j] of a parent m/x_i; the masks of this layer, bit t set where
-        x^m v_t was dependent or skipped."""
-        masks, echelon, rows = [], self.echelon, self._rows
+        x^m v_t was dependent (v_t zero included) or skipped."""
+        masks, insert, rows = [], self.echelon.insert_stored, self._rows
         for p, parents in _layer(self._nvars, k, self._w):
-            base, mask = -self._slots * p, 0
+            base, mask = -self._slots * p, self._zero
             for j in parents:
                 mask |= dead[j]
-            for t, row in enumerate(rows):
-                if not mask >> t & 1 and echelon.insert({base + c: a for c, a in row}) is None:
+            for t, (row, lead) in enumerate(rows):
+                if not mask >> t & 1 and insert({base + c: a for c, a in row}, base + lead) is None:
                     mask |= 1 << t
             masks.append(mask)
         return masks
@@ -146,6 +174,7 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
     hommod._check_ends(source, target)
+    _check_scan("hom dimensions", start_degree, max_degree)
     columns = hommod._differentials(source, target, 2 * source.rank * target.rank)
     n, top = len(columns[0]), _top(max_degree, columns[0] + columns[1])
     even, odd = images = [_Images(source.ring, c, n, top) for c in columns]
@@ -174,6 +203,7 @@ def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
         ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingMismatch("generator in a different ring")
+    _check_scan("quotient dimension", start_degree, max_degree)
     vectors = [[(0, g.terms)] for g in gens]
     images = _Images(ring, vectors, 1, _top(max_degree, vectors))
     n, degrees, entered, prev = ring.nvars, [g.total_degree() for g in gens], 0, None

@@ -636,6 +636,18 @@ def test_hom_oracle_is_skipped_on_infinite_dimensions(tmp_path):
         "h1": "INFINITE", "oracle": "skipped (infinite dimensions)"}
 
 
+def test_hom_oracle_above_its_cap_says_no_degree_was_read(tmp_path):
+    # the oracle's scan starts at deg W = 30, above its cap of 24
+    R = RingContext(("x",), QQ)
+    x = R.variable("x")
+    path = tmp_path / "e.json"
+    files.save(str(path), files.factorization_to_doc(mf.rank_one(R, x**30, 0, x**7, x**23)))
+    res = run("hom", str(path), str(path), "--oracle")
+    assert res.exit_code == 1
+    assert res.stderr == ("error: hom dimensions: no degree was read, as the scan starts at "
+                          "degree 30, above the cap of 24\n")
+
+
 @pytest.mark.parametrize("verb, args", [
     ("shift", ["An:1:1"]), ("sum", ["An:1:1", "An:1:1"]), ("tensor", ["An:1:1", "pair:uv"]),
     ("knorrer", ["An:1:1"]), ("totalize", ["An:1:1"]),

@@ -190,9 +190,9 @@ def test_hom_oracle_skips_the_multiples_of_dependent_images(monkeypatch):
             made.append(field)
             super().__init__(field)
 
-        def insert(self, row):
+        def insert_stored(self, row, lead):  # every image passes here
             inserts.append(len(row))
-            return super().insert(row)
+            return super().insert_stored(row, lead)
 
     monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
     for names, dims, count in ((("An:3:1", "An:3:2"), (1, 1), 18),
@@ -241,9 +241,9 @@ def test_quotient_oracle_enters_each_multiple_once(monkeypatch):
     inserts, degrees = [], _recording_comb(monkeypatch)
 
     class CountingEchelon(oracle.RowEchelon):
-        def insert(self, row):
+        def insert_stored(self, row, lead):  # every multiple passes here
             inserts.append(len(row))
-            return super().insert(row)
+            return super().insert_stored(row, lead)
 
     monkeypatch.setattr(oracle, "RowEchelon", CountingEchelon)
     R = RingContext(("x", "y"), QQ)
@@ -373,6 +373,46 @@ def test_oracle_pivot_rows_hold_ints_after_a_corpus_pair(monkeypatch):
         assert hom_dims_truncated(src, tgt) == (1, 1)
         values = [v for e in made for row in e.pivots.values() for v in row.values()]
         assert values and all(type(v) is int for v in values)
+
+
+def test_stored_rows_are_the_rows_insert_would_store(monkeypatch):
+    """Every image the Hom scan hands the echelon is in stored form at its
+    lead, its smallest column, and replaying those rows into a fresh
+    ``RowEchelon`` through ``insert`` gives the same pivots, rows included:
+    storing a shifted stored row as given stores what ``insert`` would."""
+    from mfcat import oracle
+    made = []
+
+    class RecordingEchelon(oracle.RowEchelon):
+        def __init__(self, field):
+            super().__init__(field)
+            self.handed = []
+            made.append(self)
+
+        def insert_stored(self, row, lead):
+            assert min(row) == lead and self.field.stored_form(row, lead) == row
+            self.handed.append(dict(row))
+            direct = lead not in self.pivots
+            c = super().insert_stored(row, lead)
+            outcomes["stored" if direct else "dependent" if c is None else "reduced"] += 1
+            return c
+
+    monkeypatch.setattr(oracle, "RowEchelon", RecordingEchelon)
+    for field in (QQ, PrimeField(32749)):
+        outcomes = dict.fromkeys(("stored", "reduced", "dependent"), 0)
+        for ns, nt, src, tgt in corpus.hom_pairs(field)[::4]:
+            del made[:]
+            hom_dims_truncated(src, tgt)
+            for echelon in made:
+                replay = RowEchelon(field)
+                for row in echelon.handed:
+                    replay.insert(row)
+                assert replay.pivots == echelon.pivots, (ns, nt)
+                for c, row in echelon.pivots.items():
+                    assert min(row) == c and field.stored_form(row, c) == row
+        if field == QQ:  # the oracle_corpus pairs
+            assert outcomes == {"stored": 19866, "reduced": 834, "dependent": 1854}
+            assert sum(outcomes.values()) == 22554
 
 
 # The per-degree elimination the oracle used before it entered images
@@ -544,6 +584,30 @@ def test_plateau_counts_consecutive_equal_readings(monkeypatch):
     assert hom_dims_truncated(source, target, plateau=1, max_degree=4) == (1, 1)
     with pytest.raises(OracleDiverged):
         hom_dims_truncated(source, target, plateau=2, max_degree=4)
+
+
+def test_a_scan_that_starts_above_its_cap_says_no_degree_was_read(monkeypatch):
+    read = _recording_comb(monkeypatch)
+    source, target = corpus.lookup("An:3:1"), corpus.lookup("An:3:2")
+    R = RingContext(("x", "y"), QQ)
+    x, y = R.gens()
+    scans = (("hom dimensions", lambda a, b: hom_dims_truncated(
+                 source, target, start_degree=a, max_degree=b)),
+             ("quotient dimension", lambda a, b: quotient_dim_truncated(
+                 [x**3, y**3], R, start_degree=a, max_degree=b)))
+    for what, scan in scans:
+        for start, cap, named in ((30, 24, "30, above the cap of 24"),
+                                  (10**50, 3, "'100000000000'... (51 characters), above the cap of 3"),
+                                  (10**5000, 0, "an int of 16610 bits, above the cap of 0")):
+            with pytest.raises(OracleDiverged) as info:
+                scan(start, cap)
+            assert str(info.value) == (
+                "%s: no degree was read, as the scan starts at degree %s" % (what, named))
+    assert read == []
+    # a scan that reads its one degree and finds no plateau names the cap
+    with pytest.raises(OracleDiverged, match="^hom dimensions failed to stabilize by degree 4$"):
+        hom_dims_truncated(source, target, start_degree=4, max_degree=4, plateau=2)
+    assert read == [4]
 
 
 def _seeded_ideal(rng, ring):
