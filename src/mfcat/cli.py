@@ -256,16 +256,20 @@ def hom(settings, source, target, use_oracle):
     payload = {"h0": _dim_value(report.h0), "h1": _dim_value(report.h1)}
     lines = ["h0: %s" % _dim_value(report.h0), "h1: %s" % _dim_value(report.h1)]
     if use_oracle:
+        degree, cap = e.w.total_degree() or 0, oracle.TRUNCATION_CAP
         if report.h0 is INFINITE or report.h1 is INFINITE:
-            payload["oracle"] = "skipped (infinite dimensions)"
-            lines.append("oracle: skipped (infinite dimensions)")
+            verdict = "skipped (infinite dimensions)"
+        elif degree > cap:  # the scan would start above its cap
+            verdict = "skipped (deg W = %s is above the truncation cap of %d)" % (
+                oracle._named(degree), cap)
         else:
             checked = oracle.hom_dims_truncated(e, f)
             if checked != (report.h0, report.h1):
                 _fail("oracle mismatch: module path (%s, %s) vs truncation (%s, %s)"
                       % (report.h0, report.h1, checked[0], checked[1]))
-            payload["oracle"] = "agrees"
-            lines.append("oracle: agrees")
+            verdict = "agrees"
+        payload["oracle"] = verdict
+        lines.append("oracle: " + verdict)
     _emit_report(settings, "hom", payload, lines)
 
 

@@ -70,6 +70,17 @@ and every summand has its lead below a b at i s + k: a t-representation
 later is dropped so, nor any pair of a tracked run, which needs them for
 its syzygies.
 
+The first group enters with no scan: each element joins the basis, the
+index and its position's elements that form pairs, and nothing else
+happens.  That is exact.  Only the group's own elements come before it,
+so every pair it could form lies inside the group and is skipped; no
+pair is queued yet, so B drops none; and no lead of a group divides
+another one at its position, so the pruning removes none, because
+_kron_leads takes each factor basis as inputs whose leads lie at
+distinct positions or reduces it, and places its copies at disjoint
+positions.  So the pairs popped are those of a scanned entry.  The
+second group still scans: its pairs with the first are new.
+
 Given a W with W A^t in U and W A^s in R (hom: f0 f1 = W Id, and
 e1 e0 = e0 e1 = W Id), _kron_leads leaves out of H, before it places a
 copy, every u whose lead is x^a LT(W) e_i.  Then u - c x^a W e_i, for
@@ -435,8 +446,9 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False, factors=()):
     Pairs are kept by the Gebauer-Moeller update: see the module docstring.
     `factors`, in an untracked run only, holds two lists of _Elems, the
     placed factor bases A^t (x) G and H (x) A^s of _kron_leads: they enter
-    first, each as a group that is already a Groebner basis, and form
-    pairs only across the two groups.
+    first, each as a group that is already a Groebner basis and in which
+    no lead divides another at its position, and form pairs only across
+    the two groups; the first enters with no scan (module docstring).
     """
     fld = ring.field
     coprime = rank == 1 and not syzygies
@@ -455,6 +467,10 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False, factors=()):
         basis.append(e)
         groups.append(group)
         index.setdefault(pos, []).append(e)
+        mine = active.setdefault(pos, [])
+        if group == 0:  # meets only its own group: no pair, no B, no pruning
+            mine.append(n)
+            return
         queue = None
         if pos >= rank or not syzygies:
             # B: a queued pair whose lcm LT(h) divides, at neither lcm with h
@@ -471,7 +487,6 @@ def _buchberger_core(ring, pk, inputs, rank, syzygies=False, factors=()):
                     kept.append(p)
             queue[:] = kept
         # M and F: of the new pairs keep one per minimal lcm
-        mine = active.setdefault(pos, [])
         new = {}
         for i in mine:
             new.setdefault(_lcm(basis[i].exps, h), []).append(i)
@@ -909,13 +924,19 @@ def _numerator(leads, degrees, weights):
     """The numerator N of the Hilbert series N / prod_i (1 - q^weights[i])
     of A^r modulo the monomial module of `leads`, (position, exponents)
     pairs, with position p in degree degrees[p]: a dict {degree:
-    coefficient}, the sum over the positions of q^degrees[p] N(I_p)."""
+    coefficient}, the sum over the positions of q^degrees[p] N(I_p).
+    N(I_p) depends on I_p alone, so a position whose set of leads an
+    earlier position of the call had reuses that one's N; nothing is
+    kept past the call."""
     ideals = [[] for _ in degrees]
     for pos, exps in leads:
         ideals[pos].append(exps)
-    out = {}
+    out, numerators = {}, {}  # numerators: by each distinct set of leads
     for d, gens in zip(degrees, ideals):
-        for k, c in _ideal_numerator(_minimal(gens), weights).items():
+        gens = frozenset(gens)
+        if gens not in numerators:
+            numerators[gens] = _ideal_numerator(_minimal(gens), weights)
+        for k, c in numerators[gens].items():
             out[d + k] = out.get(d + k, 0) + c
     return out
 

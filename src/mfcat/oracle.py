@@ -61,6 +61,10 @@ from .poly import PolyError, RingMismatch, integer_multiple, shortened
 from . import hom as hommod
 
 
+# The last degree a truncated scan reads unless it is given another.
+TRUNCATION_CAP = 24
+
+
 class OracleDiverged(PolyError):
     pass
 
@@ -93,15 +97,18 @@ def _check_count(name, value, least=0):
         raise ValueError("%s must be at least %d, got %d" % (name, least, value))
 
 
+def _named(n):
+    """The int n by ``poly.shortened``, or by its bit length past 10,000
+    bits, beyond which Python may refuse str()."""
+    return "an int of %d bits" % n.bit_length() if n.bit_length() > 10000 else shortened(str(n))
+
+
 def _check_scan(what, start, cap):
-    """Raise OracleDiverged when a scan starting above its cap would read no
-    degree.  The message names start and cap by ``poly.shortened``, or by
-    bit length past 10,000 bits, beyond which Python may refuse str()."""
+    """Raise OracleDiverged, naming start and cap by _named, when a scan
+    starting above its cap would read no degree."""
     if start > cap:
-        start, cap = ("an int of %d bits" % n.bit_length() if n.bit_length() > 10000
-                      else shortened(str(n)) for n in (start, cap))
         raise OracleDiverged("%s: no degree was read, as the scan starts at degree %s, "
-                             "above the cap of %s" % (what, start, cap))
+                             "above the cap of %s" % (what, _named(start), _named(cap)))
 
 
 def _top(cap, vectors):  # cap plus the largest degree in the vectors
@@ -160,16 +167,18 @@ class _Images:
         return sum(c >= lowest for c in self.echelon.pivots)
 
 
-def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau=3):
+def hom_dims_truncated(source, target, start_degree=None, max_degree=TRUNCATION_CAP,
+                       plateau=3):
     """(h0, h1) by truncated linear algebra; raises OracleDiverged at the cap.
 
-    Scanning starts at the total degree of the potential unless overridden:
+    Scanning starts at the total degree of the potential, or at 1 when that
+    is 0 or W = 0 has none, unless overridden:
     below that degree a cohomology class whose representative involves
     high-degree entries may be invisible, producing a spuriously stable
     reading.  The answer is accepted once `plateau` consecutive degrees agree.
     """
     if start_degree is None:
-        start_degree = max(1, source.w.total_degree())
+        start_degree = max(1, source.w.total_degree() or 0)
     _check_count("start_degree", start_degree)
     _check_count("max_degree", max_degree)
     _check_count("plateau", plateau, 1)
@@ -192,7 +201,7 @@ def hom_dims_truncated(source, target, start_degree=None, max_degree=24, plateau
     raise OracleDiverged("hom dimensions failed to stabilize by degree %d" % max_degree)
 
 
-def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=24):
+def quotient_dim_truncated(gens, ring=None, start_degree=1, max_degree=TRUNCATION_CAP):
     """dim of A/<gens> by truncation; raises OracleDiverged at the cap."""
     _check_count("start_degree", start_degree)
     _check_count("max_degree", max_degree)

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from mfcat.poly import QQ, PrimeField, RingContext
-from mfcat import mf, files, corpus, groebner
+from mfcat import mf, files, corpus, groebner, oracle
 from mfcat.cli import main
 from mfcat.mirror import preset
 
@@ -636,16 +636,35 @@ def test_hom_oracle_is_skipped_on_infinite_dimensions(tmp_path):
         "h1": "INFINITE", "oracle": "skipped (infinite dimensions)"}
 
 
-def test_hom_oracle_above_its_cap_says_no_degree_was_read(tmp_path):
-    # the oracle's scan starts at deg W = 30, above its cap of 24
+def test_hom_oracle_above_its_cap_is_skipped(tmp_path):
+    # the oracle's scan would start at deg W, above its cap of 24; a degree
+    # past 40 digits or 10,000 bits is named by its length
     R = RingContext(("x",), QQ)
     x = R.variable("x")
+    for a, b, named in [(7, 23, "30"), (10**49, 9 * 10**49, "'100000000000'... (51 characters)"),
+                        (2**10000, 2**10000, "an int of 10002 bits")]:
+        path = tmp_path / "e.json"
+        files.save(str(path), files.factorization_to_doc(mf.rank_one(R, x**(a + b), 0, x**a, x**b)))
+        skipped = "skipped (deg W = %s is above the truncation cap of 24)" % named
+        res = run("hom", str(path), str(path), "--oracle")
+        assert res.exit_code == 0 and res.stderr == ""
+        assert res.output == "h0: %d\nh1: %d\noracle: %s\n" % (min(a, b), min(a, b), skipped)
+        res = run("--format", "machine", "hom", str(path), str(path), "--oracle")
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {
+            "schema_version": 1, "verb": "hom", "status": "ok", "h0": min(a, b),
+            "h1": min(a, b), "oracle": skipped}
+    with pytest.raises(oracle.OracleDiverged, match="no degree was read"):
+        oracle.hom_dims_truncated(*[mf.rank_one(R, x**30, 0, x**7, x**23)] * 2)
+
+
+def test_hom_oracle_checks_a_potential_without_a_degree(tmp_path):
+    # W = 0 with lambda = 1: the scan starts at degree 1
+    R = RingContext(("x",), QQ)
     path = tmp_path / "e.json"
-    files.save(str(path), files.factorization_to_doc(mf.rank_one(R, x**30, 0, x**7, x**23)))
+    files.save(str(path), files.factorization_to_doc(mf.rank_one(R, R.zero(), 1, -R.one(), R.one())))
     res = run("hom", str(path), str(path), "--oracle")
-    assert res.exit_code == 1
-    assert res.stderr == ("error: hom dimensions: no degree was read, as the scan starts at "
-                          "degree 30, above the cap of 24\n")
+    assert (res.exit_code, res.output) == (0, "h0: 0\nh1: 0\noracle: agrees\n")
 
 
 @pytest.mark.parametrize("verb, args", [

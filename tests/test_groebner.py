@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfcat.poly import (
     QQ, PrimeField, LaurentPolynomial, Polynomial, RingContext, RingMismatch, integer_multiple,
@@ -1193,6 +1194,30 @@ def test_hilbert_numerators_of_small_modules():
     assert groebner._series_dim(groebner._numerator([(0, (0, 0))], [5], (1, 1)), (1, 1)) == 0
     assert groebner._series_dim(groebner._numerator([], [], (1,)), (1,)) == 0
     assert groebner._series_dim(groebner._numerator([], [0, 4], ()), ()) == 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_numerators_share_nothing_between_positions(data):
+    """_numerator is the sum over the positions of q^degree N(I_p), each
+    N(I_p) computed on its own, where one ideal repeats at several
+    positions, its leads listed in different orders, beside an ideal with
+    as many leads and an empty one, under each draw's weights."""
+    from mfcat import groebner
+    n = data.draw(st.integers(1, 3))
+    weights = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    base = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4,
+                              unique=True))
+    other = [tuple(a + (i == 0) for i, a in enumerate(base[0]))] + base[1:]
+    ideals = [data.draw(st.permutations(base)) for _ in range(data.draw(st.integers(2, 4)))]
+    ideals = data.draw(st.permutations(ideals + [other, []]))
+    degrees = data.draw(st.lists(st.integers(-3, 3), min_size=len(ideals), max_size=len(ideals)))
+    leads = data.draw(st.permutations([(p, x) for p, gens in enumerate(ideals) for x in gens]))
+    expected = {}
+    for d, gens in zip(degrees, ideals):
+        for k, c in groebner._ideal_numerator(groebner._minimal(gens), weights).items():
+            expected[d + k] = expected.get(d + k, 0) + c
+    assert _nonzero(groebner._numerator(leads, degrees, weights)) == _nonzero(expected)
 
 
 def test_counts_read_numerators_and_never_walk(monkeypatch):
