@@ -132,7 +132,9 @@ of (position, term dict) pairs, appends e_j to a tracked input, and only
 then multiplies the term dict by the lcm D of its denominators, so a
 tracked input enters as [D v_j ; D e_j], which still represents D v_j.
 Polynomial vectors reach it through _sparse, which checks each distinct
-ring once per call; hom places its differentials as sparse vectors.
+ring once per call; hom places its differentials as sparse vectors, and
+mirror builds its critical generators and its lifted W as sparse vectors
+in one pass over the terms of W, for _basis and _minimal_polynomial.
 Every normal form and membership witness comes from one remainder,
 _remainder: _entry, then _divide.
 
@@ -155,14 +157,16 @@ element.  Over F_p, D and s are 1.
 
 minimal_polynomial(f, G) gives the monic minimal polynomial of
 multiplication by f on A/I, the multiplication-map method (Cox-Little-
-O'Shea, Using Algebraic Geometry, 2.4), in the same encoding: f enters
-through _entry, NF(f) is one _divide, and each power NF(f^k) stays a
-term dict over a scale s, multiplied by NF(f) with _combine, reduced by
-_divide and cleared of its content.  Its coordinates on the standard
-monomials, numbered as normal forms reach them, with s in an extra column
-e_k, form row k of one RowEchelon; the first row whose pivot, its
-smallest column, lands in the e-columns is the relation, which does not
-depend on how the monomial columns are numbered.
+O'Shea, Using Algebraic Geometry, 2.4), in the same encoding.  It is
+_sparse, then _minimal_polynomial, which takes f as a sparse vector, as
+mirror hands it the lifted W: f enters through _entry, NF(f) is one
+_divide, and each power NF(f^k) stays a term dict over a scale s,
+multiplied by NF(f) with _combine, reduced by _divide and cleared of its
+content.  Its coordinates on the standard monomials, numbered as normal
+forms reach them, with s in an extra column e_k, form row k of one
+RowEchelon; the first row whose pivot, its smallest column, lands in the
+e-columns is the relation, which does not depend on how the monomial
+columns are numbered.
 """
 
 from __future__ import annotations
@@ -1004,13 +1008,19 @@ def minimal_polynomial(f: Polynomial, G: GroebnerBasis):
     so a dim above HILBERT_MONOMIAL_LIMIT is refused before the first."""
     if G.is_module:
         raise ValueError("expected an ideal Groebner basis")
+    return _minimal_polynomial(_sparse([(f,)], G.ring, 1), G)
+
+
+def _minimal_polynomial(sparse, G):
+    """minimal_polynomial of the f of `sparse`, a list of one of _entry's
+    sparse vectors of A^1: [[(0, {exponents: coefficient})]], or [[]] for
+    f = 0."""
     dim = _enumerable(quotient_dim(G))
     if dim is INFINITE:
         return INFINITE, None
     ring = G.ring
     fld = ring.field
     plus, times, _ = _arith(fld)
-    sparse = _sparse([(f,)], ring, 1)
 
     def run(pk):
         coord = {}  # the standard monomials, numbered as normal forms reach them

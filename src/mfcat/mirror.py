@@ -9,13 +9,18 @@ unimodular basis, and a non-basis ray's q-exponents are a row of the
 inverse of the relations restricted to the non-basis rays.
 
 Critical points on the algebraic torus are counted through the ideal
-I = (Y_i dW/dY_i, z Y_1 ... Y_n - 1) of Q[Y, z] (Cox-Little-O'Shea, Ideals,
-Varieties, and Algorithms, 4.2), each Laurent term Y^e written as
-Y^(e + a 1) z^a, a = max(0, -min e).  That is Y^e (z Y_1 ... Y_n)^a, and
-(z Y_1 ... Y_n)^a = 1 modulo the localizer, which I contains; so I is the
-full preimage of the Laurent critical ideal, whatever the lift.  Critical
-values come from the minimal polynomial of multiplication by the lifted W
-(groebner.minimal_polynomial).
+I = (Y_i dW/dY_i, z Y_1 ... Y_n - 1) of k[Y, z] (Cox-Little-O'Shea, Ideals,
+Varieties, and Algorithms, 4.2), over the field k of W: Q for every fan,
+F_p for a bare Laurent W over F_p.  Each Laurent term c Y^e of W is
+lifted once, to Y^(e + a 1) z^a with a = max(0, -min e).  That is
+Y^e (z Y_1 ... Y_n)^a, and (z Y_1 ... Y_n)^a = 1 modulo the localizer,
+which I contains; so I is the full preimage of the Laurent critical ideal,
+whatever the lift.  Generator i takes the coefficient c e_i at each lifted
+exponent, and W keeps c there, so one pass over the terms of W builds
+every generator and the lifted W, as the Groebner kernel's sparse vectors.
+Critical values come from the minimal polynomial of multiplication by the
+lifted W (groebner.minimal_polynomial), and their distinctness from one
+Euclid run on the eliminant's coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
-                   PolyError, quoted, univariate_gcd)
+                   PolyError, quoted, _is_squarefree)
 from . import groebner
 
 
@@ -138,12 +143,14 @@ def _param_variable(name: str) -> str:
 class SuperpotentialSpec:
     """One Laurent term per ray, over variables Y1..Yn and the q-parameters."""
 
-    __slots__ = ("toric", "ring", "y_names", "param_names", "param_vars", "w", "ray_terms")
+    __slots__ = ("toric", "ring", "y_names", "y_ring", "param_names", "param_vars", "w",
+                 "ray_terms")
 
     def __init__(self, toric, ring, y_names, param_names, param_vars, w, ray_terms):
         self.toric = toric
         self.ring = ring
         self.y_names = tuple(y_names)
+        self.y_ring = RingContext(self.y_names, QQ, "grevlex")  # where substituted lands
         self.param_names = tuple(param_names)
         self.param_vars = tuple(param_vars)
         self.w = w
@@ -166,8 +173,7 @@ class SuperpotentialSpec:
         extra = set(params) - set(self.param_names)
         if extra:
             raise MissingParameter("unknown parameter(s): %s" % quoted(sorted(extra)))
-        target = RingContext(self.y_names, QQ, "grevlex")
-        return self.w.substitute(values, target)
+        return self.w.substitute(values, self.y_ring)
 
     def __repr__(self):
         return "SuperpotentialSpec(%s)" % self.w
@@ -234,30 +240,38 @@ def _substituted_w(w_spec, params):
     raise TypeError("expected a SuperpotentialSpec or LaurentPolynomial")
 
 
-def _on_torus(W, ring) -> Polynomial:
-    """W in ring, each term Y^e as Y^(e + a 1) z^a, a = max(0, -min e): one-to-one on terms."""
-    out = {}
+def _critical_basis(W):
+    """(basis, lifted W): the basis of Y_i dW/dY_i and z Y1 ... Yn - 1 in
+    k[Y1..Yn, z] (grevlex), k the field of W, and W lifted as they are, as
+    groebner._minimal_polynomial takes it.
+
+    Each term c Y^e is lifted once, to Y^(e + a 1) z^a, a = max(0, -min e),
+    that is multiplied by (z Y1 ... Yn)^a, which is 1 mod z Y1 ... Yn - 1:
+    for P^n the generators are Y_i - q z.  Generator i takes c e_i there; a
+    product that is 0, which only F_p makes, is dropped."""
+    n, fld = W.ring.nvars, W.ring.field
+    ring = RingContext(W.ring.variables + ("z",), fld, "grevlex")
+    lifted = []  # (lifted exponents, exponents, coefficient) of each term
     for e, c in W.terms.items():
         a = -min((0,) + e)
-        out[tuple(x + a for x in e) + (a,)] = QQ.coerce(c)
-    return Polynomial(ring, out)
-
-
-def _critical_basis(W) -> groebner.GroebnerBasis:
-    """Basis of Y_i dW/dY_i and z Y1 ... Yn - 1 in Q[Y1..Yn, z] (grevlex).
-
-    Each term is lifted by _on_torus, that is multiplied by (z Y1 ... Yn)^a,
-    which is 1 mod z Y1 ... Yn - 1: for P^n the generators are Y_i - q z."""
-    n = W.ring.nvars
-    ring = RingContext(W.ring.variables + ("z",), QQ, "grevlex")
-    gens = [_on_torus(W.log_derivative(i), ring) for i in range(n)]
-    gens.append(Polynomial(ring, {(1,) * (n + 1): QQ.one, (0,) * (n + 1): -QQ.one}))
-    return groebner.buchberger(gens, ring)
+        lifted.append((tuple([x + a for x in e]) + (a,), e, c))
+    gens = []
+    for i in range(n):
+        terms = {}
+        for t, e, c in lifted:
+            product = fld.mul(c, e[i])
+            if product:
+                terms[t] = product
+        gens.append([(0, terms)] if terms else [])
+    gens.append([(0, {(1,) * (n + 1): fld.one, (0,) * (n + 1): fld.neg(fld.one)})])
+    w = {t: c for t, _, c in lifted}
+    return groebner._basis(gens, ring, 1, None, False), [[(0, w)] if w else []]
 
 
 def critical_ideal(w_spec, params=None) -> groebner.GroebnerBasis:
-    """Basis of the critical ideal on the torus, in Q[Y1..Yn, z] (grevlex)."""
-    return _critical_basis(_substituted_w(w_spec, params))
+    """Basis of the critical ideal on the torus, in k[Y1..Yn, z] (grevlex)
+    for the field k of the potential."""
+    return _critical_basis(_substituted_w(w_spec, params))[0]
 
 
 def critical_count(w_spec, params=None) -> int:
@@ -287,31 +301,32 @@ class CriticalReport:
 def critical_values(w_spec, params=None) -> CriticalReport:
     """Critical count and minimal polynomial of the value function.
 
-    Both are read in the algebra of critical_ideal, Q[Y1..Yn, z]/I: the
+    Both are read in the algebra of critical_ideal, k[Y1..Yn, z]/I: the
     count is its number of standard monomials (InfiniteCriticalLocus when
-    they are infinite).  W is lifted as the generators are (_on_torus), so
-    it is W in the algebra; the eliminant is the monic minimal polynomial
-    of multiplication by it.
+    they are infinite).  W is lifted as the generators are (_critical_basis),
+    so it is W in the algebra; the eliminant, over k, is the monic minimal
+    polynomial of multiplication by it, and the values are distinct when
+    it has no repeated factor.
     """
     W = _substituted_w(w_spec, params)
-    gb = _critical_basis(W)
-    count, coefficients = groebner.minimal_polynomial(_on_torus(W, gb.ring), gb)
+    gb, w = _critical_basis(W)
+    count, coefficients = groebner._minimal_polynomial(w, gb)
     if count is groebner.INFINITE:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
-    wring = RingContext(("w",), QQ, "lex")
-    value_poly = Polynomial(wring, {(k,): c for k, c in enumerate(coefficients)})
-    distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
-    return CriticalReport(count, value_poly, distinct)
+    fld = W.ring.field
+    value_poly = Polynomial(RingContext(("w",), fld, "lex"),
+                            {(k,): c for k, c in enumerate(coefficients)})
+    return CriticalReport(count, value_poly, _is_squarefree(coefficients, fld))
 
 
 def fiber_cardinality(w_spec, params=None, value=0) -> int:
     """Distinct closed points of the fiber of a one-variable superpotential.
 
     The value must be non-critical; roots off the torus (at Y = 0) do not
-    count.  Let g be Y^s (W - value) with its roots at 0 stripped.  At a
-    root Y0 != 0 of g, W'(Y0) = g'(Y0) Y0^e for an integer e, so the value
-    is critical exactly when gcd(g, g') is not constant; otherwise the
-    fiber has deg g points.
+    count.  Let g be Y^s (W - value) with its roots at 0 stripped, over the
+    field of W.  At a root Y0 != 0 of g, W'(Y0) = g'(Y0) Y0^e for an integer
+    e, so the value is critical exactly when gcd(g, g') is not constant;
+    otherwise the fiber has deg g points.
     """
     value = _exact_rational(value, "fiber value")
     W = _substituted_w(w_spec, params)
@@ -319,13 +334,13 @@ def fiber_cardinality(w_spec, params=None, value=0) -> int:
         raise ValueError("fiber counting is implemented for one variable only")
     if W.log_derivative(0).is_zero:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
-    shifted = W - LaurentPolynomial(W.ring, {(0,): QQ.coerce(value)})
-    f, _ = shifted.clear_denominators()
-    drop = min(e[0] for e in f.terms)
-    g = Polynomial(f.ring, {(e[0] - drop,): c for e, c in f.terms.items()})
-    if univariate_gcd(g, g.derivative(0)).total_degree() > 0:
+    fld = W.ring.field
+    terms = (W - LaurentPolynomial(W.ring, {(0,): fld.coerce(value)})).terms
+    low, high = min(terms)[0], max(terms)[0]
+    g = [terms.get((k,), fld.zero) for k in range(low, high + 1)]
+    if not _is_squarefree(g, fld):
         raise CriticalValueError("%s is a critical value" % value)
-    return g.total_degree()
+    return high - low
 
 
 # ---------------------------------------------------------------------------

@@ -570,21 +570,20 @@ class LaurentPolynomial(_TermPoly):
         variables must not appear with negative exponents unless the value
         is invertible (it always is for nonzero field elements).
         """
-        fld = new_ring.field
+        fld, n = new_ring.field, new_ring.nvars
         keep = []
         for i, v in enumerate(self.ring.variables):
             if v not in assignments:
                 keep.append((i, new_ring.var_index(v)))
-        values = {
-            self.ring.var_index(name): fld.coerce(val)
-            for name, val in assignments.items()
-        }
+        values = [(self.ring.var_index(name), fld.coerce(val))
+                  for name, val in assignments.items()]
         out = {}
         for exps, c in self.terms.items():
             coeff = fld.coerce(c)
-            for i, val in values.items():
-                coeff = fld.mul(coeff, fld.pow(val, exps[i]))
-            e = [0] * new_ring.nvars
+            for i, val in values:
+                if exps[i]:  # a zeroth power is 1
+                    coeff = fld.mul(coeff, fld.pow(val, exps[i]))
+            e = [0] * n
             for old, new in keep:
                 e[new] = exps[old]
             e = tuple(e)
@@ -785,29 +784,46 @@ def univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of univariate polynomials over the ring's field.
 
     Euclid on dense coefficient lists of ints (Knuth, TAOCP vol. 2,
-    4.6.1), each in the field's stored form.  Over Q it is the primitive
-    remainder sequence over Z: each operand is cleared of denominators,
-    each remainder is a pseudo-remainder, and each is divided by its
-    content, so it is a nonzero multiple of the remainder over Q.  Over
-    F_p the operands are ints mod p, made monic.
+    4.6.1), each in the field's stored form (_euclid).  Over Q it is the
+    primitive remainder sequence over Z: each operand is cleared of
+    denominators, each remainder is a pseudo-remainder, and each is divided
+    by its content, so it is a nonzero multiple of the remainder over Q.
+    Over F_p the operands are ints mod p, made monic.
     """
     if f.ring != g.ring:
         raise RingMismatch("gcd operands in different rings")
     if f.ring.nvars != 1:
         raise ValueError("univariate_gcd needs a ring of one variable, not %d" % f.ring.nvars)
     field = f.ring.field
-    a, b = _coefficient_list(f), _coefficient_list(g)
-    while b:
-        a, b = b, _normalised(_pseudo_remainder(a, b, field.p), field)
+    a, b = ([h.terms.get((k,), 0) for k in range((h.total_degree() or 0) + 1)] for h in (f, g))
+    a = _euclid(_coefficient_list(a, field), _coefficient_list(b, field), field)
     lead = a[-1] if a else 1
     return Polynomial(f.ring, {(k,): field.from_scaled(c, lead) for k, c in enumerate(a)})
 
 
-def _coefficient_list(f: Polynomial):
-    """Coefficients of f by degree as ints, normalised as in _normalised."""
-    terms, _ = integer_multiple(f.terms)
-    coeffs = [terms.get((k,), 0) for k in range(f.total_degree() + 1)] if terms else []
-    return _normalised(coeffs, f.ring.field)
+def _is_squarefree(coeffs, field) -> bool:
+    """Whether f = sum_k coeffs[k] x^k, field elements by degree, has a
+    constant gcd with f', as univariate_gcd(f, f').total_degree() == 0
+    reads it: so 0 is not squarefree, and neither is x^p - 1 over F_p,
+    whose derivative vanishes."""
+    a = _coefficient_list(coeffs, field)
+    return len(_euclid(a, _normalised([field.mul(k, c) for k, c in enumerate(a)][1:], field),
+                       field)) == 1
+
+
+def _euclid(a, b, field):
+    """The last nonzero remainder of Euclid on coefficient lists in stored
+    form, a multiple of their gcd over the field; [] when both are 0."""
+    while b:
+        a, b = b, _normalised(_pseudo_remainder(a, b, field.p), field)
+    return a
+
+
+def _coefficient_list(coeffs, field):
+    """Field elements by degree as ints, cleared of their denominators and
+    normalised as in _normalised."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return _normalised([c.numerator * (d // c.denominator) for c in coeffs], field)
 
 
 def _normalised(coeffs, field):

@@ -5,7 +5,7 @@ import pytest
 
 from mfcat import groebner, mirror
 from mfcat.matrix import RowEchelon
-from mfcat.poly import (QQ, LaurentPolynomial, Polynomial, PolyError, RingContext,
+from mfcat.poly import (QQ, LaurentPolynomial, Polynomial, PolyError, PrimeField, RingContext,
                         integer_multiple, parse_laurent, univariate_gcd)
 from mfcat.mirror import (
     ToricSpec, build_superpotential, critical_ideal, critical_count,
@@ -259,9 +259,10 @@ def test_toric_spec_refuses_non_integers(rays, relations, basis):
 # ---------------------------------------------------------------------------
 
 def _adjoined_w_values(W):
-    """(count, eliminant, distinct) in Q[Y, z, w]/(I + (w Y^s - num W))."""
-    n = W.ring.nvars
-    ring = RingContext(W.ring.variables + ("z", "w"), QQ, "grevlex")
+    """(count, eliminant, distinct) in k[Y, z, w]/(I + (w Y^s - num W)), k
+    the field of W."""
+    n, fld = W.ring.nvars, W.ring.field
+    ring = RingContext(W.ring.variables + ("z", "w"), fld, "grevlex")
     index_map = [ring.var_index(v) for v in W.ring.variables]
     gens = [W.log_derivative(i).clear_denominators()[0].extend(ring, index_map)
             for i in range(n)]
@@ -276,7 +277,7 @@ def _adjoined_w_values(W):
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     count = len(sm)
     coord = {exps: i for i, (_, exps) in enumerate(sm)}
-    echelon = RowEchelon(QQ)
+    echelon = RowEchelon(fld)
     power = ring.one()
     for k in range(count + 1):
         terms, scale = integer_multiple(groebner.normal_form(power, gb).terms)
@@ -288,8 +289,9 @@ def _adjoined_w_values(W):
         power = power * wvar
     relation = echelon.pivots[pivot]
     lead = relation[count + k]
-    wring = RingContext(("w",), QQ, "lex")
-    value_poly = Polynomial(wring, {(c - count,): Fraction(v, lead) for c, v in relation.items()})
+    wring = RingContext(("w",), fld, "lex")
+    value_poly = Polynomial(wring, {(c - count,): fld.from_scaled(v, lead)
+                                    for c, v in relation.items()})
     distinct = univariate_gcd(value_poly, value_poly.derivative(0)).total_degree() == 0
     return count, value_poly, distinct
 
@@ -351,18 +353,19 @@ def _lift(e):
 def test_critical_generators_are_lifted_term_by_term_to_the_same_basis(monkeypatch):
     # each term c Y^e of Y_i dW/dY_i becomes c Y^(e + a 1) z^a, a = max(0, -min e);
     # that is the term times (z Y1 ... Yn)^a = 1 mod the localizer, so the
-    # reduced basis is the one the cleared generators give, in fewer S-pairs
+    # reduced basis is the one the cleared generators give, in fewer S-pairs.
+    # The generators reach the kernel as sparse vectors, through groebner._basis.
     reductions = [0]
     seen = []
-    original, buchberger = groebner._s_remainder, groebner.buchberger
+    original, basis = groebner._s_remainder, groebner._basis
 
     def counted(*args):
         reductions[0] += 1
         return original(*args)
 
-    def recorded(gens, ring=None, track=False):
-        seen.append((list(gens), ring))
-        return buchberger(gens, ring, track)
+    def recorded(sparse, ring, rank, ambient_rank, track):
+        seen.append((sparse, ring))
+        return basis(sparse, ring, rank, ambient_rank, track)
     rng = random.Random(59)
     potentials = _bare_potentials()
     for name in sorted(PRESETS) + ["P4"]:
@@ -372,7 +375,7 @@ def test_critical_generators_are_lifted_term_by_term_to_the_same_basis(monkeypat
             potentials.append(built.substituted({p: Fraction(rng.randint(1, 12), rng.randint(1, 12))
                                                  for p in built.param_names}))
     reference = [_three_step_basis(W) for W in potentials]
-    monkeypatch.setattr(groebner, "buchberger", recorded)
+    monkeypatch.setattr(groebner, "_basis", recorded)
     for W, old in zip(potentials, reference):
         del seen[:]
         gb = mirror.critical_ideal(W)
@@ -380,13 +383,16 @@ def test_critical_generators_are_lifted_term_by_term_to_the_same_basis(monkeypat
         n = W.ring.nvars
         lifted = [[(_lift(e), c * e[i]) for e, c in W.terms.items() if e[i]] for i in range(n)]
         lifted.append([((1,) * (n + 1), 1), ((0,) * (n + 1), -1)])
-        assert [list(g.terms.items()) for g in gens] == lifted, W
-        assert all(g.ring is ring for g in gens)
+        assert all(pos == 0 for vec in gens for pos, _ in vec)
+        assert [[t for _, terms in vec for t in terms.items()] for vec in gens] == lifted, W
+        assert gb.ring is ring and ring.variables == W.ring.variables + ("z",)
         assert [g.terms for g in gb.generators] == [g.terms for g in old.generators], W
     p2 = build_superpotential(preset("P2"))
     del seen[:]
     critical_ideal(p2, {"q": 2})
-    assert [str(g) for g in seen[0][0]] == ["Y1 - 2*z", "Y2 - 2*z", "Y1*Y2*z - 1"]
+    [(gens, ring)] = seen
+    assert [str(Polynomial(ring, terms)) for [(_, terms)] in gens] \
+        == ["Y1 - 2*z", "Y2 - 2*z", "Y1*Y2*z - 1"]
     monkeypatch.setattr(groebner, "_s_remainder", counted)
     counts = {}
     for name in ("P1", "P2", "P3", "P4", "F1", "dP6"):
@@ -395,6 +401,72 @@ def test_critical_generators_are_lifted_term_by_term_to_the_same_basis(monkeypat
         critical_values(built, {p: 1 for p in built.param_names})
         counts[name] = reductions[0]
     assert counts == {"P1": 1, "P2": 1, "P3": 1, "P4": 1, "F1": 2, "dP6": 12}
+
+
+def _reduced(W, fld):
+    return LaurentPolynomial(RingContext(W.ring.variables, fld),
+                             {e: fld.coerce(c) for e, c in W.terms.items()})
+
+
+def _critical_answer(W):
+    try:
+        report = critical_values(W)
+    except InfiniteCriticalLocus as exc:
+        return str(exc)
+    return report.count, report.value_polynomial
+
+
+# Where p divides what the rational answer needs, reduction mod p and the
+# F_p answer part: over F_7 two of the nine critical values of the first
+# potential meet, and the values of the second, all 7-adically divisible,
+# become 0 (its eliminant over Q is w^7 - 7^7/1458).  There the eliminant
+# over F_p is a proper divisor of the rational one mod p.
+_BAD_REDUCTION = {7: {"Y1 + Y2 - Y2^-2 + 3*Y1^-2*Y2^-1", "Y1*Y2 + Y1^-1 + 1/2*Y2^-3"}}
+
+
+@pytest.mark.parametrize("p", [7, 32749])
+def test_critical_data_over_f_p_are_the_rational_ones_mod_p(p):
+    # the torus ring and the value ring are built over W's own field: an
+    # F_p residue used to be read as a rational, so Y + Y^-1 over F_7 gave
+    # w^2 + 25/6 over Q (-1 read as 6)
+    fld = PrimeField(p)
+    wring = RingContext(("w",), fld, "lex")
+    potentials = _bare_potentials()
+    for name in ("P1", "P2", "P3", "P4", "F1", "dP6"):
+        built = build_superpotential(_fan(name))
+        potentials.append(built.substituted({q: 1 for q in built.param_names}))
+    for W in potentials:
+        over_q, over_p = _critical_answer(W), _critical_answer(_reduced(W, fld))
+        if isinstance(over_q, str):
+            assert over_p == over_q, W
+            continue
+        count, eliminant = over_q
+        reduced = Polynomial(wring, {e: fld.coerce(c) for e, c in eliminant.terms.items()})
+        assert over_p[0] == count and over_p == _adjoined_w_values(_reduced(W, fld))[:2], W
+        if str(W) in _BAD_REDUCTION.get(p, ()):
+            assert over_p[1] != reduced and univariate_gcd(over_p[1], reduced) == over_p[1], W
+        else:
+            assert over_p[1] == reduced, W
+        gb = critical_ideal(_reduced(W, fld))
+        assert gb.ring.field == fld and all(g.ring.field == fld for g in gb.generators)
+        assert critical_count(_reduced(W, fld)) == count
+    if p == 7:
+        R1, R2 = RingContext(("Y1",), fld), RingContext(("Y1", "Y2"), fld)
+        for ring, text, answer in ((R1, "Y1 + Y1^-1", "w^2 + 3"),
+                                   (R2, "Y1 + Y2 + Y1^-1*Y2^-1", "w^3 + 1")):
+            assert str(critical_values(parse_laurent(ring, text)).value_polynomial) == answer
+        dp6 = build_superpotential(preset("dP6"))
+        report = critical_values(_reduced(dp6.substituted({q: 1 for q in dp6.param_names}), fld))
+        assert str(report.value_polynomial) == "w^3 + 6*w^2 + 4*w + 6"
+        # 7 Y^7 = 0 over F_7: Y dW/dY = -Y^-1 is a unit, so no critical point
+        w7 = parse_laurent(R1, "Y1^7 + Y1^-1")
+        assert critical_count(w7) == 0 and critical_values(w7).count == 0
+        assert critical_count(parse_laurent(RingContext(("Y1",), QQ), "Y1^7 + Y1^-1")) == 8
+        # the fiber sits over F_7 too: (Y - 1)^2 at the critical value 2
+        w = parse_laurent(R1, "Y1 + Y1^-1")
+        assert fiber_cardinality(w, None, 0) == 2
+        with pytest.raises(CriticalValueError, match="^2 is a critical value$"):
+            fiber_cardinality(w, None, 2)
 
 
 def test_critical_values_stay_in_the_kernel(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
-    ParseError, RingMismatch, univariate_gcd, integer_multiple, _TermPoly,
+    ParseError, RingMismatch, univariate_gcd, integer_multiple, _TermPoly, _is_squarefree,
 )
 from mfcat.matrix import PolyMatrix, RowEchelon
 
@@ -311,6 +311,49 @@ def test_univariate_gcd_matches_euclid_on_seeded_polynomials(field):
         if not (f.is_zero or g.is_zero):
             assert univariate_gcd(f, g).total_degree() >= h.total_degree()
     assert univariate_gcd(R.zero(), R.zero()).is_zero
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32749)], ids=repr)
+def test_squarefree_test_agrees_with_the_gcd_of_f_and_its_derivative(field):
+    # _is_squarefree reads gcd(f, f') off int coefficient lists, with no
+    # Polynomial; univariate_gcd is the reference, its zero of degree None
+    rng = random.Random("squarefree/%r" % (field,))
+    R = ring("x", field=field)
+    x, = R.gens()
+
+    def rand_poly(degree):
+        return sum((R.constant(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) * x**k
+                    for k in range(degree + 1)), R.zero())
+
+    def dense(f):
+        return [f.terms.get((k,), field.zero) for k in range((f.total_degree() or 0) + 1)]
+
+    cases = [R.zero(), R.constant(3), R.constant(Fraction(-2, 5)), x, (x - 1)**2, x**3 * (x + 2),
+             (2*x + 1)**2 * (x - 3)]
+    for _ in range(60):
+        h = rand_poly(rng.randint(0, 2))
+        f = rand_poly(rng.randint(0, 4))
+        cases += [f, h * f, h * h * f]
+    verdicts = set()
+    for f in cases:
+        verdict = univariate_gcd(f, f.derivative(0)).total_degree() == 0
+        assert _is_squarefree(dense(f), field) is verdict, f
+        assert _is_squarefree(dense(f) + [field.zero], field) is verdict, f
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert not _is_squarefree([], field) and not _is_squarefree(dense(R.zero()), field)
+    assert _is_squarefree([field.one], field)
+
+
+def test_x_to_the_p_minus_one_is_not_squarefree_over_f_p():
+    # over F_7 the derivative 7 x^6 of x^7 - 1 = (x - 1)^7 vanishes, so
+    # gcd(f, f') = f; over Q it is squarefree
+    F7 = PrimeField(7)
+    x, = ring("x", field=F7).gens()
+    f = x**7 - 1
+    assert f.derivative(0).is_zero and univariate_gcd(f, f.derivative(0)) == f
+    assert not _is_squarefree([F7.coerce(-1)] + [0] * 6 + [1], F7)
+    assert _is_squarefree([Fraction(-1)] + [Fraction(0)] * 6 + [Fraction(1)], QQ)
 
 
 def _field_echelon(rows, fld):

@@ -6,11 +6,17 @@ Run from the root of a checkout:
 
 Each tree's ``mfcat`` is imported in turn, with ``perfbench/workloads.py``
 of this checkout, and keeps its own modules after the next tree is
-imported.  Every answer of each tree is checked once.  Then each round
-times one pass of the workload's items per tree, in a fixed order, the
-first tree first in even rounds and the second first in odd ones.  The
-output is each tree's median pass time with its quartiles, and the
-number of rounds in which the second tree was faster.  Nothing is written.
+imported.  Every answer of each tree is computed and checked once, and
+the two trees' answers are compared item by item: the workload's checks
+do not pin every answer (``mirror_random`` reads the F1 and dP6
+eliminants only at the draws of ``perfbench/reference.json``), so two
+trees can both pass them and still answer differently.  Failed checks or
+a differing answer end the run with exit 1, naming the first such item.
+Then each round times one pass of the workload's items per tree, in a
+fixed order, the first tree first in even rounds and the second first in
+odd ones.  The output is each tree's median pass time with its
+quartiles, and the number of rounds in which the second tree was faster.
+Nothing is written.
 """
 
 import argparse
@@ -25,8 +31,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def load(src, name, seed):
-    """(items, failed) of workload `name` for the mfcat under `src`, with
-    `failed` the number of items whose answer fails its check."""
+    """(items, answers, failed) of workload `name` for the mfcat under
+    `src`, with `failed` the number of items whose answer fails its check."""
     for module in [m for m in sys.modules if m == "workloads" or m.split(".")[0] == "mfcat"]:
         del sys.modules[module]
     sys.path[:0] = [os.path.abspath(src), PERFBENCH]
@@ -36,7 +42,8 @@ def load(src, name, seed):
         del sys.path[:2]
     workload = workloads.WORKLOADS[name]
     items = workload.make_items(workload.setup(), workloads.load_reference(), seed)
-    return items, sum(not item.check(item.call()) for item in items)
+    answers = [item.call() for item in items]
+    return items, answers, sum(not item.check(a) for item, a in zip(items, answers))
 
 
 def timed(items):
@@ -56,10 +63,15 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     trees = [load(src, args.workload, args.seed) for src in (args.first, args.second)]
-    for src, (_, failed) in zip((args.first, args.second), trees):
+    for src, (_, _, failed) in zip((args.first, args.second), trees):
         if failed:
             print("%s: %d answers fail their checks" % (src, failed))
             return 1
+    (items, first, _), (_, second, _) = trees
+    differ = next((item.key for item, a, b in zip(items, first, second) if a != b), None)
+    if differ is not None:
+        print("%s and %s answer item %r differently" % (args.first, args.second, differ))
+        return 1
     times = ([], [])
     for r in range(args.rounds):
         for k in ((0, 1) if r % 2 == 0 else (1, 0)):
