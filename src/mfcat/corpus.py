@@ -89,8 +89,8 @@ def _corpus_objects_cached(field):
 def _tensor_renamed(obj, newvar):
     """Tensor a one-variable object with a copy of itself in a fresh variable."""
     ring = RingContext((newvar,), obj.ring.field)
-    other = mf.MatrixFactorization(ring, obj.w.extend(ring, [0]), obj.lam,
-                                   obj.e1.extend(ring, [0]), obj.e0.extend(ring, [0]))
+    other = mf.MatrixFactorization._derived(ring, obj.w.extend(ring, [0]), obj.lam,
+                                            obj.e1.extend(ring, [0]), obj.e0.extend(ring, [0]))
     return mf.tensor(obj, other)
 
 

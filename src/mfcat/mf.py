@@ -1,11 +1,11 @@
 """Matrix factorizations of a polynomial over its chosen critical value.
 
 A factorization of W - lambda is a pair of square matrices (e1, e0) with
-e0 @ e1 == (W - lambda) * Id, checked cell by cell on every constructor;
+e0 @ e1 == (W - lambda) * Id, checked cell by cell on new data;
 over k[x] this implies e1 @ e0 == (W - lambda) * Id.  A morphism is a
 pair (p1, p0) with p1 e0 == f0 p0, which implies f1 p1 == p0 e1.  The
 cone, tensor and totalization constructions follow the usual Z/2-graded
-sign conventions and are revalidated on construction.
+sign conventions.
 
 Proof, over the domain k[x] with W - lambda != 0, which is refused first
 (Eisenbud, "Homological algebra on a complete intersection", Trans. AMS
@@ -16,11 +16,37 @@ e1 on the right gives (W - lambda) f1 p1 = (W - lambda) p0 e1.  Then
 f1 p1 e0 = (W - lambda) p0 fixes p0 by p1, so p1 = 0 forces p0 = 0.
 Hence objects are compared and hashed by ring, W, lambda and e1, and
 morphisms by their ends and p1.
+
+Derived objects and maps are built by MatrixFactorization._derived and
+MFMorphism._derived, which check nothing, as their checked inputs imply
+each identity by the facts above.  Write e, f, g for the maps of E, F, G
+and p: E -> F, q: F -> G for morphisms.
+  shift: (-e1)(-e0) = e1 e0 = (W - lambda) Id.
+  direct_sum: blocks multiply blockwise, diag(e0, f0) diag(e1, f1) =
+    diag(e0 e1, f0 f1).
+  cone(p): c0 c1 = [[f0 f1, f0 p0 - p1 e0], [0, e1 e0]] with
+    c1 = [[f1, p0], [0, -e0]] and c0 = [[f0, p1], [0, -e1]], and
+    p1 e0 = f0 p0.
+  tensor: a_k (x) I and I (x) b_k commute, so t0 t1 = [[a0 a1 + b1 b0,
+    b1 a0 - a0 b1], [a1 b0 - b0 a1, b0 b1 + a1 a0]] is the sum of the two
+    (W - lambda) Id; knorrer is a tensor, and corpus._tensor_renamed's
+    copy is the object under a ring isomorphism.
+  minimal_model: invertible P and Q give P e1 Q = diag(c, S) and
+    Q^-1 e0 P^-1 = diag((W - lambda)/c, e0'), where e0' is e0 without
+    row j and column i, so S e0' = (W - lambda) Id; likewise at e0.
+  identity_morphism and zero_morphism: 1 e0 = e0 1 and 0 e0 = f0 0.
+  compose(q, p): q1 p1 e0 = q1 f0 p0 = g0 q0 p0.
+  shift_morphism(p): p0 (-e1) = (-f1) p1 is f1 p1 = p0 e1.
+  cone_triangle: [[1], [0]] f0 = c0 [[1], [0]], and
+    [[0, -1]] c0 = [[0, e1]] = (-e1) [[0, -1]].
+The public constructors, rank_one, koszul and totalize check their
+products, and files checks each loaded document through them.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 from .matrix import PolyMatrix, RowEchelon
 from .poly import QQ, Polynomial, PolyError, RingContext, RingMismatch
@@ -92,6 +118,12 @@ class MatrixFactorization:
             raise RingMismatch("structure matrices live in a different ring")
         if not (e1.rows == e1.cols == e0.rows == e0.cols):
             raise ValueError("structure matrices must be square of equal size")
+        self._fill(ring, w, lam, e1, e0)
+        report = self.check()
+        if not report.ok:
+            raise NotAFactorization(report)
+
+    def _fill(self, ring, w, lam, e1, e0):
         self.ring = ring
         self.w = w
         self.lam = lam
@@ -100,9 +132,14 @@ class MatrixFactorization:
         self.e0 = e0
         self._model = None  # minimal_model(self), once computed
         self._graded = None  # _grading(self), once computed
-        report = self.check()
-        if not report.ok:
-            raise NotAFactorization(report)
+
+    @classmethod
+    def _derived(cls, ring, w, lam, e1, e0):
+        """The factorization of a derived construction, whose checked
+        inputs imply its identity (module docstring): nothing is checked."""
+        obj = cls.__new__(cls)
+        obj._fill(ring, w, lam, e1, e0)
+        return obj
 
     def check(self) -> ValidationReport:
         """Re-run the defining identity e0 e1 = (W - lambda) Id and report
@@ -161,13 +198,24 @@ class MFMorphism:
             raise ValueError("p0 must be %dx%d" % (target.rank, source.rank))
         if p1.ring != source.ring or p0.ring != source.ring:
             raise RingMismatch("morphism entries live in a different ring")
+        self._fill(source, target, p1, p0)
+        failures = _product_failures("p1*e0 - f0*p0", p1 @ source.e0, target.e0 @ p0)
+        if failures:
+            raise InvalidMorphism(ValidationReport(failures))
+
+    def _fill(self, source, target, p1, p0):
         self.source = source
         self.target = target
         self.p1 = p1
         self.p0 = p0
-        failures = _product_failures("p1*e0 - f0*p0", p1 @ source.e0, target.e0 @ p0)
-        if failures:
-            raise InvalidMorphism(ValidationReport(failures))
+
+    @classmethod
+    def _derived(cls, source, target, p1, p0):
+        """The map of a derived construction, whose checked inputs imply
+        that it is closed (module docstring): nothing is checked."""
+        obj = cls.__new__(cls)
+        obj._fill(source, target, p1, p0)
+        return obj
 
     @property
     def is_zero(self):
@@ -190,18 +238,18 @@ class MFMorphism:
 
 def identity_morphism(mf: MatrixFactorization) -> MFMorphism:
     eye = PolyMatrix.identity(mf.ring, mf.rank)
-    return MFMorphism(mf, mf, eye, eye)
+    return MFMorphism._derived(mf, mf, eye, eye)
 
 
 def zero_morphism(source: MatrixFactorization, target: MatrixFactorization) -> MFMorphism:
     z = PolyMatrix.zeros(source.ring, target.rank, source.rank)
-    return MFMorphism(source, target, z, z)
+    return MFMorphism._derived(source, target, z, z)
 
 
 def compose(g: MFMorphism, f: MFMorphism) -> MFMorphism:
     if g.source != f.target:
         raise RingMismatch("composition endpoints do not match")
-    return MFMorphism(f.source, g.target, g.p1 @ f.p1, g.p0 @ f.p0)
+    return MFMorphism._derived(f.source, g.target, g.p1 @ f.p1, g.p0 @ f.p0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +258,11 @@ def compose(g: MFMorphism, f: MFMorphism) -> MFMorphism:
 
 def shift(mf: MatrixFactorization) -> MatrixFactorization:
     """The odd shift: swap the two modules and negate both maps."""
-    return MatrixFactorization(mf.ring, mf.w, mf.lam, -mf.e0, -mf.e1)
+    return MatrixFactorization._derived(mf.ring, mf.w, mf.lam, -mf.e0, -mf.e1)
 
 
 def shift_morphism(p: MFMorphism) -> MFMorphism:
-    return MFMorphism(shift(p.source), shift(p.target), p.p0, p.p1)
+    return MFMorphism._derived(shift(p.source), shift(p.target), p.p0, p.p1)
 
 
 def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorization:
@@ -225,7 +273,7 @@ def direct_sum(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactoriz
     z_ba = PolyMatrix.zeros(ring, b.rank, a.rank)
     e1 = PolyMatrix.block([[a.e1, z_ab], [z_ba, b.e1]])
     e0 = PolyMatrix.block([[a.e0, z_ab], [z_ba, b.e0]])
-    return MatrixFactorization(ring, a.w, a.lam, e1, e0)
+    return MatrixFactorization._derived(ring, a.w, a.lam, e1, e0)
 
 
 def cone(p: MFMorphism) -> MatrixFactorization:
@@ -235,7 +283,7 @@ def cone(p: MFMorphism) -> MatrixFactorization:
     z = PolyMatrix.zeros(ring, E.rank, F.rank)
     c1 = PolyMatrix.block([[F.e1, p.p0], [z, -E.e0]])
     c0 = PolyMatrix.block([[F.e0, p.p1], [z, -E.e1]])
-    return MatrixFactorization(ring, E.w, E.lam, c1, c0)
+    return MatrixFactorization._derived(ring, E.w, E.lam, c1, c0)
 
 
 def cone_triangle(p: MFMorphism):
@@ -247,9 +295,9 @@ def cone_triangle(p: MFMorphism):
     eyeE = PolyMatrix.identity(ring, E.rank)
     zEF = PolyMatrix.zeros(ring, E.rank, F.rank)
     incl = PolyMatrix.block([[eyeF], [zEF]])
-    inject = MFMorphism(F, C, incl, incl)
+    inject = MFMorphism._derived(F, C, incl, incl)
     proj = PolyMatrix.block([[zEF, -eyeE]])
-    project = MFMorphism(C, shift(E), proj, proj)
+    project = MFMorphism._derived(C, shift(E), proj, proj)
     return C, inject, project
 
 
@@ -266,35 +314,61 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     nonzero constant.  The result is homotopy equivalent to mf (Eisenbud,
     "Homological algebra on a complete intersection", Trans. AMS 260,
     1980), so Hom dimensions may be read from it; rank 0 means mf is
-    contractible.  It is validated on construction, computed once per
-    object and kept on it, and is its own minimal model.
+    contractible.  Those operations are invertible, so mf's identity
+    implies the model's (module docstring).  The complements are taken
+    on the entries' term dicts, summed as Polynomial arithmetic sums
+    them, and each surviving entry becomes one Polynomial.  The model is
+    computed once per object and kept on it, and is its own minimal model.
     """
     if mf._model is not None:
         return mf._model
     ring = mf.ring
+    field = ring.field
     origin = (0,) * ring.nvars
-    maps = [[m.row(i) for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
+    maps = [[[p.terms for p in m.row(i)] for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
     while True:
         pivot = next(((k, i, j) for k, m in enumerate(maps) for i, row in enumerate(m)
-                      for j, p in enumerate(row) if len(p.terms) == 1 and origin in p.terms),
+                      for j, p in enumerate(row) if len(p) == 1 and origin in p),
                      None)
         if pivot is None:
             break
         k, i, j = pivot
         m, other = maps[k], maps[1 - k]
-        top = [p.scale(ring.field.inv(m[i][j].terms[origin])) for p in m[i]]
-        maps[k] = [[p - r[j] * q for b, (p, q) in enumerate(zip(r, top)) if b != j]
-                   if r[j].terms else r[:j] + r[j + 1:]
+        inv, times = field.inv(m[i][j][origin]), field.mul
+        top = [{e: times(v, inv) for e, v in p.items()} for p in m[i]]
+        maps[k] = [[_minus_product(p, r[j], q, field) for b, (p, q) in enumerate(zip(r, top))
+                    if b != j]
+                   if r[j] else r[:j] + r[j + 1:]
                    for a, r in enumerate(m) if a != i]
         maps[1 - k] = [r[:i] + r[i + 1:] for a, r in enumerate(other) if a != j]
     n = len(maps[0])
     if n == mf.rank:
         mf._model = mf
         return mf
-    e1, e0 = (PolyMatrix(ring, n, n, [p for row in m for p in row]) for m in maps)
-    mf._model = model = MatrixFactorization(ring, mf.w, mf.lam, e1, e0)
+    e1, e0 = (PolyMatrix(ring, n, n, [Polynomial(ring, p) for row in m for p in row])
+              for m in maps)
+    mf._model = model = MatrixFactorization._derived(ring, mf.w, mf.lam, e1, e0)
     model._model = model
     return model
+
+
+def _minus_product(p, a, q, field):
+    """The term dict of p - a q, for term dicts p, a and q with no zero
+    coefficient: a q is summed term by term in q's order within a's, its
+    cancelled terms dropped, and subtracted from p in that order, as
+    Polynomial's * and - do."""
+    plus, times, minus, zero = field.add, field.mul, field.sub, field.zero
+    product = {}
+    for ea, ca in a.items():
+        for eq, cq in q.items():
+            e = tuple(map(add, ea, eq))
+            c = times(ca, cq)
+            product[e] = plus(product[e], c) if e in product else c
+    out = dict(p)
+    for e, c in product.items():
+        if c != zero:
+            out[e] = minus(out[e], c) if e in out else field.neg(c)
+    return {e: c for e, c in out.items() if c != zero}
 
 
 def _grading(mf: MatrixFactorization):
@@ -400,8 +474,7 @@ def tensor(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorizatio
     eye_b = PolyMatrix.identity(ring, b.rank)
     t1, t0 = _tensor_maps(a1.kron(eye_b), a0.kron(eye_b), eye_a.kron(b1), eye_a.kron(b0))
     w = a.w.extend(ring, amap) + b.w.extend(ring, bmap)
-    lam = ring.field.add(ring.field.coerce(a.lam), ring.field.coerce(b.lam))
-    return MatrixFactorization(ring, w, lam, t1, t0)
+    return MatrixFactorization._derived(ring, w, ring.field.add(a.lam, b.lam), t1, t0)
 
 
 def knorrer(mf: MatrixFactorization, names=("u", "v")) -> MatrixFactorization:

@@ -661,6 +661,58 @@ def test_the_implied_identities_hold_on_everything_the_constructors_accept(field
     assert time.perf_counter() - start < 2
 
 
+def _derived_constructions(objects, maps):
+    """(objects, maps) with what the derived constructions, which check
+    nothing (mf module docstring), build from them: shifts, Knoerrer
+    doubles, sums and zero maps within each potential, identities, cone
+    triangles, cones, shifted maps and composites, and the minimal model
+    of every object."""
+    objects, maps = list(objects), list(maps)
+    bases = list(objects)
+    objects += [mf.shift(E) for E in bases] + [mf.knorrer(E, ("k", "l")) for E in bases]
+    maps += [mf.identity_morphism(E) for E in bases]
+    groups = {}
+    for E in bases:
+        groups.setdefault(E.potential_context(), []).append(E)
+    for group in groups.values():
+        for E, F in zip(group, group[1:]):
+            objects += [mf.direct_sum(E, F), mf.direct_sum(F, E)]
+            maps += [mf.zero_morphism(E, F), mf.zero_morphism(F, E)]
+    for p in list(maps):
+        C, inject, project = mf.cone_triangle(p)
+        objects += [C, mf.cone(p)]
+        maps += [inject, project, mf.shift_morphism(p), mf.compose(project, inject)]
+    objects += [mf.minimal_model(E) for E in objects]
+    return objects, maps
+
+
+def _assert_identities(objects, maps):
+    for E in objects:
+        assert mf.validate(E).ok, (E, str(mf.validate(E)))
+    for p in maps:
+        assert p.p1 @ p.source.e0 == p.target.e0 @ p.p0, p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_derived_constructions_satisfy_their_identities(field):
+    """Each identity that a derived construction leaves unchecked holds:
+    e0 e1 = (W - lambda) Id on every object, by mf.validate, and
+    p1 e0 = f0 p0 on every map.  The corpus objects are themselves shifts,
+    sums, cones, tensors and Knoerrer doubles, so they and what is built
+    from them alone are checked before any Hom answer is read from them."""
+    corpus_objects = [E for _, E in sorted(corpus.corpus_objects(field).items())]
+    _assert_identities(*_derived_constructions(corpus_objects, []))
+    morphisms, cones = _seeded_morphisms(field)
+    draws = [E for source, target, _ in _kuenneth_draws(field) for E in (source, target)]
+    objects, maps = _derived_constructions([E for _, E in _test_objects(field)] + cones + draws,
+                                           morphisms)
+    # ranks 0..16 over some 40 potentials
+    assert len(objects) > 3500 and len(maps) > 2500
+    assert len({E.potential_context() for E in objects}) > 40
+    assert {0, 16} <= {E.rank for E in objects}
+    _assert_identities(objects, maps)
+
+
 def test_dims_build_no_representatives(monkeypatch):
     from mfcat import groebner
     E, F = an(3, 2), mf.direct_sum(an(3, 1), an(3, 2))
@@ -680,7 +732,7 @@ def test_each_object_is_reduced_once_and_keeps_its_model(monkeypatch):
     fresh = corpus._corpus_objects_cached.__wrapped__(QQ)
     monkeypatch.setattr(corpus, "_corpus_objects_cached", lambda field: fresh)
     objects = list(corpus.corpus_objects().values())
-    built = _count_calls(monkeypatch, mf.MatrixFactorization, "__init__")
+    built = _count_calls(monkeypatch, mf.MatrixFactorization, "_derived")
     rows = _count_calls(monkeypatch, PolyMatrix, "row")
     for _, _, E, F in corpus.hom_pairs():
         hom_dims(E, F)

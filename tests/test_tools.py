@@ -56,3 +56,37 @@ def test_ab_refuses_trees_whose_answers_differ_but_pass_their_checks(tmp_path):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, (proc.stdout, proc.stderr)
     assert proc.stdout == "src and %s answer item %r differently\n" % (changed, key)
+
+
+def test_bench_counts_code_lines_without_docstrings_comments_or_blanks():
+    sys.path[:0] = [os.path.join(ROOT, "tools")]
+    try:
+        bench = importlib.import_module("bench")
+    finally:
+        del sys.path[0]
+    fixture = textwrap.dedent('''\
+        """A module docstring
+
+        over three lines."""
+        # a comment line
+
+        import os  # a comment after code
+
+
+        class Shape:
+            """A class docstring."""
+
+            def area(self):
+                """A function docstring
+                over two lines."""
+                text = """a string that is
+        not a docstring"""
+                return (len(text)
+                        # a comment inside brackets
+                        + 1)
+        ''')
+    # import, class, def, the two lines of text and the two of the return
+    # that hold code
+    assert bench.code_lines(fixture) == 7
+    assert bench.code_lines("") == 0
+    assert bench.code_lines('"""Only a docstring."""\n') == 0

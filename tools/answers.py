@@ -59,6 +59,9 @@ Items, each line "<key>\t<answer>":
   * hom.is_contractible of the cone and hom.is_homotopy_equivalence of
     each of those composites and of d_i W * id_X for every corpus object
     X and variable i;
+  * the documents of mf.minimal_model of every corpus object, of the
+    cone of its identity and of the cone of each of those composites,
+    over Q and over F_32749;
   * CLI output, human and machine: `cok <object>` for every corpus
     object, also with `--upto` 4 and 24, and 40 for the knorrer objects,
     `hom --oracle` on every 41st corpus pair, `tensor` of seeded corpus
@@ -620,6 +623,7 @@ def items():
             yield ("compose %r %s %s %s" % (field, nx, ny, nz),
                    repr(files.dumps(files.morphism_to_doc(h, nx, nz))))
     yield from _equivalence_items(objects, composites)
+    yield from _model_items(composites)
     yield from _mirror_items()
     yield from _fan_items()
     yield from _cli_items(objects, composites[QQ])
@@ -637,6 +641,20 @@ def _equivalence_items(objects, composites):
     for key, h in maps:
         yield "contractible cone %s" % key, repr(hom.is_contractible(mf.cone(h)))
         yield "homotopy_equivalence %s" % key, repr(hom.is_homotopy_equivalence(h))
+
+
+def _model_items(composites):
+    """The document of mf.minimal_model of every corpus object, of the cone
+    of its identity and of the cone of each seeded composite."""
+    for field, drawn in composites.items():
+        named = sorted(corpus.corpus_objects(field).items())
+        models = named + [("cone(id:%s)" % name, mf.cone(mf.identity_morphism(X)))
+                          for name, X in named]
+        models += [("cone(compose %s %s %s)" % (nx, ny, nz), mf.cone(h))
+                   for nx, ny, nz, h in drawn]
+        for name, X in models:
+            yield ("model %r %s" % (field, name),
+                   repr(files.dumps(files.factorization_to_doc(mf.minimal_model(X)))))
 
 
 def _cli_items(objects, composites):

@@ -7,20 +7,25 @@ Run from the root of a checkout:
 Each workload of BENCHMARK.json runs once through ``perfbench/run.py
 --trace 0``, each in a fresh process, and its five end-to-end metrics
 and answer counts are kept from the JSON result line.  Tier-1 is timed
-as one ``pytest -q`` run of ``tests/``, and the lines of ``src/`` are
-counted by ``wc -l``.  The file records the commit, ``nproc``, the
+as one ``pytest -q`` run of ``tests/``.  The lines of ``src/`` are
+counted by ``wc -l`` (``src_loc``) and as code (``src_code_lines``): the
+lines that are not blank, hold not only a comment and are not part of a
+module, class or function docstring.  The file records the commit, ``nproc``, the
 Python version, the seed and ``--seconds``.  Nothing under
 ``perfbench/`` is written except the run records ``run.py`` keeps in
 ``perfbench/out/``.
 """
 
 import argparse
+import ast
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,10 +59,42 @@ def tier1():
             "summary": (proc.stdout.strip().splitlines() or [""])[-1]}
 
 
+def _sources():
+    return sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True))
+
+
 def source_lines():
-    files = sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True))
-    out = _run(["wc", "-l"] + files).stdout.split()
+    out = _run(["wc", "-l"] + _sources()).stdout.split()
     return int(out[-2])  # the "total" line
+
+
+_SILENT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def code_lines(text):
+    """The number of lines of Python source `text` that a token other than
+    a comment touches, less those of module, class and function docstrings."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _SILENT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def source_code_lines():
+    total = 0
+    for path in _sources():
+        with open(path, encoding="utf-8") as fh:
+            total += code_lines(fh.read())
+    return total
 
 
 def main(argv=None):
@@ -73,7 +110,7 @@ def main(argv=None):
         "commit": commit, "dirty": bool(_run(["git", "status", "--porcelain", "src"]).stdout),
         "nproc": os.cpu_count(), "python": sys.version.split()[0],
         "seed": args.seed, "seconds": args.seconds,
-        "src_loc": source_lines(),
+        "src_loc": source_lines(), "src_code_lines": source_code_lines(),
         "workloads": {name: workload(name, args.seed, args.seconds) for name in names},
         "tier1": tier1(),
     }
