@@ -29,12 +29,15 @@ and p: E -> F, q: F -> G for morphisms.
     p1 e0 = f0 p0.
   tensor: a_k (x) I and I (x) b_k commute, so t0 t1 = [[a0 a1 + b1 b0,
     b1 a0 - a0 b1], [a1 b0 - b0 a1, b0 b1 + a1 a0]] is the sum of the two
-    (W - lambda) Id; knorrer is a tensor, and corpus._tensor_renamed's
-    copy is the object under a ring isomorphism.
+    (W - lambda) Id.  That sum is 0 when the two are opposite constants,
+    so tensor refuses it as the constructor would; knorrer is a tensor,
+    and corpus._tensor_renamed's copy is the object under a ring
+    isomorphism.
   minimal_model: invertible P and Q give P e1 Q = diag(c, S) and
     Q^-1 e0 P^-1 = diag((W - lambda)/c, e0'), where e0' is e0 without
     row j and column i, so S e0' = (W - lambda) Id; likewise at e0.
-  identity_morphism and zero_morphism: 1 e0 = e0 1 and 0 e0 = f0 0.
+  identity_morphism and zero_morphism: 1 e0 = e0 1 and 0 e0 = f0 0,
+    zero_morphism refusing ends of different (ring, W, lambda).
   compose(q, p): q1 p1 e0 = q1 f0 p0 = g0 q0 p0.
   shift_morphism(p): p0 (-e1) = (-f1) p1 is f1 p1 = p0 e1.
   cone_triangle: [[1], [0]] f0 = c0 [[1], [0]], and
@@ -46,7 +49,6 @@ products, and files checks each loaded document through them.
 from __future__ import annotations
 
 from math import gcd
-from operator import add
 
 from .matrix import PolyMatrix, RowEchelon
 from .poly import QQ, Polynomial, PolyError, RingContext, RingMismatch
@@ -92,6 +94,9 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
+
+
+_ZERO_POTENTIAL = ("W - lambda", 0, 0, "0", "a nonzero polynomial")
 
 
 def _product_failures(name, product, expected):
@@ -146,7 +151,7 @@ class MatrixFactorization:
         failing cells; it implies e1 e0 = (W - lambda) Id (module docstring)."""
         shifted = self.w - self.ring.constant(self.lam)
         if shifted.is_zero:
-            return ValidationReport([("W - lambda", 0, 0, "0", "a nonzero polynomial")])
+            return ValidationReport([_ZERO_POTENTIAL])
         return ValidationReport(_product_failures(
             "e0*e1", self.e0 @ self.e1, PolyMatrix.scalar(shifted, self.rank)))
 
@@ -242,6 +247,8 @@ def identity_morphism(mf: MatrixFactorization) -> MFMorphism:
 
 
 def zero_morphism(source: MatrixFactorization, target: MatrixFactorization) -> MFMorphism:
+    if source.potential_context() != target.potential_context():
+        raise RingMismatch("morphism endpoints have different (ring, W, lambda)")
     z = PolyMatrix.zeros(source.ring, target.rank, source.rank)
     return MFMorphism._derived(source, target, z, z)
 
@@ -315,60 +322,35 @@ def minimal_model(mf: MatrixFactorization) -> MatrixFactorization:
     "Homological algebra on a complete intersection", Trans. AMS 260,
     1980), so Hom dimensions may be read from it; rank 0 means mf is
     contractible.  Those operations are invertible, so mf's identity
-    implies the model's (module docstring).  The complements are taken
-    on the entries' term dicts, summed as Polynomial arithmetic sums
-    them, and each surviving entry becomes one Polynomial.  The model is
-    computed once per object and kept on it, and is its own minimal model.
+    implies the model's (module docstring).  The model is computed once
+    per object and kept on it, and is its own minimal model.
     """
     if mf._model is not None:
         return mf._model
     ring = mf.ring
-    field = ring.field
     origin = (0,) * ring.nvars
-    maps = [[[p.terms for p in m.row(i)] for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
+    maps = [[m.row(i) for i in range(mf.rank)] for m in (mf.e1, mf.e0)]
     while True:
         pivot = next(((k, i, j) for k, m in enumerate(maps) for i, row in enumerate(m)
-                      for j, p in enumerate(row) if len(p) == 1 and origin in p),
+                      for j, p in enumerate(row) if len(p.terms) == 1 and origin in p.terms),
                      None)
         if pivot is None:
             break
         k, i, j = pivot
         m, other = maps[k], maps[1 - k]
-        inv, times = field.inv(m[i][j][origin]), field.mul
-        top = [{e: times(v, inv) for e, v in p.items()} for p in m[i]]
-        maps[k] = [[_minus_product(p, r[j], q, field) for b, (p, q) in enumerate(zip(r, top))
-                    if b != j]
-                   if r[j] else r[:j] + r[j + 1:]
+        top = [p.scale(ring.field.inv(m[i][j].terms[origin])) for p in m[i]]
+        maps[k] = [[p - r[j] * q for b, (p, q) in enumerate(zip(r, top)) if b != j]
+                   if r[j].terms else r[:j] + r[j + 1:]
                    for a, r in enumerate(m) if a != i]
         maps[1 - k] = [r[:i] + r[i + 1:] for a, r in enumerate(other) if a != j]
     n = len(maps[0])
     if n == mf.rank:
         mf._model = mf
         return mf
-    e1, e0 = (PolyMatrix(ring, n, n, [Polynomial(ring, p) for row in m for p in row])
-              for m in maps)
+    e1, e0 = (PolyMatrix(ring, n, n, [p for row in m for p in row]) for m in maps)
     mf._model = model = MatrixFactorization._derived(ring, mf.w, mf.lam, e1, e0)
     model._model = model
     return model
-
-
-def _minus_product(p, a, q, field):
-    """The term dict of p - a q, for term dicts p, a and q with no zero
-    coefficient: a q is summed term by term in q's order within a's, its
-    cancelled terms dropped, and subtracted from p in that order, as
-    Polynomial's * and - do."""
-    plus, times, minus, zero = field.add, field.mul, field.sub, field.zero
-    product = {}
-    for ea, ca in a.items():
-        for eq, cq in q.items():
-            e = tuple(map(add, ea, eq))
-            c = times(ca, cq)
-            product[e] = plus(product[e], c) if e in product else c
-    out = dict(p)
-    for e, c in product.items():
-        if c != zero:
-            out[e] = minus(out[e], c) if e in out else field.neg(c)
-    return {e: c for e, c in out.items() if c != zero}
 
 
 def _grading(mf: MatrixFactorization):
@@ -474,7 +456,10 @@ def tensor(a: MatrixFactorization, b: MatrixFactorization) -> MatrixFactorizatio
     eye_b = PolyMatrix.identity(ring, b.rank)
     t1, t0 = _tensor_maps(a1.kron(eye_b), a0.kron(eye_b), eye_a.kron(b1), eye_a.kron(b0))
     w = a.w.extend(ring, amap) + b.w.extend(ring, bmap)
-    return MatrixFactorization._derived(ring, w, ring.field.add(a.lam, b.lam), t1, t0)
+    lam = ring.field.add(a.lam, b.lam)
+    if (w - ring.constant(lam)).is_zero:
+        raise NotAFactorization(ValidationReport([_ZERO_POTENTIAL]))
+    return MatrixFactorization._derived(ring, w, lam, t1, t0)
 
 
 def knorrer(mf: MatrixFactorization, names=("u", "v")) -> MatrixFactorization:

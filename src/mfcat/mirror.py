@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import (Polynomial, LaurentPolynomial, RingContext, QQ,
-                   PolyError, quoted, shortened, _is_squarefree)
+                   PolyError, quoted, _is_squarefree)
 from . import groebner
 
 
@@ -322,12 +322,11 @@ def critical_values(w_spec, params=None) -> CriticalReport:
 def fiber_cardinality(w_spec, params=None, value=0) -> int:
     """Distinct closed points of the fiber of a one-variable superpotential.
 
-    The value must be non-critical, and over F_p its denominator prime
-    to p; roots off the torus (at Y = 0) do not count.  Let g be
-    Y^s (W - value) with its roots at 0 stripped, over the field of W.
-    At a root Y0 != 0 of g, W'(Y0) = g'(Y0) Y0^e for an integer e, so the
-    value is critical exactly when gcd(g, g') is not constant; otherwise
-    the fiber has deg g points.
+    The value must be non-critical; roots off the torus (at Y = 0) do not
+    count.  Let g be Y^s (W - value) with its roots at 0 stripped, over the
+    field of W.  At a root Y0 != 0 of g, W'(Y0) = g'(Y0) Y0^e for an integer
+    e, so the value is critical exactly when gcd(g, g') is not constant;
+    otherwise the fiber has deg g points.
     """
     value = _exact_rational(value, "fiber value")
     W = _substituted_w(w_spec, params)
@@ -336,9 +335,6 @@ def fiber_cardinality(w_spec, params=None, value=0) -> int:
     if W.log_derivative(0).is_zero:
         raise InfiniteCriticalLocus("critical locus is not zero-dimensional")
     fld = W.ring.field
-    if fld.p is not None and value.denominator % fld.p == 0:
-        raise PolyError("fiber value %s is not in F_%d: %d divides its denominator"
-                        % (shortened(str(value)), fld.p, fld.p))
     terms = (W - LaurentPolynomial(W.ring, {(0,): fld.coerce(value)})).terms
     low, high = min(terms)[0], max(terms)[0]
     g = [terms.get((k,), fld.zero) for k in range(low, high + 1)]

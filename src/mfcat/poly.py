@@ -194,7 +194,11 @@ class PrimeField(Field):
         if not _is_coeff(value):
             raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
         if isinstance(value, Fraction):
-            return self.div(value.numerator % self.p, value.denominator % self.p)
+            den = value.denominator % self.p
+            if not den:
+                raise PolyError("%s is not in F_%d: %d divides its denominator"
+                                % (shortened(str(value)), self.p, self.p))
+            return self.div(value.numerator % self.p, den)
         return value % self.p
 
     def __repr__(self):

@@ -163,6 +163,16 @@ def test_failing_cells_are_reported_on_one_line(tmp_path):
     assert res.stderr.startswith("error: 1 failing cell(s): p1*e0 - f0*p0[0,0] = ")
 
 
+def test_tensor_of_opposite_constant_potentials_fails_on_one_line(tmp_path):
+    # both documents load, but the sum of their W - lambda is 0
+    one = {"schema_version": 1, "kind": "factorization", "field": "Q", "vars": ["x"],
+           "W": "1", "lambda": "0", "e1": [["1"]], "e0": [["1"]]}
+    minus_one = dict(one, vars=["y"], W="0", **{"lambda": "1"}, e0=[["-1"]])
+    res = run("tensor", _write(tmp_path / "a.json", one), _write(tmp_path / "b.json", minus_one))
+    _one_line_error(res)
+    assert res.stderr == "error: 1 failing cell(s): W - lambda[0,0] = 0, expected a nonzero polynomial\n"
+
+
 @pytest.mark.parametrize("field, override, w, lam", [
     ("Q", None, "x^2 + 1/0*x", "0"),
     ("Fp:7", None, "x^2 + 1/7*x", "0"),

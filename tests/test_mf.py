@@ -54,6 +54,20 @@ def test_zero_potential_rejected():
                             PolyMatrix.zeros(R, 1, 1), PolyMatrix.zeros(R, 1, 1))
 
 
+def test_tensor_of_opposite_constant_potentials_is_refused():
+    # (W - lambda) + (W' - lambda') = 1 + (-1) = 0, which the constructor
+    # refuses; tensor builds unchecked, so it refuses the sum itself
+    R, S = xring(), RingContext(("y",), QQ)
+    one = PolyMatrix.identity(R, 1)
+    a = MatrixFactorization(R, R.constant(1), 0, one, one)
+    b = MatrixFactorization(S, S.zero(), 1, PolyMatrix.identity(S, 1), -PolyMatrix.identity(S, 1))
+    with pytest.raises(NotAFactorization) as err:
+        mf.tensor(a, b)
+    assert str(err.value) == "1 failing cell(s):\n  W - lambda[0,0] = 0, expected a nonzero polynomial"
+    c = MatrixFactorization(S, S.constant(1), 0, PolyMatrix.identity(S, 1), PolyMatrix.identity(S, 1))
+    assert mf.validate(mf.tensor(a, c)).ok
+
+
 def test_nonzero_lambda():
     # x^2 - 1 = (x-1)(x+1): a factorization of x^2 at the fiber over 1
     R = xring()

@@ -10,7 +10,7 @@ import pytest
 from mfcat.poly import (
     QQ, PrimeField, field_from_spec, RingContext, Polynomial,
     LaurentPolynomial, parse_polynomial, parse_laurent, parse_coefficient,
-    ParseError, RingMismatch, univariate_gcd, integer_multiple, _TermPoly, _is_squarefree,
+    ParseError, PolyError, RingMismatch, univariate_gcd, integer_multiple, _TermPoly, _is_squarefree,
 )
 from mfcat.matrix import PolyMatrix, RowEchelon
 
@@ -700,6 +700,24 @@ def test_no_result_stores_a_zero_coefficient(field):
     _assert_stored(W.substitute({"q": 1}, ring("Y", field=field)), [((-1,), 1), ((0,), 2)])
     row, col = PolyMatrix.from_rows(R, [[x, y]]), PolyMatrix.from_rows(R, [[y], [-x]])
     _assert_stored((row @ col).get(0, 0), [])
+
+
+def test_rationals_whose_denominator_p_divides_are_refused_over_f_p():
+    # each raised a bare ZeroDivisionError ("inverse of 0 mod 7") from
+    # PrimeField.coerce, which names the value now
+    from mfcat.mf import rank_one
+    R = ring("x", field=PrimeField(7))
+    x = R.variable("x")
+    for call, name in ((lambda: x + Fraction(1, 7), "1/7"),
+                       (lambda: x.scale(Fraction(3, 7)), "3/7"),
+                       (lambda: R.constant(Fraction(-3, 49)), "-3/49"),
+                       (lambda: rank_one(R, x * x, Fraction(1, 7), x, x), "1/7"),
+                       (lambda: x * Fraction(1, 7 * 10 ** 60),
+                        "'1/7000000000'... (63 characters)")):
+        with pytest.raises(PolyError) as caught:
+            call()
+        assert str(caught.value) == "%s is not in F_7: 7 divides its denominator" % name
+    assert x + Fraction(1, 2) == x + 4
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(32749)), ids=repr)

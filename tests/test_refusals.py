@@ -37,6 +37,9 @@ CASES = {
     "morphism-ring": (lambda: mf.MFMorphism(*ends("An:3:1", "An:3:2"), PolyMatrix.zeros(S, 1, 1),
                                             PolyMatrix.zeros(S, 1, 1)),
                       RingMismatch, "morphism entries live in a different ring"),
+    # the zero map is built unchecked, so it refuses mismatched ends itself
+    "zero-morphism-context": (lambda: mf.zero_morphism(*ends("An:3:1", "An:2:1")), RingMismatch,
+                              "morphism endpoints have different (ring, W, lambda)"),
     "compose": (lambda: mf.compose(*map(mf.identity_morphism, ends("An:3:1", "An:3:2"))),
                 RingMismatch, "composition endpoints do not match"),
     "tensor-fields": (lambda: mf.tensor(corpus.power_factorization(3),
